@@ -6,8 +6,9 @@ encode:
 
 * :mod:`tensorgraphs.graphs` -- the graph type, file format, bubbles,
   components, isomorphism, DOT export;
-* :mod:`tensorgraphs.homology` -- integer bubble homology via Smith normal
-  form;
+* :mod:`tensorgraphs.homology` -- integer bubble homology by sparse
+  unit-pivot elimination, with the dense Smith normal form (the public
+  reference, with U and V) run only on the leftover block;
 * :mod:`tensorgraphs.ribbon` -- ribbon structures, boundary components,
   genus, cell counts;
 * :mod:`tensorgraphs.jackets` -- jackets, the degree, melonicity, degree

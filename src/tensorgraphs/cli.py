@@ -448,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     with_format(p)
 
-    p = command("euler", _cmd_euler, "Euler characteristic from homology ranks")
+    p = command("euler", _cmd_euler, "Euler characteristic from bubble counts")
     p.add_argument("file")
     with_format(p)
 

@@ -290,7 +290,7 @@ def cell_counts(r: RibbonStructure) -> CellReport:
 
 
 def euler_agreement(g: ColoredGraph) -> bool:
-    """Homology chi equals ribbon chi for a closed connected 3-colored graph."""
+    """Bubble-count chi equals ribbon chi for a closed connected 3-colored graph."""
     from .homology import euler_characteristic
 
     ribbon_chi = boundary_components(ribbon_from_colored(g)).euler
