@@ -555,75 +555,94 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 #
 #     (parity, slot_1, ..., slot_k)
 #
-# where slot_i is the BFS index of the neighbor along the i-th color (or a
-# marker for "leg" / "empty").  The canonical certificate of a component is
-# the lexicographically smallest encoding over all choices of root; two
-# components are isomorphic (with colors fixed) iff their certificates are
-# equal, and the certificate-minimizing BFS orders themselves provide a
-# witness bijection.
+# where slot_i is the BFS index of the neighbor along the i-th color of the
+# read order (or a marker for "leg" / "empty").  The canonical certificate of
+# a component is the lexicographically smallest encoding over all roots, the
+# earliest root in label order winning ties.  Every encoding starts with its
+# root's parity (0 for white), so a component with white vertices tries only
+# those as roots.  All encodings of a component have the same length, so a
+# root is abandoned at its first row that is larger than the best encoding's
+# row at the same index.  Two components are isomorphic (with colors fixed) iff
+# their certificates are equal, and the certificate-minimizing BFS orders
+# themselves provide a witness bijection.
+#
+# The read order is the graph's color set unless given: reading `a` in the
+# order [cmap^-1(c) for c in b.colors] yields the encodings of
+# recolor(a, cmap) without building that graph, which is how the
+# up-to-color-permutation test tries each color bijection against `b`.
 
 
 _EMPTY_SLOT = -1
 _LEG_SLOT = -2
 
 
-def _bfs_code(
-    g: ColoredGraph, root: str
-) -> tuple[tuple[tuple[int, ...], ...], dict[str, int]]:
-    order: dict[str, int] = {root: 0}
-    queue = [root]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    has_zero = 0 in g.colors
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        row = [0 if g.parity(v) == WHITE else 1]
-        for c in g.colors:
-            e = g.edge_at(v, c)
-            if e is None:
-                if c == 0 and has_zero and g.leg_at(v) is not None:
-                    row.append(_LEG_SLOT)
-                else:
-                    row.append(_EMPTY_SLOT)
-            else:
-                u = e.other(v)
-                j = order.get(u)
-                if j is None:
-                    j = len(queue)
-                    order[u] = j
-                    queue.append(u)
-                row.append(j)
-        rows.append(tuple(row))
-    return tuple(rows), order
-
-
 def _component_certs(
-    g: ColoredGraph,
+    g: ColoredGraph, colors: Iterable[int] | None = None
 ) -> list[tuple[tuple[tuple[int, ...], ...], dict[str, int]]]:
-    """Per component: (canonical code, vertex -> canonical index)."""
-    seen: set[str] = set()
+    """Per component: (canonical code, vertex -> canonical index).
+
+    Slots are read in `colors` order (default ``g.colors``); components come
+    in the order of their smallest vertex label.
+    """
+    labels = sorted(g._parity)
+    index = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    read = g._colors if colors is None else tuple(colors)
+    slot_of = {c: k for k, c in enumerate(read)}
+    nbrs = [[_EMPTY_SLOT] * n for _ in read]
+    for e in g._edges.values():
+        w, b = index[e.white], index[e.black]
+        nb = nbrs[slot_of[e.color]]
+        nb[w] = b
+        nb[b] = w
+    for l in g._legs.values():
+        nbrs[slot_of[0]][index[l.vertex]] = _LEG_SLOT
+    parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
+
+    seen = [False] * n
     out = []
-    for start in sorted(g.vertices):
-        if start in seen:
+    for start in range(n):
+        if seen[start]:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c in g.colors:
-                u = g.neighbor(v, c)
-                if u is not None and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        best_code = None
-        best_order = None
-        for root in sorted(comp):
-            code, order = _bfs_code(g, root)
-            if best_code is None or code < best_code:
-                best_code, best_order = code, order
-        out.append((best_code, best_order))
+        seen[start] = True
+        comp = [start]
+        for v in comp:
+            for nb in nbrs:
+                u = nb[v]
+                if u >= 0 and not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        comp.sort()
+        roots = [v for v in comp if not parity[v]] or comp
+        best: tuple | None = None
+        best_queue: list[int] = []
+        for root in roots:
+            pos = {root: 0}
+            queue = [root]
+            rows = []
+            smaller = best is None
+            for v in queue:
+                row = [parity[v]]
+                for nb in nbrs:
+                    u = nb[v]
+                    if u >= 0:
+                        j = pos.get(u)
+                        if j is None:
+                            j = pos[u] = len(queue)
+                            queue.append(u)
+                        u = j
+                    row.append(u)
+                row = tuple(row)
+                if not smaller:
+                    rival = best[len(rows)]
+                    if row > rival:
+                        break
+                    smaller = row < rival
+                rows.append(row)
+            else:
+                if smaller:
+                    best, best_queue = tuple(rows), queue
+        out.append((best, {labels[v]: k for k, v in enumerate(best_queue)}))
     return out
 
 
@@ -653,27 +672,6 @@ class IsoResult:
         return self.isomorphic
 
 
-def _iso_exact(a: ColoredGraph, b: ColoredGraph) -> IsoResult:
-    if a.colors != b.colors or len(a) != len(b) or len(a.edges) != len(b.edges) or len(
-        a.legs
-    ) != len(b.legs):
-        return IsoResult(False)
-    certs_a = _component_certs(a)
-    certs_b = _component_certs(b)
-    if sorted(c for c, _ in certs_a) != sorted(c for c, _ in certs_b):
-        return IsoResult(False)
-    by_code: dict[tuple, list[dict[str, int]]] = {}
-    for code, order in certs_b:
-        by_code.setdefault(code, []).append(order)
-    witness: dict[str, str] = {}
-    for code, order_a in certs_a:
-        order_b = by_code[code].pop()
-        inv_b = {i: v for v, i in order_b.items()}
-        for v, i in order_a.items():
-            witness[v] = inv_b[i]
-    return IsoResult(True, witness)
-
-
 def is_isomorphic(
     a: ColoredGraph, b: ColoredGraph, mode: str = "exact-colors"
 ) -> IsoResult:
@@ -681,25 +679,46 @@ def is_isomorphic(
 
     ``mode='exact-colors'`` requires edge colors to match on the nose;
     ``mode='up-to-color-permutation'`` allows a global bijection of the
-    color sets (fixing color 0 whenever legs are present).
+    color sets (fixing color 0 whenever legs are present).  Color
+    bijections are tried in ``itertools.permutations`` order of
+    ``b.colors``; the first that works is reported.
     """
     if mode == "exact-colors":
-        return _iso_exact(a, b)
-    if mode != "up-to-color-permutation":
+        if a.colors != b.colors:
+            return IsoResult(False)
+        cmaps: Iterable[dict[int, int] | None] = (None,)
+    elif mode == "up-to-color-permutation":
+        if len(a.colors) != len(b.colors):
+            return IsoResult(False)
+        must_fix_zero = bool(a.legs) or bool(b.legs)
+        if must_fix_zero and (0 not in a.colors or 0 not in b.colors):
+            return IsoResult(False)
+        cmaps = (dict(zip(a.colors, p)) for p in itertools.permutations(b.colors))
+        if must_fix_zero:
+            cmaps = (cmap for cmap in cmaps if cmap[0] == 0)
+    else:
         raise GraphError(f"unknown isomorphism mode {mode!r}")
-    if len(a.colors) != len(b.colors):
+    if len(a) != len(b) or len(a.edges) != len(b.edges) or len(a.legs) != len(b.legs):
         return IsoResult(False)
-    must_fix_zero = bool(a.legs) or bool(b.legs)
-    if must_fix_zero and (0 not in a.colors or 0 not in b.colors):
-        return IsoResult(False)
-    src = a.colors
-    for perm in itertools.permutations(b.colors):
-        cmap = dict(zip(src, perm))
-        if must_fix_zero and cmap[0] != 0:
+    certs_b = _component_certs(b)
+    codes_b = sorted(code for code, _ in certs_b)
+    for cmap in cmaps:
+        read = None
+        if cmap is not None:
+            inverse = {c: s for s, c in cmap.items()}
+            read = [inverse[c] for c in b.colors]
+        certs_a = _component_certs(a, read)
+        if sorted(code for code, _ in certs_a) != codes_b:
             continue
-        res = _iso_exact(recolor(a, cmap), b)
-        if res:
-            return IsoResult(True, res.witness, cmap)
+        by_code: dict[tuple, list[dict[str, int]]] = {}
+        for code, order in certs_b:
+            by_code.setdefault(code, []).append(order)
+        witness: dict[str, str] = {}
+        for code, order_a in certs_a:
+            inv_b = {i: v for v, i in by_code[code].pop().items()}
+            for v, i in order_a.items():
+                witness[v] = inv_b[i]
+        return IsoResult(True, witness, cmap)
     return IsoResult(False)
 
 

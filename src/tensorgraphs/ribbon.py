@@ -200,16 +200,17 @@ class BoundaryReport:
 
 def _components(r: RibbonStructure) -> list[set[str]]:
     """Vertex sets of the connected components (edges = involution pairs)."""
+    orders = r.orders
     seen: set[str] = set()
     comps = []
-    for start in sorted(r.orders):
+    for start in sorted(orders):
         if start in seen:
             continue
         comp = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            for h in r.orders[v]:
+            for h in orders[v]:
                 u = r.vertex_of(r.partner(h))
                 if u not in comp:
                     comp.add(u)
@@ -234,12 +235,13 @@ def boundary_components(r: RibbonStructure) -> BoundaryReport:
         orbits.append(orbit)
         seen |= orbit
 
+    orders = r.orders
     per = []
     for comp in _components(r):
         v = len(comp)
-        halves = [h for u in comp for h in r.orders[u]]
+        halves = {h for u in comp for h in orders[u]}
         e = len(halves) // 2
-        bc = sum(1 for o in orbits if next(iter(o)) in set(halves))
+        bc = sum(1 for o in orbits if next(iter(o)) in halves)
         chi = v - e + bc
         if chi % 2:
             raise GraphError("odd Euler characteristic: inconsistent ribbon data")
