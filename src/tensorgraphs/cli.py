@@ -35,7 +35,7 @@ from .graphs import (
     validate,
 )
 from .homology import euler_characteristic, homology
-from .jackets import boundary_degree, gurau_degree, is_melonic
+from .jackets import _two_bubble_count, boundary_degree, gurau_degree, is_melonic
 from .models import (
     build,
     builtin_model,
@@ -129,10 +129,6 @@ def _jacket_lines(report, fmt: str) -> list[str]:
     return out
 
 
-def _total_faces(g: ColoredGraph) -> int:
-    return sum(len(bubbles(g, pair)) for pair in itertools.combinations(g.colors, 2))
-
-
 def _parse_color_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -194,7 +190,7 @@ def _cmd_jackets(args) -> int:
     for line in _jacket_lines(report, args.format):
         print(line)
     print(_line("degree", report.degree, args.format))
-    print(_line("faces", _total_faces(g), args.format))
+    print(_line("faces", _two_bubble_count(g), args.format))
     print(_line("amplitude-exponent", report.amplitude_exponent, args.format))
     return 0
 

@@ -18,6 +18,8 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
     v <label> <w|b>
     e <label> <color> <white-label> <black-label>
     leg <label> <inner-vertex-label>
+
+The header's ``D`` is at most :data:`MAX_D`.
 """
 
 from __future__ import annotations
@@ -25,14 +27,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 WHITE = "w"
 BLACK = "b"
 
+# Largest D a ``colors`` header may declare.  The color tuple is built
+# eagerly, so without a cap a one-line file could ask for gigabytes; 32 is
+# far past any graph whose homology (one bubble walk per color subset) can
+# be computed.
+MAX_D = 32
+
 __all__ = [
     "WHITE",
     "BLACK",
+    "MAX_D",
     "GraphError",
     "Edge",
     "Leg",
@@ -293,6 +302,8 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
                 d = int(args[0])
                 if d < 1:
                     raise GraphError("D must be >= 1")
+                if d > MAX_D:
+                    raise GraphError(f"D must be <= {MAX_D}")
                 colors = tuple(range(1, d + 1)) if args[1] == "closed" else tuple(range(d + 1))
             elif kind == "v":
                 if colors is None:
@@ -373,6 +384,68 @@ def validate(g: ColoredGraph) -> list[str]:
 # -- substructure ----------------------------------------------------------
 
 
+_EMPTY_SLOT = -1
+_LEG_SLOT = -2
+
+
+def _slot_arrays(
+    g: ColoredGraph, read: Sequence[int]
+) -> tuple[list[str], list[list[int]]]:
+    """The sorted vertex labels and one neighbour array per color of `read`.
+
+    ``nbrs[k][v]`` is the index (into the labels) of v's neighbour along
+    color ``read[k]``, ``_LEG_SLOT`` for a leg and ``_EMPTY_SLOT`` for an
+    empty slot.  Edges of colors outside `read` are left out.
+    """
+    labels = sorted(g._parity)
+    index = {v: i for i, v in enumerate(labels)}
+    slot_of = {c: k for k, c in enumerate(read)}
+    nbrs = [[_EMPTY_SLOT] * len(labels) for _ in read]
+    for e in g._edges.values():
+        k = slot_of.get(e.color)
+        if k is not None:
+            w, b = index[e.white], index[e.black]
+            nbrs[k][w] = b
+            nbrs[k][b] = w
+    if 0 in slot_of:
+        nb = nbrs[slot_of[0]]
+        for l in g._legs.values():
+            nb[index[l.vertex]] = _LEG_SLOT
+    return labels, nbrs
+
+
+def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits of ``0..n-1`` under the integer maps.
+
+    A negative entry has no image.  Images are only followed forwards,
+    which reaches the whole orbit when every map is a permutation or when
+    the maps are symmetric (u is an image of v iff v is one of u), as
+    neighbour arrays are.  Each orbit is sorted, and orbits come in the
+    order of their smallest member.
+
+    >>> _orbits(5, [[1, 0, -1, 4, 3]])
+    [[0, 1], [2], [3, 4]]
+    >>> _orbits(4, [[2, 3, 1, 0]])
+    [[0, 1, 2, 3]]
+    """
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for v in orbit:
+            for m in maps:
+                u = m[v]
+                if u >= 0 and not seen[u]:
+                    seen[u] = True
+                    orbit.append(u)
+        orbit.sort()
+        out.append(orbit)
+    return out
+
+
 def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     """The connected components of the subgraph of edges with given colors.
 
@@ -387,28 +460,19 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
 
-    seen: set[str] = set()
-    out: list[Bubble] = []
-    for start in sorted(g.vertices):
-        if start in seen or all(g.edge_at(start, c) is None for c in csub):
-            continue
-        comp_v: set[str] = {start}
-        comp_e: set[str] = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c in csub:
-                e = g.edge_at(v, c)
-                if e is None:
-                    continue
-                comp_e.add(e.label)
-                u = e.other(v)
-                if u not in comp_v:
-                    comp_v.add(u)
-                    stack.append(u)
-        seen |= comp_v
-        out.append(Bubble(csub, tuple(sorted(comp_v)), tuple(sorted(comp_e))))
-    return out
+    # every edge joins two distinct vertices, so the singletons are exactly
+    # the vertices without an edge of csub
+    labels, nbrs = _slot_arrays(g, csub)
+    orbits = [o for o in _orbits(len(labels), nbrs) if len(o) > 1]
+    comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
+    edges: list[list[str]] = [[] for _ in orbits]
+    for e in g._edges.values():
+        if e.color in csub:
+            edges[comp_of[e.white]].append(e.label)
+    return [
+        Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
+        for orbit, es in zip(orbits, edges)
+    ]
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
@@ -417,30 +481,19 @@ def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
     Legs stay with their inner vertex.  The empty graph has no components.
     Components are ordered by their smallest vertex label.
     """
-    out = []
-    seen: set[str] = set()
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        comp: set[str] = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c in g.colors:
-                u = g.neighbor(v, c)
-                if u is not None and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(
-            ColoredGraph(
-                g.colors,
-                {v: g.parity(v) for v in sorted(comp)},
-                [e for e in g.edges.values() if e.white in comp],
-                [l for l in g.legs.values() if l.vertex in comp],
-            )
-        )
-    return out
+    labels, nbrs = _slot_arrays(g, g.colors)
+    orbits = _orbits(len(labels), nbrs)
+    comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
+    edges: list[list[Edge]] = [[] for _ in orbits]
+    for e in g._edges.values():
+        edges[comp_of[e.white]].append(e)
+    legs: list[list[Leg]] = [[] for _ in orbits]
+    for l in g._legs.values():
+        legs[comp_of[l.vertex]].append(l)
+    return [
+        ColoredGraph(g.colors, {labels[v]: g._parity[labels[v]] for v in orbit}, es, ls)
+        for orbit, es, ls in zip(orbits, edges, legs)
+    ]
 
 
 def amputate(g: ColoredGraph) -> ColoredGraph:
@@ -525,6 +578,20 @@ def recolor(g: ColoredGraph, color_map: Mapping[int, int]) -> ColoredGraph:
     )
 
 
+def _namespace_pair(
+    a: ColoredGraph, b: ColoredGraph
+) -> tuple[ColoredGraph, ColoredGraph, str, str]:
+    """Prefix both graphs' labels (``l.``/``r.``) if any collide; return the
+    two graphs and the prefixes used."""
+    if (
+        set(a.vertices) & set(b.vertices)
+        or set(a.edges) & set(b.edges)
+        or set(a.legs) & set(b.legs)
+    ):
+        return add_prefix(a, "l."), add_prefix(b, "r."), "l.", "r."
+    return a, b, "", ""
+
+
 def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
     """Disjoint union of two graphs on the same color set.
 
@@ -532,13 +599,7 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
     """
     if a.colors != b.colors:
         raise GraphError(f"color sets differ: {a.colors} vs {b.colors}")
-    if (
-        set(a.vertices) & set(b.vertices)
-        or set(a.edges) & set(b.edges)
-        or set(a.legs) & set(b.legs)
-    ):
-        a = add_prefix(a, "l.")
-        b = add_prefix(b, "r.")
+    a, b, _, _ = _namespace_pair(a, b)
     return ColoredGraph(
         a.colors,
         {**a.vertices, **b.vertices},
@@ -556,24 +617,23 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 #     (parity, slot_1, ..., slot_k)
 #
 # where slot_i is the BFS index of the neighbor along the i-th color of the
-# read order (or a marker for "leg" / "empty").  The canonical certificate of
-# a component is the lexicographically smallest encoding over all roots, the
-# earliest root in label order winning ties.  Every encoding starts with its
-# root's parity (0 for white), so a component with white vertices tries only
-# those as roots.  All encodings of a component have the same length, so a
-# root is abandoned at its first row that is larger than the best encoding's
-# row at the same index.  Two components are isomorphic (with colors fixed) iff
-# their certificates are equal, and the certificate-minimizing BFS orders
-# themselves provide a witness bijection.
+# read order, or _LEG_SLOT / _EMPTY_SLOT.  The scan runs on the arrays of
+# _slot_arrays, and the components are the _orbits of those arrays.
+#
+# The canonical certificate of a component is the lexicographically
+# smallest encoding over all roots, the earliest root in label order
+# winning ties.  Every encoding starts with its root's parity (0 for
+# white), so a component with white vertices tries only those as roots.
+# All encodings of a component have the same length, so a root is
+# abandoned at its first row that is larger than the best encoding's row
+# at the same index.  Two components are isomorphic (with colors fixed)
+# iff their certificates are equal, and the certificate-minimizing BFS
+# orders themselves provide a witness bijection.
 #
 # The read order is the graph's color set unless given: reading `a` in the
 # order [cmap^-1(c) for c in b.colors] yields the encodings of
 # recolor(a, cmap) without building that graph, which is how the
 # up-to-color-permutation test tries each color bijection against `b`.
-
-
-_EMPTY_SLOT = -1
-_LEG_SLOT = -2
 
 
 def _component_certs(
@@ -584,35 +644,12 @@ def _component_certs(
     Slots are read in `colors` order (default ``g.colors``); components come
     in the order of their smallest vertex label.
     """
-    labels = sorted(g._parity)
-    index = {v: i for i, v in enumerate(labels)}
-    n = len(labels)
     read = g._colors if colors is None else tuple(colors)
-    slot_of = {c: k for k, c in enumerate(read)}
-    nbrs = [[_EMPTY_SLOT] * n for _ in read]
-    for e in g._edges.values():
-        w, b = index[e.white], index[e.black]
-        nb = nbrs[slot_of[e.color]]
-        nb[w] = b
-        nb[b] = w
-    for l in g._legs.values():
-        nbrs[slot_of[0]][index[l.vertex]] = _LEG_SLOT
+    labels, nbrs = _slot_arrays(g, read)
     parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
 
-    seen = [False] * n
     out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for v in comp:
-            for nb in nbrs:
-                u = nb[v]
-                if u >= 0 and not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        comp.sort()
+    for comp in _orbits(len(labels), nbrs):
         roots = [v for v in comp if not parity[v]] or comp
         best: tuple | None = None
         best_queue: list[int] = []

@@ -23,12 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb, factorial
 
-from .graphs import Bubble, ColoredGraph, GraphError, bubbles, connected_components
+from .graphs import (
+    Bubble,
+    ColoredGraph,
+    GraphError,
+    _orbits,
+    _slot_arrays,
+    bubbles,
+    connected_components,
+)
 from .ribbon import boundary_components, ribbon_from_colored
 
 __all__ = [
+    "MAX_JACKET_COLORS",
     "Jacket",
     "DegreeReport",
     "canonical_cycle",
@@ -39,6 +49,10 @@ __all__ = [
     "degree_lower_bound",
     "boundary_degree",
 ]
+
+# Most colors enumerate_jackets accepts.  A graph on D+1 colors has D!/2
+# jackets: 2520 at 8 colors, about 2e7 at 12.
+MAX_JACKET_COLORS = 8
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -75,39 +89,51 @@ def _adjacent_pairs(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
-    """All D!/2 jackets of a closed graph on D+1 >= 3 colors."""
+    """All D!/2 jackets of a closed graph on D+1 >= 3 colors.
+
+    At most :data:`MAX_JACKET_COLORS` colors are accepted.
+    """
     if g.is_open:
         raise GraphError("jackets require a closed graph")
     colors = g.colors
     if len(colors) < 3:
         raise GraphError("jackets require at least 3 colors")
-
-    from itertools import permutations
+    if len(colors) > MAX_JACKET_COLORS:
+        raise GraphError(
+            f"jackets: {len(colors)} colors give {factorial(len(colors) - 1) // 2} "
+            f"jackets; at most {MAX_JACKET_COLORS} colors are supported"
+        )
 
     cycles = sorted(
         {canonical_cycle((colors[0],) + rest) for rest in permutations(colors[1:])}
     )
 
-    comp_of: dict[str, int] = {}
-    comps = connected_components(g)
-    for i, comp in enumerate(comps):
-        for v in comp.vertices:
-            comp_of[v] = i
+    labels, nbrs = _slot_arrays(g, colors)
+    comps = _orbits(len(labels), nbrs)
+    comp_of = {labels[v]: i for i, comp in enumerate(comps) for v in comp}
+    v_minus_e = [len(comp) for comp in comps]
+    for e in g.edges.values():
+        v_minus_e[comp_of[e.white]] -= 1
+    faces_of = {pair: bubbles(g, pair) for pair in combinations(colors, 2)}
 
     jackets = []
     for cycle in cycles:
-        faces: list[Bubble] = []
-        for pair in _adjacent_pairs(cycle):
-            faces.extend(bubbles(g, pair))
+        faces = [b for pair in _adjacent_pairs(cycle) for b in faces_of[pair]]
+        chis = v_minus_e[:]
+        for b in faces:
+            chis[comp_of[b.vertices[0]]] += 1
         total_genus = 0
-        for i, comp in enumerate(comps):
-            f = sum(1 for b in faces if comp_of[b.vertices[0]] == i)
-            chi = len(comp.vertices) - len(comp.edges) + f
+        for chi in chis:
             if chi % 2:
                 raise GraphError("odd jacket Euler characteristic")
             total_genus += (2 - chi) // 2
         jackets.append(Jacket(cycle, tuple(faces), total_genus))
     return jackets
+
+
+def _two_bubble_count(g: ColoredGraph) -> int:
+    """Total number of 2-bubbles over all color pairs."""
+    return sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))
 
 
 @dataclass(frozen=True)
@@ -135,14 +161,9 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
     p, rem = divmod(len(g.vertices), 2)
     if rem:
         raise GraphError("odd vertex count in a closed bipartite graph")
-    total_faces = 0
-    from itertools import combinations
-
-    for pair in combinations(g.colors, 2):
-        total_faces += len(bubbles(g, pair))
     face_deg = (
         Fraction(factorial(d - 2), 2)
-        * (comb(d - 1, 2) * p + (d - 1) * n_comp - total_faces)
+        * (comb(d - 1, 2) * p + (d - 1) * n_comp - _two_bubble_count(g))
     )
     return DegreeReport(
         jackets=jackets,

@@ -55,6 +55,7 @@ from .graphs import (
     relabel,
     remove_color,
 )
+from .jackets import _two_bubble_count
 from .ribbon import RibbonStructure
 from .surgery import boundary_graph, cone, connected_sum, open_edge, separator_check
 
@@ -429,11 +430,6 @@ def _o_base() -> ColoredGraph:
     )
 
 
-def _two_bubble_count(g: ColoredGraph) -> int:
-    """Total number of 2-bubbles over all color pairs."""
-    return sum(len(bubbles(g, pair)) for pair in itertools.combinations(g.colors, 2))
-
-
 def _central_bubble(g: ColoredGraph, mu: str, nu: str) -> Bubble | None:
     """First (1,2)-bubble touching an endpoint of mu and one of nu."""
     em, en = g.edges[mu], g.edges[nu]
@@ -798,7 +794,7 @@ def find_separators(
 # whose color-0 edges run parallel to the non-crossing colors; M is the first
 # non-isomorphic passer in enumeration order (two disjoint copies of P,
 # spliced through one copy).
-_P_TEXT: str | None = """\
+_P_TEXT: str = """\
 colors 3 open
 v x0.a w
 v x0.b w
@@ -814,7 +810,7 @@ e z0 0 x0.a x0.p
 e z1 0 x0.b x0.q
 """
 _P_EDGES = ("z0", "z1")
-_M_TEXT: str | None = """\
+_M_TEXT: str = """\
 colors 3 open
 v x0.a w
 v x0.b w
@@ -846,8 +842,6 @@ _M_EDGES = ("z0", "z1")
 
 @lru_cache(maxsize=1)
 def _frozen_separators() -> tuple[SeparatorResult, SeparatorResult]:
-    if _P_TEXT is None or _M_TEXT is None:
-        return find_separators(builtin_model("phi4-rank3"), 2)
     return (
         SeparatorResult(parse(_P_TEXT), *_P_EDGES),
         SeparatorResult(parse(_M_TEXT), *_M_EDGES),

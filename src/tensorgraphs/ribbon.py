@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import ColoredGraph, GraphError
+from .graphs import ColoredGraph, GraphError, _orbits
 
 __all__ = [
     "RibbonStructure",
@@ -198,51 +198,36 @@ class BoundaryReport:
     per_component: tuple[tuple[int, int, int], ...]  # (bc, euler, genus) each
 
 
-def _components(r: RibbonStructure) -> list[set[str]]:
-    """Vertex sets of the connected components (edges = involution pairs)."""
-    orders = r.orders
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(orders):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for h in orders[v]:
-                u = r.vertex_of(r.partner(h))
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def boundary_components(r: RibbonStructure) -> BoundaryReport:
-    """Count face-permutation orbits and derive chi and genus."""
-    orbits: list[set[str]] = []
-    seen: set[str] = set()
-    for h0 in sorted(r.involution):
-        if h0 in seen:
-            continue
-        orbit = set()
-        h = h0
-        while h not in orbit:
-            orbit.add(h)
-            h = r.next_around_vertex(r.partner(h))
-        orbits.append(orbit)
-        seen |= orbit
+    """Count face-permutation orbits and derive chi and genus.
 
-    orders = r.orders
+    Components come in the order of their smallest vertex label.
+    """
+    orders, pair, succ = r._orders, r._pair, r._succ
+    labels = sorted(orders)
+    half: dict[str, int] = {}  # half-edge -> index, grouped by vertex
+    owner: list[int] = []  # half-edge index -> vertex index
+    for i, v in enumerate(labels):
+        for h in orders[v]:
+            half[h] = len(owner)
+            owner.append(i)
+    cycles = [orders[v] for v in labels]
+    # one map per cyclic position: v -> the vertex across its k-th half-edge
+    across = [
+        [owner[half[pair[c[k]]]] if k < len(c) else -1 for c in cycles]
+        for k in range(max(map(len, cycles), default=0))
+    ]
+    comps = _orbits(len(labels), across)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    bcs = [0] * len(comps)
+    face = [half[succ[pair[h]]] for h in half]
+    for circle in _orbits(len(owner), [face]):
+        bcs[comp_of[owner[circle[0]]]] += 1
+
     per = []
-    for comp in _components(r):
-        v = len(comp)
-        halves = {h for u in comp for h in orders[u]}
-        e = len(halves) // 2
-        bc = sum(1 for o in orbits if next(iter(o)) in halves)
-        chi = v - e + bc
+    for comp, bc in zip(comps, bcs):
+        e = sum(len(cycles[v]) for v in comp) // 2
+        chi = len(comp) - e + bc
         if chi % 2:
             raise GraphError("odd Euler characteristic: inconsistent ribbon data")
         g = (2 - chi) // 2

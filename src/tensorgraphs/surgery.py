@@ -27,6 +27,7 @@ from .graphs import (
     Edge,
     GraphError,
     Leg,
+    _namespace_pair,
     add_prefix,
     connected_components,
     disjoint_union,
@@ -49,19 +50,6 @@ def _fresh(label: str, taken: Iterable[str]) -> str:
     while label in taken:
         label += "'"
     return label
-
-
-def _namespace_pair(
-    a: ColoredGraph, b: ColoredGraph
-) -> tuple[ColoredGraph, ColoredGraph, str, str]:
-    """Prefix both graphs' labels if any collide; return the prefixes used."""
-    if (
-        set(a.vertices) & set(b.vertices)
-        or set(a.edges) & set(b.edges)
-        or set(a.legs) & set(b.legs)
-    ):
-        return add_prefix(a, "l."), add_prefix(b, "r."), "l.", "r."
-    return a, b, "", ""
 
 
 def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGraph:

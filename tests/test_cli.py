@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from tensorgraphs.graphs import is_isomorphic, parse
+from tensorgraphs.graphs import MAX_D, is_isomorphic, parse, serialize
+from tensorgraphs.jackets import MAX_JACKET_COLORS
+from tensorgraphs.models import build_dipole
 
 from conftest import FIXTURES, fixture_text, run_cli
 
@@ -337,3 +341,23 @@ def test_usage_errors_exit_2(argv):
     code, _, err = run_cli(argv)
     assert code == 2
     assert "usage" in err.lower() or err == ""
+
+
+
+def test_header_dimension_cap_is_a_domain_error():
+    for command in ("validate", "report", "homology"):
+        code, out, err = run_cli([command, "-"], f"colors {MAX_D + 1} closed\n")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: D must be <= {MAX_D}\n"
+
+
+def test_jacket_cap_is_a_domain_error():
+    n = MAX_JACKET_COLORS + 1
+    text = serialize(build_dipole(n))
+    for command in ("jackets", "degree", "melonic"):
+        code, out, err = run_cli([command, "-"], text)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: jackets: {n} colors give {math.factorial(n - 1) // 2} jackets; "
+            f"at most {MAX_JACKET_COLORS} colors are supported\n"
+        )

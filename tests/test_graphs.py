@@ -11,12 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorgraphs.graphs import (
+    MAX_D,
     WHITE,
+    Bubble,
     ColoredGraph,
     Edge,
     GraphError,
     IsoResult,
     _component_certs,
+    _orbits,
     add_prefix,
     amputate,
     bubbles,
@@ -33,6 +36,7 @@ from tensorgraphs.graphs import (
     validate,
 )
 from tensorgraphs.models import build_cg, build_dipole, build_necklace, build_r1
+from tensorgraphs.surgery import connected_sum
 
 from conftest import (
     CLOSED_FIXTURES,
@@ -110,6 +114,14 @@ def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(GraphError) as exc:
         parse(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_caps_the_header_dimension():
+    with pytest.raises(GraphError, match=f"line 1: D must be <= {MAX_D}"):
+        parse(f"colors {MAX_D + 1} closed\n")
+    with pytest.raises(GraphError, match=f"line 2: D must be <= {MAX_D}"):
+        parse(f"# big\ncolors {MAX_D + 1} open\n")
+    assert parse(f"colors {MAX_D} open\n").colors == tuple(range(MAX_D + 1))
 
 
 def test_parse_requires_regularity_by_default():
@@ -209,6 +221,19 @@ def test_disjoint_union_namespaces_on_collision():
     assert len(u.vertices) == 4
     assert len(u.edges) == 6
     assert len(connected_components(u)) == 2
+
+
+def test_union_and_sum_share_the_namespacing():
+    d = build_dipole(3)
+    u = disjoint_union(d, d)
+    prefixed = [p + v for p in ("l.", "r.") for v in d.vertices]
+    assert list(u.vertices) == prefixed
+    assert list(u.edges) == [p + e for p in ("l.", "r.") for e in d.edges]
+    e = sorted(d.edges)[0]
+    assert list(connected_sum(d, e, d, e).vertices) == prefixed
+    # no collision: labels are kept as they are
+    other = relabel(d, {v: v + "'" for v in d.vertices}, {x: x + "'" for x in d.edges})
+    assert list(disjoint_union(d, other).vertices) == list(d.vertices) + list(other.vertices)
 
 
 # ---------------------------------------------------------- components
@@ -555,6 +580,178 @@ def test_certificate_classes_match_burnside(n_colors, n, expected):
         ]
         classes.add(canonical_certificate(ColoredGraph(colors, verts, edges)))
     assert len(classes) == expected
+
+
+# ------------------------------------------------------- component walks
+#
+# Test-local copies of the stack walks that `bubbles` and
+# `connected_components` ran before both moved onto `_orbits`.  Bubble
+# lists and component graphs (vertex, edge and leg insertion order
+# included) must agree with them.
+
+
+def _reference_bubbles(g, colors):
+    csub = tuple(sorted(set(colors)))
+    if not csub:
+        return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
+    seen = set()
+    out = []
+    for start in sorted(g.vertices):
+        if start in seen or all(g.edge_at(start, c) is None for c in csub):
+            continue
+        comp_v, comp_e = {start}, set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for c in csub:
+                e = g.edge_at(v, c)
+                if e is None:
+                    continue
+                comp_e.add(e.label)
+                u = e.other(v)
+                if u not in comp_v:
+                    comp_v.add(u)
+                    stack.append(u)
+        seen |= comp_v
+        out.append(Bubble(csub, tuple(sorted(comp_v)), tuple(sorted(comp_e))))
+    return out
+
+
+def _reference_components(g):
+    out = []
+    seen = set()
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for c in g.colors:
+                u = g.neighbor(v, c)
+                if u is not None and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(
+            ColoredGraph(
+                g.colors,
+                {v: g.parity(v) for v in sorted(comp)},
+                [e for e in g.edges.values() if e.white in comp],
+                [l for l in g.legs.values() if l.vertex in comp],
+            )
+        )
+    return out
+
+
+def _items(g):
+    return g.colors, list(g.vertices.items()), list(g.edges.items()), list(g.legs.items())
+
+
+def assert_walks_match_reference(g):
+    for r in range(len(g.colors) + 1):
+        for subset in itertools.combinations(g.colors, r):
+            assert bubbles(g, subset) == _reference_bubbles(g, subset)
+    assert [_items(c) for c in connected_components(g)] == [
+        _items(c) for c in _reference_components(g)
+    ]
+
+
+def _scrambled(g, rng):
+    """`g` with its vertices, edges and legs inserted in a random order."""
+    parts = [list(g.vertices.items()), list(g.edges.values()), list(g.legs.values())]
+    for part in parts:
+        rng.shuffle(part)
+    return ColoredGraph(g.colors, *parts)
+
+
+def _many_components(rng):
+    """Hundreds of small pieces: sparse matchings on 600-900 vertices."""
+    n = rng.randint(600, 900)
+    colors = (0, 1, 2) if rng.random() < 0.5 else (1, 2)
+    parities = [rng.choice("wb") for _ in range(n)]
+    whites = [i for i, p in enumerate(parities) if p == "w"]
+    blacks = [i for i, p in enumerate(parities) if p == "b"]
+    matchings = []
+    for _ in colors:
+        rng.shuffle(blacks)
+        matchings.append([wb for wb in zip(whites, blacks) if rng.random() < 0.35])
+    legs = [i for i in range(n) if rng.random() < 0.3]
+    return _scrambled(_partial_graph(colors, parities, matchings, legs), rng)
+
+
+def test_walks_match_reference_on_seeded_random_graphs():
+    rng = random.Random(5)
+    for _ in range(300):
+        assert_walks_match_reference(_scrambled(_random_graph(rng), rng))
+
+
+def test_walks_match_reference_on_hundreds_of_components():
+    rng = random.Random(11)
+    for _ in range(3):
+        g = _many_components(rng)
+        comps = connected_components(g)
+        assert len(comps) >= 200
+        assert [_items(c) for c in comps] == [_items(c) for c in _reference_components(g)]
+        for subset in ((0,), (1,), (1, 2), g.colors):
+            if set(subset) <= set(g.colors):
+                assert bubbles(g, subset) == _reference_bubbles(g, subset)
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_walks_match_reference_on_drawn_graphs(g, rng):
+    assert_walks_match_reference(g)
+    assert_walks_match_reference(_scrambled(g, rng))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ColoredGraph((1, 2, 3), {}),
+        ColoredGraph((), {"a": "w", "b": "b"}),
+        ColoredGraph((1, 2), {"a": "b", "z": "w"}),
+        ColoredGraph((0, 1, 2), {"a": "w"}, legs=[("l", "a")]),
+        ColoredGraph((0, 1), {"a": "b", "z": "w"}, [("e", 1, "z", "a")], [("l", "a")]),
+    ],
+    ids=["empty", "colorless", "isolated", "leg-only", "leg-and-edge"],
+)
+def test_walks_match_reference_on_edge_cases(g):
+    assert_walks_match_reference(g)
+
+
+def _reference_orbits(n, maps):
+    """Union-find classes of i ~ m[i], as sorted lists in order of minimum."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in maps:
+        for i, j in enumerate(m):
+            if j >= 0:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(classes.values())
+
+
+@given(st.data())
+def test_orbits_of_involutions_and_a_permutation(data):
+    n = data.draw(st.integers(0, 24))
+    maps = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        perm = data.draw(st.permutations(range(n)))
+        m = [-1] * n
+        for i, j in zip(perm[::2], perm[1::2]):
+            if data.draw(st.booleans()):
+                m[i], m[j] = j, i
+        maps.append(m)
+    assert _orbits(n, maps) == _reference_orbits(n, maps)
+    sigma = data.draw(st.permutations(range(n)))
+    assert _orbits(n, [sigma]) == _reference_orbits(n, [sigma])
 
 
 # ------------------------------------------------------------- export

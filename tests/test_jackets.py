@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from tensorgraphs.graphs import ColoredGraph, Edge, GraphError, connected_components
+from tensorgraphs import jackets as jackets_module
+from tensorgraphs.graphs import (
+    ColoredGraph,
+    Edge,
+    GraphError,
+    bubbles,
+    connected_components,
+)
 from tensorgraphs.jackets import (
+    MAX_JACKET_COLORS,
+    Jacket,
     amplitude_exponent,
     boundary_degree,
     canonical_cycle,
@@ -67,6 +78,81 @@ def test_jacket_cycles_are_canonical_and_distinct():
     assert cycles == sorted(cycles)
     assert len(set(cycles)) == len(cycles)
     assert all(j.cycle == canonical_cycle(j.cycle) for j in jackets)
+
+
+def test_jackets_cap_the_color_count():
+    with pytest.raises(GraphError, match=f"at most {MAX_JACKET_COLORS} colors"):
+        enumerate_jackets(build_dipole(MAX_JACKET_COLORS + 1))
+    assert len(enumerate_jackets(build_dipole(MAX_JACKET_COLORS))) == 2520
+
+
+# Test-local copy of the jacket loop before it shared one bubble walk per
+# color pair and one component map: bubbles per cycle, components as graphs.
+
+
+def _reference_jackets(g):
+    colors = g.colors
+    cycles = sorted(
+        {canonical_cycle((colors[0],) + rest) for rest in itertools.permutations(colors[1:])}
+    )
+    comps = connected_components(g)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp.vertices}
+    out = []
+    for cycle in cycles:
+        faces = []
+        for i in range(len(cycle)):
+            faces.extend(bubbles(g, tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))))
+        total = 0
+        for i, comp in enumerate(comps):
+            f = sum(1 for b in faces if comp_of[b.vertices[0]] == i)
+            chi = len(comp.vertices) - len(comp.edges) + f
+            if chi % 2:
+                raise GraphError("odd jacket Euler characteristic")
+            total += (2 - chi) // 2
+        out.append(Jacket(cycle, tuple(faces), total))
+    return out
+
+
+def _random_closed(rng):
+    """Closed, on 3-5 colors, possibly irregular and disconnected."""
+    colors = tuple(range(1, rng.randint(3, 5) + 1))
+    n = rng.randint(0, 10)
+    whites = [f"w{rng.randint(0, 99)}.{i}" for i in range(n)]
+    blacks = [f"b{rng.randint(0, 99)}.{i}" for i in range(n)]
+    edges = []
+    for c in colors:
+        image = blacks[:]
+        rng.shuffle(image)
+        edges += [
+            (f"e{c}.{w}", c, w, b) for w, b in zip(whites, image) if rng.random() < 0.9
+        ]
+    verts = {**dict.fromkeys(whites, "w"), **dict.fromkeys(blacks, "b")}
+    return ColoredGraph(colors, verts, edges)
+
+
+def test_jackets_match_reference_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(150):
+        g = _random_closed(rng)
+        outcomes = []
+        for enumerate_ in (enumerate_jackets, _reference_jackets):
+            try:
+                outcomes.append(enumerate_(g))
+            except GraphError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_each_color_pair_is_walked_once(monkeypatch):
+    calls = []
+
+    def counting(g, colors):
+        calls.append(tuple(colors))
+        return bubbles(g, colors)
+
+    monkeypatch.setattr(jackets_module, "bubbles", counting)
+    enumerate_jackets(build_dipole(6))
+    assert sorted(calls) == list(itertools.combinations(range(1, 7), 2))
 
 
 # ------------------------------------------------------------- degrees

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from tensorgraphs.graphs import GraphError
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tensorgraphs.graphs import ColoredGraph, GraphError
 from tensorgraphs.ribbon import (
+    BoundaryReport,
     RibbonStructure,
     boundary_components,
     cell_counts,
@@ -160,3 +165,135 @@ def test_face_walk_is_a_permutation_orbit():
                 break
         seen.add(h)
     assert seen == set(r.involution)
+
+
+# ------------------------------------------------- reference boundary walk
+#
+# Test-local copies of the vertex stack walk (`_components`) and the face
+# orbit trace that `boundary_components` ran before both moved onto the
+# shared orbit routine.  Every BoundaryReport field must agree, and
+# `per_component` follows the smallest *vertex* label of each component.
+
+
+def _reference_components(r):
+    orders = r.orders
+    seen = set()
+    comps = []
+    for start in sorted(orders):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for h in orders[v]:
+                u = r.vertex_of(r.partner(h))
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def _reference_boundary(r):
+    orbits = []
+    seen = set()
+    for h0 in sorted(r.involution):
+        if h0 in seen:
+            continue
+        orbit = set()
+        h = h0
+        while h not in orbit:
+            orbit.add(h)
+            h = r.next_around_vertex(r.partner(h))
+        orbits.append(orbit)
+        seen |= orbit
+    orders = r.orders
+    per = []
+    for comp in _reference_components(r):
+        halves = {h for u in comp for h in orders[u]}
+        bc = sum(1 for o in orbits if next(iter(o)) in halves)
+        chi = len(comp) - len(halves) // 2 + bc
+        per.append((bc, chi, (2 - chi) // 2))
+    return BoundaryReport(
+        bc=sum(p[0] for p in per),
+        euler=sum(p[1] for p in per),
+        genus=sum(p[2] for p in per),
+        n_components=len(per),
+        per_component=tuple(per),
+    )
+
+
+def _random_ribbon(rng, n_comps):
+    """Components with vertex labels ascending and half-edge labels
+    descending, so the two label orders disagree."""
+    orders, pairs = [], []
+    for k in range(n_comps):
+        halves = []
+        for j in range(rng.randint(1, 4)):
+            v = f"v{k:03d}.{j}"
+            cycle = tuple(f"h{999 - k:03d}.{j}.{i}" for i in range(rng.randint(2, 4)))
+            orders.append((v, cycle))
+            halves += cycle
+        if len(halves) % 2:
+            v, cycle = orders[-1]
+            orders[-1] = (v, cycle + (f"h{999 - k:03d}.x",))
+            halves.append(orders[-1][1][-1])
+        rng.shuffle(halves)
+        pairs += zip(halves[::2], halves[1::2])
+    rng.shuffle(orders)
+    rng.shuffle(pairs)
+    return RibbonStructure(orders, pairs)
+
+
+def test_per_component_follows_vertex_order_not_half_edge_order():
+    r = RibbonStructure(
+        {"a": ("z1", "z2", "z3", "z4"), "b": ("a1", "a2")},
+        {"z1": "z3", "z2": "z4", "a1": "a2"},
+    )
+    rep = boundary_components(r)
+    assert rep.per_component == ((1, 0, 1), (2, 2, 0))
+    assert rep == _reference_boundary(r)
+
+
+def test_boundary_matches_reference_on_random_ribbons():
+    rng = random.Random(3)
+    for _ in range(400):
+        r = _random_ribbon(rng, rng.randint(0, 8))
+        assert boundary_components(r) == _reference_boundary(r)
+    big = _random_ribbon(rng, 300)
+    rep = boundary_components(big)
+    assert rep.n_components >= 300
+    assert rep == _reference_boundary(big)
+
+
+@given(st.integers(0, 6), st.randoms(use_true_random=False))
+def test_boundary_matches_reference_on_drawn_ribbons(n_comps, rng):
+    r = _random_ribbon(rng, n_comps)
+    assert boundary_components(r) == _reference_boundary(r)
+
+
+def _random_closed_3colored(rng):
+    n = rng.randint(1, 40)
+    whites = [f"w{rng.randint(0, 99)}.{i}" for i in range(n)]
+    blacks = [f"b{rng.randint(0, 99)}.{i}" for i in range(n)]
+    edges = []
+    for c in (1, 2, 3):
+        image = blacks[:]
+        rng.shuffle(image)
+        edges += [(f"e{c}.{w}", c, w, b) for w, b in zip(whites, image)]
+    return ColoredGraph((1, 2, 3), {**dict.fromkeys(whites, "w"), **dict.fromkeys(blacks, "b")}, edges)
+
+
+def test_boundary_matches_reference_on_colored_graphs():
+    rng = random.Random(17)
+    for _ in range(200):
+        r = ribbon_from_colored(_random_closed_3colored(rng))
+        assert boundary_components(r) == _reference_boundary(r)
+    for name in CLOSED_3COLOR_FIXTURES:
+        r = ribbon_from_colored(load_fixture(name))
+        assert boundary_components(r) == _reference_boundary(r)
+    for name in RIBBON_FIXTURES:
+        r = parse_ribbon(fixture_text(name))
+        assert boundary_components(r) == _reference_boundary(r)
