@@ -18,7 +18,6 @@ All numeric output is exact (integers or rationals); nothing is floated.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from typing import Sequence
@@ -35,7 +34,14 @@ from .graphs import (
     validate,
 )
 from .homology import euler_characteristic, homology
-from .jackets import _two_bubble_count, boundary_degree, gurau_degree, is_melonic
+from .jackets import (
+    _face_total,
+    _gurau_degree,
+    _pair_faces,
+    boundary_degree,
+    gurau_degree,
+    is_melonic,
+)
 from .models import (
     build,
     builtin_model,
@@ -190,7 +196,7 @@ def _cmd_jackets(args) -> int:
     for line in _jacket_lines(report, args.format):
         print(line)
     print(_line("degree", report.degree, args.format))
-    print(_line("faces", _two_bubble_count(g), args.format))
+    print(_line("faces", _face_total(report.jackets), args.format))
     print(_line("amplitude-exponent", report.amplitude_exponent, args.format))
     return 0
 
@@ -331,10 +337,8 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
     pairs.append(("edges", str(len(g.edges))))
     pairs.append(("legs", str(len(g.legs))))
     pairs.append(("colors", " ".join(str(c) for c in g.colors)))
-    counts = [
-        f"{{{i}{j}}}:{len(bubbles(g, (i, j)))}"
-        for i, j in itertools.combinations(g.colors, 2)
-    ]
+    faces_of = _pair_faces(g)
+    counts = [f"{{{i}{j}}}:{len(faces)}" for (i, j), faces in faces_of.items()]
     pairs.append(("2-bubbles", " ".join(counts)))
     if g.is_open:
         pairs.append(("homology", "n/a (open graph)"))
@@ -345,7 +349,7 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
         )
         pairs.append(("chi", str(result.euler)))
         if len(g.colors) >= 3:
-            report = gurau_degree(g)
+            report = _gurau_degree(g, faces_of)
             for j in report.jackets:
                 pairs.append(
                     (

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 from .graphs import Bubble, ColoredGraph, GraphError, bubbles
 
 __all__ = [
+    "MAX_HOMOLOGY_COLORS",
     "ChainComplex",
     "chain_complex",
     "SmithForm",
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 Matrix = list[list[int]]
+
+# Most colors chain_complex and euler_characteristic accept.  A graph on k
+# colors has bubbles over all 2^k color subsets: 1024 at 10 colors, where a
+# two-vertex dipole takes about 0.1 s, and each further color about 2.5x that.
+MAX_HOMOLOGY_COLORS = 10
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,18 @@ class ChainComplex:
         return m
 
 
+def _check_complex(g: ColoredGraph) -> None:
+    """Raise unless g is closed and has at most MAX_HOMOLOGY_COLORS colors."""
+    if g.is_open:
+        raise GraphError("chain complex requires a closed graph (no legs)")
+    k = len(g.colors)
+    if k > MAX_HOMOLOGY_COLORS:
+        raise GraphError(
+            f"homology: {k} colors give {2 ** k} color subsets; "
+            f"at most {MAX_HOMOLOGY_COLORS} colors are supported"
+        )
+
+
 def chain_complex(g: ColoredGraph) -> ChainComplex:
     """Build the bubble chain complex of a closed graph.
 
@@ -92,9 +110,9 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
     bubble of ``g`` over S - {c}: each such bubble lies inside a single
     S-bubble.  The faces are therefore the distinct (S - {c})-bubbles that
     contain a vertex of ``b``; a vertex with no edge of S - {c} lies in none.
+    At most :data:`MAX_HOMOLOGY_COLORS` colors are accepted.
     """
-    if g.is_open:
-        raise GraphError("chain complex requires a closed graph (no legs)")
+    _check_complex(g)
     colors = g.colors
     top = len(colors) - 1
 
@@ -425,10 +443,10 @@ def euler_characteristic(g: ColoredGraph) -> int:
 
     These are the ranks of the chain groups (degree 0 being the vertices),
     whose alternating sum equals that of the homology free ranks; no
-    boundary map is built.
+    boundary map is built.  At most :data:`MAX_HOMOLOGY_COLORS` colors are
+    accepted.
     """
-    if g.is_open:
-        raise GraphError("chain complex requires a closed graph (no legs)")
+    _check_complex(g)
     colors = g.colors
     return len(g) + sum(
         (-1) ** p * len(bubbles(g, subset))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
+from typing import Sequence
 
 from .graphs import (
     Bubble,
@@ -93,6 +94,18 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
 
     At most :data:`MAX_JACKET_COLORS` colors are accepted.
     """
+    return _jackets(g, None)
+
+
+def _pair_faces(g: ColoredGraph) -> dict[tuple[int, int], list[Bubble]]:
+    """The 2-bubbles of g, one walk per color pair."""
+    return {pair: bubbles(g, pair) for pair in combinations(g.colors, 2)}
+
+
+def _jackets(
+    g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
+) -> list[Jacket]:
+    """:func:`enumerate_jackets`, reusing the caller's 2-bubbles if given."""
     if g.is_open:
         raise GraphError("jackets require a closed graph")
     colors = g.colors
@@ -114,7 +127,8 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
     v_minus_e = [len(comp) for comp in comps]
     for e in g.edges.values():
         v_minus_e[comp_of[e.white]] -= 1
-    faces_of = {pair: bubbles(g, pair) for pair in combinations(colors, 2)}
+    if faces_of is None:
+        faces_of = _pair_faces(g)
 
     jackets = []
     for cycle in cycles:
@@ -131,9 +145,13 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
     return jackets
 
 
-def _two_bubble_count(g: ColoredGraph) -> int:
-    """Total number of 2-bubbles over all color pairs."""
-    return sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))
+def _face_total(jackets: Sequence[Jacket]) -> int:
+    """Number of distinct 2-bubbles among the jackets' faces.
+
+    Every color pair is adjacent in some jacket cycle, so over all jackets
+    of a graph this is the graph's total 2-bubble count.
+    """
+    return len({b.key for j in jackets for b in j.faces})
 
 
 @dataclass(frozen=True)
@@ -153,7 +171,14 @@ class DegreeReport:
 
 def gurau_degree(g: ColoredGraph) -> DegreeReport:
     """Degree of a closed graph, with the face-counting cross-check."""
-    jackets = tuple(enumerate_jackets(g))
+    return _gurau_degree(g, None)
+
+
+def _gurau_degree(
+    g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
+) -> DegreeReport:
+    """:func:`gurau_degree`, reusing the caller's 2-bubbles if given."""
+    jackets = tuple(_jackets(g, faces_of))
     degree = sum(j.genus for j in jackets)
 
     d = len(g.colors)
@@ -163,7 +188,7 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
         raise GraphError("odd vertex count in a closed bipartite graph")
     face_deg = (
         Fraction(factorial(d - 2), 2)
-        * (comb(d - 1, 2) * p + (d - 1) * n_comp - _two_bubble_count(g))
+        * (comb(d - 1, 2) * p + (d - 1) * n_comp - _face_total(jackets))
     )
     return DegreeReport(
         jackets=jackets,

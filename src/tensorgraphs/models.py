@@ -15,20 +15,17 @@ filled graphs Tg with boundary Cg, separator-spliced chains L, and small
 fixture graphs (dipoles, the necklace, a 2-point chain, abstract ribbon
 examples).
 
-Two constructions the literature leaves to figures are *searched* for,
-deterministically, at first use and then cached:
-
-* the Tg gadgets (how a quartic vertex with one leg and three color-0
-  stubs replaces each vertex of Cg) -- bounded search over stub labelings
-  and contraction rules, fixed by requiring boundary(T1) = C1 and
-  boundary(T2) = C2;
-* O's four distinguished color-0 edges mu0, nu0, alpha0, beta0 -- search
-  over ordered edge 4-tuples for the chain/opening properties the
-  constructions need.
+Two constructions the literature leaves to figures are frozen here, no
+longer searched for at run time: the Tg gadget wiring (written out in
+:func:`_tg`) and O's four distinguished color-0 edges mu0, nu0, alpha0,
+beta0 (``_O_EDGES``).  ``tests/test_models.py`` keeps the two searches that
+found them and checks that they still return the frozen answers.
 
 The separator graphs P and M (also figure-only) are found by
 :func:`find_separators`; the shipped builders use a frozen copy of the
 search result so that fixtures regenerate without re-searching.
+
+:func:`build` caps every size parameter at :data:`MAX_FAMILY_PARAMETER`.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Bubble,
@@ -55,11 +51,11 @@ from .graphs import (
     relabel,
     remove_color,
 )
-from .jackets import _two_bubble_count
 from .ribbon import RibbonStructure
-from .surgery import boundary_graph, cone, connected_sum, open_edge, separator_check
+from .surgery import cone, connected_sum, open_edge, separator_check
 
 __all__ = [
+    "MAX_FAMILY_PARAMETER",
     "ModelSpec",
     "builtin_model",
     "MembershipReport",
@@ -92,6 +88,12 @@ __all__ = [
     "separator_p",
     "separator_m",
 ]
+
+
+# Largest size parameter build() accepts (genus, color count, B, C, each
+# genus of l and their number).  Every family grows linearly in it: qg(64)
+# has 1536 vertices and tg(64) 1032.
+MAX_FAMILY_PARAMETER = 64
 
 
 # -- model specifications ------------------------------------------------------
@@ -469,101 +471,20 @@ def _chain(
     return s
 
 
-def _opening_profile(g: ColoredGraph, alpha: str, beta: str) -> tuple[int, int]:
-    """Boundary-circle counts after opening alpha, then beta as well."""
-    once = open_edge(g, alpha)
-    twice = open_edge(once, beta)
-    return (
-        len(connected_components(boundary_graph(once))),
-        len(connected_components(boundary_graph(twice))),
-    )
-
-
-def _chain_conditions(
-    base: ColoredGraph, bub: Bubble, mu: str, nu: str, alpha: str, beta: str
-) -> bool:
-    """Chain-level validation of a distinguished-edge candidate.
-
-    With O = base (edges renamed) and N its central color swap: the 2-block
-    chain must have 22 two-bubbles (chi = -2), the O-O-N chain 34
-    (chi = -2), and opening alpha twice + beta twice + alpha once along the
-    three blocks must create exactly 5 boundary circles.
-    """
-    o = relabel(base, edge_map={mu: "mu0", nu: "nu0", alpha: "alpha0", beta: "beta0"})
-    n = _swap_bubble_colors(o, bub)
-    if _two_bubble_count(_chain((o, o))) != 22:
-        return False
-    chain3 = _chain((o, o, n))
-    if _two_bubble_count(chain3) != 34:
-        return False
-    for label in ("o1.alpha0", "o1.beta0", "o2.alpha0", "o2.beta0", "o3.alpha0"):
-        chain3 = open_edge(chain3, label)
-    return len(connected_components(boundary_graph(chain3))) == 5
-
-
-def _search_o_edges(base: ColoredGraph) -> tuple[str, str, str, str]:
-    """First (mu, nu, alpha, beta) choice of color-0 edges satisfying:
-
-    * some (1,2)-bubble (the central one) touches endpoints of mu and nu;
-    * no (0,1)- or (0,2)-bubble through alpha or beta contains mu or nu,
-      so opening alpha/beta never disturbs the mu/nu chain faces;
-    * swapping colors on the central bubble raises the 2-bubble count from
-      12 to 14 (chi 0 -> 2);
-    * on the block and on its swap, opening alpha creates one boundary
-      circle and opening beta a second;
-    * the chain-level conditions of :func:`_chain_conditions`.
-    """
-    if _two_bubble_count(base) != 12:
-        raise GraphError("block graph should have 12 two-bubbles")
-    zeros = sorted(e for e, x in base.edges.items() if x.color == 0)
-    face_sets = [
-        frozenset(b.edges) for b in bubbles(base, (0, 1)) + bubbles(base, (0, 2))
-    ]
-    centrals: dict[tuple[str, str], Bubble | None] = {}
-    twins: dict[tuple, ColoredGraph | None] = {}
-    profiles: dict[tuple, tuple[int, int]] = {}
-
-    def central(mu: str, nu: str) -> Bubble | None:
-        key = (mu, nu)
-        if key not in centrals:
-            centrals[key] = _central_bubble(base, mu, nu)
-        return centrals[key]
-
-    def twin(bub: Bubble) -> ColoredGraph | None:
-        if bub.key not in twins:
-            g = _swap_bubble_colors(base, bub)
-            twins[bub.key] = g if _two_bubble_count(g) == 14 else None
-        return twins[bub.key]
-
-    def profile(tag, g: ColoredGraph, alpha: str, beta: str) -> tuple[int, int]:
-        key = (tag, alpha, beta)
-        if key not in profiles:
-            profiles[key] = _opening_profile(g, alpha, beta)
-        return profiles[key]
-
-    for mu, nu, alpha, beta in itertools.permutations(zeros, 4):
-        bub = central(mu, nu)
-        if bub is None:
-            continue
-        if any(fs & {alpha, beta} and fs & {mu, nu} for fs in face_sets):
-            continue
-        n = twin(bub)
-        if n is None:
-            continue
-        if profile("o", base, alpha, beta) != (1, 2):
-            continue
-        if profile(bub.key, n, alpha, beta) != (1, 2):
-            continue
-        if _chain_conditions(base, bub, mu, nu, alpha, beta):
-            return mu, nu, alpha, beta
-    raise GraphError("no distinguished-edge choice found in (R0 # R1) # R0'")
+# O's distinguished color-0 edges, keyed by their labels in (R0 # R1) # R0'.
+# mu0 and nu0 chain blocks into Qg; alpha0 and beta0 each open one boundary
+# circle.  tests/test_models.py re-runs the search that fixed this choice.
+_O_EDGES = {
+    "r0.alpha0'": "mu0",
+    "r1.beta0'": "nu0",
+    "r0.beta0": "alpha0",
+    "r0b.beta0": "beta0",
+}
 
 
 @lru_cache(maxsize=1)
 def _o_structure() -> tuple[ColoredGraph, Bubble]:
-    base = _o_base()
-    mu, nu, alpha, beta = _search_o_edges(base)
-    o = relabel(base, edge_map={mu: "mu0", nu: "nu0", alpha: "alpha0", beta: "beta0"})
+    o = relabel(_o_base(), edge_map=_O_EDGES)
     bub = _central_bubble(o, "mu0", "nu0")
     assert bub is not None
     return o, bub
@@ -573,8 +494,8 @@ def build_o() -> ColoredGraph:
     """The 24-vertex torus block (R0 # R1) # R0'.
 
     Its four distinguished color-0 edges are named mu0, nu0 (chaining) and
-    alpha0, beta0 (boundary creation); see :func:`_search_o_edges` for how
-    the naming is fixed.
+    alpha0, beta0 (boundary creation).  The choice is the frozen map
+    ``_O_EDGES``; ``tests/test_models.py`` re-runs the search behind it.
     """
     return _o_structure()[0]
 
@@ -625,20 +546,6 @@ def build_qgbc(g: int, b: int = 0, c: int = 0) -> ColoredGraph:
 
 # -- the filled genus-g graphs Tg --------------------------------------------------
 
-# Stub names on the white-side gadget pair with those on the black side:
-# o with p (per color-1 edge), d with q (color 2), w with b (color 3).
-_STUB_PARTNER = {"o": "p", "d": "q", "w": "b"}
-
-# How a color-3 edge (w_i, b_j) of Cg maps to a gadget pair (a_i', m_j').
-_Z3_RULES = (
-    lambda i, j, n: (i, j),
-    lambda i, j, n: (i, (j + 1) % n),
-    lambda i, j, n: ((i + 1) % n, j),
-    lambda i, j, n: (i, (j - 1) % n),
-    lambda i, j, n: ((i - 1) % n, j),
-)
-
-
 def _leg_fragment(crossing: int, leg_vertex: str) -> ColoredGraph:
     """A quartic rank-3 vertex viewed inside a 4-colored graph, one leg."""
     frag = _rank3_vertex(crossing)
@@ -647,77 +554,32 @@ def _leg_fragment(crossing: int, leg_vertex: str) -> ColoredGraph:
     )
 
 
-def _iter_gadget_configs():
-    """All parity-consistent gadget labelings, in deterministic order.
+def _tg(g: int) -> ColoredGraph:
+    """Tg with the frozen gadget wiring, one gadget per vertex of Cg.
 
-    A configuration is (t, s, wa, ba, rule): the crossing colors of the
-    white- and black-side fragments, the assignment of stub names (o,d,w)
-    to the white fragment's non-legged vertices (b,p,q), the assignment of
-    (p,q,b) to the black fragment's (a,b,q), and the color-3 contraction
-    rule.  Parity: the single white stub on the white side must pair with
-    the single black stub on the black side.
+    White vertex w_i of Cg becomes gadget ``a<i>.`` (color 1 crossing, leg
+    at a) and black vertex b_i gadget ``m<i>.`` (color 2 crossing, leg at
+    p).  Each edge of Cg becomes a color-0 edge between free gadget
+    vertices: (w_i, b_i) of color 1 joins m<i>.b to a<i>.p, (w_i+1, b_i) of
+    color 2 joins m<i>.a to a<i+1>.q, and (w_i, b_i+g) of color 3 joins
+    a<i>.b to m<i+g>.q, indices mod 2g+1.  ``tests/test_models.py`` re-runs
+    the search that fixed this wiring.
     """
-    for t, s in itertools.product((1, 2, 3), repeat=2):
-        for wa in itertools.permutations(("b", "p", "q")):
-            white_stub = ("o", "d", "w")[wa.index("b")]
-            for ba in itertools.permutations(("a", "b", "q")):
-                black_stub = ("p", "q", "b")[ba.index("q")]
-                if _STUB_PARTNER[white_stub] != black_stub:
-                    continue
-                for rule in range(len(_Z3_RULES)):
-                    yield (t, s, wa, ba, rule)
-
-
-def _tg(g: int, cfg) -> ColoredGraph:
-    """Build Tg from a gadget configuration: one gadget per Cg vertex."""
-    t, s, wa, ba, rule = cfg
     n = 2 * g + 1
-    shift = (n - 1) // 2
     vertices: dict[str, str] = {}
     edges: list[Edge] = []
     legs: list[Leg] = []
-    a_stub: list[dict[str, str]] = []
-    m_stub: list[dict[str, str]] = []
     for i in range(n):
-        for prefix, crossing, leg_at, names, assign, stubs in (
-            (f"a{i}.", t, "a", ("o", "d", "w"), wa, a_stub),
-            (f"m{i}.", s, "p", ("p", "q", "b"), ba, m_stub),
-        ):
+        for prefix, crossing, leg_at in ((f"a{i}.", 1, "a"), (f"m{i}.", 2, "p")):
             piece = add_prefix(_leg_fragment(crossing, leg_at), prefix)
             vertices.update(piece.vertices)
             edges.extend(piece.edges.values())
             legs.extend(piece.legs.values())
-            stubs.append({k: prefix + v for k, v in zip(names, assign)})
-
-    def contract(label: str, u: str, v: str) -> None:
-        white, black = (u, v) if vertices[u] == "w" else (v, u)
-        edges.append(Edge(label, 0, white, black))
-
     for i in range(n):
-        contract(f"z1.{i}", a_stub[i]["o"], m_stub[i]["p"])
-        contract(f"z2.{i}", a_stub[(i + 1) % n]["d"], m_stub[i]["q"])
-        i2, j2 = _Z3_RULES[rule](i, (i + shift) % n, n)
-        contract(f"z3.{i}", a_stub[i2]["w"], m_stub[j2]["b"])
+        edges.append(Edge(f"z1.{i}", 0, f"m{i}.b", f"a{i}.p"))
+        edges.append(Edge(f"z2.{i}", 0, f"m{i}.a", f"a{(i + 1) % n}.q"))
+        edges.append(Edge(f"z3.{i}", 0, f"a{i}.b", f"m{(i + g) % n}.q"))
     return ColoredGraph((0, 1, 2, 3), vertices, edges, legs)
-
-
-@lru_cache(maxsize=1)
-def _gadget_config():
-    """The first gadget configuration with boundary(T1) = C1, boundary(T2) = C2."""
-    survivors = []
-    c1 = build_cg(1)
-    for cfg in _iter_gadget_configs():
-        t1 = _tg(1, cfg)
-        if len(connected_components(t1)) != 1:
-            continue
-        if not is_isomorphic(boundary_graph(t1), c1):
-            continue
-        survivors.append(cfg)
-    c2 = build_cg(2)
-    for cfg in survivors:
-        if is_isomorphic(boundary_graph(_tg(2, cfg)), c2):
-            return cfg
-    raise GraphError("no gadget labeling reproduces the canonical boundaries")
 
 
 def build_tg(g: int) -> ColoredGraph:
@@ -725,11 +587,12 @@ def build_tg(g: int) -> ColoredGraph:
 
     Each vertex of Cg is replaced by a quartic rank-3 vertex with one leg;
     the color-0 contractions between gadgets follow the edges of Cg.  The
-    gadget internals are searched once (bounded, deterministic) and cached.
+    gadget wiring is frozen (see :func:`_tg`); ``tests/test_models.py``
+    re-runs the search that found it.
     """
     if g < 0:
         raise GraphError("genus must be >= 0")
-    return _tg(g, _gadget_config())
+    return _tg(g)
 
 
 # -- separators and the multi-boundary chain L ------------------------------------
@@ -933,13 +796,30 @@ build_families = {
 
 
 def build(family: str, **params):
-    """Build a named family member; see ``build_families`` for the names."""
+    """Build a named family member; see ``build_families`` for the names.
+
+    Every size parameter -- a genus, a color count, B and C of ``qgbc``,
+    each genus of ``l`` and their number -- is at most
+    :data:`MAX_FAMILY_PARAMETER`; ``base`` is a label offset and is not
+    capped.
+    """
     try:
         builder = build_families[family]
     except KeyError:
         known = ", ".join(sorted(build_families))
         raise GraphError(f"unknown family {family!r} (known: {known})") from None
     try:
+        sizes = [(k, v) for k, v in params.items() if k not in ("base", "genera")]
+        if "genera" in params:
+            genera = params["genera"] = tuple(params["genera"])
+            sizes += [("number of genera", len(genera))]
+            sizes += [("genus", g) for g in genera]
+        for key, value in sizes:
+            if value > MAX_FAMILY_PARAMETER:
+                raise GraphError(
+                    f"{family}: {key} = {value} is above the family-parameter "
+                    f"cap ({MAX_FAMILY_PARAMETER})"
+                )
         return builder(**params)
     except TypeError as exc:
         raise GraphError(f"bad parameters for {family!r}: {exc}") from None

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorgraphs.graphs import MAX_D, is_isomorphic, parse, serialize
+from tensorgraphs import jackets as jackets_module
+from tensorgraphs.graphs import MAX_D, bubbles, is_isomorphic, parse, serialize
+from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
-from tensorgraphs.models import build_dipole
+from tensorgraphs.models import MAX_FAMILY_PARAMETER, build_dipole
 
 from conftest import FIXTURES, fixture_text, run_cli
+
+cli_module = importlib.import_module("tensorgraphs.cli")
 
 
 def fx(name: str) -> str:
@@ -361,3 +368,104 @@ def test_jacket_cap_is_a_domain_error():
             f"error: jackets: {n} colors give {math.factorial(n - 1) // 2} jackets; "
             f"at most {MAX_JACKET_COLORS} colors are supported\n"
         )
+
+
+def test_homology_cap_is_a_domain_error():
+    n = MAX_HOMOLOGY_COLORS + 1
+    text = serialize(build_dipole(n))
+    for command in ("homology", "euler", "report"):
+        code, out, err = run_cli([command, "-"], text)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: homology: {n} colors give {2 ** n} color subsets; "
+            f"at most {MAX_HOMOLOGY_COLORS} colors are supported\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qg", "--genus", str(MAX_FAMILY_PARAMETER + 1)],
+        ["kg", "--genus", str(MAX_FAMILY_PARAMETER + 1)],
+        ["tg", "--genus", str(MAX_FAMILY_PARAMETER + 1)],
+        ["cg", "--genus", str(MAX_FAMILY_PARAMETER + 1)],
+        ["qgbc", "--genus", "1", "-B", "0", "-C", str(MAX_FAMILY_PARAMETER + 1)],
+        ["l", "--genera", f"1,{MAX_FAMILY_PARAMETER + 1}"],
+        ["l", "--genera", ",".join(["0"] * (MAX_FAMILY_PARAMETER + 1))],
+        ["dipole", "--colors", str(MAX_FAMILY_PARAMETER + 1)],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_family_parameter_cap_is_a_domain_error(argv):
+    code, out, err = run_cli(["build", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {argv[0]}: ")
+    assert err.endswith(f"is above the family-parameter cap ({MAX_FAMILY_PARAMETER})\n")
+
+
+def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
+    # the chain complex of `report` walks its own color subsets; every
+    # other 2-bubble walk goes through the cli and jackets bindings
+    calls = []
+
+    def counting(g, colors):
+        calls.append(tuple(colors))
+        return bubbles(g, colors)
+
+    monkeypatch.setattr(cli_module, "bubbles", counting)
+    monkeypatch.setattr(jackets_module, "bubbles", counting)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for command in ("jackets", "degree", "report"):
+        calls.clear()
+        code, _, _ = run_cli([command, fx("necklace.cg")])
+        assert code == 0
+        assert sorted(calls) == pairs, command
+
+
+# -- fuzzing: mutated fixtures never end in a traceback -------------------------
+
+FUZZ_TEXTS = [
+    fixture_text(p.name)
+    for p in sorted(FIXTURES.iterdir())
+    if p.suffix in (".cg", ".rg")
+]
+FUZZ_COMMANDS = ("validate", "homology", "euler", "jackets", "report", "boundary", "genus")
+FUZZ_NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 4, 9, 10, 11, 31, 32, 33, 10**9])
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture text with lines dropped, tokens swapped, numbers changed or
+    a large ``colors`` header put in front."""
+    lines = draw(st.sampled_from(FUZZ_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("drop", "swap", "number", "header")))
+        if op == "header" or not lines:
+            d = draw(st.integers(MAX_JACKET_COLORS, MAX_D + 1))
+            lines.insert(0, f"colors {d} {draw(st.sampled_from(('closed', 'open')))}")
+            if draw(st.booleans()):  # replace the old header, keep the body
+                del lines[1]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if op == "drop":
+            del lines[i]
+        elif op == "swap" and len(tokens) >= 2:
+            a = draw(st.integers(0, len(tokens) - 1))
+            b = draw(st.integers(0, len(tokens) - 1))
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+        elif op == "number" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(draw(FUZZ_NUMBERS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(text=mutated_fixture(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_fixtures_exit_cleanly(text, command):
+    # run_cli turns only SystemExit into a code; any other exception fails
+    code, out, err = run_cli([command, "-"], text)
+    assert code in (0, 1, 2)
+    if code:
+        assert out or err  # validate and report list issues on stdout

@@ -19,6 +19,7 @@ from tensorgraphs.graphs import (
     connected_components,
 )
 from tensorgraphs.homology import (
+    MAX_HOMOLOGY_COLORS,
     HomologyGroup,
     HomologyResult,
     _rank_and_torsion,
@@ -291,6 +292,23 @@ def test_open_graph_is_rejected():
         homology(load_fixture("twopoint.cg"))
     with pytest.raises(GraphError, match="closed"):
         euler_characteristic(load_fixture("l-2-3.cg"))
+
+
+def test_homology_caps_the_color_count():
+    over = build_dipole(MAX_HOMOLOGY_COLORS + 1)
+    message = (
+        f"homology: {MAX_HOMOLOGY_COLORS + 1} colors give "
+        f"{2 ** (MAX_HOMOLOGY_COLORS + 1)} color subsets; "
+        f"at most {MAX_HOMOLOGY_COLORS} colors are supported"
+    )
+    for func in (chain_complex, euler_characteristic, homology):
+        with pytest.raises(GraphError) as info:
+            func(over)
+        assert str(info.value) == message
+    # the cap itself is admitted: a dipole is a sphere
+    at_cap = build_dipole(MAX_HOMOLOGY_COLORS)
+    assert euler_characteristic(at_cap) == 1 + (-1) ** (MAX_HOMOLOGY_COLORS - 1)
+    assert homology(at_cap).betti == (1,) + (0,) * (MAX_HOMOLOGY_COLORS - 2) + (1,)
 
 
 @pytest.mark.parametrize("name", CLOSED_FIXTURES + list(EXTRA_CLOSED))

@@ -2,17 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from tensorgraphs.graphs import (
+    Bubble,
+    ColoredGraph,
+    Edge,
     GraphError,
+    Leg,
+    add_prefix,
+    bubbles,
     canonical_certificate,
     connected_components,
     is_isomorphic,
+    relabel,
+    serialize,
 )
 from tensorgraphs.homology import euler_characteristic, homology
 from tensorgraphs.jackets import gurau_degree
 from tensorgraphs.models import (
+    MAX_FAMILY_PARAMETER,
+    _O_EDGES,
+    _central_bubble,
+    _chain,
+    _leg_fragment,
+    _o_base,
+    _swap_bubble_colors,
     build,
     build_cg,
     build_dipole,
@@ -38,14 +55,12 @@ from tensorgraphs.models import (
     separator_m,
     separator_p,
 )
-from tensorgraphs.surgery import boundary_graph, crys_sum, separator_check
+from tensorgraphs.surgery import boundary_graph, crys_sum, open_edge, separator_check
 
-from conftest import load_fixture
+from conftest import fixture_text, load_fixture
 
 
 def two_bubble_count(g):
-    from tensorgraphs.graphs import bubbles
-
     return sum(
         len(bubbles(g, (c1, c2)))
         for i, c1 in enumerate(g.colors)
@@ -224,6 +239,215 @@ def test_o_and_n_blocks():
     assert len(diff) == 4
 
 
+# ------------------------------------------------ frozen search results
+#
+# models.py wires the Tg gadgets and names O's distinguished edges from
+# frozen constants.  The searches that found them follow, as the package
+# ran them at first use before they were frozen (the package's _tg(g, cfg)
+# is reference_tg here); the tests re-run them as oracles.
+
+# The gadget configuration (t, s, wa, ba, rule) that _gadget_config finds:
+# rule 0, the identity, contracts a color-3 edge (w_i, b_j) of Cg to (i, j).
+FROZEN_CFG = (1, 2, ("p", "q", "b"), ("b", "a", "q"), 0)
+
+
+def _opening_profile(g: ColoredGraph, alpha: str, beta: str) -> tuple[int, int]:
+    """Boundary-circle counts after opening alpha, then beta as well."""
+    once = open_edge(g, alpha)
+    twice = open_edge(once, beta)
+    return (
+        len(connected_components(boundary_graph(once))),
+        len(connected_components(boundary_graph(twice))),
+    )
+
+
+def _chain_conditions(
+    base: ColoredGraph, bub: Bubble, mu: str, nu: str, alpha: str, beta: str
+) -> bool:
+    """Chain-level validation of a distinguished-edge candidate.
+
+    With O = base (edges renamed) and N its central color swap: the 2-block
+    chain must have 22 two-bubbles (chi = -2), the O-O-N chain 34
+    (chi = -2), and opening alpha twice + beta twice + alpha once along the
+    three blocks must create exactly 5 boundary circles.
+    """
+    o = relabel(base, edge_map={mu: "mu0", nu: "nu0", alpha: "alpha0", beta: "beta0"})
+    n = _swap_bubble_colors(o, bub)
+    if two_bubble_count(_chain((o, o))) != 22:
+        return False
+    chain3 = _chain((o, o, n))
+    if two_bubble_count(chain3) != 34:
+        return False
+    for label in ("o1.alpha0", "o1.beta0", "o2.alpha0", "o2.beta0", "o3.alpha0"):
+        chain3 = open_edge(chain3, label)
+    return len(connected_components(boundary_graph(chain3))) == 5
+
+
+def _search_o_edges(base: ColoredGraph) -> tuple[str, str, str, str]:
+    """First (mu, nu, alpha, beta) choice of color-0 edges satisfying:
+
+    * some (1,2)-bubble (the central one) touches endpoints of mu and nu;
+    * no (0,1)- or (0,2)-bubble through alpha or beta contains mu or nu,
+      so opening alpha/beta never disturbs the mu/nu chain faces;
+    * swapping colors on the central bubble raises the 2-bubble count from
+      12 to 14 (chi 0 -> 2);
+    * on the block and on its swap, opening alpha creates one boundary
+      circle and opening beta a second;
+    * the chain-level conditions of :func:`_chain_conditions`.
+    """
+    if two_bubble_count(base) != 12:
+        raise GraphError("block graph should have 12 two-bubbles")
+    zeros = sorted(e for e, x in base.edges.items() if x.color == 0)
+    face_sets = [
+        frozenset(b.edges) for b in bubbles(base, (0, 1)) + bubbles(base, (0, 2))
+    ]
+    centrals: dict[tuple[str, str], Bubble | None] = {}
+    twins: dict[tuple, ColoredGraph | None] = {}
+    profiles: dict[tuple, tuple[int, int]] = {}
+
+    def central(mu: str, nu: str) -> Bubble | None:
+        key = (mu, nu)
+        if key not in centrals:
+            centrals[key] = _central_bubble(base, mu, nu)
+        return centrals[key]
+
+    def twin(bub: Bubble) -> ColoredGraph | None:
+        if bub.key not in twins:
+            g = _swap_bubble_colors(base, bub)
+            twins[bub.key] = g if two_bubble_count(g) == 14 else None
+        return twins[bub.key]
+
+    def profile(tag, g: ColoredGraph, alpha: str, beta: str) -> tuple[int, int]:
+        key = (tag, alpha, beta)
+        if key not in profiles:
+            profiles[key] = _opening_profile(g, alpha, beta)
+        return profiles[key]
+
+    for mu, nu, alpha, beta in itertools.permutations(zeros, 4):
+        bub = central(mu, nu)
+        if bub is None:
+            continue
+        if any(fs & {alpha, beta} and fs & {mu, nu} for fs in face_sets):
+            continue
+        n = twin(bub)
+        if n is None:
+            continue
+        if profile("o", base, alpha, beta) != (1, 2):
+            continue
+        if profile(bub.key, n, alpha, beta) != (1, 2):
+            continue
+        if _chain_conditions(base, bub, mu, nu, alpha, beta):
+            return mu, nu, alpha, beta
+    raise GraphError("no distinguished-edge choice found in (R0 # R1) # R0'")
+
+
+# Stub names on the white-side gadget pair with those on the black side:
+# o with p (per color-1 edge), d with q (color 2), w with b (color 3).
+_STUB_PARTNER = {"o": "p", "d": "q", "w": "b"}
+
+# How a color-3 edge (w_i, b_j) of Cg maps to a gadget pair (a_i', m_j').
+_Z3_RULES = (
+    lambda i, j, n: (i, j),
+    lambda i, j, n: (i, (j + 1) % n),
+    lambda i, j, n: ((i + 1) % n, j),
+    lambda i, j, n: (i, (j - 1) % n),
+    lambda i, j, n: ((i - 1) % n, j),
+)
+
+
+def _iter_gadget_configs():
+    """All parity-consistent gadget labelings, in deterministic order.
+
+    A configuration is (t, s, wa, ba, rule): the crossing colors of the
+    white- and black-side fragments, the assignment of stub names (o,d,w)
+    to the white fragment's non-legged vertices (b,p,q), the assignment of
+    (p,q,b) to the black fragment's (a,b,q), and the color-3 contraction
+    rule.  Parity: the single white stub on the white side must pair with
+    the single black stub on the black side.
+    """
+    for t, s in itertools.product((1, 2, 3), repeat=2):
+        for wa in itertools.permutations(("b", "p", "q")):
+            white_stub = ("o", "d", "w")[wa.index("b")]
+            for ba in itertools.permutations(("a", "b", "q")):
+                black_stub = ("p", "q", "b")[ba.index("q")]
+                if _STUB_PARTNER[white_stub] != black_stub:
+                    continue
+                for rule in range(len(_Z3_RULES)):
+                    yield (t, s, wa, ba, rule)
+
+
+def reference_tg(g: int, cfg) -> ColoredGraph:
+    """Build Tg from a gadget configuration: one gadget per Cg vertex."""
+    t, s, wa, ba, rule = cfg
+    n = 2 * g + 1
+    shift = (n - 1) // 2
+    vertices: dict[str, str] = {}
+    edges: list[Edge] = []
+    legs: list[Leg] = []
+    a_stub: list[dict[str, str]] = []
+    m_stub: list[dict[str, str]] = []
+    for i in range(n):
+        for prefix, crossing, leg_at, names, assign, stubs in (
+            (f"a{i}.", t, "a", ("o", "d", "w"), wa, a_stub),
+            (f"m{i}.", s, "p", ("p", "q", "b"), ba, m_stub),
+        ):
+            piece = add_prefix(_leg_fragment(crossing, leg_at), prefix)
+            vertices.update(piece.vertices)
+            edges.extend(piece.edges.values())
+            legs.extend(piece.legs.values())
+            stubs.append({k: prefix + v for k, v in zip(names, assign)})
+
+    def contract(label: str, u: str, v: str) -> None:
+        white, black = (u, v) if vertices[u] == "w" else (v, u)
+        edges.append(Edge(label, 0, white, black))
+
+    for i in range(n):
+        contract(f"z1.{i}", a_stub[i]["o"], m_stub[i]["p"])
+        contract(f"z2.{i}", a_stub[(i + 1) % n]["d"], m_stub[i]["q"])
+        i2, j2 = _Z3_RULES[rule](i, (i + shift) % n, n)
+        contract(f"z3.{i}", a_stub[i2]["w"], m_stub[j2]["b"])
+    return ColoredGraph((0, 1, 2, 3), vertices, edges, legs)
+
+
+def _gadget_config():
+    """The first gadget configuration with boundary(T1) = C1, boundary(T2) = C2."""
+    survivors = []
+    c1 = build_cg(1)
+    for cfg in _iter_gadget_configs():
+        t1 = reference_tg(1, cfg)
+        if len(connected_components(t1)) != 1:
+            continue
+        if not is_isomorphic(boundary_graph(t1), c1):
+            continue
+        survivors.append(cfg)
+    c2 = build_cg(2)
+    for cfg in survivors:
+        if is_isomorphic(boundary_graph(reference_tg(2, cfg)), c2):
+            return cfg
+    raise GraphError("no gadget labeling reproduces the canonical boundaries")
+
+
+def test_gadget_search_returns_the_frozen_configuration():
+    assert _gadget_config() == FROZEN_CFG
+    rule = _Z3_RULES[FROZEN_CFG[4]]
+    assert all(rule(i, j, 5) == (i, j) for i in range(5) for j in range(5))
+
+
+def test_build_tg_matches_the_searched_wiring():
+    for g in range(5):
+        assert serialize(build_tg(g)) == serialize(reference_tg(g, FROZEN_CFG))
+
+
+def test_o_edge_search_returns_the_frozen_map():
+    base = _o_base()
+    mu, nu, alpha, beta = _search_o_edges(base)
+    found = {mu: "mu0", nu: "nu0", alpha: "alpha0", beta: "beta0"}
+    assert found == _O_EDGES
+    assert serialize(relabel(base, edge_map=found)) == serialize(build_o())
+    assert serialize(build_o()) == fixture_text("o.cg")
+    assert serialize(build_n()) == fixture_text("n.cg")
+
+
 def test_qg_and_kg_families():
     for g in (1, 2, 3):
         q = build_qg(g)
@@ -331,6 +555,17 @@ def test_build_dispatcher():
     assert is_isomorphic(build("dipole", d=3), build_dipole(3)).isomorphic
     assert is_isomorphic(build("qg", g=1), build_qg(1)).isomorphic
     assert is_isomorphic(build("melon"), build_melon()).isomorphic
+
+
+def test_build_caps_family_parameters():
+    over = MAX_FAMILY_PARAMETER + 1
+    # tests/test_cli.py checks each CLI flag one step above the cap
+    for params in ({"g": over, "b": 0, "c": 0}, {"g": 1, "b": over, "c": over}):
+        with pytest.raises(GraphError, match="family-parameter cap"):
+            build("qgbc", **params)
+    # the cap itself is admitted, and generators of genera still work
+    assert len(build("tg", g=MAX_FAMILY_PARAMETER).vertices) == 8 * 129
+    assert len(build("l", genera=(0 for _ in range(MAX_FAMILY_PARAMETER)))) == 764
 
 
 def test_build_dispatcher_errors():
