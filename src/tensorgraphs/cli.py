@@ -13,6 +13,11 @@ Conventions shared by all commands:
   and "no" verdicts, 2 on usage errors.
 
 All numeric output is exact (integers or rationals); nothing is floated.
+
+Every command is one entry of :data:`_COMMANDS`.  Its handler returns either
+``(rows, exit code)`` or a graph, ribbon structure or DOT text; :func:`main`
+prints the rows in the chosen format, or serializes the graph to ``-o``.  A
+row is its text line followed by its kv line(s).
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ __all__ = ["main"]
 
 _FIXTURES_ENV = "TGRAPH_FIXTURES"
 
+_Row = tuple[str, ...]
+
 
 # -- plumbing -----------------------------------------------------------------
 
@@ -91,6 +98,27 @@ def _load(path: str) -> ColoredGraph:
     return parse(_read(path))
 
 
+def _load_either(
+    path: str, require_regular: bool = True
+) -> ColoredGraph | RibbonStructure:
+    """A ribbon structure if the first directive is ``rv`` or ``rj``, else a
+    colored graph."""
+    text = _read(path)
+    for line in text.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            if words[0] in ("rv", "rj"):
+                return parse_ribbon(text)
+            break
+    return parse(text, require_regular=require_regular)
+
+
+def _load_ribbon(path: str) -> RibbonStructure:
+    """Read a ribbon structure from a ribbon file or a 3-colored graph file."""
+    r = _load_either(path)
+    return r if isinstance(r, RibbonStructure) else ribbon_from_colored(r)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
@@ -99,40 +127,24 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _first_directive(text: str) -> str:
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0]
-    return ""
+def _same(line: str) -> _Row:
+    """A row that reads the same in both formats."""
+    return (line, line)
 
 
-def _load_ribbon(path: str) -> RibbonStructure:
-    """Read a ribbon structure from a ribbon file or a 3-colored graph file."""
-    text = _read(path)
-    if _first_directive(text) in ("rv", "rj"):
-        return parse_ribbon(text)
-    return ribbon_from_colored(parse(text))
+def _kv(key: str, value) -> _Row:
+    return (f"{key} = {value}", f"{key}={value}")
 
 
-def _line(key: str, value, fmt: str) -> str:
-    return f"{key}={value}" if fmt == "kv" else f"{key} = {value}"
+def _squeeze(key: str, value: str) -> _Row:
+    """A report row; its kv line strips the spaces."""
+    k = key.replace(" ", ".")
+    v = value.replace(" = ", "=").replace(", ", ",").replace("; ", ";").replace(" ", ",")
+    return (f"{key}: {value}", f"{k}={v}")
 
 
 def _cycle_tag(cycle: tuple[int, ...]) -> str:
     return "".join(str(c) for c in cycle)
-
-
-def _jacket_lines(report, fmt: str) -> list[str]:
-    out = []
-    for j in report.jackets:
-        tag = _cycle_tag(j.cycle)
-        if fmt == "kv":
-            out.append(f"jacket.{tag}.faces={j.face_count}")
-            out.append(f"jacket.{tag}.genus={j.genus}")
-        else:
-            out.append(f"jacket ({tag}): faces = {j.face_count}, genus = {j.genus}")
-    return out
 
 
 def _parse_color_list(text: str) -> tuple[int, ...]:
@@ -148,187 +160,91 @@ def _parse_color_list(text: str) -> tuple[int, ...]:
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    g = parse(_read(args.file), require_regular=False)
-    issues = validate(g)
-    for issue in issues:
-        print(issue)
-    if issues:
-        return 1
-    print("ok")
-    return 0
+def _cmd_validate(args):
+    issues = validate(parse(_read(args.file), require_regular=False))
+    return [_same(issue) for issue in issues] or [_same("ok")], int(bool(issues))
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args):
     result = homology(_load(args.file))
-    if args.format == "kv":
-        for q, group in enumerate(result.groups):
-            print(f"H_{q}={group}")
-        print(f"chi={result.euler}")
-    else:
-        for line in result.lines():
-            print(line)
-    return 0
+    rows = [_kv(f"H_{q}", group) for q, group in enumerate(result.groups)]
+    return rows + [_kv("chi", result.euler)], 0
 
 
-def _cmd_euler(args) -> int:
-    print(_line("chi", euler_characteristic(_load(args.file)), args.format))
-    return 0
-
-
-def _cmd_bubbles(args) -> int:
+def _cmd_bubbles(args):
     g = _load(args.file)
     colors = _parse_color_list(args.colors)
     found = bubbles(g, colors)
     tag = "{" + "".join(str(c) for c in colors) + "}"
-    for b in found:
-        if args.format == "kv":
-            print(f"bubble.{tag}={','.join(b.vertices)}")
-        else:
-            print(f"bubble {tag}: {' '.join(b.vertices)}")
-    print(_line("count", len(found), args.format))
-    return 0
+    rows = [
+        (f"bubble {tag}: {' '.join(b.vertices)}", f"bubble.{tag}={','.join(b.vertices)}")
+        for b in found
+    ]
+    return rows + [_kv("count", len(found))], 0
 
 
-def _cmd_jackets(args) -> int:
-    g = _load(args.file)
-    report = gurau_degree(g)
-    for line in _jacket_lines(report, args.format):
-        print(line)
-    print(_line("degree", report.degree, args.format))
-    print(_line("faces", _face_total(report.jackets), args.format))
-    print(_line("amplitude-exponent", report.amplitude_exponent, args.format))
-    return 0
+def _jacket_rows(path: str) -> list[_Row]:
+    """The jackets, then degree, faces and amplitude exponent."""
+    report = gurau_degree(_load(path))
+    rows = []
+    for j in report.jackets:
+        tag = _cycle_tag(j.cycle)
+        rows.append(
+            (
+                f"jacket ({tag}): faces = {j.face_count}, genus = {j.genus}",
+                f"jacket.{tag}.faces={j.face_count}",
+                f"jacket.{tag}.genus={j.genus}",
+            )
+        )
+    return rows + [
+        _kv("degree", report.degree),
+        _kv("faces", _face_total(report.jackets)),
+        _kv("amplitude-exponent", report.amplitude_exponent),
+    ]
 
 
-def _cmd_degree(args) -> int:
-    report = gurau_degree(_load(args.file))
-    for line in _jacket_lines(report, args.format):
-        print(line)
-    print(_line("degree", report.degree, args.format))
-    return 0
+def _verdict(ok, yes: str, no: str):
+    return [_same(yes if ok else no)], int(not ok)
 
 
-def _cmd_melonic(args) -> int:
-    ok = is_melonic(_load(args.file))
-    print("melonic" if ok else "not melonic")
-    return 0 if ok else 1
-
-
-def _cmd_boundary(args) -> int:
-    _emit(serialize(boundary_graph(_load(args.file))), args.output)
-    return 0
-
-
-def _cmd_boundary_degree(args) -> int:
-    print(_line("boundary-degree", boundary_degree(_load(args.file)), args.format))
-    return 0
-
-
-def _cmd_genus(args) -> int:
-    report = boundary_components(_load_ribbon(args.file))
-    print(_line("genus", report.genus, args.format))
-    return 0
-
-
-def _cmd_bc(args) -> int:
-    report = boundary_components(_load_ribbon(args.file))
-    print(_line("bc", report.bc, args.format))
-    return 0
-
-
-def _cmd_sum(args) -> int:
-    out = connected_sum(_load(args.file_a), args.edge_a, _load(args.file_b), args.edge_b)
-    _emit(serialize(out), args.output)
-    return 0
-
-
-def _cmd_crys_sum(args) -> int:
-    out = crys_sum(_load(args.file_a), args.white, _load(args.file_b), args.black)
-    _emit(serialize(out), args.output)
-    return 0
-
-
-def _cmd_open(args) -> int:
-    _emit(serialize(open_edge(_load(args.file), args.edge)), args.output)
-    return 0
-
-
-def _cmd_cap(args) -> int:
-    _emit(serialize(close_legs(_load(args.file), args.leg_a, args.leg_b)), args.output)
-    return 0
-
-
-def _cmd_cone(args) -> int:
-    _emit(serialize(cone(_load(args.file))), args.output)
-    return 0
-
-
-def _cmd_iso(args) -> int:
-    result = is_isomorphic(_load(args.file_a), _load(args.file_b), args.mode)
-    print("isomorphic" if result else "not isomorphic")
-    return 0 if result else 1
-
-
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     report = is_member(_load(args.file), builtin_model(args.model))
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    return [_same(line) for line in report.lines()], int(not report.ok)
 
 
-def _cmd_build(args) -> int:
-    params = {}
-    if args.genus is not None:
-        params["g"] = args.genus
-    if args.colors is not None:
-        params["d"] = args.colors
-    if args.base is not None:
-        params["base"] = args.base
-    if args.boundaries_full is not None:
-        params["b"] = args.boundaries_full
-    if args.boundaries is not None:
-        params["c"] = args.boundaries
+def _cmd_build(args):
+    values = (args.genus, args.colors, args.base, args.boundaries_full, args.boundaries)
+    params = {k: v for k, v in zip(("g", "d", "base", "b", "c"), values) if v is not None}
     if args.genera is not None:
         params["genera"] = [int(part) for part in args.genera.split(",") if part]
-    made = build(args.family, **params)
-    if isinstance(made, RibbonStructure):
-        _emit(serialize_ribbon(made), args.output)
-    else:
-        _emit(serialize(made), args.output)
-    return 0
+    return build(args.family, **params)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     model = builtin_model(args.model)
-    raw = enumerate_vacuum(model, args.k)
-    print(_line("count", len(raw), args.format))
+    rows = [_kv("count", len(enumerate_vacuum(model, args.k)))]
     if args.dedup:
-        distinct = enumerate_vacuum(model, args.k, dedup=True)
-        print(_line("distinct", len(distinct), args.format))
-    return 0
+        rows.append(_kv("distinct", len(enumerate_vacuum(model, args.k, dedup=True))))
+    return rows, 0
 
 
-def _cmd_find_separators(args) -> int:
+def _separator_rows(args):
+    """Each separator's row, then its graph to ``--out-p``/``--out-m``.
+
+    A generator, so a graph written to standard output follows its row, and
+    a failed write comes after the row it belongs to.
+    """
     first, second = find_separators(builtin_model(args.model), args.max_vertices)
     for tag, result, out in (("P", first, args.out_p), ("M", second, args.out_m)):
-        if args.format == "kv":
-            print(f"{tag.lower()}.vertices={len(result.graph)}")
-            print(f"{tag.lower()}.k={result.k}")
-            print(f"{tag.lower()}.l={result.l}")
-        else:
-            print(
-                f"separator {tag}: {len(result.graph)} vertices, "
-                f"splice edges {result.k}, {result.l}"
-            )
+        n, t = len(result.graph), tag.lower()
+        yield (
+            f"separator {tag}: {n} vertices, splice edges {result.k}, {result.l}",
+            f"{t}.vertices={n}",
+            f"{t}.k={result.k}",
+            f"{t}.l={result.l}",
+        )
         if out:
             _emit(serialize(result.graph), out)
-    return 0
-
-
-def _cmd_export_dot(args) -> int:
-    _emit(export_dot(_load(args.file)), args.output)
-    return 0
 
 
 def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
@@ -391,34 +307,107 @@ def _report_ribbon(r: RibbonStructure) -> list[tuple[str, str]]:
     ]
 
 
-def _cmd_report(args) -> int:
-    text = _read(args.file)
-    if _first_directive(text) in ("rv", "rj"):
-        pairs = _report_ribbon(parse_ribbon(text))
+def _cmd_report(args):
+    g = _load_either(args.file, require_regular=False)
+    if isinstance(g, RibbonStructure):
+        pairs = _report_ribbon(g)
     else:
-        g = parse(text, require_regular=False)
         issues = validate(g)
         if issues:
-            for issue in issues:
-                print(issue)
-            print(_squeeze("validation", f"{len(issues)} issues", args.format))
-            return 1
+            rows = [_same(issue) for issue in issues]
+            return rows + [_squeeze("validation", f"{len(issues)} issues")], 1
         pairs = _report_colored(g)
-    for key, value in pairs:
-        print(_squeeze(key, value, args.format))
-    return 0
+    return [_squeeze(key, value) for key, value in pairs], 0
 
 
-def _squeeze(key: str, value: str, fmt: str) -> str:
-    """Render one report line; kv mode strips spaces."""
-    if fmt != "kv":
-        return f"{key}: {value}"
-    k = key.replace(" ", ".")
-    v = value.replace(" = ", "=").replace(", ", ",").replace("; ", ";").replace(" ", ",")
-    return f"{k}={v}"
+# -- command table --------------------------------------------------------------
 
 
-# -- parser -------------------------------------------------------------------
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_FILE = _arg("file")
+_FORMAT = _arg("--format", choices=("text", "kv"), default="text")
+_OUTPUT = _arg("-o", "--output", default=None, metavar="FILE")
+_FILE_KV = (_FILE, _FORMAT)
+_FILE_OUT = (_FILE, _OUTPUT)
+
+# (name, help, arguments, handler), in the order `tgraph --help` lists them.
+_COMMANDS = (
+    ("validate", "check a graph file for regularity", (_FILE,), _cmd_validate),
+    ("homology", "integer bubble homology of a closed graph", _FILE_KV, _cmd_homology),
+    ("euler", "Euler characteristic from bubble counts", _FILE_KV,
+     lambda a: ([_kv("chi", euler_characteristic(_load(a.file)))], 0)),
+    ("bubbles", "list bubbles for a color set",
+     (_FILE, _arg("--colors", required=True, metavar="LIST", help="e.g. 1,2"), _FORMAT),
+     _cmd_bubbles),
+    ("jackets", "jacket genera, degree and face data", _FILE_KV,
+     lambda a: (_jacket_rows(a.file), 0)),
+    ("degree", "jacket summary and total degree", _FILE_KV,
+     lambda a: (_jacket_rows(a.file)[:-2], 0)),
+    ("melonic", "is the graph melonic (degree 0)?", (_FILE,),
+     lambda a: _verdict(is_melonic(_load(a.file)), "melonic", "not melonic")),
+    ("boundary", "boundary graph of an open graph", _FILE_OUT,
+     lambda a: boundary_graph(_load(a.file))),
+    ("boundary-degree", "degree of the boundary graph", _FILE_KV,
+     lambda a: ([_kv("boundary-degree", boundary_degree(_load(a.file)))], 0)),
+    ("genus", "genus of a ribbon or 3-colored graph", _FILE_KV,
+     lambda a: ([_kv("genus", boundary_components(_load_ribbon(a.file)).genus)], 0)),
+    ("bc", "boundary components of a ribbon or 3-colored graph", _FILE_KV,
+     lambda a: ([_kv("bc", boundary_components(_load_ribbon(a.file)).bc)], 0)),
+    ("sum", "connected sum along two same-colored edges",
+     (_arg("file_a"), _arg("edge_a"), _arg("file_b"), _arg("edge_b"), _OUTPUT),
+     lambda a: connected_sum(_load(a.file_a), a.edge_a, _load(a.file_b), a.edge_b)),
+    ("crys-sum", "vertex-deletion (crystallization) sum",
+     (_arg("file_a"), _arg("white", help="white vertex to delete in the first graph"),
+      _arg("file_b"), _arg("black", help="black vertex to delete in the second graph"),
+      _OUTPUT),
+     lambda a: crys_sum(_load(a.file_a), a.white, _load(a.file_b), a.black)),
+    ("open", "open an internal color-0 edge into two legs",
+     (_FILE, _arg("edge"), _OUTPUT),
+     lambda a: open_edge(_load(a.file), a.edge)),
+    ("cap", "close two opposite-parity legs into an edge",
+     (_FILE, _arg("leg_a"), _arg("leg_b"), _OUTPUT),
+     lambda a: close_legs(_load(a.file), a.leg_a, a.leg_b)),
+    ("cone", "cone over a closed graph (adds color 0 legs)", _FILE_OUT,
+     lambda a: cone(_load(a.file))),
+    ("iso", "are two graphs isomorphic?",
+     (_arg("file_a"), _arg("file_b"),
+      _arg("--mode", choices=("exact-colors", "up-to-color-permutation"),
+           default="exact-colors")),
+     lambda a: _verdict(is_isomorphic(_load(a.file_a), _load(a.file_b), a.mode),
+                        "isomorphic", "not isomorphic")),
+    ("member", "Feynman membership against a model",
+     (_FILE, _arg("--model", required=True)), _cmd_member),
+    ("build", "build a named graph family member",
+     (_arg("family"), _arg("--genus", type=int, default=None),
+      _arg("--colors", type=int, default=None, help="dipole color count"),
+      _arg("--base", type=int, default=None, help="first color label"),
+      _arg("-B", dest="boundaries_full", type=int, default=None,
+           help="blocks opened at alpha0 and beta0 (qgbc)"),
+      _arg("-C", dest="boundaries", type=int, default=None,
+           help="blocks opened at least at alpha0 (qgbc)"),
+      _arg("--genera", default=None, metavar="LIST", help="e.g. 2,3 (l)"), _OUTPUT),
+     _cmd_build),
+    ("enumerate", "count Wick contractions of a model",
+     (_arg("--model", required=True),
+      _arg("-k", type=int, required=True, help="number of interaction vertices"),
+      _arg("--dedup", action="store_true"), _FORMAT),
+     _cmd_enumerate),
+    ("find-separators", "search for the separator graphs",
+     (_arg("--model", default="phi4-rank3"),
+      _arg("--max-vertices", type=int, default=2,
+           help="interaction-vertex bound for the search"),
+      _arg("--out-p", default=None, metavar="FILE"),
+      _arg("--out-m", default=None, metavar="FILE"), _FORMAT),
+     lambda a: (_separator_rows(a), 0)),
+    ("export-dot", "emit Graphviz DOT", _FILE_OUT, lambda a: export_dot(_load(a.file))),
+    ("report", "full analysis bundle for one file", _FILE_KV, _cmd_report),
+)
+
+
+# -- parser and entry point -----------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,152 +416,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze and build edge-colored bipartite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name: str, func, help_text: str):
+    for name, help_text, arguments, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    def with_format(p):
-        p.add_argument("--format", choices=("text", "kv"), default="text")
-        return p
-
-    def with_output(p):
-        p.add_argument("-o", "--output", default=None, metavar="FILE")
-        return p
-
-    p = command("validate", _cmd_validate, "check a graph file for regularity")
-    p.add_argument("file")
-
-    p = command("homology", _cmd_homology, "integer bubble homology of a closed graph")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("euler", _cmd_euler, "Euler characteristic from bubble counts")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("bubbles", _cmd_bubbles, "list bubbles for a color set")
-    p.add_argument("file")
-    p.add_argument("--colors", required=True, metavar="LIST", help="e.g. 1,2")
-    with_format(p)
-
-    p = command("jackets", _cmd_jackets, "jacket genera, degree and face data")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("degree", _cmd_degree, "jacket summary and total degree")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("melonic", _cmd_melonic, "is the graph melonic (degree 0)?")
-    p.add_argument("file")
-
-    p = command("boundary", _cmd_boundary, "boundary graph of an open graph")
-    p.add_argument("file")
-    with_output(p)
-
-    p = command("boundary-degree", _cmd_boundary_degree, "degree of the boundary graph")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("genus", _cmd_genus, "genus of a ribbon or 3-colored graph")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("bc", _cmd_bc, "boundary components of a ribbon or 3-colored graph")
-    p.add_argument("file")
-    with_format(p)
-
-    p = command("sum", _cmd_sum, "connected sum along two same-colored edges")
-    p.add_argument("file_a")
-    p.add_argument("edge_a")
-    p.add_argument("file_b")
-    p.add_argument("edge_b")
-    with_output(p)
-
-    p = command("crys-sum", _cmd_crys_sum, "vertex-deletion (crystallization) sum")
-    p.add_argument("file_a")
-    p.add_argument("white", help="white vertex to delete in the first graph")
-    p.add_argument("file_b")
-    p.add_argument("black", help="black vertex to delete in the second graph")
-    with_output(p)
-
-    p = command("open", _cmd_open, "open an internal color-0 edge into two legs")
-    p.add_argument("file")
-    p.add_argument("edge")
-    with_output(p)
-
-    p = command("cap", _cmd_cap, "close two opposite-parity legs into an edge")
-    p.add_argument("file")
-    p.add_argument("leg_a")
-    p.add_argument("leg_b")
-    with_output(p)
-
-    p = command("cone", _cmd_cone, "cone over a closed graph (adds color 0 legs)")
-    p.add_argument("file")
-    with_output(p)
-
-    p = command("iso", _cmd_iso, "are two graphs isomorphic?")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument(
-        "--mode",
-        choices=("exact-colors", "up-to-color-permutation"),
-        default="exact-colors",
-    )
-
-    p = command("member", _cmd_member, "Feynman membership against a model")
-    p.add_argument("file")
-    p.add_argument("--model", required=True)
-
-    p = command("build", _cmd_build, "build a named graph family member")
-    p.add_argument("family")
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--colors", type=int, default=None, help="dipole color count")
-    p.add_argument("--base", type=int, default=None, help="first color label")
-    p.add_argument("-B", dest="boundaries_full", type=int, default=None,
-                   help="blocks opened at alpha0 and beta0 (qgbc)")
-    p.add_argument("-C", dest="boundaries", type=int, default=None,
-                   help="blocks opened at least at alpha0 (qgbc)")
-    p.add_argument("--genera", default=None, metavar="LIST", help="e.g. 2,3 (l)")
-    with_output(p)
-
-    p = command("enumerate", _cmd_enumerate, "count Wick contractions of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("-k", type=int, required=True, help="number of interaction vertices")
-    p.add_argument("--dedup", action="store_true")
-    with_format(p)
-
-    p = command(
-        "find-separators", _cmd_find_separators, "search for the separator graphs"
-    )
-    p.add_argument("--model", default="phi4-rank3")
-    p.add_argument("--max-vertices", type=int, default=2,
-                   help="interaction-vertex bound for the search")
-    p.add_argument("--out-p", default=None, metavar="FILE")
-    p.add_argument("--out-m", default=None, metavar="FILE")
-    with_format(p)
-
-    p = command("export-dot", _cmd_export_dot, "emit Graphviz DOT")
-    p.add_argument("file")
-    with_output(p)
-
-    p = command("report", _cmd_report, "full analysis bundle for one file")
-    p.add_argument("file")
-    with_format(p)
-
+        p.set_defaults(func=handler)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    kv = getattr(args, "format", "text") == "kv"
     try:
-        return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        result = args.func(args)
+        if isinstance(result, tuple):
+            rows, code = result
+            for row in rows:
+                print(*(row[1:] if kv else row[:1]), sep="\n")
+            return code
+        if isinstance(result, RibbonStructure):
+            result = serialize_ribbon(result)
+        elif isinstance(result, ColoredGraph):
+            result = serialize(result)
+        _emit(result, args.output)
+        return 0
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -181,9 +181,19 @@ class SmithForm:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Pivots are chosen as the smallest-magnitude nonzero entry of the
-    remaining block; a final fix-up enforces the divisibility chain.  Exact
-    integer arithmetic throughout.
+    Each pivot is the smallest-magnitude nonzero entry of the remaining
+    block.  Its column and row are cleared by floor division; a nonzero
+    remainder replaces the pivot (it is strictly smaller) and clearing
+    starts again.  Once both are clear, the whole remaining block is scanned
+    for an entry the pivot does not divide, an O(n^2) scan after every
+    pivot; the first row holding one is added into the pivot row and
+    clearing resumes.  This keeps the divisibility chain.  Exact integer
+    arithmetic throughout.
+
+    Entries are never reduced between passes, so on some small dense
+    inputs they grow without bound and the call does not return:
+    ``STALLING_6X6`` in ``tests/test_homology.py`` is one, pinned there by
+    a strict xfail.
 
     >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
     (2, 4)

@@ -94,7 +94,7 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
 
     At most :data:`MAX_JACKET_COLORS` colors are accepted.
     """
-    return _jackets(g, None)
+    return _jackets(g, None)[0]
 
 
 def _pair_faces(g: ColoredGraph) -> dict[tuple[int, int], list[Bubble]]:
@@ -104,8 +104,9 @@ def _pair_faces(g: ColoredGraph) -> dict[tuple[int, int], list[Bubble]]:
 
 def _jackets(
     g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
-) -> list[Jacket]:
-    """:func:`enumerate_jackets`, reusing the caller's 2-bubbles if given."""
+) -> tuple[list[Jacket], int]:
+    """:func:`enumerate_jackets`, reusing the caller's 2-bubbles if given,
+    and the number of connected components of g."""
     if g.is_open:
         raise GraphError("jackets require a closed graph")
     colors = g.colors
@@ -142,7 +143,7 @@ def _jackets(
                 raise GraphError("odd jacket Euler characteristic")
             total_genus += (2 - chi) // 2
         jackets.append(Jacket(cycle, tuple(faces), total_genus))
-    return jackets
+    return jackets, len(comps)
 
 
 def _face_total(jackets: Sequence[Jacket]) -> int:
@@ -178,11 +179,11 @@ def _gurau_degree(
     g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
 ) -> DegreeReport:
     """:func:`gurau_degree`, reusing the caller's 2-bubbles if given."""
-    jackets = tuple(_jackets(g, faces_of))
+    found, n_comp = _jackets(g, faces_of)
+    jackets = tuple(found)
     degree = sum(j.genus for j in jackets)
 
     d = len(g.colors)
-    n_comp = len(connected_components(g))
     p, rem = divmod(len(g.vertices), 2)
     if rem:
         raise GraphError("odd vertex count in a closed bipartite graph")

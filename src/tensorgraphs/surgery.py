@@ -29,7 +29,6 @@ from .graphs import (
     Leg,
     _namespace_pair,
     add_prefix,
-    connected_components,
     disjoint_union,
     is_isomorphic,
 )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
 from tensorgraphs.models import MAX_FAMILY_PARAMETER, build_dipole
 
-from conftest import FIXTURES, fixture_text, run_cli
+from conftest import FIXTURES, ROOT, fixture_text, run_cli
 
 cli_module = importlib.import_module("tensorgraphs.cli")
 
@@ -422,6 +424,246 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
         assert sorted(calls) == pairs, command
 
 
+# ------------------------------------------------ forms pinned in both formats
+
+SEPARATOR_LINES = (
+    "separator P: 4 vertices, splice edges z0, z1\n",
+    "separator M: 8 vertices, splice edges z0, z1\n",
+)
+
+
+def test_single_value_commands_in_kv_format():
+    assert run_cli(["euler", fx("r0.cg"), "--format", "kv"]) == (0, "chi=2\n", "")
+    assert run_cli(["boundary-degree", fx("l-2-3.cg"), "--format", "kv"]) == (
+        0, "boundary-degree=15\n", "",
+    )
+    # degree is jackets without the faces and amplitude-exponent lines
+    expected = NECKLACE_JACKETS_KV.split("faces=8")[0]
+    assert run_cli(["degree", fx("necklace.cg"), "--format", "kv"]) == (0, expected, "")
+
+
+def test_enumerate_dedup_in_both_formats():
+    argv = ["enumerate", "--model", "phi4-matrix", "-k", "2", "--dedup"]
+    assert run_cli(argv) == (0, "count = 24\ndistinct = 8\n", "")
+    assert run_cli(argv + ["--format", "kv"]) == (0, "count=24\ndistinct=8\n", "")
+    argv = ["enumerate", "--model", "phi4-rank3", "-k", "2", "--dedup", "--format", "kv"]
+    assert run_cli(argv) == (0, "count=144\ndistinct=54\n", "")
+
+
+def test_find_separators_kv():
+    assert run_cli(["find-separators", "--format", "kv"]) == (
+        0,
+        "p.vertices=4\np.k=z0\np.l=z1\nm.vertices=8\nm.k=z0\nm.l=z1\n",
+        "",
+    )
+
+
+def test_find_separators_graphs_follow_their_lines_on_stdout():
+    code, out, err = run_cli(["find-separators", "--out-p", "-", "--out-m", "-"])
+    assert (code, err) == (0, "")
+    p_line, m_line = SEPARATOR_LINES
+    assert out == p_line + fixture_text("p.cg") + m_line + fixture_text("m.cg")
+
+
+def test_find_separators_unwritable_out_p(tmp_path):
+    path = tmp_path / "missing" / "p.cg"
+    code, out, err = run_cli(["find-separators", "--out-p", str(path)])
+    # the P line is printed before the write fails; M is never reached
+    assert (code, out) == (1, SEPARATOR_LINES[0])
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_bubbles_with_no_colors_lists_every_vertex():
+    code, out, _ = run_cli(["bubbles", fx("r1.cg"), "--colors", ""])
+    assert code == 0
+    assert out == "".join(f"bubble {{}}: {v}\n" for v in "abcdpqxy") + "count = 8\n"
+    code, out, _ = run_cli(["bubbles", fx("r1.cg"), "--colors", "", "--format", "kv"])
+    assert out == "".join(f"bubble.{{}}={v}\n" for v in "abcdpqxy") + "count=8\n"
+
+
+def test_report_ribbon_kv():
+    code, out, err = run_cli(["report", fx("w.rg"), "--format", "kv"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "validation=ok\nribbon.vertices=1\nribbon.edges=2\nbc=1\nchi=0\ngenus=1\n"
+    )
+
+
+def test_report_irregular_kv():
+    text = "colors 2 closed\nv a w\nv b b\ne e1 1 a b\n"
+    code, out, err = run_cli(["report", "-", "--format", "kv"], text)
+    assert (code, err) == (1, "")
+    assert out == (
+        "vertex 'a': missing color 2\nvertex 'b': missing color 2\nvalidation=2,issues\n"
+    )
+
+
+# ------------------------------------------------------- parser structure
+
+# The subcommands in `tgraph --help` order with their help text; each
+# argument as (option strings, dest, default, choices, required, type,
+# metavar, help, nargs).  These are argparse data, not rendered help, so
+# they read the same on every supported Python.
+PARSER_HEAD = (
+    "tgraph", "Analyze and build edge-colored bipartite graphs.", "command", True, "command"
+)
+PARSER_COMMANDS = [
+    ("validate", "check a graph file for regularity", [
+        ((), "file", None, None, True, None, None, None, None),
+    ]),
+    ("homology", "integer bubble homology of a closed graph", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("euler", "Euler characteristic from bubble counts", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("bubbles", "list bubbles for a color set", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--colors",), "colors", None, None, True, None, "LIST", "e.g. 1,2", None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("jackets", "jacket genera, degree and face data", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("degree", "jacket summary and total degree", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("melonic", "is the graph melonic (degree 0)?", [
+        ((), "file", None, None, True, None, None, None, None),
+    ]),
+    ("boundary", "boundary graph of an open graph", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("boundary-degree", "degree of the boundary graph", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("genus", "genus of a ribbon or 3-colored graph", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("bc", "boundary components of a ribbon or 3-colored graph", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("sum", "connected sum along two same-colored edges", [
+        ((), "file_a", None, None, True, None, None, None, None),
+        ((), "edge_a", None, None, True, None, None, None, None),
+        ((), "file_b", None, None, True, None, None, None, None),
+        ((), "edge_b", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("crys-sum", "vertex-deletion (crystallization) sum", [
+        ((), "file_a", None, None, True, None, None, None, None),
+        ((), "white", None, None, True, None, None,
+         "white vertex to delete in the first graph", None),
+        ((), "file_b", None, None, True, None, None, None, None),
+        ((), "black", None, None, True, None, None,
+         "black vertex to delete in the second graph", None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("open", "open an internal color-0 edge into two legs", [
+        ((), "file", None, None, True, None, None, None, None),
+        ((), "edge", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("cap", "close two opposite-parity legs into an edge", [
+        ((), "file", None, None, True, None, None, None, None),
+        ((), "leg_a", None, None, True, None, None, None, None),
+        ((), "leg_b", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("cone", "cone over a closed graph (adds color 0 legs)", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("iso", "are two graphs isomorphic?", [
+        ((), "file_a", None, None, True, None, None, None, None),
+        ((), "file_b", None, None, True, None, None, None, None),
+        (("--mode",), "mode", "exact-colors", ("exact-colors", "up-to-color-permutation"),
+         False, None, None, None, None),
+    ]),
+    ("member", "Feynman membership against a model", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--model",), "model", None, None, True, None, None, None, None),
+    ]),
+    ("build", "build a named graph family member", [
+        ((), "family", None, None, True, None, None, None, None),
+        (("--genus",), "genus", None, None, False, "int", None, None, None),
+        (("--colors",), "colors", None, None, False, "int", None, "dipole color count", None),
+        (("--base",), "base", None, None, False, "int", None, "first color label", None),
+        (("-B",), "boundaries_full", None, None, False, "int", None,
+         "blocks opened at alpha0 and beta0 (qgbc)", None),
+        (("-C",), "boundaries", None, None, False, "int", None,
+         "blocks opened at least at alpha0 (qgbc)", None),
+        (("--genera",), "genera", None, None, False, None, "LIST", "e.g. 2,3 (l)", None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("enumerate", "count Wick contractions of a model", [
+        (("--model",), "model", None, None, True, None, None, None, None),
+        (("-k",), "k", None, None, True, "int", None, "number of interaction vertices", None),
+        (("--dedup",), "dedup", False, None, False, None, None, None, 0),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("find-separators", "search for the separator graphs", [
+        (("--model",), "model", "phi4-rank3", None, False, None, None, None, None),
+        (("--max-vertices",), "max_vertices", 2, None, False, "int", None,
+         "interaction-vertex bound for the search", None),
+        (("--out-p",), "out_p", None, None, False, None, "FILE", None, None),
+        (("--out-m",), "out_m", None, None, False, None, "FILE", None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+    ("export-dot", "emit Graphviz DOT", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("-o", "--output"), "output", None, None, False, None, "FILE", None, None),
+    ]),
+    ("report", "full analysis bundle for one file", [
+        ((), "file", None, None, True, None, None, None, None),
+        (("--format",), "format", "text", ("text", "kv"), False, None, None, None, None),
+    ]),
+]
+
+
+def parser_structure(parser: argparse.ArgumentParser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    commands = []
+    for name, p in sub.choices.items():
+        assert p.description == helps[name], name
+        args = [
+            (
+                tuple(a.option_strings), a.dest, a.default, a.choices and tuple(a.choices),
+                a.required, a.type and a.type.__name__, a.metavar, a.help, a.nargs,
+            )
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        commands.append((name, helps[name], args))
+    return (parser.prog, parser.description, sub.dest, sub.required, sub.metavar), commands
+
+
+def test_parser_structure_is_pinned():
+    head, commands = parser_structure(cli_module._build_parser())
+    assert head == PARSER_HEAD
+    assert [c[0] for c in commands] == [c[0] for c in PARSER_COMMANDS]
+    for got, want in zip(commands, PARSER_COMMANDS):
+        assert got == want
+    assert cli_module.__all__ == ["main"]
+
+
+def test_readme_lists_every_command_with_its_help():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | purpose |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", table, re.M)
+    _, commands = parser_structure(cli_module._build_parser())
+    assert rows == [(name, help_text) for name, help_text, _ in commands]
+
+
 # -- fuzzing: mutated fixtures never end in a traceback -------------------------
 
 FUZZ_TEXTS = [
@@ -429,7 +671,12 @@ FUZZ_TEXTS = [
     for p in sorted(FIXTURES.iterdir())
     if p.suffix in (".cg", ".rg")
 ]
-FUZZ_COMMANDS = ("validate", "homology", "euler", "jackets", "report", "boundary", "genus")
+# Every command that reads one graph file, with the options it needs.
+FUZZ_COMMANDS = (
+    ("validate",), ("homology",), ("euler",), ("jackets",), ("degree",), ("melonic",),
+    ("report",), ("boundary",), ("boundary-degree",), ("genus",), ("bc",), ("cone",),
+    ("export-dot",), ("bubbles", "--colors", "1,2"), ("member", "--model", "phi4-rank3"),
+)
 FUZZ_NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 4, 9, 10, 11, 31, 32, 33, 10**9])
 
 
@@ -461,11 +708,11 @@ def mutated_fixture(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(text=mutated_fixture(), command=st.sampled_from(FUZZ_COMMANDS))
 def test_mutated_fixtures_exit_cleanly(text, command):
     # run_cli turns only SystemExit into a code; any other exception fails
-    code, out, err = run_cli([command, "-"], text)
+    code, out, err = run_cli([command[0], "-", *command[1:]], text)
     assert code in (0, 1, 2)
     if code:
         assert out or err  # validate and report list issues on stdout

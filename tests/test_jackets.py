@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -18,6 +19,7 @@ from tensorgraphs.graphs import (
 )
 from tensorgraphs.jackets import (
     MAX_JACKET_COLORS,
+    DegreeReport,
     Jacket,
     amplitude_exponent,
     boundary_degree,
@@ -39,6 +41,7 @@ from tensorgraphs.models import (
 from conftest import (
     CLOSED_3COLOR_FIXTURES,
     CLOSED_4COLOR_FIXTURES,
+    CLOSED_FIXTURES,
     load_fixture,
 )
 
@@ -205,6 +208,46 @@ def test_face_formula_agrees_with_jacket_sum(name):
     assert len(connected_components(g)) == 1
     rep = gurau_degree(g)
     assert rep.degree == rep.face_count_degree
+
+
+# Test-local copy of gurau_degree from before it took the component count
+# from the jacket pass: it splits the graph into component graphs to count
+# them.
+
+
+def _reference_gurau_degree(g):
+    jackets = tuple(enumerate_jackets(g))
+    degree = sum(j.genus for j in jackets)
+    d = len(g.colors)
+    n_comp = len(connected_components(g))
+    p, rem = divmod(len(g.vertices), 2)
+    if rem:
+        raise GraphError("odd vertex count in a closed bipartite graph")
+    faces = len({b.key for j in jackets for b in j.faces})
+    face_deg = Fraction(factorial(d - 2), 2) * (comb(d - 1, 2) * p + (d - 1) * n_comp - faces)
+    return DegreeReport(jackets, degree, face_deg, amplitude_exponent(d - 1, degree))
+
+
+def test_gurau_degree_counts_components_without_building_them(monkeypatch):
+    rng = random.Random(41)
+    graphs = [load_fixture(name) for name in CLOSED_FIXTURES]
+    graphs += [_random_closed(rng) for _ in range(500)]
+    graphs += [build_dipole(2), build_dipole(MAX_JACKET_COLORS + 1)]
+
+    def outcome(degree_of, g):
+        try:
+            return degree_of(g)
+        except GraphError as exc:
+            return str(exc)
+
+    expected = [outcome(_reference_gurau_degree, g) for g in graphs]
+    assert sum(isinstance(x, str) for x in expected) >= 3  # errors are compared too
+
+    def forbidden(g):
+        raise AssertionError("gurau_degree built component graphs")
+
+    monkeypatch.setattr(jackets_module, "connected_components", forbidden)
+    assert [outcome(gurau_degree, g) for g in graphs] == expected
 
 
 def test_degree_is_additive_for_m():
