@@ -23,6 +23,7 @@ row is its text line followed by its kv line(s).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -31,6 +32,7 @@ from .graphs import (
     ColoredGraph,
     GraphError,
     bubbles,
+    canonical_certificate,
     connected_components,
     export_dot,
     is_isomorphic,
@@ -157,6 +159,14 @@ def _parse_color_list(text: str) -> tuple[int, ...]:
         raise GraphError(f"bad color list {text!r} (expected e.g. 1,2)") from None
 
 
+def _parse_genera(text: str) -> list[int]:
+    """The genera of ``build l --genera``; empty parts are skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise GraphError(f"bad genus list {text!r} (expected e.g. 2,3)") from None
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -216,15 +226,16 @@ def _cmd_build(args):
     values = (args.genus, args.colors, args.base, args.boundaries_full, args.boundaries)
     params = {k: v for k, v in zip(("g", "d", "base", "b", "c"), values) if v is not None}
     if args.genera is not None:
-        params["genera"] = [int(part) for part in args.genera.split(",") if part]
+        params["genera"] = _parse_genera(args.genera)
     return build(args.family, **params)
 
 
 def _cmd_enumerate(args):
-    model = builtin_model(args.model)
-    rows = [_kv("count", len(enumerate_vacuum(model, args.k)))]
+    graphs = enumerate_vacuum(builtin_model(args.model), args.k)
+    rows = [_kv("count", len(graphs))]
     if args.dedup:
-        rows.append(_kv("distinct", len(enumerate_vacuum(model, args.k, dedup=True))))
+        distinct = {canonical_certificate(g) for g in graphs}
+        rows.append(_kv("distinct", len(distinct)))
     return rows, 0
 
 
@@ -410,7 +421,9 @@ _COMMANDS = (
 # -- parser and entry point -----------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``tgraph`` parser, built once per process from :data:`_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="tgraph",
         description="Analyze and build edge-colored bipartite graphs.",

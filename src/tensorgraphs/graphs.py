@@ -25,9 +25,9 @@ The header's ``D`` is at most :data:`MAX_D`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 WHITE = "w"
 BLACK = "b"
@@ -136,6 +136,11 @@ class ColoredGraph:
     read from files use contiguous colors (``1..D`` or ``0..D``), but
     intermediate values such as color-deleted subgraphs may live on an
     arbitrary subset.
+
+    The constructor rejects malformed input with a :class:`GraphError`
+    naming the first offender.  Operations in this package whose result is
+    valid whenever their input graphs are build it unchecked, through
+    :meth:`_trusted`.
     """
 
     __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_leg_at")
@@ -147,72 +152,91 @@ class ColoredGraph:
         edges: Iterable[Edge | tuple] = (),
         legs: Iterable[Leg | tuple] = (),
     ) -> None:
-        colors = tuple(sorted(colors))
-        if len(set(colors)) != len(colors):
-            raise GraphError("duplicate colors in color set")
-        if any(c < 0 for c in colors):
-            raise GraphError("colors must be non-negative integers")
-        self._colors = colors
+        colors = _checked_colors(colors)
+        color_set = set(colors)
+        parity = _checked_parity(vertices)
 
-        parity: dict[str, str] = {}
-        items = vertices.items() if isinstance(vertices, Mapping) else vertices
-        for label, p in items:
-            if label in parity:
-                raise GraphError(f"duplicate vertex label {label!r}")
-            if p not in (WHITE, BLACK):
-                raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
-            parity[label] = p
-        self._parity = parity
-
+        # Bulk checks only say whether something is wrong; _reject then
+        # replays the input in order, so the message names the first
+        # offender.  Doubled slots and legs on taken slots show up as
+        # collisions in the assembled indexes.
         edge_map: dict[str, Edge] = {}
-        slots: dict[tuple[str, int], Edge] = {}
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
-            if e.label in edge_map:
-                raise GraphError(f"duplicate edge label {e.label!r}")
-            if e.color not in self._colors:
-                raise GraphError(
-                    f"edge {e.label!r}: color {e.color} outside color set {self._colors}"
+            try:
+                fits = (
+                    e.label not in edge_map
+                    and e.color in color_set
+                    and parity.get(e.white) == WHITE
+                    and parity.get(e.black) == BLACK
                 )
-            for end, want in ((e.white, WHITE), (e.black, BLACK)):
-                if end not in parity:
-                    raise GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
-                if parity[end] != want:
-                    raise GraphError(
-                        f"edge {e.label!r}: vertex {end!r} is not {want!r}"
-                    )
-            for end in (e.white, e.black):
-                slot = (end, e.color)
-                if slot in slots:
-                    raise GraphError(
-                        f"duplicate color at vertex: color {e.color} at {end!r} "
-                        f"(edges {slots[slot].label!r} and {e.label!r})"
-                    )
-                slots[slot] = e
+            except TypeError:  # an unhashable color; the replay says which
+                fits = False
+            if not fits:
+                _reject(colors, parity, [*edge_map.values(), e], ())
             edge_map[e.label] = e
-        self._edges = edge_map
-        self._slots = slots
 
         leg_map: dict[str, Leg] = {}
-        leg_at: dict[str, Leg] = {}
         for item in legs:
             l = item if isinstance(item, Leg) else Leg(*item)
-            if l.label in leg_map:
-                raise GraphError(f"duplicate leg label {l.label!r}")
-            if 0 not in self._colors:
-                raise GraphError(f"leg {l.label!r}: color 0 not in color set")
-            if l.vertex not in parity:
-                raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
-            if (l.vertex, 0) in slots:
-                raise GraphError(
-                    f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
-                )
-            if l.vertex in leg_at:
-                raise GraphError(f"two legs at vertex {l.vertex!r}")
-            leg_at[l.vertex] = l
+            if l.label in leg_map or 0 not in color_set or l.vertex not in parity:
+                _reject(colors, parity, edge_map.values(), [*leg_map.values(), l])
             leg_map[l.label] = l
-        self._legs = leg_map
-        self._leg_at = leg_at
+
+        self._assemble(colors, parity, edge_map, leg_map)
+        slots = self._slots
+        if len(slots) != 2 * len(edge_map) or (
+            leg_map
+            and (
+                len(self._leg_at) != len(leg_map)
+                or any((v, 0) in slots for v in self._leg_at)
+            )
+        ):
+            _reject(colors, parity, edge_map.values(), leg_map.values())
+
+    def _assemble(
+        self,
+        colors: tuple[int, ...],
+        parity: dict[str, str],
+        edges: dict[str, Edge],
+        legs: dict[str, Leg],
+    ) -> None:
+        """Store the label-keyed parts and derive the slot and leg indexes.
+
+        The one storage path: the validating constructor ends here, and
+        :meth:`_trusted` comes here directly.  The graph takes ownership of
+        the dicts, so callers pass fresh ones.
+        """
+        slots: dict[tuple[str, int], Edge] = {}
+        for e in edges.values():
+            slots[e.white, e.color] = e
+            slots[e.black, e.color] = e
+        self._colors = colors
+        self._parity = parity
+        self._edges = edges
+        self._slots = slots
+        self._legs = legs
+        self._leg_at = {l.vertex: l for l in legs.values()}
+
+    @classmethod
+    def _trusted(
+        cls,
+        colors: tuple[int, ...],
+        parity: dict[str, str],
+        edges: dict[str, Edge],
+        legs: dict[str, Leg] | None = None,
+    ) -> "ColoredGraph":
+        """A graph from parts that already form one, built without checks.
+
+        For the outputs of internal operations that are valid whenever
+        their input graphs are: `colors` is a sorted tuple of distinct
+        non-negative colors, every edge and leg is keyed by its label and
+        fits `parity` and `colors`, and no slot is taken twice.  The dicts
+        must be fresh; the graph keeps them.
+        """
+        g = cls.__new__(cls)
+        g._assemble(colors, parity, edges, {} if legs is None else legs)
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -270,6 +294,98 @@ class ColoredGraph:
             f"ColoredGraph(colors={self._colors}, |V|={len(self._parity)}, "
             f"|E|={len(self._edges)}, legs={len(self._legs)})"
         )
+
+
+# -- construction checks ---------------------------------------------------
+
+
+def _checked_colors(colors: Iterable[int]) -> tuple[int, ...]:
+    """The color set as a sorted tuple; duplicates and negatives raise."""
+    colors = tuple(sorted(colors))
+    if len(set(colors)) != len(colors):
+        raise GraphError("duplicate colors in color set")
+    if any(c < 0 for c in colors):
+        raise GraphError("colors must be non-negative integers")
+    return colors
+
+
+def _checked_parity(
+    vertices: Mapping[str, str] | Iterable[tuple[str, str]],
+) -> dict[str, str]:
+    """A fresh vertex -> parity dict; a duplicate label or bad parity raises.
+
+    A dict or mapping proxy cannot repeat a label, so it is copied whole and
+    its parities counted; only a failed count walks it vertex by vertex.
+    """
+    if isinstance(vertices, (dict, MappingProxyType)):
+        parity = dict(vertices)
+        values = list(parity.values())
+        if values.count(WHITE) + values.count(BLACK) == len(values):
+            return parity
+    if isinstance(vertices, Mapping):
+        vertices = vertices.items()
+    parity = {}
+    for label, p in vertices:
+        if label in parity:
+            raise GraphError(f"duplicate vertex label {label!r}")
+        if p not in (WHITE, BLACK):
+            raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
+        parity[label] = p
+    return parity
+
+
+def _reject(
+    colors: tuple[int, ...],
+    parity: Mapping[str, str],
+    edges: Iterable[Edge],
+    legs: Iterable[Leg],
+) -> None:
+    """Raise for the first problem among `edges`, then `legs`, in order.
+
+    The constructor calls this once a bulk check has failed, with the
+    items read so far; it checks them one at a time, as they were given,
+    and returns only if none of them is at fault.
+    """
+    names: set[str] = set()
+    slots: dict[tuple[str, int], Edge] = {}
+    for e in edges:
+        if e.label in names:
+            raise GraphError(f"duplicate edge label {e.label!r}")
+        if e.color not in colors:
+            raise GraphError(
+                f"edge {e.label!r}: color {e.color} outside color set {colors}"
+            )
+        for end, want in ((e.white, WHITE), (e.black, BLACK)):
+            if end not in parity:
+                raise GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
+            if parity[end] != want:
+                raise GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
+        for end in (e.white, e.black):
+            slot = (end, e.color)
+            if slot in slots:
+                raise GraphError(
+                    f"duplicate color at vertex: color {e.color} at {end!r} "
+                    f"(edges {slots[slot].label!r} and {e.label!r})"
+                )
+            slots[slot] = e
+        names.add(e.label)
+    names = set()
+    legged: set[str] = set()
+    for l in legs:
+        if l.label in names:
+            raise GraphError(f"duplicate leg label {l.label!r}")
+        if 0 not in colors:
+            raise GraphError(f"leg {l.label!r}: color 0 not in color set")
+        if l.vertex not in parity:
+            raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
+        if (l.vertex, 0) in slots:
+            raise GraphError(
+                f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
+            )
+        if l.vertex in legged:
+            raise GraphError(f"two legs at vertex {l.vertex!r}")
+        legged.add(l.vertex)
+        names.add(l.label)
 
 
 # -- file format -----------------------------------------------------------
@@ -484,14 +600,16 @@ def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
     labels, nbrs = _slot_arrays(g, g.colors)
     orbits = _orbits(len(labels), nbrs)
     comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
-    edges: list[list[Edge]] = [[] for _ in orbits]
-    for e in g._edges.values():
-        edges[comp_of[e.white]].append(e)
-    legs: list[list[Leg]] = [[] for _ in orbits]
-    for l in g._legs.values():
-        legs[comp_of[l.vertex]].append(l)
+    edges: list[dict[str, Edge]] = [{} for _ in orbits]
+    for label, e in g._edges.items():
+        edges[comp_of[e.white]][label] = e
+    legs: list[dict[str, Leg]] = [{} for _ in orbits]
+    for label, l in g._legs.items():
+        legs[comp_of[l.vertex]][label] = l
     return [
-        ColoredGraph(g.colors, {labels[v]: g._parity[labels[v]] for v in orbit}, es, ls)
+        ColoredGraph._trusted(
+            g._colors, {labels[v]: g._parity[labels[v]] for v in orbit}, es, ls
+        )
         for orbit, es, ls in zip(orbits, edges, legs)
     ]
 
@@ -503,7 +621,7 @@ def amputate(g: ColoredGraph) -> ColoredGraph:
     """
     if not g.legs:
         raise GraphError("amputate: graph is closed (no legs)")
-    return ColoredGraph(g.colors, dict(g.vertices), g.edges.values())
+    return ColoredGraph._trusted(g._colors, dict(g._parity), dict(g._edges))
 
 
 def remove_color(g: ColoredGraph, c: int) -> ColoredGraph:
@@ -515,13 +633,11 @@ def remove_color(g: ColoredGraph, c: int) -> ColoredGraph:
     """
     if c not in g.colors:
         raise GraphError(f"color {c} outside color set {g.colors}")
-    new_colors = tuple(x for x in g.colors if x != c)
-    legs = () if c == 0 else tuple(g.legs.values())
-    return ColoredGraph(
-        new_colors,
-        dict(g.vertices),
-        [e for e in g.edges.values() if e.color != c],
-        legs,
+    return ColoredGraph._trusted(
+        tuple(x for x in g._colors if x != c),
+        dict(g._parity),
+        {label: e for label, e in g._edges.items() if e.color != c},
+        {} if c == 0 else dict(g._legs),
     )
 
 
@@ -551,11 +667,16 @@ def relabel(
 
 def add_prefix(g: ColoredGraph, prefix: str) -> ColoredGraph:
     """Prefix every vertex, edge and leg label (namespacing for sums)."""
-    return relabel(
-        g,
-        {v: prefix + v for v in g.vertices},
-        {e: prefix + e for e in g.edges},
-        {l: prefix + l for l in g.legs},
+    edges = {}
+    for label, e in g._edges.items():
+        label = prefix + label
+        edges[label] = Edge(label, e.color, prefix + e.white, prefix + e.black)
+    legs = {}
+    for label, l in g._legs.items():
+        label = prefix + label
+        legs[label] = Leg(label, prefix + l.vertex)
+    return ColoredGraph._trusted(
+        g._colors, {prefix + v: p for v, p in g._parity.items()}, edges, legs
     )
 
 
@@ -570,11 +691,14 @@ def recolor(g: ColoredGraph, color_map: Mapping[int, int]) -> ColoredGraph:
         raise GraphError("recoloring is not injective on the color set")
     if g.legs and cmap.get(0, 0) != 0:
         raise GraphError("cannot move color 0 of a graph with legs")
-    return ColoredGraph(
-        sorted(cmap.values()),
-        dict(g.vertices),
-        [Edge(e.label, cmap[e.color], e.white, e.black) for e in g.edges.values()],
-        tuple(g.legs.values()),
+    return ColoredGraph._trusted(
+        _checked_colors(cmap.values()),
+        dict(g._parity),
+        {
+            label: Edge(label, cmap[e.color], e.white, e.black)
+            for label, e in g._edges.items()
+        },
+        dict(g._legs),
     )
 
 
@@ -600,11 +724,11 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
     if a.colors != b.colors:
         raise GraphError(f"color sets differ: {a.colors} vs {b.colors}")
     a, b, _, _ = _namespace_pair(a, b)
-    return ColoredGraph(
-        a.colors,
-        {**a.vertices, **b.vertices},
-        list(a.edges.values()) + list(b.edges.values()),
-        list(a.legs.values()) + list(b.legs.values()),
+    return ColoredGraph._trusted(
+        a._colors,
+        {**a._parity, **b._parity},
+        {**a._edges, **b._edges},
+        {**a._legs, **b._legs},
     )
 
 

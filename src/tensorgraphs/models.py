@@ -242,10 +242,10 @@ def enumerate_vacuum(
     for combo in itertools.combinations_with_replacement(range(len(model.upsilon)), k):
         pieces = [add_prefix(model.upsilon[t], f"x{i}.") for i, t in enumerate(combo)]
         vertices: dict[str, str] = {}
-        edges: list[Edge] = []
+        edges: dict[str, Edge] = {}
         for piece in pieces:
             vertices.update(piece.vertices)
-            edges.extend(piece.edges.values())
+            edges.update(piece.edges)
         whites = sorted(v for v, p in vertices.items() if p == "w")
         blacks = sorted(v for v, p in vertices.items() if p == "b")
         if len(whites) > _MAX_MATCHING_WHITES:
@@ -254,12 +254,12 @@ def enumerate_vacuum(
                 f"({_MAX_MATCHING_WHITES}); k is too large for this model"
             )
         colors = (0,) + tuple(range(1, model.rank + 1))
+        zeros = [f"z{j}" for j in range(len(whites))]
         for matching in itertools.permutations(range(len(blacks))):
-            zero_edges = [
-                Edge(f"z{j}", 0, whites[j], blacks[matching[j]])
-                for j in range(len(whites))
-            ]
-            out.append(ColoredGraph(colors, vertices, edges + zero_edges))
+            contraction = dict(edges)
+            for j, label in enumerate(zeros):
+                contraction[label] = Edge(label, 0, whites[j], blacks[matching[j]])
+            out.append(ColoredGraph._trusted(colors, dict(vertices), contraction))
     if dedup:
         seen = set()
         unique = []
@@ -448,11 +448,11 @@ def _swap_bubble_colors(g: ColoredGraph, bubble: Bubble) -> ColoredGraph:
     """Swap colors 1 <-> 2 on the edges of one (1,2)-bubble of g."""
     swap = {1: 2, 2: 1}
     target = set(bubble.edges)
-    edges = [
-        Edge(e.label, swap[e.color], e.white, e.black) if e.label in target else e
-        for e in g.edges.values()
-    ]
-    return ColoredGraph(g.colors, dict(g.vertices), edges, g.legs.values())
+    edges = {
+        label: Edge(label, swap[e.color], e.white, e.black) if label in target else e
+        for label, e in g._edges.items()
+    }
+    return ColoredGraph._trusted(g._colors, dict(g._parity), edges, dict(g._legs))
 
 
 def _chain(

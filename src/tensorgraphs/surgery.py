@@ -20,7 +20,7 @@ makes the path tracing deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Container, Sequence
 
 from .graphs import (
     ColoredGraph,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-def _fresh(label: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def _fresh(label: str, taken: Container[str]) -> str:
     while label in taken:
         label += "'"
     return label
@@ -69,19 +68,14 @@ def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGr
     ea, fb = a2.edges[e2], b2.edges[f2]
     if ea.color != fb.color:
         raise GraphError(f"edge colors differ: {ea.color} vs {fb.color}")
-    edges = [x for x in a2.edges.values() if x.label != e2]
-    edges += [x for x in b2.edges.values() if x.label != f2]
-    taken = {x.label for x in edges}
-    e_new = _fresh(e2 + "'", taken)
-    taken.add(e_new)
-    f_new = _fresh(f2 + "'", taken)
-    edges.append(Edge(e_new, ea.color, ea.white, fb.black))
-    edges.append(Edge(f_new, fb.color, fb.white, ea.black))
-    return ColoredGraph(
-        a2.colors,
-        {**a2.vertices, **b2.vertices},
-        edges,
-        list(a2.legs.values()) + list(b2.legs.values()),
+    edges = {label: x for label, x in a2._edges.items() if label != e2}
+    edges.update((label, x) for label, x in b2._edges.items() if label != f2)
+    e_new = _fresh(e2 + "'", edges)
+    edges[e_new] = Edge(e_new, ea.color, ea.white, fb.black)
+    f_new = _fresh(f2 + "'", edges)
+    edges[f_new] = Edge(f_new, fb.color, fb.white, ea.black)
+    return ColoredGraph._trusted(
+        a2._colors, {**a2._parity, **b2._parity}, edges, {**a2._legs, **b2._legs}
     )
 
 
@@ -102,20 +96,22 @@ def crys_sum(a: ColoredGraph, p: str, b: ColoredGraph, q: str) -> ColoredGraph:
         raise GraphError(f"{q!r} is not a black vertex of the second summand")
     a2, b2, pa, pb = _namespace_pair(a, b)
     p2, q2 = pa + p, pb + q
-    edges = [x for x in a2.edges.values() if p2 not in (x.white, x.black)]
-    edges += [x for x in b2.edges.values() if q2 not in (x.white, x.black)]
-    taken = {x.label for x in edges}
+    edges = {
+        label: x for label, x in a2._edges.items() if p2 not in (x.white, x.black)
+    }
+    edges.update(
+        (label, x) for label, x in b2._edges.items() if q2 not in (x.white, x.black)
+    )
     for c in a2.colors:
         ea = a2.edge_at(p2, c)
         eb = b2.edge_at(q2, c)
         if ea is None or eb is None:
             raise GraphError(f"missing color {c} at {p2!r} or {q2!r}")
-        label = _fresh(f"{ea.label}~{eb.label}", taken)
-        taken.add(label)
-        edges.append(Edge(label, c, eb.white, ea.black))
-    vertices = {v: par for v, par in a2.vertices.items() if v != p2}
-    vertices.update((v, par) for v, par in b2.vertices.items() if v != q2)
-    return ColoredGraph(a2.colors, vertices, edges)
+        label = _fresh(f"{ea.label}~{eb.label}", edges)
+        edges[label] = Edge(label, c, eb.white, ea.black)
+    vertices = {v: par for v, par in a2._parity.items() if v != p2}
+    vertices.update((v, par) for v, par in b2._parity.items() if v != q2)
+    return ColoredGraph._trusted(a2._colors, vertices, edges)
 
 
 def open_edge(g: ColoredGraph, e: str) -> ColoredGraph:
@@ -125,15 +121,15 @@ def open_edge(g: ColoredGraph, e: str) -> ColoredGraph:
     edge = g.edges[e]
     if edge.color != 0:
         raise GraphError(f"edge {e!r} has color {edge.color}, not 0")
-    taken = set(g.legs)
-    lw = _fresh(f"{e}.w", taken)
-    taken.add(lw)
-    lb = _fresh(f"{e}.b", taken)
-    legs = list(g.legs.values()) + [Leg(lw, edge.white), Leg(lb, edge.black)]
-    return ColoredGraph(
-        g.colors,
-        dict(g.vertices),
-        [x for x in g.edges.values() if x.label != e],
+    legs = dict(g._legs)
+    lw = _fresh(f"{e}.w", legs)
+    legs[lw] = Leg(lw, edge.white)
+    lb = _fresh(f"{e}.b", legs)
+    legs[lb] = Leg(lb, edge.black)
+    return ColoredGraph._trusted(
+        g._colors,
+        dict(g._parity),
+        {label: x for label, x in g._edges.items() if label != e},
         legs,
     )
 
@@ -148,12 +144,14 @@ def close_legs(g: ColoredGraph, l1: str, l2: str) -> ColoredGraph:
     if p1 == p2:
         raise GraphError(f"legs {l1!r} and {l2!r} sit on same-parity vertices")
     white, black = (v1, v2) if p1 == "w" else (v2, v1)
-    label = _fresh(f"{l1}~{l2}", g.edges)
-    return ColoredGraph(
-        g.colors,
-        dict(g.vertices),
-        list(g.edges.values()) + [Edge(label, 0, white, black)],
-        [x for x in g.legs.values() if x.label not in (l1, l2)],
+    edges = dict(g._edges)
+    label = _fresh(f"{l1}~{l2}", edges)
+    edges[label] = Edge(label, 0, white, black)
+    return ColoredGraph._trusted(
+        g._colors,
+        dict(g._parity),
+        edges,
+        {x: leg for x, leg in g._legs.items() if x not in (l1, l2)},
     )
 
 
@@ -167,11 +165,11 @@ def cone(b: ColoredGraph) -> ColoredGraph:
         raise GraphError("cone requires a closed graph")
     if 0 in b.colors:
         raise GraphError("cone input must not use color 0")
-    return ColoredGraph(
-        (0,) + b.colors,
-        dict(b.vertices),
-        b.edges.values(),
-        [Leg(f"{v}'", v) for v in sorted(b.vertices)],
+    return ColoredGraph._trusted(
+        (0,) + b._colors,
+        dict(b._parity),
+        dict(b._edges),
+        {f"{v}'": Leg(f"{v}'", v) for v in sorted(b._parity)},
     )
 
 

@@ -12,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import jackets as jackets_module
-from tensorgraphs.graphs import MAX_D, bubbles, is_isomorphic, parse, serialize
+from tensorgraphs.graphs import MAX_D, GraphError, bubbles, is_isomorphic, parse, serialize
 from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
-from tensorgraphs.models import MAX_FAMILY_PARAMETER, build_dipole
+from tensorgraphs.models import (
+    MAX_FAMILY_PARAMETER,
+    build_dipole,
+    builtin_model,
+    enumerate_vacuum,
+)
 
 from conftest import FIXTURES, ROOT, fixture_text, run_cli
 
@@ -265,6 +270,21 @@ def test_enumerate_counts():
     assert (code, out) == (0, "count = 144\ndistinct = 54\n")
 
 
+@pytest.mark.parametrize("model", ["phi4-matrix", "phi4-rank3", "matrix-2p:2", "matrix-2p:3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_enumerate_dedup_counts_match_the_library(model, k):
+    # The command builds the raw list once and counts its distinct
+    # certificates; the library's dedup list must have that many graphs.
+    argv = ["enumerate", "--model", model, "-k", str(k), "--dedup", "--format", "kv"]
+    try:
+        count = len(enumerate_vacuum(builtin_model(model), k))
+        distinct = len(enumerate_vacuum(builtin_model(model), k, dedup=True))
+    except GraphError as exc:
+        assert run_cli(argv) == (1, "", f"error: {exc}\n")
+        return
+    assert run_cli(argv) == (0, f"count={count}\ndistinct={distinct}\n", "")
+
+
 # ------------------------------------------------------------- builders
 
 def test_build_is_deterministic():
@@ -278,6 +298,13 @@ def test_build_matches_fixture_bytes():
     code, out, _ = run_cli(["build", "l", "--genera", "2,3"])
     assert code == 0
     assert out == fixture_text("l-2-3.cg")
+
+
+@pytest.mark.parametrize("genera", ["x", "1,,x", "1.5"])
+def test_build_l_rejects_a_bad_genus_list(genera):
+    code, out, err = run_cli(["build", "l", "--genera", genera])
+    assert (code, out) == (1, "")
+    assert err == f"error: bad genus list {genera!r} (expected e.g. 2,3)\n"
 
 
 def test_build_unknown_family():
@@ -654,6 +681,16 @@ def test_parser_structure_is_pinned():
     for got, want in zip(commands, PARSER_COMMANDS):
         assert got == want
     assert cli_module.__all__ == ["main"]
+
+
+def test_parser_is_built_once_and_reused():
+    assert cli_module._build_parser() is cli_module._build_parser()
+    report = run_cli(["report", fx("necklace.cg")])
+    assert report[0] == 0
+    assert run_cli(["report"])[0] == 2
+    code, _, err = run_cli(["open", fx("necklace.cg"), "nope"])
+    assert (code, err) == (1, "error: no edge 'nope'\n")
+    assert run_cli(["report", fx("necklace.cg")]) == report
 
 
 def test_readme_lists_every_command_with_its_help():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from tensorgraphs.graphs import (
     Edge,
     GraphError,
     IsoResult,
+    Leg,
     _component_certs,
     _orbits,
     add_prefix,
@@ -35,8 +38,21 @@ from tensorgraphs.graphs import (
     serialize,
     validate,
 )
-from tensorgraphs.models import build_cg, build_dipole, build_necklace, build_r1
-from tensorgraphs.surgery import connected_sum
+from tensorgraphs.models import (
+    _swap_bubble_colors,
+    build_cg,
+    build_dipole,
+    build_kg,
+    build_l,
+    build_n,
+    build_necklace,
+    build_o,
+    build_qgbc,
+    build_r1,
+    builtin_model,
+    enumerate_vacuum,
+)
+from tensorgraphs.surgery import close_legs, cone, connected_sum, crys_sum, open_edge
 
 from conftest import (
     CLOSED_FIXTURES,
@@ -418,10 +434,11 @@ def _partial_graph(colors, parities, matchings, legs):
     return ColoredGraph(colors, verts, edges, leg_list)
 
 
-def _random_graph(rng):
+def _random_graph(rng, colors=None):
     """Open or closed, irregular, on 1-5 colors, usually disconnected."""
-    d = rng.randint(1, 5)
-    colors = tuple(range(d + 1)) if rng.random() < 0.4 else tuple(range(1, d + 1))
+    if colors is None:
+        d = rng.randint(1, 5)
+        colors = tuple(range(d + 1)) if rng.random() < 0.4 else tuple(range(1, d + 1))
     n = rng.randint(0, 12)
     parities = [rng.choice("wb") for _ in range(n)]
     whites = [i for i, p in enumerate(parities) if p == "w"]
@@ -779,3 +796,513 @@ def test_graph_is_immutable():
 def test_constructor_rejects_bad_parity_tag():
     with pytest.raises(GraphError):
         ColoredGraph((1,), {"a": "white"}, [])
+
+
+# ------------------------------------------- constructor vs. reference
+#
+# The constructor checks in bulk and composes a message only once a check
+# has failed.  The reference below is the one-item-at-a-time constructor it
+# replaced: on every input, valid or not, both must raise the same first
+# message or build the same five dicts, insertion order included.
+
+
+def _reference_construct(colors, vertices, edges, legs):
+    colors = tuple(sorted(colors))
+    if len(set(colors)) != len(colors):
+        raise GraphError("duplicate colors in color set")
+    if any(c < 0 for c in colors):
+        raise GraphError("colors must be non-negative integers")
+    parity = {}
+    items = vertices.items() if isinstance(vertices, Mapping) else vertices
+    for label, p in items:
+        if label in parity:
+            raise GraphError(f"duplicate vertex label {label!r}")
+        if p not in (WHITE, "b"):
+            raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
+        parity[label] = p
+    edge_map, slots = {}, {}
+    for item in edges:
+        e = item if isinstance(item, Edge) else Edge(*item)
+        if e.label in edge_map:
+            raise GraphError(f"duplicate edge label {e.label!r}")
+        if e.color not in colors:
+            raise GraphError(
+                f"edge {e.label!r}: color {e.color} outside color set {colors}"
+            )
+        for end, want in ((e.white, WHITE), (e.black, "b")):
+            if end not in parity:
+                raise GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
+            if parity[end] != want:
+                raise GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
+        for end in (e.white, e.black):
+            slot = (end, e.color)
+            if slot in slots:
+                raise GraphError(
+                    f"duplicate color at vertex: color {e.color} at {end!r} "
+                    f"(edges {slots[slot].label!r} and {e.label!r})"
+                )
+            slots[slot] = e
+        edge_map[e.label] = e
+    leg_map, leg_at = {}, {}
+    for item in legs:
+        l = item if isinstance(item, Leg) else Leg(*item)
+        if l.label in leg_map:
+            raise GraphError(f"duplicate leg label {l.label!r}")
+        if 0 not in colors:
+            raise GraphError(f"leg {l.label!r}: color 0 not in color set")
+        if l.vertex not in parity:
+            raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
+        if (l.vertex, 0) in slots:
+            raise GraphError(
+                f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
+            )
+        if l.vertex in leg_at:
+            raise GraphError(f"two legs at vertex {l.vertex!r}")
+        leg_at[l.vertex] = l
+        leg_map[l.label] = l
+    return colors, *(list(d.items()) for d in (parity, edge_map, slots, leg_map, leg_at))
+
+
+def _state(g):
+    """Everything a graph stores, with the insertion order of every dict."""
+    dicts = (g._parity, g._edges, g._slots, g._legs, g._leg_at)
+    return g._colors, *(list(d.items()) for d in dicts)
+
+
+def _outcome(build, *args):
+    try:
+        result = build(*args)
+    except GraphError as exc:
+        return "error", str(exc)
+    return "ok", result if isinstance(result, tuple) else _state(result)
+
+
+class _PlainMapping(Mapping):
+    """A Mapping that is neither a dict nor a mapping proxy."""
+
+    def __init__(self, pairs):
+        self._data = dict(pairs)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+_VERTEX_FORMS = (list, dict, lambda pairs: MappingProxyType(dict(pairs)), _PlainMapping)
+
+
+def assert_constructor_matches_reference(colors, vertices, edges, legs):
+    """Same first message or same dicts, for every form of the vertices.
+
+    Returns the reference outcome for the vertices as given (a list of
+    pairs, the only form that can repeat a label).
+    """
+    outcomes = []
+    for form in _VERTEX_FORMS:
+        new = _outcome(ColoredGraph, colors, form(vertices), edges, legs)
+        ref = _outcome(_reference_construct, colors, form(vertices), edges, legs)
+        assert new == ref
+        outcomes.append(ref)
+    return outcomes[0]
+
+
+def _parts(g, rng):
+    """Colors, vertex pairs, edges (tuples or Edge) and legs of g, shuffled."""
+    vertices = list(g.vertices.items())
+    edges = [
+        e if rng.random() < 0.5 else (e.label, e.color, e.white, e.black)
+        for e in g.edges.values()
+    ]
+    legs = [l if rng.random() < 0.5 else (l.label, l.vertex) for l in g.legs.values()]
+    for part in (vertices, edges, legs):
+        rng.shuffle(part)
+    return list(g.colors), vertices, edges, legs
+
+
+def _insert(rng, items, item):
+    items.insert(rng.randint(0, len(items)), item)
+
+
+def _mutate(rng, colors, vertices, edges, legs):
+    """Apply one random defect; the defects cover every constructor check."""
+    names = [v for v, _ in vertices]
+    whites = [v for v, p in vertices if p == WHITE]
+    blacks = [v for v, p in vertices if p != WHITE]
+    edge_objs = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+    kind = rng.randrange(15)
+    if kind == 0 and colors:
+        colors.append(rng.choice(colors))
+    elif kind == 1:
+        colors.append(-rng.randint(1, 3))
+    elif kind == 2 and vertices:
+        _insert(rng, vertices, (rng.choice(names), rng.choice("wb")))
+    elif kind == 3 and vertices:
+        i = rng.randrange(len(vertices))
+        vertices[i] = (vertices[i][0], rng.choice(["white", "B", "", None]))
+    elif kind == 4 and colors and whites:
+        _insert(rng, edges, ("new", rng.choice(colors), rng.choice(whites), "nowhere"))
+    elif kind == 5 and colors and blacks:
+        _insert(rng, edges, ("new", rng.choice(colors), "nowhere", rng.choice(blacks)))
+    elif kind == 6 and edges:
+        i = rng.randrange(len(edges))
+        e = edge_objs[i]
+        edges[i] = (e.label, e.color, e.black, e.white)
+    elif kind == 7 and whites and blacks:
+        _insert(rng, edges, ("new", max(colors, default=0) + 1, whites[0], blacks[0]))
+    elif kind == 8 and len(edges) > 1:
+        i, j = rng.sample(range(len(edges)), 2)
+        e = edge_objs[i]
+        edges[i] = (edge_objs[j].label, e.color, e.white, e.black)
+    elif kind == 9 and edges and blacks:
+        e = rng.choice(edge_objs)
+        _insert(rng, edges, ("dbl", e.color, e.white, rng.choice(blacks)))
+    elif kind == 10 and 0 in colors and legs:
+        colors.remove(0)
+    elif kind == 11:
+        _insert(rng, legs, ("lost", "nowhere"))
+    elif kind == 12 and any(e.color == 0 for e in edge_objs):
+        e = rng.choice([e for e in edge_objs if e.color == 0])
+        _insert(rng, legs, ("onedge", rng.choice((e.white, e.black))))
+    elif kind == 13 and legs:
+        l = rng.choice(legs)
+        _insert(rng, legs, ("twice", l[1] if isinstance(l, tuple) else l.vertex))
+    elif kind == 14 and legs and names:
+        l = rng.choice(legs)
+        _insert(rng, legs, (l[0] if isinstance(l, tuple) else l.label, rng.choice(names)))
+
+
+# The first words of every constructor message, so a run can show that it
+# met each check.
+_MESSAGE_KINDS = (
+    "duplicate colors", "colors must be", "duplicate vertex", "parity must",
+    "duplicate edge", "outside color set", "unknown vertex", "is not",
+    "duplicate color at", "color 0 not", "already has", "two legs", "duplicate leg",
+)
+
+
+def test_constructor_matches_reference_on_seeded_inputs():
+    rng = random.Random(2016)
+    met = set()
+    valid = 0
+    for _ in range(600):
+        parts = _parts(_random_graph(rng), rng)
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            _mutate(rng, *parts)
+        kind, result = assert_constructor_matches_reference(*parts)
+        if kind == "ok":
+            valid += 1
+        else:
+            met.update(k for k in _MESSAGE_KINDS if k in result)
+    assert valid >= 150
+    assert met == set(_MESSAGE_KINDS)
+
+
+@given(small_graphs(), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
+    parts = _parts(g, rng)
+    for _ in range(defects):
+        _mutate(rng, *parts)
+    assert_constructor_matches_reference(*parts)
+
+
+@pytest.mark.parametrize(
+    "colors,vertices,edges,legs",
+    [
+        ((1, 1), [("a", "w")], [], []),
+        ((2, -1), [("a", "w")], [], []),
+        ((1,), [("a", "w"), ("a", "w")], [], []),
+        ((1,), [("a", "w"), ("b", "x"), ("b", "w")], [], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 1, "a", "b"), ("e", 1, "a", "b")], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 1, "a", "zz")], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 1, "b", "a")], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 2, "a", "b")], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", [1], "a", "b")], []),
+        ((1,), [("a", "w"), ("b", "b"), ("c", "b")],
+         [("e", 1, "a", "b"), ("f", 1, "a", "c"), ("g", 1, "q", "c")], []),
+        ((1,), [("a", "w")], [], [("l", "a")]),
+        ((0, 1), [("a", "w")], [], [("l", "zz")]),
+        ((0, 1), [("a", "w"), ("b", "b")], [("z", 0, "a", "b")], [("l", "a")]),
+        ((0, 1), [("a", "w")], [], [("l", "a"), ("k", "a")]),
+        ((0, 1), [("a", "w"), ("b", "b")], [], [("l", "a"), ("l", "b")]),
+        ((0, 1), [("a", "w"), ("b", "b"), ("c", "b")],
+         [("z", 0, "a", "b"), ("y", 0, "a", "c")], [("l", "zz")]),
+        ((0, 1), [("a", "w"), ("b", "b")], [("z", 0, "a", "b")],
+         [("l", "b"), ("k", "b"), ("m", "zz")]),
+    ],
+    ids=[
+        "duplicate-colors", "negative-color", "duplicate-vertex", "bad-parity-first",
+        "duplicate-edge", "unknown-end", "swapped-ends", "color-outside-set",
+        "unhashable-color", "doubled-slot-before-unknown-end", "leg-without-color-0",
+        "leg-on-unknown-vertex", "leg-on-color-0-edge", "two-legs-on-one-vertex",
+        "duplicate-leg", "doubled-slot-before-bad-leg", "leg-on-edge-before-unknown",
+    ],
+)
+def test_constructor_matches_reference_on_named_defects(colors, vertices, edges, legs):
+    kind, message = assert_constructor_matches_reference(colors, vertices, edges, legs)
+    assert kind == "error" and message
+
+
+# ----------------------------------- trusted assembly vs. validating rebuild
+#
+# Operations whose output is valid whenever their input graphs are skip the
+# constructor's checks.  Each output must equal the graph the validating
+# constructor builds from its public parts, insertion order included, and
+# must own its dicts.  It must also equal the output of the operation as it
+# was written before it skipped the checks: the references below, which
+# build through the validating constructor.
+
+
+def _dicts(g):
+    return (g._parity, g._edges, g._slots, g._legs, g._leg_at)
+
+
+def assert_rebuilds(out, *inputs):
+    rebuilt = ColoredGraph(out.colors, out.vertices, out.edges.values(), out.legs.values())
+    assert _state(out) == _state(rebuilt)
+    shared = {id(d) for g in inputs for d in _dicts(g)}
+    assert shared.isdisjoint(id(d) for d in _dicts(out))
+
+
+def _ref_fresh(label, taken):
+    taken = set(taken)
+    while label in taken:
+        label += "'"
+    return label
+
+
+def _ref_add_prefix(g, prefix):
+    return relabel(
+        g,
+        {v: prefix + v for v in g.vertices},
+        {e: prefix + e for e in g.edges},
+        {l: prefix + l for l in g.legs},
+    )
+
+
+def _ref_namespace(a, b):
+    if set(a.vertices) & set(b.vertices) or set(a.edges) & set(b.edges) or set(
+        a.legs
+    ) & set(b.legs):
+        return _ref_add_prefix(a, "l."), _ref_add_prefix(b, "r."), "l.", "r."
+    return a, b, "", ""
+
+
+def _ref_disjoint_union(a, b):
+    a, b, _, _ = _ref_namespace(a, b)
+    return ColoredGraph(
+        a.colors,
+        {**a.vertices, **b.vertices},
+        [*a.edges.values(), *b.edges.values()],
+        [*a.legs.values(), *b.legs.values()],
+    )
+
+
+def _ref_recolor(g, color_map):
+    cmap = {c: color_map.get(c, c) for c in g.colors}
+    edges = [Edge(e.label, cmap[e.color], e.white, e.black) for e in g.edges.values()]
+    return ColoredGraph(cmap.values(), g.vertices, edges, g.legs.values())
+
+
+def _ref_connected_sum(a, e, b, f):
+    a, b, pa, pb = _ref_namespace(a, b)
+    e, f = a.edges[pa + e], b.edges[pb + f]
+    edges = [x for x in a.edges.values() if x.label != e.label]
+    edges += [x for x in b.edges.values() if x.label != f.label]
+    e_new = _ref_fresh(e.label + "'", [x.label for x in edges])
+    f_new = _ref_fresh(f.label + "'", [x.label for x in edges] + [e_new])
+    edges += [Edge(e_new, e.color, e.white, f.black), Edge(f_new, f.color, f.white, e.black)]
+    return ColoredGraph(
+        a.colors, {**a.vertices, **b.vertices}, edges, [*a.legs.values(), *b.legs.values()]
+    )
+
+
+def _ref_crys_sum(a, p, b, q):
+    a, b, pa, pb = _ref_namespace(a, b)
+    p, q = pa + p, pb + q
+    edges = [x for x in a.edges.values() if p not in (x.white, x.black)]
+    edges += [x for x in b.edges.values() if q not in (x.white, x.black)]
+    for c in a.colors:
+        ea, eb = a.edge_at(p, c), b.edge_at(q, c)
+        label = _ref_fresh(f"{ea.label}~{eb.label}", [x.label for x in edges])
+        edges.append(Edge(label, c, eb.white, ea.black))
+    vertices = {v: x for v, x in a.vertices.items() if v != p}
+    vertices.update((v, x) for v, x in b.vertices.items() if v != q)
+    return ColoredGraph(a.colors, vertices, edges)
+
+
+def _ref_open_edge(g, e):
+    edge = g.edges[e]
+    lw = _ref_fresh(f"{e}.w", g.legs)
+    lb = _ref_fresh(f"{e}.b", [*g.legs, lw])
+    legs = [*g.legs.values(), Leg(lw, edge.white), Leg(lb, edge.black)]
+    edges = [x for x in g.edges.values() if x.label != e]
+    return ColoredGraph(g.colors, g.vertices, edges, legs)
+
+
+def _ref_close_legs(g, l1, l2):
+    v1, v2 = g.legs[l1].vertex, g.legs[l2].vertex
+    white, black = (v1, v2) if g.parity(v1) == "w" else (v2, v1)
+    edge = Edge(_ref_fresh(f"{l1}~{l2}", g.edges), 0, white, black)
+    legs = [x for x in g.legs.values() if x.label not in (l1, l2)]
+    return ColoredGraph(g.colors, g.vertices, [*g.edges.values(), edge], legs)
+
+
+def _ref_swap_bubble_colors(g, bubble):
+    swap = {1: 2, 2: 1}
+    edges = [
+        Edge(e.label, swap[e.color], e.white, e.black) if e.label in bubble.edges else e
+        for e in g.edges.values()
+    ]
+    return ColoredGraph(g.colors, g.vertices, edges, g.legs.values())
+
+
+def _ref_enumerate_vacuum(model, k):
+    out = []
+    for combo in itertools.combinations_with_replacement(range(len(model.upsilon)), k):
+        pieces = [_ref_add_prefix(model.upsilon[t], f"x{i}.") for i, t in enumerate(combo)]
+        vertices = {v: p for piece in pieces for v, p in piece.vertices.items()}
+        edges = [e for piece in pieces for e in piece.edges.values()]
+        whites = sorted(v for v, p in vertices.items() if p == "w")
+        blacks = sorted(v for v, p in vertices.items() if p == "b")
+        for matching in itertools.permutations(range(len(blacks))):
+            zero = [Edge(f"z{j}", 0, w, blacks[matching[j]]) for j, w in enumerate(whites)]
+            out.append(ColoredGraph((0, *range(1, model.rank + 1)), vertices, edges + zero))
+    return out
+
+
+# name -> (operation, reference); every operation that assembles unchecked.
+_TRUSTED_OPERATIONS = {
+    "add_prefix": (add_prefix, _ref_add_prefix),
+    "connected_components": (connected_components, _reference_components),
+    "amputate": (amputate, lambda g: ColoredGraph(g.colors, g.vertices, g.edges.values())),
+    "remove_color": (
+        remove_color,
+        lambda g, c: ColoredGraph(
+            [x for x in g.colors if x != c],
+            g.vertices,
+            [e for e in g.edges.values() if e.color != c],
+            () if c == 0 else g.legs.values(),
+        ),
+    ),
+    "disjoint_union": (disjoint_union, _ref_disjoint_union),
+    "recolor": (recolor, _ref_recolor),
+    "connected_sum": (connected_sum, _ref_connected_sum),
+    "crys_sum": (crys_sum, _ref_crys_sum),
+    "open_edge": (open_edge, _ref_open_edge),
+    "close_legs": (close_legs, _ref_close_legs),
+    "cone": (
+        cone,
+        lambda b: ColoredGraph(
+            (0, *b.colors), b.vertices, b.edges.values(),
+            [Leg(f"{v}'", v) for v in sorted(b.vertices)],
+        ),
+    ),
+    "swap_bubble_colors": (_swap_bubble_colors, _ref_swap_bubble_colors),
+}
+
+
+def _regular_graph(rng, colors):
+    """A closed graph with every slot filled: one perfect matching per color."""
+    n = rng.randint(1, 5)
+    verts = {f"w{i}": "w" for i in range(n)} | {f"b{i}": "b" for i in range(n)}
+    edges = []
+    for c in colors:
+        image = list(range(n))
+        rng.shuffle(image)
+        edges += [(f"e{c}.{i}", c, f"w{i}", f"b{j}") for i, j in enumerate(image)]
+    return ColoredGraph(colors, verts, edges)
+
+
+def _trusted_cases(rng):
+    """(operation name, arguments) for every trusted operation that applies
+    to one random graph and a partner on the same colors."""
+    g = _random_graph(rng)
+    h = g if rng.random() < 0.3 else _random_graph(rng, g.colors)
+    yield "add_prefix", (g, "p.")
+    yield "connected_components", (g,)
+    zeros = [e for e in g.edges if g.edges[e].color == 0]
+    opened = g
+    if zeros:
+        e = rng.choice(zeros)
+        yield "open_edge", (g, e)
+        opened = open_edge(g, e)
+    if opened.legs:
+        yield "amputate", (opened,)
+    yield "remove_color", (g, rng.choice(g.colors))
+    yield "disjoint_union", (g, h)
+    movable = [c for c in g.colors if not (g.legs and c == 0)]
+    image = movable[:]
+    rng.shuffle(image)
+    yield "recolor", (g, dict(zip(movable, image)))
+    pairs = [(e, f) for e in g.edges for f in h.edges if g.edges[e].color == h.edges[f].color]
+    if pairs:
+        e, f = rng.choice(pairs)
+        yield "connected_sum", (g, e, h, f)
+    a, b = _regular_graph(rng, g.colors), _regular_graph(rng, g.colors)
+    yield "crys_sum", (a, rng.choice(a.whites()), b, rng.choice(b.blacks()))
+    whites = [l for l, x in opened.legs.items() if opened.parity(x.vertex) == "w"]
+    blacks = [l for l, x in opened.legs.items() if opened.parity(x.vertex) == "b"]
+    if whites and blacks:
+        l1, l2 = rng.choice(whites), rng.choice(blacks)
+        yield "close_legs", (opened, l1, l2) if rng.random() < 0.5 else (opened, l2, l1)
+    yield "cone", (remove_color(amputate(g) if g.legs else g, 0) if 0 in g.colors else g,)
+    if {1, 2} <= set(g.colors):
+        for bubble in bubbles(g, (1, 2)):
+            yield "swap_bubble_colors", (g, bubble)
+
+
+def test_trusted_operations_match_rebuild_and_reference():
+    rng = random.Random(1604)
+    graphs = dict.fromkeys(_TRUSTED_OPERATIONS, 0)
+    for _ in range(1500):
+        applied = set()
+        for name, args in _trusted_cases(rng):
+            operation, reference = _TRUSTED_OPERATIONS[name]
+            out, ref = operation(*args), reference(*args)
+            outs, refs = (out, ref) if name == "connected_components" else ([out], [ref])
+            assert [_state(x) for x in outs] == [_state(x) for x in refs], name
+            inputs = [x for x in args if isinstance(x, ColoredGraph)]
+            for x in outs:
+                assert_rebuilds(x, *inputs)
+            applied.add(name)
+        for name in applied:
+            graphs[name] += 1
+        if min(graphs.values()) >= 300:
+            break
+    assert min(graphs.values()) >= 300, graphs
+
+
+@pytest.mark.parametrize(
+    "model,k",
+    [("phi4-matrix", 1), ("phi4-matrix", 2), ("phi4-matrix", 3), ("phi4-rank3", 1),
+     ("phi4-rank3", 2), ("matrix-2p:3", 1), ("matrix-2p:3", 2)],
+)
+def test_wick_contractions_match_rebuild_and_reference(model, k):
+    spec = builtin_model(model)
+    out = enumerate_vacuum(spec, k)
+    assert [_state(g) for g in out] == [_state(g) for g in _ref_enumerate_vacuum(spec, k)]
+    owned = set()
+    for g in out:
+        assert_rebuilds(g, *spec.upsilon)
+        ids = {id(d) for d in _dicts(g)}
+        assert owned.isdisjoint(ids)
+        owned |= ids
+
+
+def test_trusted_outputs_of_the_builders_rebuild():
+    for g in (build_o(), build_n(), build_qgbc(2, 1, 2), build_l([1, 0, 2]), build_kg(2)):
+        assert_rebuilds(g)
+
+
+def test_relabel_with_a_colliding_map_still_raises():
+    g = build_r1()
+    # p and q merge into one vertex, which then holds two color-1 edges
+    with pytest.raises(GraphError, match="color 1 at 'q' \\(edges 'e1' and 'f1'\\)"):
+        relabel(g, {"p": "q"})
+    with pytest.raises(GraphError, match="duplicate edge label 'e2'"):
+        relabel(g, edge_map={"e1": "e2"})
