@@ -13,11 +13,13 @@ block O and its sphere twin N, the genus-g chains Qg/Kg and their opened
 bordism versions Qgbc, the canonical genus-g boundary templates Cg, the
 filled graphs Tg with boundary Cg, separator-spliced chains L, and small
 fixture graphs (dipoles, the necklace, a 2-point chain, abstract ribbon
-examples).
+examples).  O and the chains Qg, Kg, Qgbc and L are each one splice of
+their blocks (``surgery._splice``), which equals the successive connected
+sums and openings without copying the growing chain at every step.
 
 Two constructions the literature leaves to figures are frozen here, no
 longer searched for at run time: the Tg gadget wiring (written out in
-:func:`_tg`) and O's four distinguished color-0 edges mu0, nu0, alpha0,
+:func:`build_tg`) and O's four distinguished color-0 edges mu0, nu0, alpha0,
 beta0 (``_O_EDGES``).  ``tests/test_models.py`` keeps the two searches that
 found them and checks that they still return the frozen answers.
 
@@ -41,6 +43,7 @@ from .graphs import (
     Edge,
     GraphError,
     Leg,
+    _component_certs,
     add_prefix,
     amputate,
     bubbles,
@@ -52,7 +55,7 @@ from .graphs import (
     remove_color,
 )
 from .ribbon import RibbonStructure
-from .surgery import cone, connected_sum, open_edge, separator_check
+from .surgery import _splice, cone, separator_check
 
 __all__ = [
     "MAX_FAMILY_PARAMETER",
@@ -116,6 +119,8 @@ class ModelSpec:
                 raise GraphError(f"vertex {label} has legs")
             if len(connected_components(v)) != 1:
                 raise GraphError(f"vertex {label} is not connected")
+            if 2 * len(v.whites()) != len(v):
+                raise GraphError(f"vertex {label} has unequal white and black counts")
 
 
 def _cycle_vertex(p: int) -> ColoredGraph:
@@ -204,20 +209,14 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
             f"graph colors {g.colors} do not match rank-{model.rank} model "
             f"(expected {expected})"
         )
-    inner = amputate(g) if g.is_open else g
-    stripped = remove_color(inner, 0)
-    entries = []
-    ok = True
-    for comp in connected_components(stripped):
-        match = None
-        for name, vertex in zip(model.vertex_names, model.upsilon):
-            if is_isomorphic(comp, vertex, "exact-colors"):
-                match = name
-                break
-        if match is None:
-            ok = False
-        entries.append((min(comp.vertices), match))
-    return MembershipReport(ok, tuple(entries))
+    stripped = remove_color(amputate(g) if g.is_open else g, 0)
+    names: dict[tuple, str] = {}
+    for name, vertex in zip(model.vertex_names, model.upsilon):
+        names.setdefault(_component_certs(vertex)[0][0], name)
+    entries = tuple(
+        (min(order), names.get(code)) for code, order in _component_certs(stripped)
+    )
+    return MembershipReport(all(m is not None for _, m in entries), entries)
 
 
 # -- Wick contraction ----------------------------------------------------------
@@ -287,48 +286,33 @@ def build_dipole(d: int = 3, base: int = 1) -> ColoredGraph:
     )
 
 
-def build_r1() -> ColoredGraph:
-    """The quartic-matrix 2-vertex contraction realizing the torus."""
+def _quartic_pair(beta0: str, gamma0: str, mu0: str) -> ColoredGraph:
+    """Two 4-cycle matrix vertices (p a q b, x c y d) joined by color 0.
+
+    R0 and R1 share alpha0 = (x, a); the three other color-0 edges are
+    given by their white and black ends.
+    """
+    table = (
+        ("e1", 1, "pa"), ("e2", 2, "qa"), ("f1", 1, "qb"), ("f2", 2, "pb"),
+        ("g1", 1, "xc"), ("g2", 2, "xd"), ("h1", 1, "yd"), ("h2", 2, "yc"),
+        ("alpha0", 0, "xa"), ("beta0", 0, beta0), ("gamma0", 0, gamma0),
+        ("mu0", 0, mu0),
+    )
     return ColoredGraph(
         (0, 1, 2),
-        {"p": "w", "q": "w", "x": "w", "y": "w", "a": "b", "b": "b", "c": "b", "d": "b"},
-        [
-            Edge("e1", 1, "p", "a"),
-            Edge("e2", 2, "q", "a"),
-            Edge("f1", 1, "q", "b"),
-            Edge("f2", 2, "p", "b"),
-            Edge("g1", 1, "x", "c"),
-            Edge("g2", 2, "x", "d"),
-            Edge("h1", 1, "y", "d"),
-            Edge("h2", 2, "y", "c"),
-            Edge("alpha0", 0, "x", "a"),
-            Edge("beta0", 0, "p", "d"),
-            Edge("gamma0", 0, "y", "b"),
-            Edge("mu0", 0, "q", "c"),
-        ],
+        dict.fromkeys("pqxy", "w") | dict.fromkeys("abcd", "b"),
+        [Edge(label, c, *ends) for label, c, ends in table],
     )
+
+
+def build_r1() -> ColoredGraph:
+    """The quartic-matrix 2-vertex contraction realizing the torus."""
+    return _quartic_pair("pd", "yb", "qc")
 
 
 def build_r0() -> ColoredGraph:
     """The quartic-matrix 2-vertex contraction realizing the sphere."""
-    return ColoredGraph(
-        (0, 1, 2),
-        {"p": "w", "q": "w", "x": "w", "y": "w", "a": "b", "b": "b", "c": "b", "d": "b"},
-        [
-            Edge("e1", 1, "p", "a"),
-            Edge("e2", 2, "q", "a"),
-            Edge("f1", 1, "q", "b"),
-            Edge("f2", 2, "p", "b"),
-            Edge("g1", 1, "x", "c"),
-            Edge("g2", 2, "x", "d"),
-            Edge("h1", 1, "y", "d"),
-            Edge("h2", 2, "y", "c"),
-            Edge("alpha0", 0, "x", "a"),
-            Edge("beta0", 0, "y", "b"),
-            Edge("gamma0", 0, "p", "c"),
-            Edge("mu0", 0, "q", "d"),
-        ],
-    )
+    return _quartic_pair("yb", "pc", "qd")
 
 
 def build_necklace(base: int = 0) -> ColoredGraph:
@@ -421,14 +405,10 @@ def build_ribbon_r() -> RibbonStructure:
 
 def _o_base() -> ColoredGraph:
     """(R0 # R1) # R0', summed along the alpha0 / beta0 color-0 edges."""
-    left = connected_sum(
-        add_prefix(build_r0(), "r0."),
-        "r0.alpha0",
-        add_prefix(build_r1(), "r1."),
-        "r1.alpha0",
-    )
-    return connected_sum(
-        left, "r1.beta0", add_prefix(build_r0(), "r0b."), "r0b.alpha0"
+    r0, r1 = build_r0(), build_r1()
+    return _splice(
+        (add_prefix(r0, "r0."), add_prefix(r1, "r1."), add_prefix(r0, "r0b.")),
+        (("r0.alpha0", "r1.alpha0"), ("r1.beta0", "r0b.alpha0")),
     )
 
 
@@ -456,19 +436,19 @@ def _swap_bubble_colors(g: ColoredGraph, bubble: Bubble) -> ColoredGraph:
 
 
 def _chain(
-    blocks: Sequence[ColoredGraph], left: str = "nu0", right: str = "mu0"
+    blocks: Sequence[ColoredGraph],
+    left: str = "nu0",
+    right: str = "mu0",
+    opens: Sequence[str] = (),
 ) -> ColoredGraph:
     """Connected-sum a row of blocks: the `left` edge of each block is summed
-    with the `right` edge of the next.  Block k is namespaced ``o<k>.``."""
-    s = add_prefix(blocks[0], "o1.")
-    for k in range(2, len(blocks) + 1):
-        s = connected_sum(
-            s,
-            f"o{k - 1}.{left}",
-            add_prefix(blocks[k - 1], f"o{k}."),
-            f"o{k}.{right}",
-        )
-    return s
+    with the `right` edge of the next, then the edges in `opens` are opened.
+    Block k is namespaced ``o<k>.``."""
+    return _splice(
+        [add_prefix(b, f"o{k}.") for k, b in enumerate(blocks, 1)],
+        [(f"o{k - 1}.{left}", f"o{k}.{right}") for k in range(2, len(blocks) + 1)],
+        opens,
+    )
 
 
 # O's distinguished color-0 edges, keyed by their labels in (R0 # R1) # R0'.
@@ -535,13 +515,11 @@ def build_qgbc(g: int, b: int = 0, c: int = 0) -> ColoredGraph:
     if m < 1:
         raise GraphError("qgbc needs max(g, C) >= 1")
     o, n = build_o(), build_n()
-    s = _chain(tuple(o if k <= g else n for k in range(1, m + 1)))
-    for k in range(1, m + 1):
-        if k <= b:
-            s = open_edge(open_edge(s, f"o{k}.alpha0"), f"o{k}.beta0")
-        elif k <= c:
-            s = open_edge(s, f"o{k}.alpha0")
-    return s
+    opened = [("alpha0", "beta0") if k <= b else ("alpha0",) for k in range(1, c + 1)]
+    return _chain(
+        [o if k <= g else n for k in range(1, m + 1)],
+        opens=[f"o{k}.{edge}" for k, edges in enumerate(opened, 1) for edge in edges],
+    )
 
 
 # -- the filled genus-g graphs Tg --------------------------------------------------
@@ -554,24 +532,28 @@ def _leg_fragment(crossing: int, leg_vertex: str) -> ColoredGraph:
     )
 
 
-def _tg(g: int) -> ColoredGraph:
-    """Tg with the frozen gadget wiring, one gadget per vertex of Cg.
+def build_tg(g: int) -> ColoredGraph:
+    """The open 4-colored graph filling Cg: boundary(Tg) = Cg.
 
-    White vertex w_i of Cg becomes gadget ``a<i>.`` (color 1 crossing, leg
-    at a) and black vertex b_i gadget ``m<i>.`` (color 2 crossing, leg at
-    p).  Each edge of Cg becomes a color-0 edge between free gadget
-    vertices: (w_i, b_i) of color 1 joins m<i>.b to a<i>.p, (w_i+1, b_i) of
-    color 2 joins m<i>.a to a<i+1>.q, and (w_i, b_i+g) of color 3 joins
-    a<i>.b to m<i+g>.q, indices mod 2g+1.  ``tests/test_models.py`` re-runs
-    the search that fixed this wiring.
+    Each vertex of Cg is replaced by a quartic rank-3 vertex with one leg:
+    white vertex w_i becomes gadget ``a<i>.`` (color 1 crossing, leg at a)
+    and black vertex b_i gadget ``m<i>.`` (color 2 crossing, leg at p).
+    Each edge of Cg becomes a color-0 edge between free gadget vertices:
+    (w_i, b_i) of color 1 joins m<i>.b to a<i>.p, (w_i+1, b_i) of color 2
+    joins m<i>.a to a<i+1>.q, and (w_i, b_i+g) of color 3 joins a<i>.b to
+    m<i+g>.q, indices mod 2g+1.  This wiring is frozen;
+    ``tests/test_models.py`` re-runs the search that found it.
     """
+    if g < 0:
+        raise GraphError("genus must be >= 0")
     n = 2 * g + 1
     vertices: dict[str, str] = {}
     edges: list[Edge] = []
     legs: list[Leg] = []
+    gadgets = _leg_fragment(1, "a"), _leg_fragment(2, "p")
     for i in range(n):
-        for prefix, crossing, leg_at in ((f"a{i}.", 1, "a"), (f"m{i}.", 2, "p")):
-            piece = add_prefix(_leg_fragment(crossing, leg_at), prefix)
+        for prefix, gadget in zip((f"a{i}.", f"m{i}."), gadgets):
+            piece = add_prefix(gadget, prefix)
             vertices.update(piece.vertices)
             edges.extend(piece.edges.values())
             legs.extend(piece.legs.values())
@@ -580,19 +562,6 @@ def _tg(g: int) -> ColoredGraph:
         edges.append(Edge(f"z2.{i}", 0, f"m{i}.a", f"a{(i + 1) % n}.q"))
         edges.append(Edge(f"z3.{i}", 0, f"a{i}.b", f"m{(i + g) % n}.q"))
     return ColoredGraph((0, 1, 2, 3), vertices, edges, legs)
-
-
-def build_tg(g: int) -> ColoredGraph:
-    """The open 4-colored graph filling Cg: boundary(Tg) = Cg.
-
-    Each vertex of Cg is replaced by a quartic rank-3 vertex with one leg;
-    the color-0 contractions between gadgets follow the edges of Cg.  The
-    gadget wiring is frozen (see :func:`_tg`); ``tests/test_models.py``
-    re-runs the search that found it.
-    """
-    if g < 0:
-        raise GraphError("genus must be >= 0")
-    return _tg(g)
 
 
 # -- separators and the multi-boundary chain L ------------------------------------
@@ -729,21 +698,13 @@ def build_m() -> ColoredGraph:
     return separator_m().graph
 
 
-def _first_internal_zero(g: ColoredGraph, prefix: str) -> str:
-    """First (sorted) color-0 edge in a namespace, skipping sum replacements."""
-    for label in sorted(g.edges):
-        e = g.edges[label]
-        if e.color == 0 and label.startswith(prefix) and not label.endswith("'"):
-            return label
-    raise GraphError(f"no internal color-0 edge with prefix {prefix!r}")
-
-
 def build_l(genera: Sequence[int]) -> ColoredGraph:
     """The multi-boundary chain T_g1 # P # T_g2 # P # ... # T_gb.
 
     Each separator P is spliced between consecutive T blocks along its two
     distinguished edges, so the boundary is the disjoint union of the Cg's.
-    A single genus gives T_g1 alone.
+    A T block meets each P at its first (by label) color-0 edge not yet
+    cut.  A single genus gives T_g1 alone.
     """
     genera = tuple(genera)
     if not genera:
@@ -751,17 +712,21 @@ def build_l(genera: Sequence[int]) -> ColoredGraph:
     if any(g < 0 for g in genera):
         raise GraphError("genera must be non-negative")
     sep = separator_p()
-    s = add_prefix(build_tg(genera[0]), "t1.")
-    for i in range(2, len(genera) + 1):
-        block = add_prefix(build_tg(genera[i - 1]), f"t{i}.")
-        pin = add_prefix(sep.graph, f"p{i}.")
-        s = connected_sum(
-            s, _first_internal_zero(s, f"t{i - 1}."), pin, f"p{i}.{sep.k}"
-        )
-        s = connected_sum(
-            s, f"p{i}.{sep.l}", block, _first_internal_zero(block, f"t{i}.")
-        )
-    return s
+    tg = {genus: build_tg(genus) for genus in set(genera)}
+    zeros = {
+        genus: sorted(label for label, e in t._edges.items() if e.color == 0)[:2]
+        for genus, t in tg.items()
+    }
+    blocks: list[ColoredGraph] = []
+    links: list[tuple[str, str]] = []
+    for i, genus in enumerate(genera, 1):
+        first, second = (f"t{i}.{label}" for label in zeros[genus])
+        if i > 1:
+            blocks.append(add_prefix(sep.graph, f"p{i}."))
+            links += [(free, f"p{i}.{sep.k}"), (f"p{i}.{sep.l}", first)]
+        blocks.append(add_prefix(tg[genus], f"t{i}."))
+        free = first if i == 1 else second
+    return _splice(blocks, links)
 
 
 # -- family registry ----------------------------------------------------------------

@@ -13,6 +13,10 @@ of opposite parity restores an edge.  The cone over a closed D-colored
 graph ``b`` is the open (D+1)-colored graph with one leg per vertex of
 ``b``; its boundary is ``b`` again.
 
+Sums along edges and openings share one routine, ``_splice``; it takes a
+whole row of blocks, so the chain families of :mod:`tensorgraphs.models`
+splice once instead of copying the growing chain at every sum.
+
 The boundary graph of an open graph has one vertex per leg and one color-c
 edge for each alternating (0, c)-path between legs; regularity of the input
 makes the path tracing deterministic.
@@ -50,6 +54,51 @@ def _fresh(label: str, taken: Container[str]) -> str:
     return label
 
 
+def _splice(
+    blocks: Sequence[ColoredGraph],
+    links: Sequence[tuple[str, str]] = (),
+    opens: Sequence[str] = (),
+) -> ColoredGraph:
+    """Sum a row of blocks and open edges, in one pass and one assembly.
+
+    The blocks share one color set and have disjoint labels.  Link
+    ``links[k - 1] = (e, f)`` joins edge e of an earlier block to edge f of
+    ``blocks[k]`` as :func:`connected_sum` does; each edge in `opens`, cut by
+    no link, becomes two legs as in :func:`open_edge`.  The result equals
+    those sums, then those openings, one after the other, insertion order
+    included: block k's uncut edges, then the two new edges of link k - 1;
+    the blocks' legs, then the opened ones.
+    """
+    cut = {label for link in links for label in link}
+    cut.update(opens)
+    gone: dict[str, Edge] = {}
+    parity: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    legs: dict[str, Leg] = {}
+    for k, block in enumerate(blocks):
+        parity.update(block._parity)
+        legs.update(block._legs)
+        for label, x in block._edges.items():
+            if label in cut:
+                gone[label] = x
+            else:
+                edges[label] = x
+        if k:
+            e, f = links[k - 1]
+            ea, fb = gone[e], gone[f]
+            e_new = _fresh(e + "'", edges)
+            edges[e_new] = Edge(e_new, ea.color, ea.white, fb.black)
+            f_new = _fresh(f + "'", edges)
+            edges[f_new] = Edge(f_new, fb.color, fb.white, ea.black)
+    for e in opens:
+        x = gone[e]
+        lw = _fresh(f"{e}.w", legs)
+        legs[lw] = Leg(lw, x.white)
+        lb = _fresh(f"{e}.b", legs)
+        legs[lb] = Leg(lb, x.black)
+    return ColoredGraph._trusted(blocks[0]._colors, parity, edges, legs)
+
+
 def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGraph:
     """Cut edge e of a and edge f of b (same color) and cross-rejoin.
 
@@ -65,18 +114,10 @@ def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGr
         raise GraphError(f"no edge {f!r} in the second summand")
     a2, b2, pa, pb = _namespace_pair(a, b)
     e2, f2 = pa + e, pb + f
-    ea, fb = a2.edges[e2], b2.edges[f2]
-    if ea.color != fb.color:
-        raise GraphError(f"edge colors differ: {ea.color} vs {fb.color}")
-    edges = {label: x for label, x in a2._edges.items() if label != e2}
-    edges.update((label, x) for label, x in b2._edges.items() if label != f2)
-    e_new = _fresh(e2 + "'", edges)
-    edges[e_new] = Edge(e_new, ea.color, ea.white, fb.black)
-    f_new = _fresh(f2 + "'", edges)
-    edges[f_new] = Edge(f_new, fb.color, fb.white, ea.black)
-    return ColoredGraph._trusted(
-        a2._colors, {**a2._parity, **b2._parity}, edges, {**a2._legs, **b2._legs}
-    )
+    ca, cb = a2.edges[e2].color, b2.edges[f2].color
+    if ca != cb:
+        raise GraphError(f"edge colors differ: {ca} vs {cb}")
+    return _splice((a2, b2), ((e2, f2),))
 
 
 def crys_sum(a: ColoredGraph, p: str, b: ColoredGraph, q: str) -> ColoredGraph:
@@ -121,17 +162,7 @@ def open_edge(g: ColoredGraph, e: str) -> ColoredGraph:
     edge = g.edges[e]
     if edge.color != 0:
         raise GraphError(f"edge {e!r} has color {edge.color}, not 0")
-    legs = dict(g._legs)
-    lw = _fresh(f"{e}.w", legs)
-    legs[lw] = Leg(lw, edge.white)
-    lb = _fresh(f"{e}.b", legs)
-    legs[lb] = Leg(lb, edge.black)
-    return ColoredGraph._trusted(
-        g._colors,
-        dict(g._parity),
-        {label: x for label, x in g._edges.items() if label != e},
-        legs,
-    )
+    return _splice((g,), (), (e,))
 
 
 def close_legs(g: ColoredGraph, l1: str, l2: str) -> ColoredGraph:

@@ -80,6 +80,12 @@ def load_ribbon_fixture(name: str) -> RibbonStructure:
     return parse_ribbon(fixture_text(name))
 
 
+def graph_state(g: ColoredGraph) -> tuple:
+    """Everything a graph stores, with the insertion order of every dict."""
+    dicts = (g._parity, g._edges, g._slots, g._legs, g._leg_at)
+    return g._colors, *(list(d.items()) for d in dicts)
+
+
 def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

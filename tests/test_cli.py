@@ -727,7 +727,9 @@ def mutated_fixture(draw):
         if op == "header" or not lines:
             d = draw(st.integers(MAX_JACKET_COLORS, MAX_D + 1))
             lines.insert(0, f"colors {d} {draw(st.sampled_from(('closed', 'open')))}")
-            if draw(st.booleans()):  # replace the old header, keep the body
+            # replace the old header, keep the body (a text whose lines were
+            # all dropped has no old header)
+            if len(lines) > 1 and draw(st.booleans()):
                 del lines[1]
             continue
         i = draw(st.integers(0, len(lines) - 1))

@@ -58,6 +58,7 @@ from conftest import (
     CLOSED_FIXTURES,
     OPEN_FIXTURES,
     fixture_text,
+    graph_state,
     load_fixture,
 )
 
@@ -863,18 +864,12 @@ def _reference_construct(colors, vertices, edges, legs):
     return colors, *(list(d.items()) for d in (parity, edge_map, slots, leg_map, leg_at))
 
 
-def _state(g):
-    """Everything a graph stores, with the insertion order of every dict."""
-    dicts = (g._parity, g._edges, g._slots, g._legs, g._leg_at)
-    return g._colors, *(list(d.items()) for d in dicts)
-
-
 def _outcome(build, *args):
     try:
         result = build(*args)
     except GraphError as exc:
         return "error", str(exc)
-    return "ok", result if isinstance(result, tuple) else _state(result)
+    return "ok", result if isinstance(result, tuple) else graph_state(result)
 
 
 class _PlainMapping(Mapping):
@@ -1063,7 +1058,7 @@ def _dicts(g):
 
 def assert_rebuilds(out, *inputs):
     rebuilt = ColoredGraph(out.colors, out.vertices, out.edges.values(), out.legs.values())
-    assert _state(out) == _state(rebuilt)
+    assert graph_state(out) == graph_state(rebuilt)
     shared = {id(d) for g in inputs for d in _dicts(g)}
     assert shared.isdisjoint(id(d) for d in _dicts(out))
 
@@ -1265,7 +1260,7 @@ def test_trusted_operations_match_rebuild_and_reference():
             operation, reference = _TRUSTED_OPERATIONS[name]
             out, ref = operation(*args), reference(*args)
             outs, refs = (out, ref) if name == "connected_components" else ([out], [ref])
-            assert [_state(x) for x in outs] == [_state(x) for x in refs], name
+            assert list(map(graph_state, outs)) == list(map(graph_state, refs)), name
             inputs = [x for x in args if isinstance(x, ColoredGraph)]
             for x in outs:
                 assert_rebuilds(x, *inputs)
@@ -1285,7 +1280,8 @@ def test_trusted_operations_match_rebuild_and_reference():
 def test_wick_contractions_match_rebuild_and_reference(model, k):
     spec = builtin_model(model)
     out = enumerate_vacuum(spec, k)
-    assert [_state(g) for g in out] == [_state(g) for g in _ref_enumerate_vacuum(spec, k)]
+    reference = _ref_enumerate_vacuum(spec, k)
+    assert list(map(graph_state, out)) == list(map(graph_state, reference))
     owned = set()
     for g in out:
         assert_rebuilds(g, *spec.upsilon)

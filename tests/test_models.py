@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -13,11 +14,13 @@ from tensorgraphs.graphs import (
     GraphError,
     Leg,
     add_prefix,
+    amputate,
     bubbles,
     canonical_certificate,
     connected_components,
     is_isomorphic,
     relabel,
+    remove_color,
     serialize,
 )
 from tensorgraphs.homology import euler_characteristic, homology
@@ -25,6 +28,8 @@ from tensorgraphs.jackets import gurau_degree
 from tensorgraphs.models import (
     MAX_FAMILY_PARAMETER,
     _O_EDGES,
+    MembershipReport,
+    ModelSpec,
     _central_bubble,
     _chain,
     _leg_fragment,
@@ -55,9 +60,21 @@ from tensorgraphs.models import (
     separator_m,
     separator_p,
 )
-from tensorgraphs.surgery import boundary_graph, crys_sum, open_edge, separator_check
+from tensorgraphs.surgery import (
+    boundary_graph,
+    connected_sum,
+    crys_sum,
+    open_edge,
+    separator_check,
+)
 
-from conftest import fixture_text, load_fixture
+from conftest import (
+    CLOSED_FIXTURES,
+    OPEN_FIXTURES,
+    fixture_text,
+    graph_state,
+    load_fixture,
+)
 
 
 def two_bubble_count(g):
@@ -90,6 +107,19 @@ def test_unknown_model_rejected():
         builtin_model("nope")
     with pytest.raises(GraphError):
         builtin_model("matrix-2p:0")
+
+
+def test_unbalanced_model_vertex_is_rejected():
+    # w1-b1 (color 1), w2-b1 (color 2): connected and closed, but no Wick
+    # contraction can pair two whites with one black
+    lopsided = ColoredGraph(
+        (1, 2), {"w1": "w", "w2": "w", "b1": "b"},
+        [Edge("s", 1, "w1", "b1"), Edge("t", 2, "w2", "b1")],
+    )
+    with pytest.raises(GraphError, match="vertex V has unequal white and black counts"):
+        ModelSpec("lopsided", 2, (lopsided,), ("V",))
+    # the balanced vertices are still admitted, whatever their name
+    assert ModelSpec("m", 2, builtin_model("matrix-2p:3").upsilon, ("W",)).rank == 2
 
 
 def test_rank3_interaction_vertices_are_distinct():
@@ -135,6 +165,95 @@ def test_non_member_open_graph():
     rep = is_member(load_fixture("twopoint.cg"), builtin_model("phi4-rank3"))
     assert not rep.ok
     assert all(name is None for _, name in rep.components)
+
+
+def reference_is_member(g, model):
+    """The membership test as it was: one graph per component, matched by
+    isomorphism against each interaction vertex in turn."""
+    expected = tuple(range(model.rank + 1))
+    if g.colors != expected:
+        raise GraphError(
+            f"graph colors {g.colors} do not match rank-{model.rank} model "
+            f"(expected {expected})"
+        )
+    stripped = remove_color(amputate(g) if g.is_open else g, 0)
+    entries = []
+    for comp in connected_components(stripped):
+        match = None
+        for name, vertex in zip(model.vertex_names, model.upsilon):
+            if is_isomorphic(comp, vertex, "exact-colors"):
+                match = name
+                break
+        entries.append((min(comp.vertices), match))
+    return MembershipReport(all(m is not None for _, m in entries), tuple(entries))
+
+
+MODELS = ("phi4-matrix", "phi4-rank3", "matrix-2p:2", "matrix-2p:3", "matrix-2p:4")
+
+
+def _membership_outcome(member, g, model):
+    try:
+        return member(g, model)
+    except GraphError as exc:
+        return str(exc)
+
+
+def _random_candidate(rng, rank):
+    """A random graph on colors 0..rank: up to four whites, about as many
+    blacks, one near-perfect matching per color and legs on some of the
+    vertices without a color-0 edge."""
+    n = rng.randint(1, 4)
+    whites = [f"w{i}" for i in range(n)]
+    blacks = [f"b{i}" for i in range(max(1, n + rng.choice((0, 0, 0, 1, -1))))]
+    edges = []
+    for c in range(rank + 1):
+        pairs = list(zip(whites, rng.sample(blacks, len(blacks))))
+        edges += [Edge(f"e{c}.{w}", c, w, b) for w, b in pairs if rng.random() < 0.85]
+    zero = {v for e in edges if e.color == 0 for v in (e.white, e.black)}
+    legs = [
+        Leg(f"l.{v}", v) for v in whites + blacks if v not in zero and rng.random() < 0.5
+    ]
+    vertices = dict.fromkeys(whites, "w") | dict.fromkeys(blacks, "b")
+    return ColoredGraph(range(rank + 1), vertices, edges, legs)
+
+
+def test_membership_matches_the_reference_on_fixtures():
+    models = [builtin_model(name) for name in MODELS]
+    for name in CLOSED_FIXTURES + OPEN_FIXTURES:
+        g = load_fixture(name)
+        for model in models:
+            assert _membership_outcome(is_member, g, model) == _membership_outcome(
+                reference_is_member, g, model
+            ), (name, model.name)
+
+
+@pytest.mark.parametrize("source", MODELS)
+def test_membership_matches_the_reference_on_wick_contractions(source):
+    models = [builtin_model(name) for name in MODELS]
+    for k in (1, 2, 3):
+        try:
+            graphs = enumerate_vacuum(builtin_model(source), k)
+        except GraphError:  # above the enumeration cap
+            continue
+        for g in graphs:
+            for model in models:
+                if model.rank + 1 == len(g.colors):
+                    assert is_member(g, model) == reference_is_member(g, model)
+
+
+def test_membership_matches_the_reference_on_random_graphs():
+    rng = random.Random(2016)
+    models = [builtin_model(name) for name in MODELS]
+    verdicts = set()
+    for _ in range(600):
+        rank = rng.choice((2, 3))
+        g = _random_candidate(rng, rank)
+        for model in models:
+            if model.rank == rank:
+                report = is_member(g, model)
+                assert report == reference_is_member(g, model)
+                verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------ enumeration
@@ -500,6 +619,128 @@ def test_l_family():
 def test_l_requires_genera():
     with pytest.raises(GraphError):
         build_l([])
+
+
+# The chain builders as they were: one connected_sum per link and one
+# open_edge per opening, each copying the whole chain so far.  Every family
+# must equal them, insertion order included.
+
+def reference_o_base():
+    left = connected_sum(
+        add_prefix(build_r0(), "r0."), "r0.alpha0", add_prefix(build_r1(), "r1."), "r1.alpha0"
+    )
+    return connected_sum(left, "r1.beta0", add_prefix(build_r0(), "r0b."), "r0b.alpha0")
+
+
+def reference_chain(blocks, left="nu0", right="mu0"):
+    s = add_prefix(blocks[0], "o1.")
+    for k in range(2, len(blocks) + 1):
+        s = connected_sum(
+            s, f"o{k - 1}.{left}", add_prefix(blocks[k - 1], f"o{k}."), f"o{k}.{right}"
+        )
+    return s
+
+
+def reference_qgbc(g, b, c):
+    m = max(g, c)
+    s = reference_chain([build_o() if k <= g else build_n() for k in range(1, m + 1)])
+    for k in range(1, m + 1):
+        if k <= b:
+            s = open_edge(open_edge(s, f"o{k}.alpha0"), f"o{k}.beta0")
+        elif k <= c:
+            s = open_edge(s, f"o{k}.alpha0")
+    return s
+
+
+def reference_first_internal_zero(g, prefix):
+    for label in sorted(g.edges):
+        e = g.edges[label]
+        if e.color == 0 and label.startswith(prefix) and not label.endswith("'"):
+            return label
+    raise GraphError(f"no internal color-0 edge with prefix {prefix!r}")
+
+
+def reference_l(genera):
+    sep = separator_p()
+    s = add_prefix(build_tg(genera[0]), "t1.")
+    for i in range(2, len(genera) + 1):
+        block = add_prefix(build_tg(genera[i - 1]), f"t{i}.")
+        pin = add_prefix(sep.graph, f"p{i}.")
+        s = connected_sum(
+            s, reference_first_internal_zero(s, f"t{i - 1}."), pin, f"p{i}.{sep.k}"
+        )
+        s = connected_sum(
+            s, f"p{i}.{sep.l}", block, reference_first_internal_zero(block, f"t{i}.")
+        )
+    return s
+
+
+def test_o_and_n_equal_the_successive_sums():
+    assert graph_state(_o_base()) == graph_state(reference_o_base())
+    o = relabel(reference_o_base(), edge_map=_O_EDGES)
+    assert graph_state(build_o()) == graph_state(o)
+    n = _swap_bubble_colors(o, _central_bubble(o, "mu0", "nu0"))
+    assert graph_state(build_n()) == graph_state(n)
+
+
+def test_qg_and_kg_equal_the_successive_sums():
+    o = build_o()
+    for g in range(1, 9):
+        assert graph_state(build_qg(g)) == graph_state(reference_chain((o,) * g))
+        kg = reference_chain((o,) * g, "beta0", "alpha0")
+        assert graph_state(build_kg(g)) == graph_state(kg)
+    # a chain that mixes O and N, as the search for O's edges builds
+    mixed = (o, build_n(), o)
+    assert graph_state(_chain(mixed)) == graph_state(reference_chain(mixed))
+
+
+def test_qgbc_equals_the_successive_sums_and_openings():
+    built = 0
+    for g in range(6):
+        for c in range(6):
+            for b in range(c + 1):
+                if max(g, c) < 1:
+                    continue
+                assert graph_state(build_qgbc(g, b, c)) == graph_state(
+                    reference_qgbc(g, b, c)
+                ), (g, b, c)
+                built += 1
+    assert built == 125
+
+
+@pytest.mark.parametrize(
+    "genera",
+    [[0], [2], [5], [0, 0], [1, 0], [2, 3], [0, 1, 2], [4, 1, 3], [3, 0, 0, 1],
+     [1, 1, 1, 1, 1], [0, 2, 0, 2, 0, 2], [2, 0, 3, 1, 0, 4]],
+)
+def test_l_equals_the_successive_sums(genera):
+    assert graph_state(build_l(genera)) == graph_state(reference_l(genera))
+
+
+def test_chain_builders_assemble_linearly(monkeypatch):
+    """A timing-free growth oracle: the edges handed to the one storage
+    routine while a chain family is built stay within a fixed multiple of
+    the output's edges (copying the chain at every sum reads 17-67x)."""
+    build_o(), build_n(), separator_p()
+    assembled = 0
+    assemble = ColoredGraph._assemble
+
+    def counting(self, colors, parity, edges, legs):
+        nonlocal assembled
+        assembled += len(edges)
+        assemble(self, colors, parity, edges, legs)
+
+    monkeypatch.setattr(ColoredGraph, "_assemble", counting)
+    for family, params in (
+        ("qg", {"g": 32}),
+        ("kg", {"g": 32}),
+        ("qgbc", {"g": 32, "b": 16, "c": 32}),
+        ("l", {"genera": [3] * 16}),
+        ("l", {"genera": [0] * 64}),
+    ):
+        assembled = 0
+        out = build(family, **params)
+        assert assembled <= 6 * len(out.edges), (family, assembled / len(out.edges))
 
 
 # -------------------------------------------------------------- separators

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tensorgraphs.graphs import (
     GraphError,
+    add_prefix,
     bubbles,
     canonical_certificate,
     connected_components,
@@ -27,6 +28,7 @@ from tensorgraphs.models import (
     enumerate_vacuum,
 )
 from tensorgraphs.surgery import (
+    _splice,
     boundary_graph,
     close_legs,
     cone,
@@ -36,7 +38,7 @@ from tensorgraphs.surgery import (
     separator_check,
 )
 
-from conftest import load_fixture
+from conftest import graph_state, load_fixture
 
 
 def two_bubble_count(g):
@@ -348,3 +350,38 @@ def test_open_close_random_roundtrips():
         o = open_edge(g, e)
         back = close_legs(o, f"{e}.w", f"{e}.b")
         assert is_isomorphic(back, g).isomorphic
+
+
+def _random_splice(rng):
+    """A row of 1-5 prefixed blocks (some already open), links of random
+    colors between uncut edges, and a few uncut color-0 edges to open."""
+    blocks = []
+    for k in range(rng.randint(1, 5)):
+        g = rng.choice(matrix_pool())
+        if rng.random() < 0.3:
+            g = open_edge(g, rng.choice(sorted(e for e, x in g.edges.items() if x.color == 0)))
+        blocks.append(add_prefix(g, f"b{k}."))
+    cut = set()
+
+    def uncut(graphs, color):
+        return [e for g in graphs for e, x in g.edges.items() if x.color == color and e not in cut]
+
+    links = []
+    for k in range(1, len(blocks)):
+        color = rng.choice([c for c in (0, 1, 2) if uncut(blocks[:k], c)])
+        links.append((rng.choice(uncut(blocks[:k], color)), rng.choice(uncut([blocks[k]], color))))
+        cut.update(links[-1])
+    zeros = uncut(blocks, 0)
+    return blocks, links, rng.sample(zeros, rng.randint(0, min(3, len(zeros))))
+
+
+def test_splice_equals_the_successive_sums_and_openings():
+    rng = random.Random(1608)
+    for _ in range(300):
+        blocks, links, opens = _random_splice(rng)
+        s = blocks[0]
+        for block, (e, f) in zip(blocks[1:], links):
+            s = connected_sum(s, e, block, f)
+        for e in opens:
+            s = open_edge(s, e)
+        assert graph_state(_splice(blocks, links, opens)) == graph_state(s)
