@@ -26,6 +26,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import combinations
 from typing import Sequence
 
 from .graphs import (
@@ -41,14 +42,7 @@ from .graphs import (
     validate,
 )
 from .homology import euler_characteristic, homology
-from .jackets import (
-    _face_total,
-    _gurau_degree,
-    _pair_faces,
-    boundary_degree,
-    gurau_degree,
-    is_melonic,
-)
+from .jackets import boundary_degree, gurau_degree, is_melonic
 from .models import (
     build,
     builtin_model,
@@ -195,7 +189,8 @@ def _cmd_bubbles(args):
 
 def _jacket_rows(path: str) -> list[_Row]:
     """The jackets, then degree, faces and amplitude exponent."""
-    report = gurau_degree(_load(path))
+    g = _load(path)
+    report = gurau_degree(g)
     rows = []
     for j in report.jackets:
         tag = _cycle_tag(j.cycle)
@@ -208,7 +203,7 @@ def _jacket_rows(path: str) -> list[_Row]:
         )
     return rows + [
         _kv("degree", report.degree),
-        _kv("faces", _face_total(report.jackets)),
+        _kv("faces", sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))),
         _kv("amplitude-exponent", report.amplitude_exponent),
     ]
 
@@ -264,8 +259,7 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
     pairs.append(("edges", str(len(g.edges))))
     pairs.append(("legs", str(len(g.legs))))
     pairs.append(("colors", " ".join(str(c) for c in g.colors)))
-    faces_of = _pair_faces(g)
-    counts = [f"{{{i}{j}}}:{len(faces)}" for (i, j), faces in faces_of.items()]
+    counts = [f"{{{i}{j}}}:{len(bubbles(g, (i, j)))}" for i, j in combinations(g.colors, 2)]
     pairs.append(("2-bubbles", " ".join(counts)))
     if g.is_open:
         pairs.append(("homology", "n/a (open graph)"))
@@ -276,7 +270,7 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
         )
         pairs.append(("chi", str(result.euler)))
         if len(g.colors) >= 3:
-            report = _gurau_degree(g, faces_of)
+            report = gurau_degree(g)
             for j in report.jackets:
                 pairs.append(
                     (

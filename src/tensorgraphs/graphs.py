@@ -132,7 +132,9 @@ class ColoredGraph:
     (vertex, color) pair.
 
     Instances are immutable after construction; every operation in this
-    package returns a new graph.  The color set is explicit: regular graphs
+    package returns a new graph.  A graph keeps the walks of :func:`bubbles`
+    once asked for: one set of neighbour arrays and the bubbles of each
+    color subset walked so far.  The color set is explicit: regular graphs
     read from files use contiguous colors (``1..D`` or ``0..D``), but
     intermediate values such as color-deleted subgraphs may live on an
     arbitrary subset.
@@ -143,7 +145,7 @@ class ColoredGraph:
     :meth:`_trusted`.
     """
 
-    __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_leg_at")
+    __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_leg_at", "_walks")
 
     def __init__(
         self,
@@ -217,6 +219,7 @@ class ColoredGraph:
         self._slots = slots
         self._legs = legs
         self._leg_at = {l.vertex: l for l in legs.values()}
+        self._walks = None  # filled by bubbles() only
 
     @classmethod
     def _trusted(
@@ -567,7 +570,10 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
 
     With ``colors = ()`` every vertex is its own 0-bubble.  Otherwise only
     vertices incident to at least one edge of the chosen colors take part.
-    Results are sorted by (color subset, smallest member vertex).
+    Results are sorted by (color subset, smallest member vertex).  Each
+    color subset is walked once per graph: the graph keeps the neighbour
+    arrays of all its colors and every subset's bubbles (see
+    :class:`ColoredGraph`); each call returns a fresh list.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -575,20 +581,25 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
             raise GraphError(f"color {c} outside color set {g.colors}")
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
-
-    # every edge joins two distinct vertices, so the singletons are exactly
-    # the vertices without an edge of csub
-    labels, nbrs = _slot_arrays(g, csub)
-    orbits = [o for o in _orbits(len(labels), nbrs) if len(o) > 1]
-    comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
-    edges: list[list[str]] = [[] for _ in orbits]
-    for e in g._edges.values():
-        if e.color in csub:
-            edges[comp_of[e.white]].append(e.label)
-    return [
-        Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
-        for orbit, es in zip(orbits, edges)
-    ]
+    if g._walks is None:
+        g._walks = (*_slot_arrays(g, g._colors), {})
+    labels, nbrs, walked = g._walks
+    found = walked.get(csub)
+    if found is None:
+        # every edge joins two distinct vertices, so the singletons are
+        # exactly the vertices without an edge of csub
+        maps = [nbrs[g._colors.index(c)] for c in csub]
+        orbits = [o for o in _orbits(len(labels), maps) if len(o) > 1]
+        comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
+        edges: list[list[str]] = [[] for _ in orbits]
+        for e in g._edges.values():
+            if e.color in csub:
+                edges[comp_of[e.white]].append(e.label)
+        found = walked[csub] = [
+            Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
+            for orbit, es in zip(orbits, edges)
+        ]
+    return found[:]
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
@@ -816,6 +827,11 @@ def canonical_certificate(g: ColoredGraph) -> tuple:
     return (g.colors, tuple(certs))
 
 
+# Most colors the up-to-color-permutation test accepts: it may try all k!
+# color bijections, 40 320 at 8 colors (the jackets' limit too).
+_MAX_PERMUTED_COLORS = 8
+
+
 @dataclass(frozen=True)
 class IsoResult:
     """Outcome of an isomorphism test.
@@ -842,7 +858,8 @@ def is_isomorphic(
     ``mode='up-to-color-permutation'`` allows a global bijection of the
     color sets (fixing color 0 whenever legs are present).  Color
     bijections are tried in ``itertools.permutations`` order of
-    ``b.colors``; the first that works is reported.
+    ``b.colors``; the first that works is reported.  That mode accepts at
+    most 8 colors.
     """
     if mode == "exact-colors":
         if a.colors != b.colors:
@@ -851,6 +868,10 @@ def is_isomorphic(
     elif mode == "up-to-color-permutation":
         if len(a.colors) != len(b.colors):
             return IsoResult(False)
+        if len(a.colors) > _MAX_PERMUTED_COLORS:
+            raise GraphError(
+                f"{len(a.colors)} colors exceed the permutation cap ({_MAX_PERMUTED_COLORS})"
+            )
         must_fix_zero = bool(a.legs) or bool(b.legs)
         if must_fix_zero and (0 not in a.colors or 0 not in b.colors):
             return IsoResult(False)

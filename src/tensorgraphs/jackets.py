@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Sequence
 
 from .graphs import (
     Bubble,
@@ -94,19 +93,11 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
 
     At most :data:`MAX_JACKET_COLORS` colors are accepted.
     """
-    return _jackets(g, None)[0]
+    return _jackets(g)[0]
 
 
-def _pair_faces(g: ColoredGraph) -> dict[tuple[int, int], list[Bubble]]:
-    """The 2-bubbles of g, one walk per color pair."""
-    return {pair: bubbles(g, pair) for pair in combinations(g.colors, 2)}
-
-
-def _jackets(
-    g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
-) -> tuple[list[Jacket], int]:
-    """:func:`enumerate_jackets`, reusing the caller's 2-bubbles if given,
-    and the number of connected components of g."""
+def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
+    """:func:`enumerate_jackets` and the number of connected components of g."""
     if g.is_open:
         raise GraphError("jackets require a closed graph")
     colors = g.colors
@@ -128,8 +119,7 @@ def _jackets(
     v_minus_e = [len(comp) for comp in comps]
     for e in g.edges.values():
         v_minus_e[comp_of[e.white]] -= 1
-    if faces_of is None:
-        faces_of = _pair_faces(g)
+    faces_of = {pair: bubbles(g, pair) for pair in combinations(colors, 2)}
 
     jackets = []
     for cycle in cycles:
@@ -144,15 +134,6 @@ def _jackets(
             total_genus += (2 - chi) // 2
         jackets.append(Jacket(cycle, tuple(faces), total_genus))
     return jackets, len(comps)
-
-
-def _face_total(jackets: Sequence[Jacket]) -> int:
-    """Number of distinct 2-bubbles among the jackets' faces.
-
-    Every color pair is adjacent in some jacket cycle, so over all jackets
-    of a graph this is the graph's total 2-bubble count.
-    """
-    return len({b.key for j in jackets for b in j.faces})
 
 
 @dataclass(frozen=True)
@@ -172,14 +153,7 @@ class DegreeReport:
 
 def gurau_degree(g: ColoredGraph) -> DegreeReport:
     """Degree of a closed graph, with the face-counting cross-check."""
-    return _gurau_degree(g, None)
-
-
-def _gurau_degree(
-    g: ColoredGraph, faces_of: dict[tuple[int, int], list[Bubble]] | None
-) -> DegreeReport:
-    """:func:`gurau_degree`, reusing the caller's 2-bubbles if given."""
-    found, n_comp = _jackets(g, faces_of)
+    found, n_comp = _jackets(g)
     jackets = tuple(found)
     degree = sum(j.genus for j in jackets)
 
@@ -187,9 +161,9 @@ def _gurau_degree(
     p, rem = divmod(len(g.vertices), 2)
     if rem:
         raise GraphError("odd vertex count in a closed bipartite graph")
-    face_deg = (
-        Fraction(factorial(d - 2), 2)
-        * (comb(d - 1, 2) * p + (d - 1) * n_comp - _face_total(jackets))
+    faces = sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))
+    face_deg = Fraction(factorial(d - 2), 2) * (
+        comb(d - 1, 2) * p + (d - 1) * n_comp - faces
     )
     return DegreeReport(
         jackets=jackets,

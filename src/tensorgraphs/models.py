@@ -27,7 +27,8 @@ The separator graphs P and M (also figure-only) are found by
 :func:`find_separators`; the shipped builders use a frozen copy of the
 search result so that fixtures regenerate without re-searching.
 
-:func:`build` caps every size parameter at :data:`MAX_FAMILY_PARAMETER`.
+:func:`build` caps every size parameter at :data:`MAX_FAMILY_PARAMETER`, and
+:func:`builtin_model` caps the p of ``matrix-2p:<p>`` there too.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ __all__ = [
 
 
 # Largest size parameter build() accepts (genus, color count, B, C, each
-# genus of l and their number).  Every family grows linearly in it: qg(64)
-# has 1536 vertices and tg(64) 1032.
+# genus of l and their number), and largest p of matrix-2p:<p>.  Every
+# family grows linearly in it: qg(64) has 1536 vertices and tg(64) 1032.
 MAX_FAMILY_PARAMETER = 64
 
 
@@ -169,6 +170,11 @@ def builtin_model(name: str) -> ModelSpec:
             raise GraphError(f"bad matrix-2p parameter in {name!r}") from None
         if p < 2:
             raise GraphError("matrix-2p requires p >= 2")
+        if p > MAX_FAMILY_PARAMETER:
+            raise GraphError(
+                f"matrix-2p: p = {p} is above the family-parameter cap "
+                f"({MAX_FAMILY_PARAMETER})"
+            )
         return ModelSpec(name, 2, (_cycle_vertex(p),), (f"V{2 * p}",))
     raise GraphError(f"unknown model {name!r}")
 
@@ -238,7 +244,15 @@ def enumerate_vacuum(
     if k < 1:
         raise GraphError("k must be >= 1")
     out: list[ColoredGraph] = []
+    n_whites = [len(v.whites()) for v in model.upsilon]
     for combo in itertools.combinations_with_replacement(range(len(model.upsilon)), k):
+        # counted from the combination, before its k pieces are built
+        total = sum(n_whites[t] for t in combo)
+        if total > _MAX_MATCHING_WHITES:
+            raise GraphError(
+                f"{total} white vertices exceed the enumeration cap "
+                f"({_MAX_MATCHING_WHITES}); k is too large for this model"
+            )
         pieces = [add_prefix(model.upsilon[t], f"x{i}.") for i, t in enumerate(combo)]
         vertices: dict[str, str] = {}
         edges: dict[str, Edge] = {}
@@ -247,11 +261,6 @@ def enumerate_vacuum(
             edges.update(piece.edges)
         whites = sorted(v for v, p in vertices.items() if p == "w")
         blacks = sorted(v for v, p in vertices.items() if p == "b")
-        if len(whites) > _MAX_MATCHING_WHITES:
-            raise GraphError(
-                f"{len(whites)} white vertices exceed the enumeration cap "
-                f"({_MAX_MATCHING_WHITES}); k is too large for this model"
-            )
         colors = (0,) + tuple(range(1, model.rank + 1))
         zeros = [f"z{j}" for j in range(len(whites))]
         for matching in itertools.permutations(range(len(blacks))):

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorgraphs import jackets as jackets_module
-from tensorgraphs.graphs import MAX_D, GraphError, bubbles, is_isomorphic, parse, serialize
+from tensorgraphs import graphs as graphs_module
+from tensorgraphs import models as models_module
+from tensorgraphs.graphs import MAX_D, GraphError, is_isomorphic, parse, serialize
 from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
 from tensorgraphs.models import (
@@ -432,23 +435,71 @@ def test_family_parameter_cap_is_a_domain_error(argv):
     assert err.endswith(f"is above the family-parameter cap ({MAX_FAMILY_PARAMETER})\n")
 
 
+def test_matrix_2p_parameter_cap_is_a_domain_error():
+    too_big = f"matrix-2p:{MAX_FAMILY_PARAMETER + 1}"
+    for argv in (["member", fx("r0.cg")], ["enumerate", "-k", "1"]):
+        code, out, err = run_cli([*argv, "--model", too_big])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: matrix-2p: p = {MAX_FAMILY_PARAMETER + 1} is above the "
+            f"family-parameter cap ({MAX_FAMILY_PARAMETER})\n"
+        )
+    largest = f"matrix-2p:{MAX_FAMILY_PARAMETER}"
+    assert run_cli(["member", fx("r0.cg"), "--model", largest]) == (
+        1, "component a: no match\ncomponent c: no match\nnot member\n", "",
+    )
+    assert run_cli(["enumerate", "--model", largest, "-k", "1"]) == (
+        1, "", f"error: {MAX_FAMILY_PARAMETER} white vertices exceed the enumeration "
+        "cap (6); k is too large for this model\n",
+    )
+
+
+def test_enumerate_counts_whites_before_building_pieces(monkeypatch):
+    built = []
+    monkeypatch.setattr(models_module, "add_prefix", lambda *a: built.append(a))
+    code, out, err = run_cli(["enumerate", "--model", "phi4-matrix", "-k", "1000"])
+    assert (code, out, built) == (1, "", [])
+    assert err == (
+        "error: 2000 white vertices exceed the enumeration cap (6); "
+        "k is too large for this model\n"
+    )
+
+
 def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
-    # the chain complex of `report` walks its own color subsets; every
-    # other 2-bubble walk goes through the cli and jackets bindings
-    calls = []
+    # every walk of a color subset is an _orbits call made by bubbles, on
+    # neighbour arrays that bubbles builds with _slot_arrays; the graph the
+    # command parsed keeps the subsets it walked
+    calls = {"_orbits": 0, "_slot_arrays": 0}
+    loaded = []
 
-    def counting(g, colors):
-        calls.append(tuple(colors))
-        return bubbles(g, colors)
+    def counting(name):
+        real = getattr(graphs_module, name)
 
-    monkeypatch.setattr(cli_module, "bubbles", counting)
-    monkeypatch.setattr(jackets_module, "bubbles", counting)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for command in ("jackets", "degree", "report"):
-        calls.clear()
+        def wrapper(*args):
+            if sys._getframe(1).f_code is graphs_module.bubbles.__code__:
+                calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graphs_module, name, wrapper)
+
+    def keeping(*args, **kwargs):
+        loaded.append(parse(*args, **kwargs))
+        return loaded[-1]
+
+    counting("_orbits")
+    counting("_slot_arrays")
+    monkeypatch.setattr(cli_module, "parse", keeping)
+    colors = (0, 1, 2, 3)
+    pairs = list(itertools.combinations(colors, 2))
+    proper = [s for r in (1, 2, 3) for s in itertools.combinations(colors, r)]
+    for command, walked in (("jackets", pairs), ("degree", pairs), ("report", proper)):
+        calls.update(_orbits=0, _slot_arrays=0)
+        loaded.clear()
         code, _, _ = run_cli([command, fx("necklace.cg")])
         assert code == 0
-        assert sorted(calls) == pairs, command
+        assert calls == {"_orbits": len(walked), "_slot_arrays": 1}, command
+        (g,) = loaded
+        assert sorted(g._walks[2]) == sorted(walked), command
 
 
 # ------------------------------------------------ forms pinned in both formats

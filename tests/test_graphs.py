@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tensorgraphs import graphs as graphs_module
 from tensorgraphs.graphs import (
     MAX_D,
     WHITE,
@@ -291,6 +292,31 @@ def test_iso_rejects_unknown_mode():
     d = build_dipole(3)
     with pytest.raises(GraphError, match="unknown isomorphism mode"):
         is_isomorphic(d, d, mode="whatever")
+
+
+def _two_dipoles(k, crossed=False):
+    """Two k-colored dipoles, or with `crossed` one connected graph: color k
+    joins a-q and b-p instead of a-p and b-q."""
+    edges = []
+    for c in range(1, k + 1):
+        swap = crossed and c == k
+        edges.append((f"e{c}", c, "a", "q" if swap else "p"))
+        edges.append((f"f{c}", c, "b", "p" if swap else "q"))
+    return ColoredGraph(range(1, k + 1), {"a": "w", "b": "w", "p": "b", "q": "b"}, edges)
+
+
+def test_color_permutation_mode_caps_the_colors(monkeypatch):
+    a, b = _two_dipoles(8), _two_dipoles(8, crossed=True)
+    assert not is_isomorphic(a, b, "up-to-color-permutation")
+    a, b = _two_dipoles(9), _two_dipoles(9, crossed=True)
+    assert not is_isomorphic(a, b, "exact-colors")
+
+    def forbidden(*args):
+        raise AssertionError("a certificate was computed past the cap")
+
+    monkeypatch.setattr(graphs_module, "_component_certs", forbidden)
+    with pytest.raises(GraphError, match=r"^9 colors exceed the permutation cap \(8\)$"):
+        is_isomorphic(a, b, "up-to-color-permutation")
 
 
 @pytest.mark.parametrize("name", ALL_GRAPH_FIXTURES)
@@ -667,9 +693,15 @@ def _items(g):
 
 
 def assert_walks_match_reference(g):
-    for r in range(len(g.colors) + 1):
-        for subset in itertools.combinations(g.colors, r):
-            assert bubbles(g, subset) == _reference_bubbles(g, subset)
+    # the second pass reads the walks the graph kept from the first
+    subsets = [
+        s for r in range(len(g.colors) + 1) for s in itertools.combinations(g.colors, r)
+    ]
+    for warm in (False, True):
+        for subset in subsets:
+            found = bubbles(g, subset)
+            assert found == _reference_bubbles(g, subset), (subset, warm)
+            found.clear()  # the caller's own list: the next call is unchanged
     assert [_items(c) for c in connected_components(g)] == [
         _items(c) for c in _reference_components(g)
     ]
@@ -735,6 +767,20 @@ def test_walks_match_reference_on_drawn_graphs(g, rng):
 )
 def test_walks_match_reference_on_edge_cases(g):
     assert_walks_match_reference(g)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPH_FIXTURES)
+def test_only_bubbles_keeps_walks_on_the_graph(name):
+    # certificates and components read fresh arrays, so a graph kept alive
+    # for its certificate (enumerate --dedup) carries no arrays
+    g = load_fixture(name)
+    canonical_certificate(g)
+    is_isomorphic(g, g)
+    is_isomorphic(g, g, "up-to-color-permutation")
+    connected_components(g)
+    assert g._walks is None
+    bubbles(g, g.colors[:2])
+    assert list(g._walks[2]) == [g.colors[:2]]
 
 
 def _reference_orbits(n, maps):
