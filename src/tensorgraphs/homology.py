@@ -13,9 +13,10 @@ colors ``i_1 < ... < i_p`` maps to the alternating sum over ``q`` of its
 sub-bubbles obtained by deleting color ``i_q``, with sign ``(-1)**(q+1)``.
 
 Homology needs only the rank and the torsion of each boundary map.  They
-are found by sparse elimination on +-1 pivots, cheapest Markowitz cost
-first; only the block left without a unit entry goes to the dense Smith
-normal form, so free ranks and torsion coefficients are exact.
+are found by sparse elimination on +-1 pivots, taken in passes over the
+columns, shortest first; only the block left without a unit entry goes to
+the dense Smith normal form, so free ranks and torsion coefficients are
+exact.
 :func:`smith_normal_form` remains the public reference and returns the
 unimodular transforms U and V.  All arithmetic uses Python's
 arbitrary-precision integers; no floating point enters anywhere.
@@ -123,7 +124,6 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
         for subset in combinations(colors, p):
             by_subset[subset] = bubbles(g, subset)
             layer.extend(by_subset[subset])
-        layer.sort(key=lambda b: b.key)
         basis.append(layer)
 
     index = [{b.key: i for i, b in enumerate(layer)} for layer in basis[:top]]
@@ -182,18 +182,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Each pivot is the smallest-magnitude nonzero entry of the remaining
-    block.  Its column and row are cleared by floor division; a nonzero
-    remainder replaces the pivot (it is strictly smaller) and clearing
-    starts again.  Once both are clear, the whole remaining block is scanned
-    for an entry the pivot does not divide, an O(n^2) scan after every
-    pivot; the first row holding one is added into the pivot row and
-    clearing resumes.  This keeps the divisibility chain.  Exact integer
-    arithmetic throughout.
-
-    Entries are never reduced between passes, so on some small dense
-    inputs they grow without bound and the call does not return:
-    ``STALLING_6X6`` in ``tests/test_homology.py`` is one, pinned there by
-    a strict xfail.
+    block.  Its column and row are cleared by floor division.  A nonzero
+    remainder is smaller than the pivot, so the pivot is chosen again from
+    the whole block.  Once both are clear, the block is scanned for an entry
+    the pivot does not divide; the first row holding one is added into the
+    pivot row and the pivot is chosen again.  This keeps the divisibility
+    chain.  Each new choice is smaller than the last pivot, except the one
+    right after a fix-up, which may keep it but then leaves a remainder; so
+    the call always returns.  Exact integer arithmetic throughout.
 
     >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
     (2, 4)
@@ -249,43 +245,29 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            # clear column t and row t; a nonzero remainder replaces the
-            # pivot (it is strictly smaller, so this terminates)
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_sub(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility fix-up: pivot must divide the remaining block
-            d = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                if any(a[i][j] % d for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
-                break
+        if a[t][t] < 0:
+            negate_row(t)
+        d = a[t][t]
+        for i in range(t + 1, m):
+            if a[i][t]:
+                row_sub(i, t, a[i][t] // d)
+        for j in range(t + 1, n):
+            if a[t][j]:
+                col_sub(j, t, a[t][j] // d)
+        # A remainder left in row or column t is smaller than d: choose the
+        # pivot again from the whole block.
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
+            continue
+        # divisibility fix-up: d must divide the remaining block
+        offender = next(
+            (i for i in range(t + 1, m) if any(a[i][j] % d for j in range(t + 1, n))),
+            None,
+        )
+        if offender is None:
+            t += 1
+        else:
             row_sub(t, offender, -1)
-        t += 1
 
-    for i in range(size):
-        if a[i][i] < 0:
-            negate_row(i)
     diagonal = tuple(a[i][i] for i in range(size))
     return SmithForm(
         diagonal,
@@ -345,15 +327,13 @@ def _rank_and_torsion(
     pivot is eliminated from its column by row operations; its row can
     then be cleared by column operations that touch nothing else, so the
     invariant factors are a 1 plus those of the matrix without that row
-    and column.  Pivots are taken at the lowest Markowitz cost
-    (r - 1)(c - 1), r and c being the nonzero counts of the pivot's row
-    and column, to keep fill-in low.  Whatever block is left has no +-1
-    entry and goes to :func:`smith_normal_form`.
+    and column.  Pivots are taken in passes over the columns, shortest
+    first by their lengths at the start of the pass; in each column the
+    pivot is the +-1 entry whose row is currently shortest, to keep
+    fill-in low.  Passes repeat while the last one found a pivot.
+    Whatever block is left has no +-1 entry and goes to
+    :func:`smith_normal_form`.
     """
-    # Imported here: at module level heapq adds about 0.6 ms to the start-up
-    # of every command, homology or not.
-    from heapq import heappop, heappush
-
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for j, entries in enumerate(columns):
@@ -362,62 +342,42 @@ def _rank_and_torsion(
                 rows.setdefault(i, {})[j] = x
                 cols.setdefault(j, set()).add(i)
 
-    # Every +-1 entry has a heap item at or below its current cost: a cost
-    # that falls is pushed at once, one that rises only when its stale
-    # item is popped.  A long column that grows is then not pushed again
-    # after every pivot.
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        if rows[i][j] in (1, -1):
-            heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
-
-    for i, row in rows.items():
-        for j in row:
-            push(i, j)
-
     rank = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        pivot_row = rows.get(i)
-        if pivot_row is None or pivot_row.get(j) not in (1, -1):
-            continue
-        current = (len(pivot_row) - 1) * (len(cols[j]) - 1)
-        if cost != current:
-            if cost < current:
-                heappush(heap, (current, i, j))
-            continue
-        rank += 1
-        u = pivot_row.pop(j)
-        del rows[i]
-        below = cols.pop(j)
-        below.discard(i)
-        sizes = {c: len(cols[c]) for c in pivot_row}
-        for c in pivot_row:
-            cols[c].discard(i)
-        for k in below:
-            row = rows[k]
-            f = row.pop(j) * u
-            for c, x in pivot_row.items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    row[c] = y
-                    cols[c].add(k)
-                else:
-                    del row[c]
-                    cols[c].discard(k)
-            if not row:
-                del rows[k]
-        for k in below:
-            if k in rows:
-                for c in rows[k]:
-                    push(k, c)
-        for c, size in sizes.items():
-            if not cols[c]:
-                del cols[c]
-            elif len(cols[c]) < size:
-                for k in cols[c]:
-                    push(k, c)
+    found = True
+    while found:
+        found = False
+        for j in sorted(cols, key=lambda c: len(cols[c])):
+            below = cols.get(j)
+            if below is None:
+                continue
+            units = [k for k in below if rows[k][j] in (1, -1)]
+            if not units:
+                continue
+            found = True
+            rank += 1
+            i = min(units, key=lambda k: len(rows[k]))
+            pivot_row = rows.pop(i)
+            u = pivot_row.pop(j)
+            del cols[j]
+            below.discard(i)
+            for c in pivot_row:
+                cols[c].discard(i)
+            for k in below:
+                row = rows[k]
+                f = row.pop(j) * u
+                for c, x in pivot_row.items():
+                    y = row.get(c, 0) - f * x
+                    if y:
+                        row[c] = y
+                        cols[c].add(k)
+                    else:
+                        del row[c]
+                        cols[c].discard(k)
+                if not row:
+                    del rows[k]
+            for c in pivot_row:
+                if not cols[c]:
+                    del cols[c]
 
     if not rows:
         return rank, ()

@@ -34,7 +34,7 @@ search result so that fixtures regenerate without re-searching.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,7 +49,6 @@ from .graphs import (
     amputate,
     bubbles,
     canonical_certificate,
-    connected_components,
     is_isomorphic,
     parse,
     relabel,
@@ -111,17 +110,23 @@ class ModelSpec:
     rank: int
     upsilon: tuple[ColoredGraph, ...]
     vertex_names: tuple[str, ...]
+    # Canonical code of each vertex, read by is_member.
+    _codes: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        codes = []
         for label, v in zip(self.vertex_names, self.upsilon):
             if v.colors != tuple(range(1, self.rank + 1)):
                 raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
             if v.is_open:
                 raise GraphError(f"vertex {label} has legs")
-            if len(connected_components(v)) != 1:
+            certs = _component_certs(v)
+            if len(certs) != 1:
                 raise GraphError(f"vertex {label} is not connected")
             if 2 * len(v.whites()) != len(v):
                 raise GraphError(f"vertex {label} has unequal white and black counts")
+            codes.append(certs[0][0])
+        object.__setattr__(self, "_codes", tuple(codes))
 
 
 def _cycle_vertex(p: int) -> ColoredGraph:
@@ -153,16 +158,13 @@ def _rank3_vertex(i: int) -> ColoredGraph:
 
 
 def builtin_model(name: str) -> ModelSpec:
-    """Look up a built-in model: ``phi4-matrix``, ``phi4-rank3``, ``matrix-2p:<p>``."""
-    if name == "phi4-matrix":
-        return ModelSpec("phi4-matrix", 2, (_cycle_vertex(2),), ("V",))
-    if name == "phi4-rank3":
-        return ModelSpec(
-            "phi4-rank3",
-            3,
-            tuple(_rank3_vertex(i) for i in (1, 2, 3)),
-            ("V1", "V2", "V3"),
-        )
+    """Look up a built-in model: ``phi4-matrix``, ``phi4-rank3``, ``matrix-2p:<p>``.
+
+    Each model is built and checked once per process; ``matrix-2p:03`` and
+    ``matrix-2p:3`` are the same model, named ``matrix-2p:3``.
+    """
+    if name in ("phi4-matrix", "phi4-rank3"):
+        return _builtin_model(name, 0)
     if name.startswith("matrix-2p:"):
         try:
             p = int(name.split(":", 1)[1])
@@ -175,8 +177,20 @@ def builtin_model(name: str) -> ModelSpec:
                 f"matrix-2p: p = {p} is above the family-parameter cap "
                 f"({MAX_FAMILY_PARAMETER})"
             )
-        return ModelSpec(name, 2, (_cycle_vertex(p),), (f"V{2 * p}",))
+        return _builtin_model("matrix-2p", p)
     raise GraphError(f"unknown model {name!r}")
+
+
+# At most 65 entries: the two phi4 models and matrix-2p for p = 2 .. 64.
+@lru_cache(maxsize=None)
+def _builtin_model(kind: str, p: int) -> ModelSpec:
+    if kind == "phi4-matrix":
+        return ModelSpec(kind, 2, (_cycle_vertex(2),), ("V",))
+    if kind == "phi4-rank3":
+        return ModelSpec(
+            kind, 3, tuple(_rank3_vertex(i) for i in (1, 2, 3)), ("V1", "V2", "V3")
+        )
+    return ModelSpec(f"matrix-2p:{p}", 2, (_cycle_vertex(p),), (f"V{2 * p}",))
 
 
 # -- membership ----------------------------------------------------------------
@@ -217,8 +231,8 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
         )
     stripped = remove_color(amputate(g) if g.is_open else g, 0)
     names: dict[tuple, str] = {}
-    for name, vertex in zip(model.vertex_names, model.upsilon):
-        names.setdefault(_component_certs(vertex)[0][0], name)
+    for name, code in zip(model.vertex_names, model._codes):
+        names.setdefault(code, name)
     entries = tuple(
         (min(order), names.get(code)) for code, order in _component_certs(stripped)
     )

@@ -502,6 +502,28 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
         assert sorted(g._walks[2]) == sorted(walked), command
 
 
+def test_report_certifies_the_model_vertices_once_per_process(monkeypatch):
+    # builtin_model builds and certifies each model's vertices once; a later
+    # report certifies only the graph it reads
+    certified = []
+    real = models_module._component_certs
+
+    def recording(g, *args):
+        certified.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(models_module, "_component_certs", recording)
+    models_module._builtin_model.cache_clear()
+    first = run_cli(["report", fx("necklace.cg")])
+    assert first[0] == 0
+    vertices = [v for m in ("phi4-matrix", "phi4-rank3") for v in builtin_model(m).upsilon]
+    assert [any(g is v for v in vertices) for g in certified] == [True] * 4 + [False]
+    certified.clear()
+    assert run_cli(["report", fx("necklace.cg")]) == first
+    assert len(certified) == 1 and not any(certified[0] is v for v in vertices)
+    assert builtin_model("matrix-2p:03") is builtin_model("matrix-2p:3")
+
+
 # ------------------------------------------------ forms pinned in both formats
 
 SEPARATOR_LINES = (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import signal
 from fractions import Fraction
 
@@ -198,6 +199,14 @@ def rp3_sum() -> ColoredGraph:
     return crys_sum(add_prefix(rp3(), "a."), "a.w0", add_prefix(rp3(), "b."), "b.b0")
 
 
+def rp3_chain(copies: int) -> ColoredGraph:
+    """Crystallization sum of `copies` RP^3 graphs, each joined to the last."""
+    g = add_prefix(rp3(), "c0.")
+    for i in range(1, copies):
+        g = crys_sum(g, f"c{i - 1}.w1", add_prefix(rp3(), f"c{i}."), f"c{i}.b0")
+    return g
+
+
 def test_rp3_homology_has_z2_torsion():
     res = homology(rp3())
     assert [(h.free_rank, h.torsion) for h in res.groups] == [
@@ -212,6 +221,24 @@ def test_rp3_crys_sum_has_two_z2_summands():
     assert res.betti == (1, 0, 0, 1)
     assert res.groups[1].torsion == (2, 2)
     assert str(res.groups[1]) == "Z/2 + Z/2"
+
+
+def test_sixteen_rp3_copies_have_sixteen_z2_summands():
+    # The degree-2 map leaves a 64 x 17 block without a unit entry, which
+    # the dense smith_normal_form must finish.
+    res = homology(rp3_chain(16))
+    assert res.betti == (1, 0, 0, 1)
+    assert res.groups[1].torsion == (2,) * 16
+    assert all(not h.torsion for q, h in enumerate(res.groups) if q != 1)
+
+
+@pytest.mark.parametrize("genus", [8, 16, 32, 64])
+def test_qg_and_kg_homology_up_to_the_family_cap(genus):
+    for build in (build_qg, build_kg):
+        res = homology(build(genus))
+        assert [(h.free_rank, h.torsion) for h in res.groups] == [
+            (1, ()), (2 * genus, ()), (1, ()),
+        ]
 
 
 # Closed graphs beyond the fixture corpus, by name.
@@ -408,8 +435,8 @@ def test_snf_against_determinant_divisors_small():
         assert f.rank == sum(1 for s in expected if s != 0)
 
 
-matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda r: st.integers(min_value=1, max_value=4).flatmap(
+matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda r: st.integers(min_value=1, max_value=6).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
             min_size=r,
@@ -485,9 +512,9 @@ def test_rank_and_torsion_empty_and_zero_shapes():
         assert assert_matches_dense(m, cols) == (0, ())
 
 
-# Sizes: smith_normal_form stalls on some 6 x 6 inputs without unit
-# entries (see test_snf_finishes_on_a_6x6_matrix), so the cases that reach
-# it with a block of that kind stay at 4 x 4.
+# Sizes: every strategy below goes up to 6 x 6, the size at which the
+# clearing passes of smith_normal_form once let entries grow without bound
+# (see test_snf_finishes_on_a_6x6_matrix).
 
 
 @given(shaped_matrices(st.integers(min_value=-3, max_value=3), 6))
@@ -497,7 +524,7 @@ def test_rank_and_torsion_matches_dense_snf(case):
 
 
 @given(
-    shaped_matrices(st.integers(min_value=-12, max_value=12).filter(lambda x: abs(x) != 1), 4)
+    shaped_matrices(st.integers(min_value=-12, max_value=12).filter(lambda x: abs(x) != 1), 6)
 )
 @settings(max_examples=100)
 def test_rank_and_torsion_without_unit_entries(case):
@@ -522,10 +549,33 @@ def unimodular(draw, n: int) -> list[list[int]]:
 @st.composite
 def torsion_products(draw):
     d = draw(st.sampled_from([(2, 2), (2, 6), (4,), (1, 2, 2), (1, 1, 4), (3, 3), (2, 2, 2)]))
-    n = draw(st.integers(min_value=len(d), max_value=4))
-    m = draw(st.integers(min_value=len(d), max_value=4))
+    n = draw(st.integers(min_value=len(d), max_value=6))
+    m = draw(st.integers(min_value=len(d), max_value=6))
     diag = [[d[i] if i == j and i < len(d) else 0 for j in range(m)] for i in range(n)]
     return d, mat_mul(mat_mul(draw(unimodular(n)), diag), draw(unimodular(m)))
+
+
+def boundary_map_cases():
+    """Seeded random closed graphs and chains of RP^3 sums, by name."""
+    rng = random.Random(11)
+    for t in range(60):
+        k, n = rng.randint(3, 5), rng.randint(1, 8)
+        perms = [rng.sample(range(n), n) for _ in range(k)]
+        yield f"random {t}: {k} colors, {n} whites", graph_from_permutations(perms)
+    for copies in (1, 2, 3):
+        yield f"{copies} RP^3 copies", rp3_chain(copies)
+
+
+def test_rank_and_torsion_matches_dense_snf_on_whole_boundary_maps():
+    maps = 0
+    for name, g in boundary_map_cases():
+        cc = chain_complex(g)
+        for p in range(1, cc.top_degree + 1):
+            dense = smith_normal_form(cc.matrix(p))
+            got = _rank_and_torsion(cc._columns[p - 1])
+            assert got == (dense.rank, dense.torsion), (name, p)
+            maps += 1
+    assert maps >= 150
 
 
 @given(torsion_products())
@@ -536,8 +586,9 @@ def test_rank_and_torsion_of_unimodular_products(case):
     assert assert_matches_dense(m, len(m[0])) == (len(d), tuple(x for x in d if x > 1))
 
 
-# On this matrix the clearing passes of smith_normal_form let the entries
-# grow without bound: past a million bits by its fourth pivot.
+# On this matrix, clearing passes that kept a remainder as the next pivot let
+# the entries grow past a million bits by the fourth pivot; choosing the
+# pivot again from the whole block finishes in about a millisecond.
 STALLING_6X6 = [
     [6, 3, 6, 11, -6, -3],
     [-3, 8, 5, 6, 2, 8],
@@ -548,7 +599,6 @@ STALLING_6X6 = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="coefficient growth in smith_normal_form")
 def test_snf_finishes_on_a_6x6_matrix():
     def stop(signum, frame):
         raise TimeoutError
@@ -562,3 +612,6 @@ def test_snf_finishes_on_a_6x6_matrix():
         signal.signal(signal.SIGALRM, previous)
     assert f.rank == 6
     assert math.prod(f.diagonal) == abs(bareiss_determinant(STALLING_6X6))
+    assert mat_mul(mat_mul(f.U, STALLING_6X6), f.V) == embedded_diagonal(f.diagonal, f.shape)
+    assert f.diagonal == (1, 1, 1, 1, 1, 2082471)
+
