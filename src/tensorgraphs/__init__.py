@@ -18,6 +18,10 @@ encode:
 * :mod:`tensorgraphs.models` -- model specs, membership, Wick enumeration,
   and builders for all named graph families;
 * :mod:`tensorgraphs.cli` -- the ``tgraph`` command-line tool.
+
+``tensorgraphs.homology`` is the function, which shadows its submodule even
+under ``import tensorgraphs.homology as h``; reach the module with
+``importlib.import_module("tensorgraphs.homology")``.
 """
 
 from .graphs import (

@@ -155,46 +155,53 @@ class ColoredGraph:
         legs: Iterable[Leg | tuple] = (),
     ) -> None:
         colors = _checked_colors(colors)
-        color_set = set(colors)
         parity = _checked_parity(vertices)
 
-        # Bulk checks only say whether something is wrong; _reject then
-        # replays the input in order, so the message names the first
-        # offender.  Doubled slots and legs on taken slots show up as
-        # collisions in the assembled indexes.
         edge_map: dict[str, Edge] = {}
+        slots: dict[tuple[str, int], Edge] = {}
+        take = slots.setdefault
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
-            try:
-                fits = (
-                    e.label not in edge_map
-                    and e.color in color_set
-                    and parity.get(e.white) == WHITE
-                    and parity.get(e.black) == BLACK
-                )
-            except TypeError:  # an unhashable color; the replay says which
-                fits = False
-            if not fits:
-                _reject(colors, parity, [*edge_map.values(), e], ())
+            if e.label in edge_map:
+                raise GraphError(f"duplicate edge label {e.label!r}")
+            c = e.color
+            if c not in colors:  # a tuple test: an unhashable color gets this message
+                raise GraphError(f"edge {e.label!r}: color {c} outside color set {colors}")
+            ends_fit = parity.get(e.white) == WHITE and parity.get(e.black) == BLACK
+            if not ends_fit or take((e.white, c), e) is not e or take((e.black, c), e) is not e:
+                raise _edge_fault(e, parity, slots)
             edge_map[e.label] = e
 
         leg_map: dict[str, Leg] = {}
+        leg_at: dict[str, Leg] = {}
         for item in legs:
             l = item if isinstance(item, Leg) else Leg(*item)
-            if l.label in leg_map or 0 not in color_set or l.vertex not in parity:
-                _reject(colors, parity, edge_map.values(), [*leg_map.values(), l])
+            if l.label in leg_map:
+                raise GraphError(f"duplicate leg label {l.label!r}")
+            if 0 not in colors:
+                raise GraphError(f"leg {l.label!r}: color 0 not in color set")
+            if l.vertex not in parity:
+                raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
+            if (l.vertex, 0) in slots:
+                raise GraphError(
+                    f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
+                )
+            if l.vertex in leg_at:
+                raise GraphError(f"two legs at vertex {l.vertex!r}")
+            leg_at[l.vertex] = l
             leg_map[l.label] = l
 
-        self._assemble(colors, parity, edge_map, leg_map)
-        slots = self._slots
-        if len(slots) != 2 * len(edge_map) or (
-            leg_map
-            and (
-                len(self._leg_at) != len(leg_map)
-                or any((v, 0) in slots for v in self._leg_at)
-            )
-        ):
-            _reject(colors, parity, edge_map.values(), leg_map.values())
+        self._store(colors, parity, edge_map, slots, leg_map, leg_at)
+
+    def _store(self, colors, parity, edges, slots, legs, leg_at) -> None:
+        """Keep the parts and their slot and leg indexes; the graph owns the dicts."""
+        self._colors = colors
+        self._parity = parity
+        self._edges = edges
+        self._slots = slots
+        self._legs = legs
+        self._leg_at = leg_at
+        self._walks = None  # filled by bubbles() only
 
     def _assemble(
         self,
@@ -203,23 +210,12 @@ class ColoredGraph:
         edges: dict[str, Edge],
         legs: dict[str, Leg],
     ) -> None:
-        """Store the label-keyed parts and derive the slot and leg indexes.
-
-        The one storage path: the validating constructor ends here, and
-        :meth:`_trusted` comes here directly.  The graph takes ownership of
-        the dicts, so callers pass fresh ones.
-        """
+        """Store the parts of :meth:`_trusted`, deriving their indexes."""
         slots: dict[tuple[str, int], Edge] = {}
         for e in edges.values():
             slots[e.white, e.color] = e
             slots[e.black, e.color] = e
-        self._colors = colors
-        self._parity = parity
-        self._edges = edges
-        self._slots = slots
-        self._legs = legs
-        self._leg_at = {l.vertex: l for l in legs.values()}
-        self._walks = None  # filled by bubbles() only
+        self._store(colors, parity, edges, slots, legs, {l.vertex: l for l in legs.values()})
 
     @classmethod
     def _trusted(
@@ -337,58 +333,19 @@ def _checked_parity(
     return parity
 
 
-def _reject(
-    colors: tuple[int, ...],
-    parity: Mapping[str, str],
-    edges: Iterable[Edge],
-    legs: Iterable[Leg],
-) -> None:
-    """Raise for the first problem among `edges`, then `legs`, in order.
-
-    The constructor calls this once a bulk check has failed, with the
-    items read so far; it checks them one at a time, as they were given,
-    and returns only if none of them is at fault.
-    """
-    names: set[str] = set()
-    slots: dict[tuple[str, int], Edge] = {}
-    for e in edges:
-        if e.label in names:
-            raise GraphError(f"duplicate edge label {e.label!r}")
-        if e.color not in colors:
-            raise GraphError(
-                f"edge {e.label!r}: color {e.color} outside color set {colors}"
-            )
-        for end, want in ((e.white, WHITE), (e.black, BLACK)):
-            if end not in parity:
-                raise GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
-            if parity[end] != want:
-                raise GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
-        for end in (e.white, e.black):
-            slot = (end, e.color)
-            if slot in slots:
-                raise GraphError(
-                    f"duplicate color at vertex: color {e.color} at {end!r} "
-                    f"(edges {slots[slot].label!r} and {e.label!r})"
-                )
-            slots[slot] = e
-        names.add(e.label)
-    names = set()
-    legged: set[str] = set()
-    for l in legs:
-        if l.label in names:
-            raise GraphError(f"duplicate leg label {l.label!r}")
-        if 0 not in colors:
-            raise GraphError(f"leg {l.label!r}: color 0 not in color set")
-        if l.vertex not in parity:
-            raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
-        if (l.vertex, 0) in slots:
-            raise GraphError(
-                f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
-            )
-        if l.vertex in legged:
-            raise GraphError(f"two legs at vertex {l.vertex!r}")
-        legged.add(l.vertex)
-        names.add(l.label)
+def _edge_fault(e: Edge, parity: Mapping[str, str], slots: Mapping) -> GraphError:
+    """The error for the first end of `e` that is unknown, of the wrong parity
+    or, when both fit, holding another edge of its color."""
+    for end, want in ((e.white, WHITE), (e.black, BLACK)):
+        if end not in parity:
+            return GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
+        if parity[end] != want:
+            return GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
+    end = e.white if slots[e.white, e.color] is not e else e.black
+    return GraphError(
+        f"duplicate color at vertex: color {e.color} at {end!r} "
+        f"(edges {slots[end, e.color].label!r} and {e.label!r})"
+    )
 
 
 # -- file format -----------------------------------------------------------

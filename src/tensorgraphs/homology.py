@@ -118,21 +118,18 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
     top = len(colors) - 1
 
     basis: list[list[Bubble]] = [bubbles(g, ())]
-    by_subset: dict[tuple[int, ...], list[Bubble]] = {(): basis[0]}
+    # row_of[S][v]: the row, in degree |S|, of the S-bubble containing v; the
+    # bubbles of one subset take consecutive rows of their layer
+    row_of = {(): {b.vertices[0]: i for i, b in enumerate(basis[0])}}
     for p in range(1, top + 1):
         layer: list[Bubble] = []
         for subset in combinations(colors, p):
-            by_subset[subset] = bubbles(g, subset)
-            layer.extend(by_subset[subset])
+            found = bubbles(g, subset)
+            if p < top:
+                start = len(layer)
+                row_of[subset] = {v: start + i for i, b in enumerate(found) for v in b.vertices}
+            layer.extend(found)
         basis.append(layer)
-
-    index = [{b.key: i for i, b in enumerate(layer)} for layer in basis[:top]]
-    # row_of[S][v]: the row, in degree |S|, of the S-bubble containing v
-    row_of = {
-        subset: {v: index[len(subset)][b.key] for b in found for v in b.vertices}
-        for subset, found in by_subset.items()
-        if len(subset) < top
-    }
 
     columns: list[tuple[tuple[tuple[int, int], ...], ...]] = []
     if top >= 1:

@@ -34,6 +34,7 @@ from .graphs import (
     _slot_arrays,
     bubbles,
     connected_components,
+    remove_color,
 )
 from .ribbon import boundary_components, ribbon_from_colored
 
@@ -189,18 +190,13 @@ def degree_lower_bound(g: ColoredGraph) -> int:
     """Lower bound on the degree of a closed 4-colored graph.
 
     Deleting the largest color leaves 3-colored bubbles, each a ribbon
-    graph; the degree is at least 3 times the sum of their genera.
+    graph; the degree is at least 3 times their total genus.
     """
     if g.is_open:
         raise GraphError("degree bound requires a closed graph")
     if len(g.colors) != 4:
         raise GraphError("degree bound requires exactly 4 colors")
-    kept = tuple(c for c in g.colors if c != max(g.colors))
-    total = 0
-    for b in bubbles(g, kept):
-        r = ribbon_from_colored(b.as_graph(g))
-        total += boundary_components(r).genus
-    return 3 * total
+    return 3 * boundary_components(ribbon_from_colored(remove_color(g, max(g.colors)))).genus
 
 
 def boundary_degree(g: ColoredGraph) -> int:

@@ -46,13 +46,11 @@ from .graphs import (
     Leg,
     _component_certs,
     add_prefix,
-    amputate,
     bubbles,
     canonical_certificate,
     is_isomorphic,
     parse,
     relabel,
-    remove_color,
 )
 from .ribbon import RibbonStructure
 from .surgery import _splice, cone, separator_check
@@ -229,13 +227,12 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
             f"graph colors {g.colors} do not match rank-{model.rank} model "
             f"(expected {expected})"
         )
-    stripped = remove_color(amputate(g) if g.is_open else g, 0)
     names: dict[tuple, str] = {}
     for name, code in zip(model.vertex_names, model._codes):
         names.setdefault(code, name)
-    entries = tuple(
-        (min(order), names.get(code)) for code, order in _component_certs(stripped)
-    )
+    # read without color 0: the stripped graph's components, left unbuilt
+    certs = _component_certs(g, expected[1:])
+    entries = tuple((min(order), names.get(code)) for code, order in certs)
     return MembershipReport(all(m is not None for _, m in entries), entries)
 
 

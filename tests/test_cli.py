@@ -774,6 +774,14 @@ def test_readme_lists_every_command_with_its_help():
     assert rows == [(name, help_text) for name, help_text, _ in commands]
 
 
+def test_readme_python_blocks_run():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 # -- fuzzing: mutated fixtures never end in a traceback -------------------------
 
 FUZZ_TEXTS = [

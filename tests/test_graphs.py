@@ -847,10 +847,11 @@ def test_constructor_rejects_bad_parity_tag():
 
 # ------------------------------------------- constructor vs. reference
 #
-# The constructor checks in bulk and composes a message only once a check
-# has failed.  The reference below is the one-item-at-a-time constructor it
-# replaced: on every input, valid or not, both must raise the same first
-# message or build the same five dicts, insertion order included.
+# The constructor checks each edge, then each leg, once in input order and
+# builds its indexes as it goes.  The reference below is an independent
+# one-item-at-a-time constructor: on every input, valid or not, both must
+# raise the same first message or build the same five dicts, insertion
+# order included.
 
 
 def _reference_construct(colors, vertices, edges, legs):

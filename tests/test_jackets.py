@@ -37,6 +37,7 @@ from tensorgraphs.models import (
     build_r1,
     build_tg,
 )
+from tensorgraphs.ribbon import boundary_components, ribbon_from_colored
 
 from conftest import (
     CLOSED_3COLOR_FIXTURES,
@@ -300,6 +301,52 @@ def test_degree_lower_bound_nontrivial_case():
     assert rep.degree == 6
     assert bound <= rep.degree
     assert rep.degree == rep.face_count_degree
+
+
+# Test-local copy of degree_lower_bound from before it read one ribbon graph
+# of the color-deleted graph: one checked bubble graph and ribbon per 3-bubble.
+
+
+def _per_bubble_lower_bound(g):
+    kept = tuple(c for c in g.colors if c != max(g.colors))
+    return 3 * sum(
+        boundary_components(ribbon_from_colored(b.as_graph(g))).genus
+        for b in bubbles(g, kept)
+    )
+
+
+def _random_four_colored(rng, keep):
+    """Closed on colors 1..4, each edge kept with probability `keep`."""
+    n = rng.randint(1, 12)
+    whites = [f"w{i}" for i in range(n)]
+    blacks = [f"b{i}" for i in range(n)]
+    edges = []
+    for c in (1, 2, 3, 4):
+        image = blacks[:]
+        rng.shuffle(image)
+        edges += [(f"e{c}.{w}", c, w, b) for w, b in zip(whites, image) if rng.random() < keep]
+    verts = {**dict.fromkeys(whites, "w"), **dict.fromkeys(blacks, "b")}
+    return ColoredGraph((1, 2, 3, 4), verts, edges)
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.9])
+def test_degree_lower_bound_matches_the_per_bubble_sum(keep):
+    rng = random.Random(41)
+    for _ in range(300):
+        g = _random_four_colored(rng, keep)
+        try:
+            want = _per_bubble_lower_bound(g)
+        except GraphError:
+            with pytest.raises(GraphError, match="unpaired half-edges"):
+                degree_lower_bound(g)
+        else:
+            assert degree_lower_bound(g) == want
+    # a vertex with only the deleted color lies in no 3-bubble, so the sum
+    # skips it; the one ribbon graph counts its half-edges as unpaired
+    g = ColoredGraph((1, 2, 3, 4), {"w": "w", "b": "b"}, [("e", 4, "w", "b")])
+    assert _per_bubble_lower_bound(g) == 0
+    with pytest.raises(GraphError, match=r"unpaired half-edges: \['b:1'"):
+        degree_lower_bound(g)
 
 
 # --------------------------------------------------------- open boundary
