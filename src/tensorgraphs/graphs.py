@@ -28,6 +28,7 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 WHITE = "w"
 BLACK = "b"
@@ -69,9 +70,11 @@ class GraphError(ValueError):
     """Malformed graph data or an operation applied to an unsuitable graph."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A colored edge, oriented from its white end to its black end."""
+class Edge(NamedTuple):
+    """A colored edge, oriented from its white end to its black end.
+
+    An immutable named tuple: it equals the plain tuple of its fields.
+    """
 
     label: str
     color: int
@@ -87,13 +90,12 @@ class Edge:
         raise GraphError(f"vertex {vertex!r} is not an end of edge {self.label!r}")
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):
     """A color-0 half-edge at an inner vertex.
 
-    The valence-1 outer vertex at the far end is implicit; it is
-    reconstructed on demand (e.g. by DOT export and by boundary-graph
-    tracing) rather than stored.
+    An immutable named tuple, like :class:`Edge`.  The valence-1 outer
+    vertex at the far end is implicit; it is reconstructed on demand (e.g.
+    by DOT export and by boundary-graph tracing) rather than stored.
     """
 
     label: str
@@ -133,11 +135,11 @@ class ColoredGraph:
 
     Instances are immutable after construction; every operation in this
     package returns a new graph.  A graph keeps the walks of :func:`bubbles`
-    once asked for: one set of neighbour arrays and the bubbles of each
-    color subset walked so far.  The color set is explicit: regular graphs
-    read from files use contiguous colors (``1..D`` or ``0..D``), but
-    intermediate values such as color-deleted subgraphs may live on an
-    arbitrary subset.
+    once asked for: one set of neighbour arrays, the edges of each color
+    and the bubbles of each color subset walked so far.  The color set is
+    explicit: regular graphs read from files use contiguous colors
+    (``1..D`` or ``0..D``), but intermediate values such as color-deleted
+    subgraphs may live on an arbitrary subset.
 
     The constructor rejects malformed input with a :class:`GraphError`
     naming the first offender.  Operations in this package whose result is
@@ -161,35 +163,48 @@ class ColoredGraph:
         slots: dict[tuple[str, int], Edge] = {}
         take = slots.setdefault
         for item in edges:
-            e = item if isinstance(item, Edge) else Edge(*item)
-            if e.label in edge_map:
-                raise GraphError(f"duplicate edge label {e.label!r}")
-            c = e.color
+            if isinstance(item, Edge):
+                e = item
+            else:
+                try:
+                    e = Edge._make(item)
+                except TypeError:
+                    raise GraphError(
+                        f"edge {item!r}: expected (label, color, white, black)"
+                    ) from None
+            label, c, w, b = e
+            if label in edge_map:
+                raise GraphError(f"duplicate edge label {label!r}")
             if c not in colors:  # a tuple test: an unhashable color gets this message
-                raise GraphError(f"edge {e.label!r}: color {c} outside color set {colors}")
-            ends_fit = parity.get(e.white) == WHITE and parity.get(e.black) == BLACK
-            if not ends_fit or take((e.white, c), e) is not e or take((e.black, c), e) is not e:
+                raise GraphError(f"edge {label!r}: color {c} outside color set {colors}")
+            ends_fit = parity.get(w) == WHITE and parity.get(b) == BLACK
+            if not ends_fit or take((w, c), e) is not e or take((b, c), e) is not e:
                 raise _edge_fault(e, parity, slots)
-            edge_map[e.label] = e
+            edge_map[label] = e
 
         leg_map: dict[str, Leg] = {}
         leg_at: dict[str, Leg] = {}
         for item in legs:
-            l = item if isinstance(item, Leg) else Leg(*item)
-            if l.label in leg_map:
-                raise GraphError(f"duplicate leg label {l.label!r}")
+            if isinstance(item, Leg):
+                l = item
+            else:
+                try:
+                    l = Leg._make(item)
+                except TypeError:
+                    raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
+            label, v = l
+            if label in leg_map:
+                raise GraphError(f"duplicate leg label {label!r}")
             if 0 not in colors:
-                raise GraphError(f"leg {l.label!r}: color 0 not in color set")
-            if l.vertex not in parity:
-                raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
-            if (l.vertex, 0) in slots:
-                raise GraphError(
-                    f"leg {l.label!r}: vertex {l.vertex!r} already has a color-0 edge"
-                )
-            if l.vertex in leg_at:
-                raise GraphError(f"two legs at vertex {l.vertex!r}")
-            leg_at[l.vertex] = l
-            leg_map[l.label] = l
+                raise GraphError(f"leg {label!r}: color 0 not in color set")
+            if v not in parity:
+                raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
+            if (v, 0) in slots:
+                raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
+            if v in leg_at:
+                raise GraphError(f"two legs at vertex {v!r}")
+            leg_at[v] = l
+            leg_map[label] = l
 
         self._store(colors, parity, edge_map, slots, leg_map, leg_at)
 
@@ -213,8 +228,9 @@ class ColoredGraph:
         """Store the parts of :meth:`_trusted`, deriving their indexes."""
         slots: dict[tuple[str, int], Edge] = {}
         for e in edges.values():
-            slots[e.white, e.color] = e
-            slots[e.black, e.color] = e
+            _, c, w, b = e
+            slots[w, c] = e
+            slots[b, c] = e
         self._store(colors, parity, edges, slots, legs, {l.vertex: l for l in legs.values()})
 
     @classmethod
@@ -474,19 +490,20 @@ def _slot_arrays(
     empty slot.  Edges of colors outside `read` are left out.
     """
     labels = sorted(g._parity)
-    index = {v: i for i, v in enumerate(labels)}
+    index = dict(zip(labels, range(len(labels))))
     slot_of = {c: k for k, c in enumerate(read)}
     nbrs = [[_EMPTY_SLOT] * len(labels) for _ in read]
-    for e in g._edges.values():
-        k = slot_of.get(e.color)
+    for _, c, w, b in g._edges.values():
+        k = slot_of.get(c)
         if k is not None:
-            w, b = index[e.white], index[e.black]
-            nbrs[k][w] = b
-            nbrs[k][b] = w
+            nb = nbrs[k]
+            w, b = index[w], index[b]
+            nb[w] = b
+            nb[b] = w
     if 0 in slot_of:
         nb = nbrs[slot_of[0]]
-        for l in g._legs.values():
-            nb[index[l.vertex]] = _LEG_SLOT
+        for _, v in g._legs.values():
+            nb[index[v]] = _LEG_SLOT
     return labels, nbrs
 
 
@@ -529,8 +546,8 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     vertices incident to at least one edge of the chosen colors take part.
     Results are sorted by (color subset, smallest member vertex).  Each
     color subset is walked once per graph: the graph keeps the neighbour
-    arrays of all its colors and every subset's bubbles (see
-    :class:`ColoredGraph`); each call returns a fresh list.
+    arrays and edge lists of all its colors and every subset's bubbles
+    (see :class:`ColoredGraph`); each call returns a fresh list.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -539,19 +556,28 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
     if g._walks is None:
-        g._walks = (*_slot_arrays(g, g._colors), {})
-    labels, nbrs, walked = g._walks
+        labels, nbrs = _slot_arrays(g, g._colors)
+        index = dict(zip(labels, range(len(labels))))
+        # per color: (white index, label) of each of its edges
+        by_color: list[list[tuple[int, str]]] = [[] for _ in g._colors]
+        for label, c, w, _ in g._edges.values():
+            by_color[g._colors.index(c)].append((index[w], label))
+        g._walks = (labels, nbrs, {}, by_color)
+    labels, nbrs, walked, by_color = g._walks
     found = walked.get(csub)
     if found is None:
         # every edge joins two distinct vertices, so the singletons are
         # exactly the vertices without an edge of csub
-        maps = [nbrs[g._colors.index(c)] for c in csub]
-        orbits = [o for o in _orbits(len(labels), maps) if len(o) > 1]
-        comp_of = {labels[v]: i for i, orbit in enumerate(orbits) for v in orbit}
+        ks = [g._colors.index(c) for c in csub]
+        orbits = [o for o in _orbits(len(labels), [nbrs[k] for k in ks]) if len(o) > 1]
+        comp_of = [0] * len(labels)
+        for i, orbit in enumerate(orbits):
+            for v in orbit:
+                comp_of[v] = i
         edges: list[list[str]] = [[] for _ in orbits]
-        for e in g._edges.values():
-            if e.color in csub:
-                edges[comp_of[e.white]].append(e.label)
+        for k in ks:
+            for w, label in by_color[k]:
+                edges[comp_of[w]].append(label)
         found = walked[csub] = [
             Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
             for orbit, es in zip(orbits, edges)
@@ -730,15 +756,18 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 
 def _component_certs(
     g: ColoredGraph, colors: Iterable[int] | None = None
-) -> list[tuple[tuple[tuple[int, ...], ...], dict[str, int]]]:
-    """Per component: (canonical code, vertex -> canonical index).
+) -> tuple[list[str], list[tuple[tuple[tuple[int, ...], ...], list[int]]]]:
+    """The sorted vertex labels and, per component, (canonical code, BFS order).
 
-    Slots are read in `colors` order (default ``g.colors``); components come
-    in the order of their smallest vertex label.
+    The BFS order lists the component's vertices as indices into the labels,
+    the vertex of canonical index k at position k.  Slots are read in
+    `colors` order (default ``g.colors``); components come in the order of
+    their smallest vertex label.
     """
     read = g._colors if colors is None else tuple(colors)
     labels, nbrs = _slot_arrays(g, read)
     parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
+    pos = [-1] * len(labels)  # BFS index of each vertex queued from the current root
 
     out = []
     for comp in _orbits(len(labels), nbrs):
@@ -746,7 +775,7 @@ def _component_certs(
         best: tuple | None = None
         best_queue: list[int] = []
         for root in roots:
-            pos = {root: 0}
+            pos[root] = 0
             queue = [root]
             rows = []
             smaller = best is None
@@ -755,8 +784,8 @@ def _component_certs(
                 for nb in nbrs:
                     u = nb[v]
                     if u >= 0:
-                        j = pos.get(u)
-                        if j is None:
+                        j = pos[u]
+                        if j < 0:
                             j = pos[u] = len(queue)
                             queue.append(u)
                         u = j
@@ -771,8 +800,10 @@ def _component_certs(
             else:
                 if smaller:
                     best, best_queue = tuple(rows), queue
-        out.append((best, {labels[v]: k for k, v in enumerate(best_queue)}))
-    return out
+            for v in queue:
+                pos[v] = -1
+        out.append((best, best_queue))
+    return labels, out
 
 
 def canonical_certificate(g: ColoredGraph) -> tuple:
@@ -780,8 +811,8 @@ def canonical_certificate(g: ColoredGraph) -> tuple:
 
     Suitable as a deduplication key, e.g. when enumerating Wick contractions.
     """
-    certs = sorted(code for code, _ in _component_certs(g))
-    return (g.colors, tuple(certs))
+    _, certs = _component_certs(g)
+    return (g.colors, tuple(sorted(code for code, _ in certs)))
 
 
 # Most colors the up-to-color-permutation test accepts: it may try all k!
@@ -839,24 +870,23 @@ def is_isomorphic(
         raise GraphError(f"unknown isomorphism mode {mode!r}")
     if len(a) != len(b) or len(a.edges) != len(b.edges) or len(a.legs) != len(b.legs):
         return IsoResult(False)
-    certs_b = _component_certs(b)
+    labels_b, certs_b = _component_certs(b)
     codes_b = sorted(code for code, _ in certs_b)
     for cmap in cmaps:
         read = None
         if cmap is not None:
             inverse = {c: s for s, c in cmap.items()}
             read = [inverse[c] for c in b.colors]
-        certs_a = _component_certs(a, read)
+        labels_a, certs_a = _component_certs(a, read)
         if sorted(code for code, _ in certs_a) != codes_b:
             continue
-        by_code: dict[tuple, list[dict[str, int]]] = {}
+        by_code: dict[tuple, list[list[int]]] = {}
         for code, order in certs_b:
             by_code.setdefault(code, []).append(order)
         witness: dict[str, str] = {}
         for code, order_a in certs_a:
-            inv_b = {i: v for v, i in by_code[code].pop().items()}
-            for v, i in order_a.items():
-                witness[v] = inv_b[i]
+            for u, v in zip(order_a, by_code[code].pop()):
+                witness[labels_a[u]] = labels_b[v]
         return IsoResult(True, witness, cmap)
     return IsoResult(False)
 

@@ -118,7 +118,7 @@ class ModelSpec:
                 raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
             if v.is_open:
                 raise GraphError(f"vertex {label} has legs")
-            certs = _component_certs(v)
+            _, certs = _component_certs(v)
             if len(certs) != 1:
                 raise GraphError(f"vertex {label} is not connected")
             if 2 * len(v.whites()) != len(v):
@@ -231,8 +231,8 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
     for name, code in zip(model.vertex_names, model._codes):
         names.setdefault(code, name)
     # read without color 0: the stripped graph's components, left unbuilt
-    certs = _component_certs(g, expected[1:])
-    entries = tuple((min(order), names.get(code)) for code, order in certs)
+    labels, certs = _component_certs(g, expected[1:])
+    entries = tuple((labels[min(order)], names.get(code)) for code, order in certs)
     return MembershipReport(all(m is not None for _, m in entries), entries)
 
 

@@ -435,7 +435,10 @@ def _iso_key(res):
 
 def assert_kernel_matches_reference(a, b):
     for g in (a, b):
-        fast = [(code, list(order.items())) for code, order in _component_certs(g)]
+        labels, certs = _component_certs(g)
+        fast = [
+            (code, [(labels[v], k) for k, v in enumerate(order)]) for code, order in certs
+        ]
         slow = [
             (code, list(order.items())) for code, order in _reference_component_certs(g)
         ]
@@ -734,6 +737,21 @@ def test_walks_match_reference_on_seeded_random_graphs():
     rng = random.Random(5)
     for _ in range(300):
         assert_walks_match_reference(_scrambled(_random_graph(rng), rng))
+    # 3-6 colors, closed or open: a bubble's edges are the edges of its
+    # colors with their ends among its vertices
+    for _ in range(60):
+        d = rng.randint(3, 6)
+        colors = tuple(range(d)) if rng.random() < 0.5 else tuple(range(1, d + 1))
+        g = _scrambled(_random_graph(rng, colors), rng)
+        assert_walks_match_reference(g)
+        for r in range(1, d + 1):
+            for subset in itertools.combinations(colors, r):
+                for b in bubbles(g, subset):
+                    inside = set(b.vertices)
+                    assert b.edges == tuple(sorted(
+                        label for label, e in g.edges.items()
+                        if e.color in subset and e.white in inside
+                    ))
 
 
 def test_walks_match_reference_on_hundreds_of_components():
@@ -838,6 +856,16 @@ def test_graph_is_immutable():
         g.vertices["new"] = "w"  # type: ignore[index]
     with pytest.raises(TypeError):
         g.edges["e1"] = Edge("e1", 1, "w", "b")  # type: ignore[index]
+    e, l = Edge("e1", 1, "w", "b"), Leg("l1", "w")
+    with pytest.raises(AttributeError):
+        e.color = 2  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        l.vertex = "b"  # type: ignore[misc]
+    assert repr(e) == "Edge(label='e1', color=1, white='w', black='b')"
+    assert repr(l) == "Leg(label='l1', vertex='w')"
+    assert (e.other("w"), e.other("b")) == ("b", "w")
+    with pytest.raises(GraphError, match="vertex 'x' is not an end of edge 'e1'"):
+        e.other("x")
 
 
 def test_constructor_rejects_bad_parity_tag():
@@ -870,7 +898,7 @@ def _reference_construct(colors, vertices, edges, legs):
         parity[label] = p
     edge_map, slots = {}, {}
     for item in edges:
-        e = item if isinstance(item, Edge) else Edge(*item)
+        e = _reference_record(Edge, item, "edge", "(label, color, white, black)")
         if e.label in edge_map:
             raise GraphError(f"duplicate edge label {e.label!r}")
         if e.color not in colors:
@@ -893,7 +921,7 @@ def _reference_construct(colors, vertices, edges, legs):
         edge_map[e.label] = e
     leg_map, leg_at = {}, {}
     for item in legs:
-        l = item if isinstance(item, Leg) else Leg(*item)
+        l = _reference_record(Leg, item, "leg", "(label, vertex)")
         if l.label in leg_map:
             raise GraphError(f"duplicate leg label {l.label!r}")
         if 0 not in colors:
@@ -909,6 +937,23 @@ def _reference_construct(colors, vertices, edges, legs):
         leg_at[l.vertex] = l
         leg_map[l.label] = l
     return colors, *(list(d.items()) for d in (parity, edge_map, slots, leg_map, leg_at))
+
+
+def _is_record(cls, item):
+    """Whether `item` is an iterable of as many values as `cls` has fields."""
+    try:
+        return len(tuple(item)) == len(cls._fields)
+    except TypeError:
+        return False
+
+
+def _reference_record(cls, item, kind, fields):
+    """`item` as a `cls`; an item that is not an iterable of its fields raises."""
+    if isinstance(item, cls):
+        return item
+    if not _is_record(cls, item):
+        raise GraphError(f"{kind} {item!r}: expected {fields}")
+    return cls(*item)
 
 
 def _outcome(build, *args):
@@ -975,8 +1020,11 @@ def _mutate(rng, colors, vertices, edges, legs):
     names = [v for v, _ in vertices]
     whites = [v for v, p in vertices if p == WHITE]
     blacks = [v for v, p in vertices if p != WHITE]
-    edge_objs = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
-    kind = rng.randrange(15)
+    # earlier defects may have inserted malformed items; only records are read
+    records = [i for i, e in enumerate(edges) if _is_record(Edge, e)]
+    edge_objs = {i: Edge(*edges[i]) for i in records}
+    legs_ok = [Leg(*l) for l in legs if _is_record(Leg, l)]
+    kind = rng.randrange(16)
     if kind == 0 and colors:
         colors.append(rng.choice(colors))
     elif kind == 1:
@@ -990,32 +1038,36 @@ def _mutate(rng, colors, vertices, edges, legs):
         _insert(rng, edges, ("new", rng.choice(colors), rng.choice(whites), "nowhere"))
     elif kind == 5 and colors and blacks:
         _insert(rng, edges, ("new", rng.choice(colors), "nowhere", rng.choice(blacks)))
-    elif kind == 6 and edges:
-        i = rng.randrange(len(edges))
+    elif kind == 6 and records:
+        i = rng.choice(records)
         e = edge_objs[i]
         edges[i] = (e.label, e.color, e.black, e.white)
     elif kind == 7 and whites and blacks:
         _insert(rng, edges, ("new", max(colors, default=0) + 1, whites[0], blacks[0]))
-    elif kind == 8 and len(edges) > 1:
-        i, j = rng.sample(range(len(edges)), 2)
+    elif kind == 8 and len(records) > 1:
+        i, j = rng.sample(records, 2)
         e = edge_objs[i]
         edges[i] = (edge_objs[j].label, e.color, e.white, e.black)
-    elif kind == 9 and edges and blacks:
-        e = rng.choice(edge_objs)
+    elif kind == 9 and records and blacks:
+        e = edge_objs[rng.choice(records)]
         _insert(rng, edges, ("dbl", e.color, e.white, rng.choice(blacks)))
     elif kind == 10 and 0 in colors and legs:
         colors.remove(0)
     elif kind == 11:
         _insert(rng, legs, ("lost", "nowhere"))
-    elif kind == 12 and any(e.color == 0 for e in edge_objs):
-        e = rng.choice([e for e in edge_objs if e.color == 0])
+    elif kind == 12 and any(e.color == 0 for e in edge_objs.values()):
+        e = rng.choice([e for e in edge_objs.values() if e.color == 0])
         _insert(rng, legs, ("onedge", rng.choice((e.white, e.black))))
-    elif kind == 13 and legs:
-        l = rng.choice(legs)
-        _insert(rng, legs, ("twice", l[1] if isinstance(l, tuple) else l.vertex))
-    elif kind == 14 and legs and names:
-        l = rng.choice(legs)
-        _insert(rng, legs, (l[0] if isinstance(l, tuple) else l.label, rng.choice(names)))
+    elif kind == 13 and legs_ok:
+        _insert(rng, legs, ("twice", rng.choice(legs_ok).vertex))
+    elif kind == 14 and legs_ok and names:
+        _insert(rng, legs, (rng.choice(legs_ok).label, rng.choice(names)))
+    elif kind == 15:
+        target, bad = rng.choice([
+            (edges, ("e3", 1, "w")), (edges, ("e5", 1, "w", "b", "x")), (edges, 5),
+            (legs, ("l1",)), (legs, 5),
+        ])
+        _insert(rng, target, bad)
 
 
 # The first words of every constructor message, so a run can show that it
@@ -1024,6 +1076,7 @@ _MESSAGE_KINDS = (
     "duplicate colors", "colors must be", "duplicate vertex", "parity must",
     "duplicate edge", "outside color set", "unknown vertex", "is not",
     "duplicate color at", "color 0 not", "already has", "two legs", "duplicate leg",
+    "expected (",
 )
 
 
@@ -1075,6 +1128,10 @@ def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
          [("z", 0, "a", "b"), ("y", 0, "a", "c")], [("l", "zz")]),
         ((0, 1), [("a", "w"), ("b", "b")], [("z", 0, "a", "b")],
          [("l", "b"), ("k", "b"), ("m", "zz")]),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 1, "a")], []),
+        ((1,), [("a", "w"), ("b", "b")], [("e", 1, "a", "b"), 5], []),
+        ((0, 1), [("a", "w")], [], [("l",)]),
+        ((0, 1), [("a", "w")], [], [("l", "zz"), None]),
     ],
     ids=[
         "duplicate-colors", "negative-color", "duplicate-vertex", "bad-parity-first",
@@ -1082,6 +1139,8 @@ def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
         "unhashable-color", "doubled-slot-before-unknown-end", "leg-without-color-0",
         "leg-on-unknown-vertex", "leg-on-color-0-edge", "two-legs-on-one-vertex",
         "duplicate-leg", "doubled-slot-before-bad-leg", "leg-on-edge-before-unknown",
+        "short-edge", "non-iterable-edge", "short-leg",
+        "unknown-vertex-before-non-iterable-leg",
     ],
 )
 def test_constructor_matches_reference_on_named_defects(colors, vertices, edges, legs):
