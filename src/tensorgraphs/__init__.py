@@ -15,8 +15,8 @@ encode:
   bounds;
 * :mod:`tensorgraphs.surgery` -- connected sums, edge opening/capping,
   cones, boundary graphs, the separator predicate;
-* :mod:`tensorgraphs.models` -- model specs, membership, Wick enumeration,
-  and builders for all named graph families;
+* :mod:`tensorgraphs.models` -- model specs, membership, Wick enumeration
+  and counting, and builders for all named graph families;
 * :mod:`tensorgraphs.cli` -- the ``tgraph`` command-line tool.
 
 ``tensorgraphs.homology`` is the function, which shadows its submodule even
@@ -73,6 +73,7 @@ from .models import (
     build,
     build_families,
     builtin_model,
+    count_vacuum,
     default_probes,
     enumerate_vacuum,
     find_separators,
@@ -152,6 +153,7 @@ __all__ = [
     "build",
     "build_families",
     "builtin_model",
+    "count_vacuum",
     "default_probes",
     "enumerate_vacuum",
     "find_separators",

@@ -33,7 +33,6 @@ from .graphs import (
     ColoredGraph,
     GraphError,
     bubbles,
-    canonical_certificate,
     connected_components,
     export_dot,
     is_isomorphic,
@@ -46,7 +45,7 @@ from .jackets import boundary_degree, gurau_degree, is_melonic
 from .models import (
     build,
     builtin_model,
-    enumerate_vacuum,
+    count_vacuum,
     find_separators,
     is_member,
 )
@@ -226,11 +225,10 @@ def _cmd_build(args):
 
 
 def _cmd_enumerate(args):
-    graphs = enumerate_vacuum(builtin_model(args.model), args.k)
-    rows = [_kv("count", len(graphs))]
+    count, distinct = count_vacuum(builtin_model(args.model), args.k)
+    rows = [_kv("count", count)]
     if args.dedup:
-        distinct = {canonical_certificate(g) for g in graphs}
-        rows.append(_kv("distinct", len(distinct)))
+        rows.append(_kv("distinct", distinct))
     return rows, 0
 
 

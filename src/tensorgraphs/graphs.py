@@ -162,49 +162,66 @@ class ColoredGraph:
         edge_map: dict[str, Edge] = {}
         slots: dict[tuple[str, int], Edge] = {}
         take = slots.setdefault
-        for item in edges:
-            if isinstance(item, Edge):
-                e = item
-            else:
-                try:
-                    e = Edge._make(item)
-                except TypeError:
-                    raise GraphError(
-                        f"edge {item!r}: expected (label, color, white, black)"
-                    ) from None
-            label, c, w, b = e
-            if label in edge_map:
-                raise GraphError(f"duplicate edge label {label!r}")
-            if c not in colors:  # a tuple test: an unhashable color gets this message
-                raise GraphError(f"edge {label!r}: color {c} outside color set {colors}")
-            ends_fit = parity.get(w) == WHITE and parity.get(b) == BLACK
-            if not ends_fit or take((w, c), e) is not e or take((b, c), e) is not e:
-                raise _edge_fault(e, parity, slots)
-            edge_map[label] = e
+        e = None
+        # One handler for the whole loop, so a valid item pays nothing for it:
+        # a TypeError raised while the record e is checked comes from hashing
+        # its label or an end (the color has a tuple test).
+        try:
+            for item in edges:
+                if isinstance(item, Edge):
+                    e = item
+                else:
+                    try:
+                        e = Edge._make(item)
+                    except TypeError:
+                        raise GraphError(
+                            f"edge {item!r}: expected (label, color, white, black)"
+                        ) from None
+                label, c, w, b = e
+                if label in edge_map:
+                    raise GraphError(f"duplicate edge label {label!r}")
+                if c not in colors:  # a tuple test: an unhashable color gets this message
+                    raise GraphError(f"edge {label!r}: color {c} outside color set {colors}")
+                ends_fit = parity.get(w) == WHITE and parity.get(b) == BLACK
+                if not ends_fit or take((w, c), e) is not e or take((b, c), e) is not e:
+                    raise _edge_fault(e, parity, slots)
+                edge_map[label] = e
+        except TypeError:
+            fault = e and _unhashable("edge", e.label, (e.white, e.black))
+            if not fault:
+                raise
+            raise fault from None
 
         leg_map: dict[str, Leg] = {}
         leg_at: dict[str, Leg] = {}
-        for item in legs:
-            if isinstance(item, Leg):
-                l = item
-            else:
-                try:
-                    l = Leg._make(item)
-                except TypeError:
-                    raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
-            label, v = l
-            if label in leg_map:
-                raise GraphError(f"duplicate leg label {label!r}")
-            if 0 not in colors:
-                raise GraphError(f"leg {label!r}: color 0 not in color set")
-            if v not in parity:
-                raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
-            if (v, 0) in slots:
-                raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
-            if v in leg_at:
-                raise GraphError(f"two legs at vertex {v!r}")
-            leg_at[v] = l
-            leg_map[label] = l
+        l = None
+        try:  # as for the edges
+            for item in legs:
+                if isinstance(item, Leg):
+                    l = item
+                else:
+                    try:
+                        l = Leg._make(item)
+                    except TypeError:
+                        raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
+                label, v = l
+                if label in leg_map:
+                    raise GraphError(f"duplicate leg label {label!r}")
+                if 0 not in colors:
+                    raise GraphError(f"leg {label!r}: color 0 not in color set")
+                if v not in parity:
+                    raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
+                if (v, 0) in slots:
+                    raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
+                if v in leg_at:
+                    raise GraphError(f"two legs at vertex {v!r}")
+                leg_at[v] = l
+                leg_map[label] = l
+        except TypeError:
+            fault = l and _unhashable("leg", l.label, (l.vertex,))
+            if not fault:
+                raise
+            raise fault from None
 
         self._store(colors, parity, edge_map, slots, leg_map, leg_at)
 
@@ -340,13 +357,32 @@ def _checked_parity(
     if isinstance(vertices, Mapping):
         vertices = vertices.items()
     parity = {}
-    for label, p in vertices:
-        if label in parity:
-            raise GraphError(f"duplicate vertex label {label!r}")
-        if p not in (WHITE, BLACK):
-            raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
-        parity[label] = p
+    label = None
+    try:
+        for label, p in vertices:
+            if label in parity:
+                raise GraphError(f"duplicate vertex label {label!r}")
+            if p not in (WHITE, BLACK):
+                raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
+            parity[label] = p
+    except TypeError:
+        fault = _unhashable("vertex", label, ())
+        if not fault:
+            raise
+        raise fault from None
     return parity
+
+
+def _unhashable(kind: str, label, vertices: tuple) -> GraphError | None:
+    """The error for an unhashable label, else for the first unhashable
+    vertex, else None."""
+    for value in (label, *vertices):
+        try:
+            hash(value)
+        except TypeError:
+            what = "label" if value is label else f"vertex {value!r}"
+            return GraphError(f"{kind} {label!r}: {what} is not hashable")
+    return None
 
 
 def _edge_fault(e: Edge, parity: Mapping[str, str], slots: Mapping) -> GraphError:

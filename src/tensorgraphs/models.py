@@ -5,7 +5,10 @@ D-colored graphs (:class:`ModelSpec`).  A (D+1)-colored graph is a Feynman
 graph of the model iff, after amputating legs and deleting the propagator
 color 0, every connected component is one of the interaction vertices
 (:func:`is_member`).  Wick contraction of ``k`` vertices is enumerated as
-perfect matchings of white against black vertices (:func:`enumerate_vacuum`).
+perfect matchings of white against black vertices (:func:`enumerate_vacuum`)
+and counted without building a graph (:func:`count_vacuum`): a combination
+of w whites contracts in w! ways, and its classes up to isomorphism are
+counted by Burnside's lemma over the automorphisms of its pieces.
 
 The second half of the module builds the named graph families used
 throughout the package: the quartic-matrix contractions R0/R1, the torus
@@ -34,17 +37,22 @@ search result so that fixtures regenerate without re-searching.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from math import factorial
+from typing import Iterable, Sequence
 
 from .graphs import (
+    WHITE,
     Bubble,
     ColoredGraph,
     Edge,
     GraphError,
     Leg,
     _component_certs,
+    _orbits,
+    _slot_arrays,
     add_prefix,
     bubbles,
     canonical_certificate,
@@ -62,6 +70,8 @@ __all__ = [
     "MembershipReport",
     "is_member",
     "enumerate_vacuum",
+    "count_vacuum",
+    "centralizer_order",
     "build",
     "build_families",
     "build_dipole",
@@ -108,8 +118,10 @@ class ModelSpec:
     rank: int
     upsilon: tuple[ColoredGraph, ...]
     vertex_names: tuple[str, ...]
-    # Canonical code of each vertex, read by is_member.
+    # Canonical code of each vertex, read by is_member and count_vacuum.
     _codes: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    # White flags and automorphisms of each vertex, read by count_vacuum.
+    _symmetries: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         codes = []
@@ -125,6 +137,40 @@ class ModelSpec:
                 raise GraphError(f"vertex {label} has unequal white and black counts")
             codes.append(certs[0][0])
         object.__setattr__(self, "_codes", tuple(codes))
+        object.__setattr__(self, "_symmetries", tuple(map(_symmetries, self.upsilon)))
+
+
+def _symmetries(v: ColoredGraph) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
+    """A connected vertex's white flags and its color-preserving automorphisms,
+    both over the indices of its sorted vertex labels.
+
+    An automorphism is fixed by the image of the first white: a white root
+    whose BFS code equals the first white's, mapped position by position.
+    """
+    labels, nbrs = _slot_arrays(v, v.colors)
+    white = tuple(v._parity[x] == WHITE for x in labels)
+    walks = []
+    for root in (r for r, w in enumerate(white) if w):
+        pos = {root: 0}
+        queue = [root]
+        code = []
+        for x in queue:
+            for nb in nbrs:
+                u = nb[x]
+                if u >= 0 and u not in pos:
+                    pos[u] = len(queue)
+                    queue.append(u)
+                code.append(pos.get(u, u))
+        walks.append((code, queue))
+    first_code, first = walks[0]
+    autos = []
+    for code, queue in walks:
+        if code == first_code:
+            image = [0] * len(labels)
+            for x, y in zip(first, queue):
+                image[x] = y
+            autos.append(tuple(image))
+    return white, tuple(autos)
 
 
 def _cycle_vertex(p: int) -> ColoredGraph:
@@ -241,6 +287,23 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
 _MAX_MATCHING_WHITES = 6
 
 
+def _combinations(model: ModelSpec, k: int):
+    """Each combination of k vertex types (with repetition, in order) and its
+    white count, counted before anything is built from it; a count above
+    the enumeration cap raises."""
+    if k < 1:
+        raise GraphError("k must be >= 1")
+    n_whites = [len(v.whites()) for v in model.upsilon]
+    for combo in itertools.combinations_with_replacement(range(len(model.upsilon)), k):
+        total = sum(n_whites[t] for t in combo)
+        if total > _MAX_MATCHING_WHITES:
+            raise GraphError(
+                f"{total} white vertices exceed the enumeration cap "
+                f"({_MAX_MATCHING_WHITES}); k is too large for this model"
+            )
+        yield combo, total
+
+
 def enumerate_vacuum(
     model: ModelSpec, k: int, *, dedup: bool = False
 ) -> list[ColoredGraph]:
@@ -252,18 +315,8 @@ def enumerate_vacuum(
     with ``dedup`` the list is reduced up to exact-colors isomorphism,
     keeping first occurrences in order.
     """
-    if k < 1:
-        raise GraphError("k must be >= 1")
     out: list[ColoredGraph] = []
-    n_whites = [len(v.whites()) for v in model.upsilon]
-    for combo in itertools.combinations_with_replacement(range(len(model.upsilon)), k):
-        # counted from the combination, before its k pieces are built
-        total = sum(n_whites[t] for t in combo)
-        if total > _MAX_MATCHING_WHITES:
-            raise GraphError(
-                f"{total} white vertices exceed the enumeration cap "
-                f"({_MAX_MATCHING_WHITES}); k is too large for this model"
-            )
+    for combo, _ in _combinations(model, k):
         pieces = [add_prefix(model.upsilon[t], f"x{i}.") for i, t in enumerate(combo)]
         vertices: dict[str, str] = {}
         edges: dict[str, Edge] = {}
@@ -288,6 +341,69 @@ def enumerate_vacuum(
                 seen.add(cert)
                 unique.append(g)
         return unique
+    return out
+
+
+def count_vacuum(model: ModelSpec, k: int) -> tuple[int, int]:
+    """``len(enumerate_vacuum(model, k))`` and the same with ``dedup``,
+    counted without building a graph.
+
+    A combination of w whites contracts in w! ways.  Graphs from different
+    combinations of vertex classes are never isomorphic, since their
+    color-0-deleted components differ; so only combinations of the first
+    type of each class are counted up to isomorphism.  Within one, the
+    classes are the orbits of its automorphism group G =
+    (prod Aut(piece)) x| (permutations of equal pieces) on the color-0
+    matchings, and by Burnside's lemma (Ben Geloun & Ramgoolam,
+    arXiv:1307.6490) there are (1/|G|) sum over g of z(lambda), taken over
+    the g whose cycle type lambda on the whites is the one on the blacks.
+    The enumeration cap is enumerate_vacuum's.
+
+    >>> count_vacuum(builtin_model("phi4-matrix"), 2)
+    (24, 8)
+    """
+    firsts = {model._codes.index(code) for code in model._codes}
+    raw = distinct = 0
+    for combo, whites in _combinations(model, k):
+        raw += factorial(whites)
+        if firsts.issuperset(combo):
+            distinct += _matching_classes(model, combo)
+    return raw, distinct
+
+
+def _matching_classes(model: ModelSpec, combo: tuple[int, ...]) -> int:
+    """Burnside's orbit count of the color-0 matchings of one combination."""
+    pieces = [model._symmetries[t] for t in combo]
+    white = [w for flags, _ in pieces for w in flags]
+    starts = list(itertools.accumulate((len(flags) for flags, _ in pieces), initial=0))
+    fixed = order = 0
+    for moved in itertools.permutations(range(len(combo))):
+        if any(combo[i] != combo[j] for i, j in enumerate(moved)):
+            continue
+        for autos in itertools.product(*(a for _, a in pieces)):
+            # vertex x of piece i goes to vertex image[x] of piece moved[i]
+            perm = [starts[j] + y for j, image in zip(moved, autos) for y in image]
+            cycles = ([], [])  # lengths on the blacks, on the whites
+            for cycle in _orbits(len(perm), [perm]):
+                cycles[white[cycle[0]]].append(len(cycle))
+            if sorted(cycles[0]) == sorted(cycles[1]):
+                fixed += centralizer_order(cycles[1])
+            order += 1
+    return fixed // order
+
+
+def centralizer_order(cycle_type: Iterable[int]) -> int:
+    """z of a cycle type: the order of the centralizer in S_n of a
+    permutation with these cycle lengths, prod over k of k^m_k * m_k!.
+
+    >>> centralizer_order([2, 1, 1])
+    4
+    >>> centralizer_order([3])
+    3
+    """
+    out = 1
+    for k, m in Counter(cycle_type).items():
+        out *= k**m * factorial(m)
     return out
 
 

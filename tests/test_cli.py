@@ -276,8 +276,8 @@ def test_enumerate_counts():
 @pytest.mark.parametrize("model", ["phi4-matrix", "phi4-rank3", "matrix-2p:2", "matrix-2p:3"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_enumerate_dedup_counts_match_the_library(model, k):
-    # The command builds the raw list once and counts its distinct
-    # certificates; the library's dedup list must have that many graphs.
+    # The command counts without building a graph; the library's raw and
+    # dedup lists must have as many graphs as it counts.
     argv = ["enumerate", "--model", model, "-k", str(k), "--dedup", "--format", "kv"]
     try:
         count = len(enumerate_vacuum(builtin_model(model), k))
@@ -463,6 +463,37 @@ def test_enumerate_counts_whites_before_building_pieces(monkeypatch):
         "error: 2000 white vertices exceed the enumeration cap (6); "
         "k is too large for this model\n"
     )
+
+
+def test_enumerate_builds_no_graph(monkeypatch):
+    # the command counts, contractions by sum of w! and classes by Burnside
+    # over automorphisms the model already holds: once the models are built,
+    # no graph is assembled, namespaced or certified
+    runs = (("phi4-matrix", 3), ("phi4-rank3", 3), ("matrix-2p:3", 2))
+    for name, _ in runs:
+        builtin_model(name)
+    calls = []
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    trusted = graphs_module.ColoredGraph._trusted.__func__
+    monkeypatch.setattr(
+        graphs_module.ColoredGraph, "_trusted", classmethod(recording("_trusted", trusted))
+    )
+    for module in (graphs_module, models_module):
+        for name in ("add_prefix", "_component_certs"):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    for name, k in runs:
+        code, out, err = run_cli(["enumerate", "--model", name, "-k", str(k), "--dedup"])
+        assert (code, err, calls) == (0, "", [])
+        assert out.startswith("count = ") and "\ndistinct = " in out
+    # the wrappers do see the enumerator's graph work
+    enumerate_vacuum(builtin_model("phi4-matrix"), 1, dedup=True)
+    assert set(calls) == {"_trusted", "add_prefix", "_component_certs"}
 
 
 def test_jacket_commands_walk_each_color_pair_once(monkeypatch):

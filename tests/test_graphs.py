@@ -891,6 +891,7 @@ def _reference_construct(colors, vertices, edges, legs):
     parity = {}
     items = vertices.items() if isinstance(vertices, Mapping) else vertices
     for label, p in items:
+        _reference_hashable("vertex", label, label, "label")
         if label in parity:
             raise GraphError(f"duplicate vertex label {label!r}")
         if p not in (WHITE, "b"):
@@ -899,6 +900,7 @@ def _reference_construct(colors, vertices, edges, legs):
     edge_map, slots = {}, {}
     for item in edges:
         e = _reference_record(Edge, item, "edge", "(label, color, white, black)")
+        _reference_hashable("edge", e.label, e.label, "label")
         if e.label in edge_map:
             raise GraphError(f"duplicate edge label {e.label!r}")
         if e.color not in colors:
@@ -906,6 +908,7 @@ def _reference_construct(colors, vertices, edges, legs):
                 f"edge {e.label!r}: color {e.color} outside color set {colors}"
             )
         for end, want in ((e.white, WHITE), (e.black, "b")):
+            _reference_hashable("edge", e.label, end, f"vertex {end!r}")
             if end not in parity:
                 raise GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
             if parity[end] != want:
@@ -922,10 +925,12 @@ def _reference_construct(colors, vertices, edges, legs):
     leg_map, leg_at = {}, {}
     for item in legs:
         l = _reference_record(Leg, item, "leg", "(label, vertex)")
+        _reference_hashable("leg", l.label, l.label, "label")
         if l.label in leg_map:
             raise GraphError(f"duplicate leg label {l.label!r}")
         if 0 not in colors:
             raise GraphError(f"leg {l.label!r}: color 0 not in color set")
+        _reference_hashable("leg", l.label, l.vertex, f"vertex {l.vertex!r}")
         if l.vertex not in parity:
             raise GraphError(f"leg {l.label!r}: unknown vertex {l.vertex!r}")
         if (l.vertex, 0) in slots:
@@ -937,6 +942,13 @@ def _reference_construct(colors, vertices, edges, legs):
         leg_at[l.vertex] = l
         leg_map[l.label] = l
     return colors, *(list(d.items()) for d in (parity, edge_map, slots, leg_map, leg_at))
+
+
+def _reference_hashable(kind, label, value, what):
+    try:
+        hash(value)
+    except TypeError:
+        raise GraphError(f"{kind} {label!r}: {what} is not hashable") from None
 
 
 def _is_record(cls, item):
@@ -1132,6 +1144,14 @@ def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
         ((1,), [("a", "w"), ("b", "b")], [("e", 1, "a", "b"), 5], []),
         ((0, 1), [("a", "w")], [], [("l",)]),
         ((0, 1), [("a", "w")], [], [("l", "zz"), None]),
+        ((1,), [("w", "w"), ("b", "b")], [(["x"], 1, "w", "b")], []),
+        ((1,), [("w", "w"), ("b", "b")], [("x", 1, ["w"], "b")], []),
+        ((1,), [("w", "w"), ("b", "b")], [("x", 1, "w", ["b"])], []),
+        ((1,), [("w", "w"), ("b", "b")], [("x", 1, ["w"], "zz")], []),
+        ((1,), [("w", "w"), ("b", "b")], [("x", 1, "zz", ["b"])], []),
+        ((0, 1), [("a", "w")], [], [(["l"], "a")]),
+        ((0, 1), [("a", "w")], [], [("l", ["a"])]),
+        ((1,), [("a", "w")], [], [("l", ["a"])]),
     ],
     ids=[
         "duplicate-colors", "negative-color", "duplicate-vertex", "bad-parity-first",
@@ -1141,11 +1161,34 @@ def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
         "duplicate-leg", "doubled-slot-before-bad-leg", "leg-on-edge-before-unknown",
         "short-edge", "non-iterable-edge", "short-leg",
         "unknown-vertex-before-non-iterable-leg",
+        "unhashable-edge-label", "unhashable-white-end", "unhashable-black-end",
+        "unhashable-white-before-unknown-black", "unknown-white-before-unhashable-black",
+        "unhashable-leg-label", "unhashable-leg-vertex", "no-color-0-before-unhashable-leg",
     ],
 )
 def test_constructor_matches_reference_on_named_defects(colors, vertices, edges, legs):
     kind, message = assert_constructor_matches_reference(colors, vertices, edges, legs)
     assert kind == "error" and message
+
+
+@pytest.mark.parametrize(
+    "colors,vertices,edges,message",
+    [
+        ((1,), {"w": "w", "b": "b"}, [(["x"], 1, "w", "b")],
+         "edge ['x']: label is not hashable"),
+        ((1,), {"w": "w", "b": "b"}, [("x", 1, ["w"], "b")],
+         "edge 'x': vertex ['w'] is not hashable"),
+        ((1,), [(["v"], "w")], [], "vertex ['v']: label is not hashable"),
+    ],
+    ids=["edge-label", "edge-end", "vertex-pair-label"],
+)
+def test_unhashable_label_is_a_graph_error(colors, vertices, edges, message):
+    # a dict cannot hold the unhashable vertex label, so the pair form is
+    # checked here rather than through every vertex form
+    with pytest.raises(GraphError) as info:
+        ColoredGraph(colors, vertices, edges)
+    assert str(info.value) == message
+    assert _outcome(_reference_construct, colors, vertices, edges, []) == ("error", message)
 
 
 # ----------------------------------- trusted assembly vs. validating rebuild

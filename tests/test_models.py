@@ -53,6 +53,8 @@ from tensorgraphs.models import (
     build_tg,
     build_twopoint,
     builtin_model,
+    centralizer_order,
+    count_vacuum,
     default_probes,
     enumerate_vacuum,
     find_separators,
@@ -282,6 +284,134 @@ def test_enumerated_graphs_are_valid_members():
 def test_enumeration_cap_is_enforced():
     with pytest.raises(GraphError, match="enumeration cap"):
         enumerate_vacuum(builtin_model("phi4-matrix"), 4)
+
+
+# ------------------------------------------------------------- counting
+#
+# count_vacuum counts what enumerate_vacuum builds: Wick contractions by
+# sum of w!, classes by Burnside.  Enumeration with certificate dedup is the
+# oracle wherever the cap admits it.
+
+VACUUM_COUNTS = {  # (model, k): (Wick contractions, classes up to isomorphism)
+    ("phi4-matrix", 1): (2, 2),
+    ("phi4-matrix", 2): (24, 8),
+    ("phi4-matrix", 3): (720, 34),
+    ("matrix-2p:2", 1): (2, 2),
+    ("matrix-2p:2", 2): (24, 8),
+    ("matrix-2p:2", 3): (720, 34),
+    ("phi4-rank3", 1): (6, 6),
+    ("phi4-rank3", 2): (144, 54),
+    ("phi4-rank3", 3): (7200, 642),
+    ("matrix-2p:3", 1): (6, 4),
+    ("matrix-2p:3", 2): (720, 58),
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(VACUUM_COUNTS))
+def test_count_vacuum_pinned(name, k):
+    assert count_vacuum(builtin_model(name), k) == VACUUM_COUNTS[name, k]
+
+
+def assert_counts_match_enumeration(model, max_raw=None):
+    """count_vacuum against enumerate_vacuum for k = 1, 2, ... up to the cap,
+    which both must hit with the same message; stops early once a count
+    passes `max_raw` Wick contractions."""
+    for k in itertools.count(1):
+        try:
+            counts = count_vacuum(model, k)
+        except GraphError as exc:
+            assert "enumeration cap" in str(exc)
+            with pytest.raises(GraphError) as info:
+                enumerate_vacuum(model, k)
+            assert str(info.value) == str(exc)
+            return
+        if max_raw is not None and counts[0] > max_raw:
+            return
+        raw = enumerate_vacuum(model, k)
+        assert counts == (len(raw), len(enumerate_vacuum(model, k, dedup=True)))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["phi4-matrix", "phi4-rank3"]
+    + [f"matrix-2p:{p}" for p in range(2, MAX_FAMILY_PARAMETER + 1)],
+)
+def test_count_vacuum_matches_enumeration_on_builtin_models(name):
+    assert_counts_match_enumeration(builtin_model(name))
+
+
+def test_count_vacuum_merges_isomorphic_vertex_types():
+    # a relabelled copy of the quartic vertex: each class is counted once,
+    # however many combinations of the two types realize it
+    v = builtin_model("phi4-matrix").upsilon[0]
+    twin = ModelSpec("twin", 2, (add_prefix(v, "copy."), v), ("A", "B"))
+    assert_counts_match_enumeration(twin)
+    for k in (1, 2, 3):
+        assert count_vacuum(twin, k) == ((k + 1) * VACUUM_COUNTS["phi4-matrix", k][0],
+                                         VACUUM_COUNTS["phi4-matrix", k][1])
+
+
+def test_count_vacuum_on_mixed_cycle_vertices():
+    # the 4-gon and the 6-gon: k = 2 mixes 2 + 3 whites, k = 3 hits the cap
+    # at (4-gon, 4-gon, 6-gon) after (4-gon)^3 fits
+    mixed = ModelSpec(
+        "mixed", 2,
+        tuple(builtin_model(f"matrix-2p:{p}").upsilon[0] for p in (2, 3)),
+        ("V4", "V6"),
+    )
+    assert_counts_match_enumeration(mixed)
+    assert count_vacuum(mixed, 1) == (2 + 6, 2 + 4)
+    raw, classes = count_vacuum(mixed, 2)
+    assert raw == 24 + 120 + 720
+    assert classes == len({canonical_certificate(g) for g in enumerate_vacuum(mixed, 2)})
+    with pytest.raises(GraphError, match="^7 white vertices exceed"):
+        count_vacuum(mixed, 3)
+
+
+def _random_vertex(rng, rank):
+    """A connected vertex on colors 1..rank with up to three whites: one
+    permutation per color, now and then an edge left out."""
+    while True:
+        n = rng.randint(1, 3)
+        edges = [
+            Edge(f"e{c}.{i}", c, f"w{i}", f"b{j}")
+            for c in range(1, rank + 1)
+            for i, j in enumerate(rng.sample(range(n), n))
+            if rng.random() < 0.9
+        ]
+        vertices = {f"w{i}": "w" for i in range(n)} | {f"b{i}": "b" for i in range(n)}
+        v = ColoredGraph(range(1, rank + 1), vertices, edges)
+        if len(connected_components(v)) == 1:
+            return v
+
+
+def test_count_vacuum_matches_enumeration_on_random_models():
+    rng = random.Random(1307)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        types = [_random_vertex(rng, rank) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            types.insert(rng.randrange(len(types) + 1), add_prefix(rng.choice(types), "c."))
+        names = tuple(f"V{i}" for i in range(len(types)))
+        assert_counts_match_enumeration(ModelSpec("random", rank, tuple(types), names), 800)
+
+
+def test_centralizer_order_counts_commuting_permutations():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        for p in perms:
+            commuting = sum(
+                all(p[q[i]] == q[p[i]] for i in range(n)) for q in perms
+            )
+            seen, lengths = set(), []
+            for start in range(n):
+                length, i = 0, start
+                while i not in seen:
+                    seen.add(i)
+                    i, length = p[i], length + 1
+                if length:
+                    lengths.append(length)
+            assert centralizer_order(lengths) == commuting
 
 
 # -------------------------------------------------------------- families
