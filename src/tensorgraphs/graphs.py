@@ -135,9 +135,9 @@ class ColoredGraph:
 
     Instances are immutable after construction; every operation in this
     package returns a new graph.  A graph keeps the walks of :func:`bubbles`
-    once asked for: one set of neighbour arrays, the edges of each color
-    and the bubbles of each color subset walked so far.  The color set is
-    explicit: regular graphs read from files use contiguous colors
+    and of homology once asked for: one set of neighbour arrays, and the
+    orbits and the bubbles of each color subset walked so far.  The color
+    set is explicit: regular graphs read from files use contiguous colors
     (``1..D`` or ``0..D``), but intermediate values such as color-deleted
     subgraphs may live on an arbitrary subset.
 
@@ -233,7 +233,7 @@ class ColoredGraph:
         self._slots = slots
         self._legs = legs
         self._leg_at = leg_at
-        self._walks = None  # filled by bubbles() only
+        self._walks = None  # filled by _walk_state() only
 
     def _assemble(
         self,
@@ -575,15 +575,45 @@ def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
+def _walk_state(g: ColoredGraph) -> tuple:
+    """``(labels, nbrs, orbits, found, by_color)``, kept on g from the first
+    call: the :func:`_slot_arrays` of all colors, the :func:`_subset_orbits`
+    and the :func:`bubbles` of each color subset walked so far, and the
+    (white index, label) of each edge by color."""
+    if g._walks is None:
+        labels, nbrs = _slot_arrays(g, g._colors)
+        index = dict(zip(labels, range(len(labels))))
+        by_color: list[list[tuple[int, str]]] = [[] for _ in g._colors]
+        for label, c, w, _ in g._edges.values():
+            by_color[g._colors.index(c)].append((index[w], label))
+        g._walks = (labels, nbrs, {}, {}, by_color)
+    return g._walks
+
+
+def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
+    """The bubbles over a sorted, nonempty subset of g's colors, as sorted
+    lists of vertex indices by smallest member; walked once per graph, and
+    shared, so callers must not change them.
+
+    Every edge joins two distinct vertices, so the singleton orbits are
+    exactly the vertices without an edge of csub; they are left out.
+    """
+    labels, nbrs, walked, _, _ = _walk_state(g)
+    orbits = walked.get(csub)
+    if orbits is None:
+        maps = [nbrs[g._colors.index(c)] for c in csub]
+        orbits = walked[csub] = [o for o in _orbits(len(labels), maps) if len(o) > 1]
+    return orbits
+
+
 def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     """The connected components of the subgraph of edges with given colors.
 
     With ``colors = ()`` every vertex is its own 0-bubble.  Otherwise only
     vertices incident to at least one edge of the chosen colors take part.
     Results are sorted by (color subset, smallest member vertex).  Each
-    color subset is walked once per graph: the graph keeps the neighbour
-    arrays and edge lists of all its colors and every subset's bubbles
-    (see :class:`ColoredGraph`); each call returns a fresh list.
+    color subset is walked once per graph and its bubbles built once (see
+    :class:`ColoredGraph`); each call returns a fresh list.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -591,30 +621,19 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
             raise GraphError(f"color {c} outside color set {g.colors}")
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
-    if g._walks is None:
-        labels, nbrs = _slot_arrays(g, g._colors)
-        index = dict(zip(labels, range(len(labels))))
-        # per color: (white index, label) of each of its edges
-        by_color: list[list[tuple[int, str]]] = [[] for _ in g._colors]
-        for label, c, w, _ in g._edges.values():
-            by_color[g._colors.index(c)].append((index[w], label))
-        g._walks = (labels, nbrs, {}, by_color)
-    labels, nbrs, walked, by_color = g._walks
-    found = walked.get(csub)
+    labels, _, _, built, by_color = _walk_state(g)
+    found = built.get(csub)
     if found is None:
-        # every edge joins two distinct vertices, so the singletons are
-        # exactly the vertices without an edge of csub
-        ks = [g._colors.index(c) for c in csub]
-        orbits = [o for o in _orbits(len(labels), [nbrs[k] for k in ks]) if len(o) > 1]
+        orbits = _subset_orbits(g, csub)
         comp_of = [0] * len(labels)
         for i, orbit in enumerate(orbits):
             for v in orbit:
                 comp_of[v] = i
         edges: list[list[str]] = [[] for _ in orbits]
-        for k in ks:
-            for w, label in by_color[k]:
+        for c in csub:
+            for w, label in by_color[g._colors.index(c)]:
                 edges[comp_of[w]].append(label)
-        found = walked[csub] = [
+        found = built[csub] = [
             Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
             for orbit, es in zip(orbits, edges)
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import itertools
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from tensorgraphs import graphs as graphs_module
 from tensorgraphs import models as models_module
-from tensorgraphs.graphs import MAX_D, GraphError, is_isomorphic, parse, serialize
+from tensorgraphs.graphs import MAX_D, GraphError, bubbles, is_isomorphic, parse, serialize
 from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
 from tensorgraphs.models import (
@@ -25,7 +26,7 @@ from tensorgraphs.models import (
     enumerate_vacuum,
 )
 
-from conftest import FIXTURES, ROOT, fixture_text, run_cli
+from conftest import FIXTURES, ROOT, fixture_text, load_fixture, run_cli
 
 cli_module = importlib.import_module("tensorgraphs.cli")
 
@@ -497,17 +498,18 @@ def test_enumerate_builds_no_graph(monkeypatch):
 
 
 def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
-    # every walk of a color subset is an _orbits call made by bubbles, on
-    # neighbour arrays that bubbles builds with _slot_arrays; the graph the
-    # command parsed keeps the subsets it walked
+    # every walk of a color subset is an _orbits call made by _subset_orbits,
+    # on neighbour arrays that _walk_state builds with _slot_arrays; the
+    # graph the command parsed keeps the subsets it walked
     calls = {"_orbits": 0, "_slot_arrays": 0}
+    walker = {"_orbits": graphs_module._subset_orbits, "_slot_arrays": graphs_module._walk_state}
     loaded = []
 
     def counting(name):
         real = getattr(graphs_module, name)
 
         def wrapper(*args):
-            if sys._getframe(1).f_code is graphs_module.bubbles.__code__:
+            if sys._getframe(1).f_code is walker[name].__code__:
                 calls[name] += 1
             return real(*args)
 
@@ -531,6 +533,25 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
         assert calls == {"_orbits": len(walked), "_slot_arrays": 1}, command
         (g,) = loaded
         assert sorted(g._walks[2]) == sorted(walked), command
+
+
+def test_report_builds_bubbles_only_for_its_color_pairs(monkeypatch):
+    # homology reads the walks as vertex-index orbits; only the 2-bubble
+    # counts and the jackets ask for Bubble objects, each built once
+    built = []
+    real = graphs_module.Bubble
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(graphs_module, "Bubble", counting)
+    code, _, _ = run_cli(["report", fx("necklace.cg")])
+    assert code == 0
+    monkeypatch.undo()
+    g = load_fixture("necklace.cg")
+    pairs = itertools.combinations(g.colors, 2)
+    assert collections.Counter(built) == {pair: len(bubbles(g, pair)) for pair in pairs}
 
 
 def test_report_certifies_the_model_vertices_once_per_process(monkeypatch):

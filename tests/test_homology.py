@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorgraphs import graphs as graphs_module
 from tensorgraphs.graphs import (
     ColoredGraph,
     GraphError,
     add_prefix,
     bubbles,
     connected_components,
+    parse,
 )
 from tensorgraphs.homology import (
     MAX_HOMOLOGY_COLORS,
@@ -387,6 +389,118 @@ def test_chain_complex_matches_definition(name):
         assert cx.basis[p] == tuple(sorted(found, key=lambda b: b.key))
     for p in range(1, cx.top_degree + 1):
         assert cx.matrix(p) == reference_matrix(g, cx, p)
+        # entry order, which steers pivot choice: an edge's white end first;
+        # a bubble's faces by dropped color in order, then by row
+        for b, col in zip(cx.basis[p], cx._columns[p - 1]):
+            if p == 1:
+                assert [x for _, x in col] == [1, -1]
+                continue
+            order = [
+                (b.colors.index(min(set(b.colors) - set(cx.basis[p - 1][r].colors))), r)
+                for r, _ in col
+            ]
+            assert order == sorted(order)
+
+
+def reference_homology(g: ColoredGraph) -> HomologyResult:
+    """Homology from dense smith_normal_form of the definition's matrices."""
+    cx = chain_complex(g)
+    forms = {p: smith_normal_form(reference_matrix(g, cx, p)) for p in range(1, cx.top_degree + 1)}
+    rank = {p: f.rank for p, f in forms.items()}
+    groups = tuple(
+        HomologyGroup(
+            cx.dim(q) - rank.get(q, 0) - rank.get(q + 1, 0),
+            forms[q + 1].torsion if q + 1 in forms else (),
+        )
+        for q in range(cx.top_degree + 1)
+    )
+    return HomologyResult(groups, sum((-1) ** q * h.free_rank for q, h in enumerate(groups)))
+
+
+def oracle_cases():
+    """Seeded random regular graphs on 2-6 colors, some with two or three
+    components, then crystallization sums of 1-3 RP^3 copies."""
+    rng = random.Random(23)
+    for t in range(48):
+        k = 2 + t % 5
+        parts, n = rng.randint(1, 3), rng.randint(1, 6 if k < 5 else 3)
+        perms = [[] for _ in range(k)]
+        for part in range(parts):
+            for perm in perms:
+                perm += [part * n + x for x in rng.sample(range(n), n)]
+        yield f"random {t}: {k} colors, {parts} x {n} whites", graph_from_permutations(perms)
+    for copies in (1, 2, 3):
+        yield f"{copies} RP^3 copies", rp3_chain(copies)
+
+
+def test_homology_matches_dense_snf_of_the_definition():
+    components = set()
+    for name, g in oracle_cases():
+        assert homology(g) == reference_homology(g), name
+        # d_1 is a signed incidence matrix: rank |V| - #components, no torsion
+        cx, n_comp = chain_complex(g), len(connected_components(g))
+        if cx.top_degree >= 1:
+            assert _rank_and_torsion(cx._columns[0]) == (len(g) - n_comp, ()), name
+        components.add(n_comp)
+    assert {1, 2, 3} <= components
+
+
+def test_homology_and_euler_build_no_bubble(monkeypatch):
+    built = []
+    real = graphs_module.Bubble
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs_module, "Bubble", counting)
+    for name in ["rp3", "qg2", "melon.cg", "necklace.cg", "kg2.cg"]:
+        assert homology(closed_graph(name)) is not None
+        assert euler_characteristic(closed_graph(name)) is not None
+    assert built == []
+    bubbles(closed_graph("rp3"), (1, 2))
+    assert built
+
+
+# Irregular closed graphs on 3 or more colors: d_1 d_2 != 0 there, so Betti
+# numbers from the ranks of the maps can be negative; on the first case they
+# give H_1 free rank -1 (printed "H_1 = 0") and chi = 5.
+IRREGULAR_HOMOLOGY = {
+    "three colors, one vertex pair on two": (
+        "colors 3 closed\nv a w\nv b b\nv c w\nv d b\n"
+        "e x 1 a b\ne y 2 a b\ne z 3 a b\ne p 1 c d\ne q 2 c d\n",
+        "homology: vertex 'c': missing color 3 (each vertex needs all colors or none)",
+    ),
+    IRREGULAR: (
+        graph_from_permutations(KLEIN4, missing={(0, 0), (1, 1)}),
+        "homology: vertex 'b0': missing color 1 (each vertex needs all colors or none)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(IRREGULAR_HOMOLOGY))
+def test_homology_refuses_irregular_graphs_with_three_colors(name):
+    g, message = IRREGULAR_HOMOLOGY[name]
+    if isinstance(g, str):
+        g = parse(g, require_regular=False)
+    with pytest.raises(GraphError) as info:
+        homology(g)
+    assert str(info.value) == message
+    chain_complex(g)  # the complex itself is still defined
+
+
+def test_homology_accepts_isolated_vertices_and_two_color_gaps():
+    # an isolated vertex keeps d_1 d_2 = 0; with 2 colors there is no d_2
+    isolated = ColoredGraph(
+        (1, 2, 3), {"w": "w", "b": "b", "z": "b"}, [(f"e{c}", c, "w", "b") for c in (1, 2, 3)]
+    )
+    assert homology(isolated) == reference_homology(isolated)
+    assert homology(isolated).betti == (2, 0, 1)
+    path = ColoredGraph(
+        (1, 2), {"w": "w", "b": "b", "v": "w"}, [("x", 1, "w", "b"), ("y", 2, "v", "b")]
+    )
+    assert homology(path) == reference_homology(path)
+    assert homology(path).lines() == ["H_0 = Z", "H_1 = 0", "chi = 1"]
 
 
 def test_group_rendering():
