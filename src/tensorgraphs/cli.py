@@ -32,6 +32,7 @@ from typing import Sequence
 from .graphs import (
     ColoredGraph,
     GraphError,
+    _subset_orbits,
     bubbles,
     connected_components,
     export_dot,
@@ -202,7 +203,7 @@ def _jacket_rows(path: str) -> list[_Row]:
         )
     return rows + [
         _kv("degree", report.degree),
-        _kv("faces", sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))),
+        _kv("faces", sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))),
         _kv("amplitude-exponent", report.amplitude_exponent),
     ]
 
@@ -257,7 +258,7 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
     pairs.append(("edges", str(len(g.edges))))
     pairs.append(("legs", str(len(g.legs))))
     pairs.append(("colors", " ".join(str(c) for c in g.colors)))
-    counts = [f"{{{i}{j}}}:{len(bubbles(g, (i, j)))}" for i, j in combinations(g.colors, 2)]
+    counts = [f"{{{i}{j}}}:{len(_subset_orbits(g, (i, j)))}" for i, j in combinations(g.colors, 2)]
     pairs.append(("2-bubbles", " ".join(counts)))
     if g.is_open:
         pairs.append(("homology", "n/a (open graph)"))

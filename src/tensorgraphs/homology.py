@@ -18,13 +18,15 @@ the graph keeps; only :func:`chain_complex` builds ``Bubble`` bases.
 Homology needs only the rank and the torsion of each boundary map.  The
 first map is a signed incidence matrix, totally unimodular, so its rank
 is |V| minus the number of connected components and it has no torsion.
-The others are found by sparse elimination on +-1 pivots, taken in passes
-over the columns, shortest first; only the block left without a unit
-entry goes to the dense Smith normal form, so free ranks and torsion
-coefficients are exact.  :func:`smith_normal_form` remains the public
-reference and returns the unimodular transforms U and V.  All arithmetic
-uses Python's arbitrary-precision integers; no floating point enters
-anywhere.
+With 3 or more colors the top map is one too, up to column signs, so its
+rank is the number of top cells minus the number of components with an
+edge (see :func:`homology`).  The maps in between are found by sparse
+elimination on +-1 pivots, taken in passes over the columns, shortest
+first; only the block left without a unit entry goes to the dense Smith
+normal form, so free ranks and torsion coefficients are exact.
+:func:`smith_normal_form` remains the public reference and returns the
+unimodular transforms U and V.  All arithmetic uses Python's
+arbitrary-precision integers; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import WHITE, Bubble, ColoredGraph, GraphError, bubbles
-from .graphs import _EMPTY_SLOT, _orbits, _subset_orbits, _walk_state
+from .graphs import _EMPTY_SLOT, _subset_orbits, _walk_state
 
 __all__ = [
     "MAX_HOMOLOGY_COLORS",
@@ -113,19 +115,28 @@ def _check_complex(g: ColoredGraph) -> int:
     return max(k - 1, 0)
 
 
-def _boundary_columns(g: ColoredGraph, first: int) -> list[tuple[Column, ...]]:
-    """Columns of the boundary maps of degrees ``first .. top`` (first is 1 or 2).
+def _boundary_columns(g: ColoredGraph, first: int, last: int) -> list[tuple[Column, ...]]:
+    """Columns of the boundary maps of degrees ``first .. last`` (first is 1 or 2).
 
     Degree-0 rows are vertex indices; the bubbles of a color subset take
     consecutive rows of their layer, and ``row_of[S][v]`` is the row of the
     S-bubble holding v, or -1.  Each bubble over S - {c} lies inside one
     S-bubble, so the faces of an S-bubble with color c dropped are the
     distinct rows of its vertices in ``row_of[S - {c}]``.
+
+    :func:`homology` never asks for the top map of 3 or more colors C: a
+    (k-2)-bubble over C - {a, b} is a face of exactly two top cells, the
+    (C - {a})- and the (C - {b})-bubble through it, and once the column of
+    each (C - {a})-cell is multiplied by (-1)**index(a) its row holds one +1
+    and one -1.  So the top map is the transposed incidence matrix of a
+    graph on the top cells, whose pieces are the components with an edge.
     """
+    if first > last:
+        return []
     labels, colors, parity = _walk_state(g)[0], g.colors, g._parity
     row_of: dict[tuple[int, ...], list[int]] = {}
     columns = []
-    for p in range(first if len(colors) < 3 else 1, len(colors)):  # 1-bubble rows serve d_2
+    for p in range(1, last + 1):  # 1-bubble rows serve d_2
         layer, start = [], 0
         for subset in combinations(colors, p):
             orbits = _subset_orbits(g, subset)
@@ -143,7 +154,7 @@ def _boundary_columns(g: ColoredGraph, first: int) -> list[tuple[Column, ...]]:
                             col[row[v]] = sign
                     col.pop(-1, None)
                     layer.append(tuple(col.items()))
-            if p < len(colors) - 1:
+            if p < last:
                 row = row_of[subset] = [-1] * len(labels)
                 for i, orbit in enumerate(orbits, start):
                     for v in orbit:
@@ -165,7 +176,7 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
         tuple(b for subset in combinations(colors, p) for b in bubbles(g, subset))
         for p in range(top + 1)
     )
-    return ChainComplex(colors, basis, tuple(_boundary_columns(g, 1)))
+    return ChainComplex(colors, basis, tuple(_boundary_columns(g, 1, top)))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -401,10 +412,16 @@ def _rank_and_torsion(
 def homology(g: ColoredGraph) -> HomologyResult:
     """Integer homology H_q = ker d_q / im d_{q+1}.
 
-    rank d_1 is |V| minus the number of components; each higher map goes to
-    :func:`_rank_and_torsion`.  With 3 or more colors, d_1 d_2 = 0 needs
-    every vertex to have all colors or none, so a vertex with some but not
-    all raises :class:`GraphError`.
+    Two maps are signed incidence matrices, totally unimodular, so each has
+    the rank of a graph and no torsion.  rank d_1 is |V| minus the number of
+    components.  With 3 or more colors, rank d_top is the number of top
+    cells minus the number of components with an edge: each (k-2)-bubble is
+    a face of exactly two top cells, with opposite signs once the column of
+    each (C - {a})-cell is multiplied by (-1)**index(a) (see
+    :func:`_boundary_columns`).  Only the maps in between go to
+    :func:`_rank_and_torsion`, so a 3-colored graph needs no elimination.
+    With 3 or more colors, d_1 d_2 = 0 needs every vertex to have all colors
+    or none, so a vertex with some but not all raises :class:`GraphError`.
     """
     top = _check_complex(g)
     labels, nbrs = _walk_state(g)[:2]
@@ -421,10 +438,14 @@ def homology(g: ColoredGraph) -> HomologyResult:
     rank = [0] * (top + 2)  # rank[p] = rank of the degree-p boundary map
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
     if top >= 1:
-        rank[1] = n - len(_orbits(n, nbrs))
-    for p, columns in enumerate(_boundary_columns(g, 2), 2):
+        comps = _subset_orbits(g, g.colors)  # the components with an edge
+        rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
+    for p, columns in enumerate(_boundary_columns(g, 2, top - 1), 2):
         dims.append(len(columns))
         rank[p], torsion[p] = _rank_and_torsion(columns)
+    if top >= 2:
+        dims.append(sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, top)))
+        rank[top] = dims[top] - len(comps)
     groups = [
         HomologyGroup(dims[q] - rank[q] - rank[q + 1], torsion[q + 1])
         for q in range(top + 1)

@@ -8,7 +8,14 @@ rotations or reversals of each other give the same jacket, so there are
 graph is the sum of the jacket genera, a non-negative integer that plays the
 role the genus plays for matrix models: it governs the ``1/N`` expansion of
 rank-D tensor models through the amplitude exponent ``D - 2 w / (D-1)!``,
-and the leading, spherical graphs are exactly those of degree 0 (melons).
+and the leading graphs are exactly those of degree 0.  From 4 colors on
+(D >= 3) degree 0 means melonic.  On 3 colors it means planar, which is
+weaker from 4 white vertices on: the 3-colored cube has degree 0 and is no
+melon.  :func:`is_melonic` answers "degree 0" on any number of colors.
+
+Jacket genera and face totals come from counts of the bubble walks the
+graph keeps (:func:`~tensorgraphs.graphs.bubbles` of each color pair and
+of all colors), so no ``Bubble`` is built until a jacket's faces are read.
 
 For a connected graph on ``d`` colors with ``2p`` vertices the total number
 of 2-bubbles satisfies
@@ -21,7 +28,7 @@ which this module uses as an independent cross-check on the jacket count
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -30,8 +37,8 @@ from .graphs import (
     Bubble,
     ColoredGraph,
     GraphError,
-    _orbits,
-    _slot_arrays,
+    _subset_orbits,
+    _walk_state,
     bubbles,
     connected_components,
     remove_color,
@@ -66,22 +73,37 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(rotate_to_min(cycle), rotate_to_min(tuple(reversed(cycle))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jacket:
-    """One jacket: its canonical color cycle, faces, and genus.
+    """One jacket: its canonical color cycle, face count and genus.
 
-    The jacket shares all vertices and edges with the ambient graph; only
-    the face set depends on the cycle.  ``genus`` is summed over connected
-    components.
+    The jacket shares all vertices and edges with ``graph``; only the face
+    set depends on the cycle.  ``genus`` is summed over connected
+    components.  ``faces`` is built from the graph's bubbles when read;
+    jackets are equal when their cycles, faces and genera are.
     """
 
     cycle: tuple[int, ...]
-    faces: tuple[Bubble, ...]
+    face_count: int
     genus: int
+    graph: ColoredGraph = field(repr=False)
 
     @property
-    def face_count(self) -> int:
-        return len(self.faces)
+    def faces(self) -> tuple[Bubble, ...]:
+        """The 2-bubbles of the cycle's adjacent color pairs, pair by pair."""
+        pairs = _adjacent_pairs(self.cycle)
+        return tuple(b for pair in pairs for b in bubbles(self.graph, pair))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Jacket):
+            return NotImplemented
+        key = (self.cycle, self.face_count, self.genus)
+        return key == (other.cycle, other.face_count, other.genus) and (
+            self.graph is other.graph or self.faces == other.faces
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cycle, self.face_count, self.genus))
 
 
 def _adjacent_pairs(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -114,26 +136,36 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
         {canonical_cycle((colors[0],) + rest) for rest in permutations(colors[1:])}
     )
 
-    labels, nbrs = _slot_arrays(g, colors)
-    comps = _orbits(len(labels), nbrs)
-    comp_of = {labels[v]: i for i, comp in enumerate(comps) for v in comp}
+    # Per component, V - E, then the faces of each color pair; a vertex
+    # without edges is a component with chi = 1.
+    labels, _, _, _, by_color = _walk_state(g)
+    comps = _subset_orbits(g, colors)
+    if sum(map(len, comps)) < len(labels):
+        raise GraphError("odd jacket Euler characteristic")
+    comp_of = [0] * len(labels)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
     v_minus_e = [len(comp) for comp in comps]
-    for e in g.edges.values():
-        v_minus_e[comp_of[e.white]] -= 1
-    faces_of = {pair: bubbles(g, pair) for pair in combinations(colors, 2)}
+    for edges in by_color:
+        for w, _ in edges:
+            v_minus_e[comp_of[w]] -= 1
+    faces_of = {}
+    for pair in combinations(colors, 2):
+        counts = [0] * len(comps)
+        for orbit in _subset_orbits(g, pair):
+            counts[comp_of[orbit[0]]] += 1
+        faces_of[pair] = counts
 
     jackets = []
     for cycle in cycles:
-        faces = [b for pair in _adjacent_pairs(cycle) for b in faces_of[pair]]
-        chis = v_minus_e[:]
-        for b in faces:
-            chis[comp_of[b.vertices[0]]] += 1
+        per_pair = [faces_of[pair] for pair in _adjacent_pairs(cycle)]
         total_genus = 0
-        for chi in chis:
+        for chi in map(sum, zip(v_minus_e, *per_pair)):
             if chi % 2:
                 raise GraphError("odd jacket Euler characteristic")
             total_genus += (2 - chi) // 2
-        jackets.append(Jacket(cycle, tuple(faces), total_genus))
+        jackets.append(Jacket(cycle, sum(map(sum, per_pair)), total_genus, g))
     return jackets, len(comps)
 
 
@@ -162,7 +194,7 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
     p, rem = divmod(len(g.vertices), 2)
     if rem:
         raise GraphError("odd vertex count in a closed bipartite graph")
-    faces = sum(len(bubbles(g, pair)) for pair in combinations(g.colors, 2))
+    faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
     face_deg = Fraction(factorial(d - 2), 2) * (
         comb(d - 1, 2) * p + (d - 1) * n_comp - faces
     )
@@ -175,7 +207,12 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
 
 
 def is_melonic(g: ColoredGraph) -> bool:
-    """True iff the degree vanishes (the graph is a melon)."""
+    """True iff the degree is 0.
+
+    From 4 colors on that is melonicity.  On 3 colors it is planarity, which
+    is weaker from 4 white vertices on: the 8-vertex 3-colored cube has
+    degree 0, and no melon.
+    """
     return gurau_degree(g).degree == 0
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tensorgraphs import graphs as graphs_module
 from tensorgraphs import models as models_module
-from tensorgraphs.graphs import MAX_D, GraphError, bubbles, is_isomorphic, parse, serialize
+from tensorgraphs.graphs import MAX_D, GraphError, is_isomorphic, parse, serialize
 from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
 from tensorgraphs.models import (
@@ -26,9 +26,11 @@ from tensorgraphs.models import (
     enumerate_vacuum,
 )
 
-from conftest import FIXTURES, ROOT, fixture_text, load_fixture, run_cli
+from conftest import FIXTURES, ROOT, fixture_text, run_cli
 
 cli_module = importlib.import_module("tensorgraphs.cli")
+homology_module = importlib.import_module("tensorgraphs.homology")
+jackets_module = importlib.import_module("tensorgraphs.jackets")
 
 
 def fx(name: str) -> str:
@@ -498,60 +500,65 @@ def test_enumerate_builds_no_graph(monkeypatch):
 
 
 def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
-    # every walk of a color subset is an _orbits call made by _subset_orbits,
-    # on neighbour arrays that _walk_state builds with _slot_arrays; the
-    # graph the command parsed keeps the subsets it walked
-    calls = {"_orbits": 0, "_slot_arrays": 0}
-    walker = {"_orbits": graphs_module._subset_orbits, "_slot_arrays": graphs_module._walk_state}
+    # every call of _slot_arrays and _orbits, in every module that could
+    # make one, is counted by the function that made it.  The walk slot
+    # builds the neighbour arrays once; each color subset is one _orbits
+    # call made by _subset_orbits, the components being the all-color
+    # subset; report's membership test reads its certificates apart.  The
+    # graph the command parsed keeps the subsets it walked.
+    modules = (graphs_module, homology_module, jackets_module, cli_module)
+    calls = collections.Counter()
     loaded = []
 
     def counting(name):
         real = getattr(graphs_module, name)
 
         def wrapper(*args):
-            if sys._getframe(1).f_code is walker[name].__code__:
-                calls[name] += 1
+            calls[name, sys._getframe(1).f_code.co_name] += 1
             return real(*args)
 
-        monkeypatch.setattr(graphs_module, name, wrapper)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper, raising=False)
 
     def keeping(*args, **kwargs):
         loaded.append(parse(*args, **kwargs))
         return loaded[-1]
 
+    for name in ("phi4-matrix", "phi4-rank3"):
+        builtin_model(name)  # the model vertices are built once per process
     counting("_orbits")
     counting("_slot_arrays")
     monkeypatch.setattr(cli_module, "parse", keeping)
     colors = (0, 1, 2, 3)
     pairs = list(itertools.combinations(colors, 2))
-    proper = [s for r in (1, 2, 3) for s in itertools.combinations(colors, r)]
-    for command, walked in (("jackets", pairs), ("degree", pairs), ("report", proper)):
-        calls.update(_orbits=0, _slot_arrays=0)
+    subsets = [s for r in (1, 2, 3) for s in itertools.combinations(colors, r)]
+    certs = {("_slot_arrays", "_component_certs"): 1, ("_orbits", "_component_certs"): 1}
+    for command, walked, others in (
+        ("jackets", pairs, {}),
+        ("degree", pairs, {}),
+        ("report", subsets, certs),
+    ):
+        calls.clear()
         loaded.clear()
         code, _, _ = run_cli([command, fx("necklace.cg")])
         assert code == 0
-        assert calls == {"_orbits": len(walked), "_slot_arrays": 1}, command
+        walks = {("_slot_arrays", "_walk_state"): 1, ("_orbits", "_subset_orbits"): len(walked) + 1}
+        assert calls == {**walks, **others}, command
         (g,) = loaded
-        assert sorted(g._walks[2]) == sorted(walked), command
+        assert sorted(g._walks[2]) == sorted(walked + [colors]), command
 
 
-def test_report_builds_bubbles_only_for_its_color_pairs(monkeypatch):
-    # homology reads the walks as vertex-index orbits; only the 2-bubble
-    # counts and the jackets ask for Bubble objects, each built once
-    built = []
-    real = graphs_module.Bubble
+def test_report_and_jacket_commands_build_no_bubble(monkeypatch):
+    # homology, the 2-bubble counts, the jacket genera and the face totals
+    # all count vertex-index orbits
+    def forbidden(*args):
+        raise AssertionError("a Bubble was built")
 
-    def counting(*args):
-        built.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(graphs_module, "Bubble", counting)
-    code, _, _ = run_cli(["report", fx("necklace.cg")])
-    assert code == 0
-    monkeypatch.undo()
-    g = load_fixture("necklace.cg")
-    pairs = itertools.combinations(g.colors, 2)
-    assert collections.Counter(built) == {pair: len(bubbles(g, pair)) for pair in pairs}
+    monkeypatch.setattr(graphs_module, "Bubble", forbidden)
+    for command in ("report", "jackets", "degree"):
+        for name in ("necklace.cg", "r1.cg", "m.cg"):
+            code, _, err = run_cli([command, fx(name)])
+            assert (code, err) == (0, ""), (command, name)
 
 
 def test_report_certifies_the_model_vertices_once_per_process(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
@@ -43,6 +44,8 @@ from tensorgraphs.models import (
 from tensorgraphs.surgery import crys_sum
 
 from conftest import CLOSED_FIXTURES, load_fixture
+
+homology_module = importlib.import_module("tensorgraphs.homology")
 
 
 # ------------------------------------------------------------------ oracles
@@ -419,7 +422,8 @@ def reference_homology(g: ColoredGraph) -> HomologyResult:
 
 def oracle_cases():
     """Seeded random regular graphs on 2-6 colors, some with two or three
-    components, then crystallization sums of 1-3 RP^3 copies."""
+    components, then crystallization sums of 1-3 RP^3 copies, then graphs
+    on 3 and 4 colors with isolated vertices."""
     rng = random.Random(23)
     for t in range(48):
         k = 2 + t % 5
@@ -431,6 +435,10 @@ def oracle_cases():
         yield f"random {t}: {k} colors, {parts} x {n} whites", graph_from_permutations(perms)
     for copies in (1, 2, 3):
         yield f"{copies} RP^3 copies", rp3_chain(copies)
+    k33 = graph_from_permutations([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    for name, g in (("K_3,3", k33), ("RP^3", rp3())):
+        lonely = {**g.vertices, "x0": "w", "x1": "b", "x2": "b"}
+        yield f"{name} with isolated vertices", ColoredGraph(g.colors, lonely, g.edges.values())
 
 
 def test_homology_matches_dense_snf_of_the_definition():
@@ -438,11 +446,45 @@ def test_homology_matches_dense_snf_of_the_definition():
     for name, g in oracle_cases():
         assert homology(g) == reference_homology(g), name
         # d_1 is a signed incidence matrix: rank |V| - #components, no torsion
-        cx, n_comp = chain_complex(g), len(connected_components(g))
-        if cx.top_degree >= 1:
-            assert _rank_and_torsion(cx._columns[0]) == (len(g) - n_comp, ()), name
-        components.add(n_comp)
+        cx, comps = chain_complex(g), connected_components(g)
+        top = cx.top_degree
+        if top >= 1:
+            assert _rank_and_torsion(cx._columns[0]) == (len(g) - len(comps), ()), name
+        # so is d_top with 3 or more colors C, once the column of each
+        # (C - {a})-cell is multiplied by (-1)**index(a): every row then holds
+        # one +1 and one -1, and the rank is #top cells - #components with
+        # an edge
+        if top >= 2:
+            with_edge = sum(1 for comp in comps if comp.edges)
+            assert _rank_and_torsion(cx._columns[-1]) == (cx.dim(top) - with_edge, ()), name
+            rows: list[list[int]] = [[] for _ in cx.basis[top - 1]]
+            for cell, col in zip(cx.basis[top], cx._columns[-1]):
+                (a,) = set(g.colors) - set(cell.colors)
+                for r, x in col:
+                    rows[r].append(x * (-1) ** g.colors.index(a))
+            assert all(sorted(row) == [-1, 1] for row in rows), name
+        components.add(len(comps))
     assert {1, 2, 3} <= components
+
+
+def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
+    # rank d_1 and rank d_top come from component counts: a 3-colored graph
+    # needs no elimination at all
+    eliminated = []
+
+    def recording(columns):
+        eliminated.append(len(columns))
+        return _rank_and_torsion(columns)
+
+    monkeypatch.setattr(homology_module, "_rank_and_torsion", recording)
+    ks = set()
+    for name, g in oracle_cases():
+        eliminated.clear()
+        homology(g)
+        cx = chain_complex(g)
+        assert eliminated == [cx.dim(p) for p in range(2, cx.top_degree)], name
+        ks.add(len(g.colors))
+    assert ks == {2, 3, 4, 5, 6}
 
 
 def test_homology_and_euler_build_no_bubble(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -9,14 +10,18 @@ from math import comb, factorial
 
 import pytest
 
+from tensorgraphs import graphs as graphs_module
 from tensorgraphs import jackets as jackets_module
 from tensorgraphs.graphs import (
     ColoredGraph,
     Edge,
     GraphError,
+    add_prefix,
     bubbles,
     connected_components,
+    validate,
 )
+from tensorgraphs.homology import homology
 from tensorgraphs.jackets import (
     MAX_JACKET_COLORS,
     DegreeReport,
@@ -92,6 +97,7 @@ def test_jackets_cap_the_color_count():
 
 # Test-local copy of the jacket loop before it shared one bubble walk per
 # color pair and one component map: bubbles per cycle, components as graphs.
+# Each jacket is (cycle, faces, genus).
 
 
 def _reference_jackets(g):
@@ -113,7 +119,7 @@ def _reference_jackets(g):
             if chi % 2:
                 raise GraphError("odd jacket Euler characteristic")
             total += (2 - chi) // 2
-        out.append(Jacket(cycle, tuple(faces), total))
+        out.append((cycle, tuple(faces), total))
     return out
 
 
@@ -135,28 +141,65 @@ def _random_closed(rng):
 
 
 def test_jackets_match_reference_on_random_graphs():
+    # the genera come from orbit counts; every field, the faces built when
+    # read, and the error on an odd chi must match the bubble-built oracle
     rng = random.Random(29)
-    for _ in range(150):
+    seen = collections.Counter()
+    for t in range(150):
         g = _random_closed(rng)
-        outcomes = []
-        for enumerate_ in (enumerate_jackets, _reference_jackets):
-            try:
-                outcomes.append(enumerate_(g))
-            except GraphError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        if t % 10 == 0:  # a vertex without edges is a component with chi = 1
+            g = ColoredGraph(g.colors, {**g.vertices, "lone": "w"}, g.edges.values())
+            seen["isolated"] += 1
+        try:
+            found = [(j.cycle, j.face_count, j.genus, j.faces) for j in enumerate_jackets(g)]
+        except GraphError as exc:
+            found = str(exc)
+        try:
+            expected = [(c, len(f), genus, f) for c, f, genus in _reference_jackets(g)]
+        except GraphError as exc:
+            expected = str(exc)
+        assert found == expected
+        seen["error" if isinstance(found, str) else "ok"] += 1
+        seen["irregular"] += bool(validate(g))
+        seen["disconnected"] += len(connected_components(g)) > 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_each_color_pair_is_walked_once(monkeypatch):
-    calls = []
+    # one walk per color pair and the all-color walk of the components; a
+    # jacket builds its faces only when they are read
+    walks = []
+    real = graphs_module._orbits
 
-    def counting(g, colors):
-        calls.append(tuple(colors))
-        return bubbles(g, colors)
+    def counting(n, maps):
+        walks.append(len(maps))
+        return real(n, maps)
 
-    monkeypatch.setattr(jackets_module, "bubbles", counting)
-    enumerate_jackets(build_dipole(6))
-    assert sorted(calls) == list(itertools.combinations(range(1, 7), 2))
+    def forbidden(*args):
+        raise AssertionError("a Bubble was built")
+
+    monkeypatch.setattr(graphs_module, "_orbits", counting)
+    monkeypatch.setattr(jackets_module, "_orbits", counting, raising=False)
+    monkeypatch.setattr(graphs_module, "Bubble", forbidden)
+    g = build_dipole(6)
+    found = enumerate_jackets(g)
+    assert {(j.face_count, j.genus) for j in found} == {(6, 0)}
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    assert sorted(g._walks[2]) == sorted(pairs + [g.colors])
+    assert sorted(walks) == [2] * len(pairs) + [6]
+    monkeypatch.undo()
+    assert all(len(j.faces) == j.face_count for j in found)
+
+
+def test_jacket_equality_compares_cycle_faces_and_genus():
+    a, b = enumerate_jackets(build_necklace()), enumerate_jackets(build_necklace())
+    assert a == b and {*a} == {*b}
+    assert a[0] != a[1]
+    # same cycle, face count and genus, other faces
+    g = build_dipole(3)
+    (p,), (q,) = enumerate_jackets(g), enumerate_jackets(add_prefix(g, "x."))
+    assert (p.cycle, p.face_count, p.genus) == (q.cycle, q.face_count, q.genus)
+    assert p != q and p == Jacket(p.cycle, p.face_count, p.genus, build_dipole(3))
 
 
 # ------------------------------------------------------------- degrees
@@ -198,6 +241,28 @@ def test_melon_is_melonic():
     assert is_melonic(build_dipole(3))
     assert not is_melonic(build_necklace())
     assert not is_melonic(build_r1())
+
+
+def test_three_colored_cube_has_degree_zero_without_being_a_melon():
+    # is_melonic answers "degree 0".  On 3 colors that is planarity, which
+    # is weaker than melonicity from 4 whites on: the cube, colored by edge
+    # direction, is the sphere with 4 whites, and no two of its vertices
+    # share two edges, so no melon can be removed from it.
+    corners = list(itertools.product((0, 1), repeat=3))
+    vertices = {f"v{x}{y}{z}": "wb"[(x + y + z) % 2] for x, y, z in corners}
+    edges = []
+    for c in range(3):
+        for v in corners:
+            if sum(v) % 2 == 0:
+                u = tuple(x ^ (i == c) for i, x in enumerate(v))
+                edges.append((f"e{c}{v}", c + 1, "v%d%d%d" % v, "v%d%d%d" % u))
+    cube = ColoredGraph((1, 2, 3), vertices, edges)
+    ends = [frozenset((e.white, e.black)) for e in cube.edges.values()]
+    assert len(set(ends)) == len(ends) == 12
+    (jacket,) = enumerate_jackets(cube)
+    assert (jacket.face_count, jacket.genus) == (6, 0)
+    assert gurau_degree(cube).degree == 0 and is_melonic(cube)
+    assert homology(cube).lines() == ["H_0 = Z", "H_1 = 0", "H_2 = Z", "chi = 2"]
 
 
 @pytest.mark.parametrize(
