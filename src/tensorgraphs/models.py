@@ -61,7 +61,7 @@ from .graphs import (
     relabel,
 )
 from .ribbon import RibbonStructure
-from .surgery import _splice, cone, separator_check
+from .surgery import _probe_setups, _separates, _splice, cone
 
 __all__ = [
     "MAX_FAMILY_PARAMETER",
@@ -192,12 +192,8 @@ def _rank3_vertex(i: int) -> ColoredGraph:
     """
     edges = []
     for j in (1, 2, 3):
-        if j == i:
-            edges.append(Edge(f"c{j}1", j, "a", "q"))
-            edges.append(Edge(f"c{j}2", j, "b", "p"))
-        else:
-            edges.append(Edge(f"c{j}1", j, "a", "p"))
-            edges.append(Edge(f"c{j}2", j, "b", "q"))
+        x, y = ("q", "p") if j == i else ("p", "q")
+        edges += [Edge(f"c{j}1", j, "a", x), Edge(f"c{j}2", j, "b", y)]
     return ColoredGraph((1, 2, 3), {"a": "w", "b": "w", "p": "b", "q": "b"}, edges)
 
 
@@ -252,12 +248,8 @@ class MembershipReport:
         return self.ok
 
     def lines(self) -> list[str]:
-        out = []
-        for tag, match in self.components:
-            verdict = match if match is not None else "no match"
-            out.append(f"component {tag}: {verdict}")
-        out.append("member" if self.ok else "not member")
-        return out
+        out = [f"component {tag}: {'no match' if m is None else m}" for tag, m in self.components]
+        return out + ["member" if self.ok else "not member"]
 
 
 def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
@@ -508,7 +500,7 @@ def build_cg(g: int) -> ColoredGraph:
         edges.append(Edge(f"s{i}", 1, f"w{i}", f"b{i}"))
         edges.append(Edge(f"t{i}", 2, f"w{(i + 1) % n}", f"b{i}"))
         edges.append(Edge(f"d{i}", 3, f"w{i}", f"b{(i + shift) % n}"))
-    return ColoredGraph((1, 2, 3), vertices, edges)
+    return ColoredGraph._trusted((1, 2, 3), vertices, {e.label: e for e in edges})
 
 
 # -- ribbon fixtures -------------------------------------------------------------
@@ -660,12 +652,11 @@ def build_qgbc(g: int, b: int = 0, c: int = 0) -> ColoredGraph:
 
 # -- the filled genus-g graphs Tg --------------------------------------------------
 
+@lru_cache(maxsize=12)  # 3 crossings times 4 leg vertices
 def _leg_fragment(crossing: int, leg_vertex: str) -> ColoredGraph:
     """A quartic rank-3 vertex viewed inside a 4-colored graph, one leg."""
     frag = _rank3_vertex(crossing)
-    return ColoredGraph(
-        (0, 1, 2, 3), frag.vertices, frag.edges.values(), [Leg("leg", leg_vertex)]
-    )
+    return ColoredGraph((0, 1, 2, 3), frag.vertices, frag.edges.values(), [("leg", leg_vertex)])
 
 
 def build_tg(g: int) -> ColoredGraph:
@@ -685,19 +676,19 @@ def build_tg(g: int) -> ColoredGraph:
     n = 2 * g + 1
     vertices: dict[str, str] = {}
     edges: list[Edge] = []
-    legs: list[Leg] = []
+    legs: dict[str, Leg] = {}
     gadgets = _leg_fragment(1, "a"), _leg_fragment(2, "p")
     for i in range(n):
         for prefix, gadget in zip((f"a{i}.", f"m{i}."), gadgets):
             piece = add_prefix(gadget, prefix)
-            vertices.update(piece.vertices)
-            edges.extend(piece.edges.values())
-            legs.extend(piece.legs.values())
+            vertices.update(piece._parity)
+            edges.extend(piece._edges.values())
+            legs.update(piece._legs)
     for i in range(n):
         edges.append(Edge(f"z1.{i}", 0, f"m{i}.b", f"a{i}.p"))
         edges.append(Edge(f"z2.{i}", 0, f"m{i}.a", f"a{(i + 1) % n}.q"))
         edges.append(Edge(f"z3.{i}", 0, f"a{i}.b", f"m{(i + g) % n}.q"))
-    return ColoredGraph((0, 1, 2, 3), vertices, edges, legs)
+    return ColoredGraph._trusted((0, 1, 2, 3), vertices, {e.label: e for e in edges}, legs)
 
 
 # -- separators and the multi-boundary chain L ------------------------------------
@@ -713,9 +704,15 @@ class SeparatorResult:
 
 
 def default_probes() -> list[tuple[ColoredGraph, ColoredGraph]]:
-    """Probe pairs used to certify separators: (T1,T1), (T1,T2), (cone C1, T1)."""
+    """Probe pairs used to certify separators: (T1,T1), (T1,T2), (cone C1, T1),
+    built once per process; each call returns a fresh list."""
+    return list(_probes())
+
+
+@lru_cache(maxsize=1)
+def _probes() -> tuple[tuple[ColoredGraph, ColoredGraph], ...]:
     t1 = build_tg(1)
-    return [(t1, t1), (t1, build_tg(2)), (cone(build_cg(1)), t1)]
+    return (t1, t1), (t1, build_tg(2)), (cone(build_cg(1)), t1)
 
 
 def find_separators(
@@ -728,15 +725,14 @@ def find_separators(
     Scans enumerate_vacuum outputs for k = 1..max_vertices interaction
     vertices (deduplicated, in order) and every ordered pair of distinct
     color-0 edges, keeping configurations that pass separator_check on all
-    probes.  Returns the first hit and the first hit on a graph not
-    isomorphic to it.
+    probes, which are prepared once per search.  Returns the first hit and
+    the first hit on a graph not isomorphic to it.
     """
     if model.rank != 3:
         raise GraphError("separator search is defined for rank-3 models")
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
-    if probes is None:
-        probes = default_probes()
+    setups = _probe_setups(default_probes() if probes is None else probes, "first")
     first: SeparatorResult | None = None
     for k in range(1, max_vertices + 1):
         for g in enumerate_vacuum(model, k, dedup=True):
@@ -744,7 +740,7 @@ def find_separators(
                 continue
             zeros = sorted(e for e, x in g.edges.items() if x.color == 0)
             for ke, le in itertools.permutations(zeros, 2):
-                if not separator_check(g, ke, le, probes):
+                if not _separates(g, ke, le, setups):
                     continue
                 if first is None:
                     first = SeparatorResult(g, ke, le)

@@ -127,15 +127,11 @@ def ribbon_from_colored(g: ColoredGraph) -> RibbonStructure:
         raise GraphError("ribbon structure requires a closed graph")
     if len(g.colors) != 3:
         raise GraphError(f"ribbon structure needs exactly 3 colors, got {g.colors}")
-    asc = g.colors
-    desc = tuple(reversed(asc))
-    orders = {}
-    for v, p in sorted(g.vertices.items()):
-        seq = asc if p == "w" else desc
-        orders[v] = tuple(f"{v}:{c}" for c in seq)
-    pairing = {}
-    for e in g.edges.values():
-        pairing[f"{e.white}:{e.color}"] = f"{e.black}:{e.color}"
+    orders = {
+        v: tuple(f"{v}:{c}" for c in (g.colors if p == "w" else g.colors[::-1]))
+        for v, p in sorted(g.vertices.items())
+    }
+    pairing = {f"{e.white}:{e.color}": f"{e.black}:{e.color}" for e in g.edges.values()}
     return RibbonStructure(orders, pairing)
 
 
@@ -170,13 +166,7 @@ def parse_ribbon(text: str) -> RibbonStructure:
 def serialize_ribbon(r: RibbonStructure) -> str:
     """Deterministic rendering of the ribbon stanza."""
     lines = [f"rv {v} " + " ".join(cycle) for v, cycle in sorted(r.orders.items())]
-    seen = set()
-    for h in sorted(r.involution):
-        k = r.partner(h)
-        if h in seen or k in seen:
-            continue
-        seen.update((h, k))
-        lines.append(f"rj {h} {k}")
+    lines += [f"rj {h} {k}" for h, k in sorted(r.involution.items()) if h < k]
     return "\n".join(lines) + "\n"
 
 

@@ -33,8 +33,8 @@ from .graphs import (
     Leg,
     _namespace_pair,
     add_prefix,
+    canonical_certificate,
     disjoint_union,
-    is_isomorphic,
 )
 
 __all__ = [
@@ -170,6 +170,8 @@ def close_legs(g: ColoredGraph, l1: str, l2: str) -> ColoredGraph:
     for l in (l1, l2):
         if l not in g.legs:
             raise GraphError(f"no leg {l!r}")
+    if l1 == l2:
+        raise GraphError("the two legs must be distinct")
     v1, v2 = g.legs[l1].vertex, g.legs[l2].vertex
     p1, p2 = g.parity(v1), g.parity(v2)
     if p1 == p2:
@@ -178,12 +180,8 @@ def close_legs(g: ColoredGraph, l1: str, l2: str) -> ColoredGraph:
     edges = dict(g._edges)
     label = _fresh(f"{l1}~{l2}", edges)
     edges[label] = Edge(label, 0, white, black)
-    return ColoredGraph._trusted(
-        g._colors,
-        dict(g._parity),
-        edges,
-        {x: leg for x, leg in g._legs.items() if x not in (l1, l2)},
-    )
+    legs = {x: leg for x, leg in g._legs.items() if x not in (l1, l2)}
+    return ColoredGraph._trusted(g._colors, dict(g._parity), edges, legs)
 
 
 def cone(b: ColoredGraph) -> ColoredGraph:
@@ -196,12 +194,8 @@ def cone(b: ColoredGraph) -> ColoredGraph:
         raise GraphError("cone requires a closed graph")
     if 0 in b.colors:
         raise GraphError("cone input must not use color 0")
-    return ColoredGraph._trusted(
-        (0,) + b._colors,
-        dict(b._parity),
-        dict(b._edges),
-        {f"{v}'": Leg(f"{v}'", v) for v in sorted(b._parity)},
-    )
+    legs = {f"{v}'": Leg(f"{v}'", v) for v in sorted(b._parity)}
+    return ColoredGraph._trusted((0,) + b._colors, dict(b._parity), dict(b._edges), legs)
 
 
 def boundary_graph(g: ColoredGraph) -> ColoredGraph:
@@ -210,36 +204,37 @@ def boundary_graph(g: ColoredGraph) -> ColoredGraph:
     One vertex per leg (parity inherited from the legged inner vertex); for
     each leg on a white vertex and each color c != 0, the alternating
     (0, c)-path from that vertex ends at a black-legged vertex, giving one
-    color-c edge.  Closed graphs have empty boundary.
+    color-c edge ``<leg>.<c>``.  Closed graphs have empty boundary.  Each
+    path is a path component of the (0, c)-subgraph, so the edges fit.
     """
     if 0 not in g.colors:
         raise GraphError("boundary graph needs color 0 in the color set")
-    colors = tuple(c for c in g.colors if c != 0)
-    if not g.legs:
-        return ColoredGraph(colors, {})
-    leg_of = {l.vertex: l.label for l in g.legs.values()}
-    vertices = {l.label: g.parity(l.vertex) for l in g.legs.values()}
-    edges = []
-    for label, leg in sorted(g.legs.items()):
-        if g.parity(leg.vertex) != "w":
-            continue
+    colors = tuple(c for c in g._colors if c != 0)
+    leg_of = {l.vertex: l.label for l in g._legs.values()}
+    vertices = {l.label: g._parity[l.vertex] for l in g._legs.values()}
+    slot = g._slots.get
+    edges = {}
+    for label, start in sorted(l for l in g._legs.values() if vertices[l.label] == "w"):
         for c in colors:
-            cur = leg.vertex
+            cur = start  # always white: the path alternates c and 0
             while True:
-                nxt = g.neighbor(cur, c)
-                if nxt is None:
+                e = slot((cur, c))
+                if e is None:
                     raise GraphError(
                         f"broken (0,{c})-path at vertex {cur!r}: missing color {c}"
                     )
+                nxt = e.black
                 if nxt in leg_of:
-                    edges.append(Edge(f"{label}.{c}", c, label, leg_of[nxt]))
+                    name = f"{label}.{c}"
+                    edges[name] = Edge(name, c, label, leg_of[nxt])
                     break
-                cur = g.neighbor(nxt, 0)
-                if cur is None:
+                e = slot((nxt, 0))
+                if e is None:
                     raise GraphError(
                         f"broken (0,{c})-path at vertex {nxt!r}: no color-0 edge or leg"
                     )
-    return ColoredGraph(colors, vertices, edges)
+                cur = e.white
+    return ColoredGraph._trusted(colors, vertices, edges)
 
 
 def separator_check(
@@ -267,22 +262,38 @@ def separator_check(
         raise GraphError("the two separator edges must be distinct")
     if choice not in ("first", "all"):
         raise GraphError(f"unknown edge choice mode {choice!r}")
+    return _separates(p, k, l, _probe_setups(probes, choice))
 
+
+def _probe_setups(probes: Sequence[tuple[ColoredGraph, ColoredGraph]], choice: str) -> list:
+    """For each probe pair (G, H) with a color-0 edge on each side: G and its
+    chosen color-0 edges prefixed ``g.``, the same for H with ``h.``, and the
+    certificate of the union of their boundaries."""
+    setups = []
     for g_probe, h_probe in probes:
-        g_edges = sorted(e for e, x in g_probe.edges.items() if x.color == 0)
-        h_edges = sorted(e for e, x in h_probe.edges.items() if x.color == 0)
-        if not g_edges or not h_edges:
-            continue
-        if choice == "first":
-            g_edges, h_edges = g_edges[:1], h_edges[:1]
-        expected = disjoint_union(boundary_graph(g_probe), boundary_graph(h_probe))
-        g2 = add_prefix(g_probe, "g.")
-        h2 = add_prefix(h_probe, "h.")
-        p2 = add_prefix(p, "p.")
+        g_edges = sorted(e for e, x in g_probe._edges.items() if x.color == 0)
+        h_edges = sorted(e for e, x in h_probe._edges.items() if x.color == 0)
+        if g_edges and h_edges:
+            n = 1 if choice == "first" else None
+            expected = disjoint_union(boundary_graph(g_probe), boundary_graph(h_probe))
+            setups.append((
+                add_prefix(g_probe, "g."), ["g." + e for e in g_edges[:n]],
+                add_prefix(h_probe, "h."), ["h." + e for e in h_edges[:n]],
+                canonical_certificate(expected),
+            ))
+    return setups
+
+
+def _separates(p: ColoredGraph, k: str, l: str, setups: list) -> bool:
+    """:func:`separator_check` of p along k, l against prepared probe setups."""
+    p2 = add_prefix(p, "p.")
+    for g2, g_edges, h2, h_edges, expected in setups:
+        if g2.colors != p.colors:  # H's match G's, or their boundaries' union raised
+            raise GraphError(f"color sets differ: {g2.colors} vs {p.colors}")
         for ge in g_edges:
-            left = connected_sum(g2, "g." + ge, p2, "p." + k)
+            left = _splice((g2, p2), ((ge, "p." + k),))
             for he in h_edges:
-                spliced = connected_sum(left, "p." + l, h2, "h." + he)
-                if not is_isomorphic(boundary_graph(spliced), expected):
+                spliced = _splice((left, h2), (("p." + l, he),))
+                if canonical_certificate(boundary_graph(spliced)) != expected:
                     return False
     return True

@@ -207,6 +207,13 @@ def test_open_cap_roundtrip(tmp_path):
     assert is_isomorphic(parse(out), parse(fixture_text("r1.cg"))).isomorphic
 
 
+def test_cap_rejects_a_repeated_leg(tmp_path):
+    opened = tmp_path / "o.cg"
+    run_cli(["open", fx("r1.cg"), "alpha0", "-o", str(opened)])
+    code, out, err = run_cli(["cap", str(opened), "alpha0.w", "alpha0.w"])
+    assert (code, out, err) == (1, "", "error: the two legs must be distinct\n")
+
+
 def test_cone_boundary_pipeline():
     code, coned, _ = run_cli(["cone", fx("dipole3.cg")])
     assert code == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -50,10 +51,19 @@ from tensorgraphs.models import (
     build_o,
     build_qgbc,
     build_r1,
+    build_tg,
     builtin_model,
+    default_probes,
     enumerate_vacuum,
 )
-from tensorgraphs.surgery import close_legs, cone, connected_sum, crys_sum, open_edge
+from tensorgraphs.surgery import (
+    boundary_graph,
+    close_legs,
+    cone,
+    connected_sum,
+    crys_sum,
+    open_edge,
+)
 
 from conftest import (
     CLOSED_FIXTURES,
@@ -1319,6 +1329,37 @@ def _ref_enumerate_vacuum(model, k):
     return out
 
 
+def _ref_boundary_graph(g):
+    if 0 not in g.colors:
+        raise GraphError("boundary graph needs color 0 in the color set")
+    colors = tuple(c for c in g.colors if c != 0)
+    if not g.legs:
+        return ColoredGraph(colors, {})
+    leg_of = {l.vertex: l.label for l in g.legs.values()}
+    vertices = {l.label: g.parity(l.vertex) for l in g.legs.values()}
+    edges = []
+    for label, leg in sorted(g.legs.items()):
+        if g.parity(leg.vertex) != "w":
+            continue
+        for c in colors:
+            cur = leg.vertex
+            while True:
+                nxt = g.neighbor(cur, c)
+                if nxt is None:
+                    raise GraphError(
+                        f"broken (0,{c})-path at vertex {cur!r}: missing color {c}"
+                    )
+                if nxt in leg_of:
+                    edges.append(Edge(f"{label}.{c}", c, label, leg_of[nxt]))
+                    break
+                cur = g.neighbor(nxt, 0)
+                if cur is None:
+                    raise GraphError(
+                        f"broken (0,{c})-path at vertex {nxt!r}: no color-0 edge or leg"
+                    )
+    return ColoredGraph(colors, vertices, edges)
+
+
 # name -> (operation, reference); every operation that assembles unchecked.
 _TRUSTED_OPERATIONS = {
     "add_prefix": (add_prefix, _ref_add_prefix),
@@ -1347,6 +1388,7 @@ _TRUSTED_OPERATIONS = {
         ),
     ),
     "swap_bubble_colors": (_swap_bubble_colors, _ref_swap_bubble_colors),
+    "boundary_graph": (boundary_graph, _ref_boundary_graph),
 }
 
 
@@ -1398,6 +1440,11 @@ def _trusted_cases(rng):
     if {1, 2} <= set(g.colors):
         for bubble in bubbles(g, (1, 2)):
             yield "swap_bubble_colors", (g, bubble)
+    if 0 in g.colors:
+        yield "boundary_graph", (opened,)  # irregular: its tracing may raise
+        for e in sorted(e for e, x in a.edges.items() if x.color == 0)[::2]:
+            a = open_edge(a, e)
+        yield "boundary_graph", (a,)
 
 
 def test_trusted_operations_match_rebuild_and_reference():
@@ -1407,7 +1454,13 @@ def test_trusted_operations_match_rebuild_and_reference():
         applied = set()
         for name, args in _trusted_cases(rng):
             operation, reference = _TRUSTED_OPERATIONS[name]
-            out, ref = operation(*args), reference(*args)
+            try:
+                ref = reference(*args)
+            except GraphError as exc:
+                with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+                    operation(*args)
+                continue
+            out = operation(*args)
             outs, refs = (out, ref) if name == "connected_components" else ([out], [ref])
             assert list(map(graph_state, outs)) == list(map(graph_state, refs)), name
             inputs = [x for x in args if isinstance(x, ColoredGraph)]
@@ -1442,6 +1495,17 @@ def test_wick_contractions_match_rebuild_and_reference(model, k):
 def test_trusted_outputs_of_the_builders_rebuild():
     for g in (build_o(), build_n(), build_qgbc(2, 1, 2), build_l([1, 0, 2]), build_kg(2)):
         assert_rebuilds(g)
+    for genus in range(5):
+        assert_rebuilds(build_cg(genus))
+        t = build_tg(genus)
+        assert_rebuilds(t)
+        assert graph_state(boundary_graph(t)) == graph_state(_ref_boundary_graph(t))
+    for pair in default_probes():
+        for g in pair:
+            assert_rebuilds(g)
+            b = boundary_graph(g)
+            assert_rebuilds(b, g)
+            assert graph_state(b) == graph_state(_ref_boundary_graph(g))
 
 
 def test_relabel_with_a_colliding_map_still_raises():

@@ -18,6 +18,7 @@ from tensorgraphs.graphs import (
     bubbles,
     canonical_certificate,
     connected_components,
+    disjoint_union,
     is_isomorphic,
     relabel,
     remove_color,
@@ -63,7 +64,10 @@ from tensorgraphs.models import (
     separator_p,
 )
 from tensorgraphs.surgery import (
+    _probe_setups,
+    _separates,
     boundary_graph,
+    cone,
     connected_sum,
     crys_sum,
     open_edge,
@@ -902,6 +906,47 @@ def test_default_probes_shape():
     assert len(probes) == 3
     sizes = [(len(a.vertices), len(b.vertices)) for a, b in probes]
     assert sizes == [(24, 24), (24, 40), (6, 24)]
+    # each call returns its own list over the same per-process pairs
+    probes.clear()
+    default_probes().append((build_tg(0), build_tg(0)))
+    t1 = build_tg(1)
+    fresh = [(t1, t1), (t1, build_tg(2)), (cone(build_cg(1)), t1)]
+    probes = default_probes()
+    assert len(probes) == 3
+    for got, want in zip(probes, fresh):
+        assert list(map(graph_state, got)) == list(map(graph_state, want))
+
+
+def _reference_separator_check(p, k, l, probes):
+    """separator_check with choice='first', by connected sums and is_isomorphic."""
+    for g_probe, h_probe in probes:
+        g_edges = sorted(e for e, x in g_probe.edges.items() if x.color == 0)
+        h_edges = sorted(e for e, x in h_probe.edges.items() if x.color == 0)
+        if not g_edges or not h_edges:
+            continue
+        expected = disjoint_union(boundary_graph(g_probe), boundary_graph(h_probe))
+        left = connected_sum(add_prefix(g_probe, "g."), "g." + g_edges[0], p, k)
+        spliced = connected_sum(left, l, add_prefix(h_probe, "h."), "h." + h_edges[0])
+        if not is_isomorphic(boundary_graph(spliced), expected):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("choice", ["first", "all"])
+def test_separator_check_agrees_with_setups_prepared_once(choice):
+    probes = default_probes()
+    setups = _probe_setups(probes, choice)
+    verdicts = []
+    for k in (1, 2):
+        for g in enumerate_vacuum(builtin_model("phi4-rank3"), k, dedup=True):
+            zeros = sorted(e for e, x in g.edges.items() if x.color == 0)
+            for e, f in itertools.permutations(zeros, 2):
+                want = separator_check(g, e, f, probes, choice=choice)
+                assert _separates(g, e, f, setups) == want
+                if choice == "first":
+                    assert _reference_separator_check(g, e, f, probes) == want
+                verdicts.append(want)
+    assert len(verdicts) == 660 and 0 < sum(verdicts) < 660
 
 
 def test_frozen_separators_pass_their_own_check():

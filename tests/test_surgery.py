@@ -155,6 +155,9 @@ def test_close_requires_opposite_parities():
     o2 = open_edge(o, "beta0")
     with pytest.raises(GraphError, match="same-parity"):
         close_legs(o2, "alpha0.w", "beta0.w")
+    for leg in ("alpha0.w", "alpha0.b"):
+        with pytest.raises(GraphError, match="^the two legs must be distinct$"):
+            close_legs(o2, leg, leg)
 
 
 def test_open_then_open_accumulates_legs():
