@@ -20,10 +20,15 @@ first map is a signed incidence matrix, totally unimodular, so its rank
 is |V| minus the number of connected components and it has no torsion.
 With 3 or more colors the top map is one too, up to column signs, so its
 rank is the number of top cells minus the number of components with an
-edge (see :func:`homology`).  The maps in between are found by sparse
+edge (see :func:`homology`).  The spanning forests behind these two
+counts also shrink the maps in between: from 4 colors on, d_2 loses the
+rows of the edges of a spanning forest of the graph and d_top-1 the
+columns of a spanning forest of the graph on the top cells, with the
+same rank and invariant factors.  These maps are found by sparse
 elimination on +-1 pivots, taken in passes over the columns, shortest
 first; only the block left without a unit entry goes to the dense Smith
 normal form, so free ranks and torsion coefficients are exact.
+:func:`chain_complex` keeps the full maps.
 :func:`smith_normal_form` remains the public reference and returns the
 unimodular transforms U and V.  All arithmetic uses Python's
 arbitrary-precision integers; no floating point enters anywhere.
@@ -115,7 +120,22 @@ def _check_complex(g: ColoredGraph) -> int:
     return max(k - 1, 0)
 
 
-def _boundary_columns(g: ColoredGraph, first: int, last: int) -> list[tuple[Column, ...]]:
+def _joins(parent: list[int], u: int, v: int) -> bool:
+    """Join the trees of u and v in the union-find forest ``parent``; False
+    when they are one tree already, so that an edge u-v would close a cycle."""
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]  # path halving
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    if u == v:
+        return False
+    parent[u] = v
+    return True
+
+
+def _boundary_columns(
+    g: ColoredGraph, first: int, last: int, reduced: bool = False
+) -> list[tuple[Column, ...]]:
     """Columns of the boundary maps of degrees ``first .. last`` (first is 1 or 2).
 
     Degree-0 rows are vertex indices; the bubbles of a color subset take
@@ -129,15 +149,36 @@ def _boundary_columns(g: ColoredGraph, first: int, last: int) -> list[tuple[Colu
     (C - {a})- and the (C - {b})-bubble through it, and once the column of
     each (C - {a})-cell is multiplied by (-1)**index(a) its row holds one +1
     and one -1.  So the top map is the transposed incidence matrix of a
-    graph on the top cells, whose pieces are the components with an edge.
+    graph G* on the top cells, whose pieces are the components with an edge.
+
+    With ``reduced`` (first = 2, for :func:`homology` on a regular graph)
+    two spanning forests shrink the maps without changing their ranks or
+    invariant factors.  The rows of d_2 of the edges of a spanning forest
+    of the graph, picked by union-find over the 1-bubble rows in row order,
+    are set to -1 in ``row_of`` and so dropped: E - V + #components rows
+    stay.  And from 4 colors on, the columns of d_top-1 of the edges of a
+    spanning forest of G* are never built: dim - (#top cells - #components
+    with an edge) columns stay.  Kept rows keep their full-map numbers.
     """
     if first > last:
         return []
     labels, colors, parity = _walk_state(g)[0], g.colors, g._parity
     row_of: dict[tuple[int, ...], list[int]] = {}
+    forest = list(range(len(labels)))  # union-find over the vertices
     columns = []
     for p in range(1, last + 1):  # 1-bubble rows serve d_2
         layer, start = [], 0
+        dual = reduced and p == len(colors) - 2
+        if dual:  # the top cell through each vertex, by the color it lacks
+            cell_of, cells = {}, 0
+            for a in colors:
+                top_orbits = _subset_orbits(g, tuple(c for c in colors if c != a))
+                cell = cell_of[a] = [-1] * len(labels)
+                for i, orbit in enumerate(top_orbits, cells):
+                    for v in orbit:
+                        cell[v] = i
+                cells += len(top_orbits)
+            dual_forest = list(range(cells))  # union-find over the top cells
         for subset in combinations(colors, p):
             orbits = _subset_orbits(g, subset)
             if p == 1 and first == 1:  # an edge maps to (white end) - (black end)
@@ -147,7 +188,12 @@ def _boundary_columns(g: ColoredGraph, first: int, last: int) -> list[tuple[Colu
                 )
             elif p > 1:
                 faces = [(1 - q % 2 * 2, row_of[subset[:q] + subset[q + 1 :]]) for q in range(p)]
+                if dual:  # this bubble is the edge of G* between these two cells
+                    a, b = (c for c in colors if c not in subset)
+                    ends_a, ends_b = cell_of[a], cell_of[b]
                 for orbit in orbits:
+                    if dual and _joins(dual_forest, ends_a[orbit[0]], ends_b[orbit[0]]):
+                        continue
                     col: dict[int, int] = {}
                     for sign, row in faces:
                         for v in orbit:
@@ -157,6 +203,8 @@ def _boundary_columns(g: ColoredGraph, first: int, last: int) -> list[tuple[Colu
             if p < last:
                 row = row_of[subset] = [-1] * len(labels)
                 for i, orbit in enumerate(orbits, start):
+                    if reduced and p == 1 and _joins(forest, *orbit):
+                        continue
                     for v in orbit:
                         row[v] = i
                 start += len(orbits)
@@ -420,6 +468,16 @@ def homology(g: ColoredGraph) -> HomologyResult:
     each (C - {a})-cell is multiplied by (-1)**index(a) (see
     :func:`_boundary_columns`).  Only the maps in between go to
     :func:`_rank_and_torsion`, so a 3-colored graph needs no elimination.
+
+    Those maps are reduced first.  im d_2 lies in ker d_1, a direct summand
+    of C_1 that the projection onto the edges outside a spanning forest maps
+    isomorphically, so the forest rows of d_2 are dropped.  im d_top is the
+    cut space of the graph G* on the top cells, also a summand, on which
+    d_top-1 vanishes; the (top-1)-cells outside a spanning forest of G*
+    span a complement of it, so only their columns are built.  Neither step
+    changes the rank or the invariant factors, and the chain ranks ``dims``
+    come from orbit counts.
+
     With 3 or more colors, d_1 d_2 = 0 needs every vertex to have all colors
     or none, so a vertex with some but not all raises :class:`GraphError`.
     """
@@ -434,17 +492,18 @@ def homology(g: ColoredGraph) -> HomologyResult:
                     f"homology: vertex {label!r}: missing color {missing[0]} "
                     "(each vertex needs all colors or none)"
                 )
-    dims = [n, len(g._edges)]
+    dims = [n, len(g._edges)] + [
+        sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, p))
+        for p in range(2, top + 1)
+    ]
     rank = [0] * (top + 2)  # rank[p] = rank of the degree-p boundary map
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
     if top >= 1:
         comps = _subset_orbits(g, g.colors)  # the components with an edge
         rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
-    for p, columns in enumerate(_boundary_columns(g, 2, top - 1), 2):
-        dims.append(len(columns))
+    for p, columns in enumerate(_boundary_columns(g, 2, top - 1, reduced=True), 2):
         rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:
-        dims.append(sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, top)))
         rank[top] = dims[top] - len(comps)
     groups = [
         HomologyGroup(dims[q] - rank[q] - rank[q + 1], torsion[q + 1])

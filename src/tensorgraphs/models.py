@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     WHITE,
@@ -307,7 +307,12 @@ def enumerate_vacuum(
     with ``dedup`` the list is reduced up to exact-colors isomorphism,
     keeping first occurrences in order.
     """
-    out: list[ColoredGraph] = []
+    return list(_distinct_vacuum(model, k) if dedup else _wick_contractions(model, k))
+
+
+def _wick_contractions(model: ModelSpec, k: int) -> Iterator[ColoredGraph]:
+    """The Wick contractions of :func:`enumerate_vacuum`, built one at a time."""
+    colors = (0,) + tuple(range(1, model.rank + 1))
     for combo, _ in _combinations(model, k):
         pieces = [add_prefix(model.upsilon[t], f"x{i}.") for i, t in enumerate(combo)]
         vertices: dict[str, str] = {}
@@ -317,23 +322,24 @@ def enumerate_vacuum(
             edges.update(piece.edges)
         whites = sorted(v for v, p in vertices.items() if p == "w")
         blacks = sorted(v for v, p in vertices.items() if p == "b")
-        colors = (0,) + tuple(range(1, model.rank + 1))
         zeros = [f"z{j}" for j in range(len(whites))]
         for matching in itertools.permutations(range(len(blacks))):
             contraction = dict(edges)
             for j, label in enumerate(zeros):
                 contraction[label] = Edge(label, 0, whites[j], blacks[matching[j]])
-            out.append(ColoredGraph._trusted(colors, dict(vertices), contraction))
-    if dedup:
-        seen = set()
-        unique = []
-        for g in out:
-            cert = canonical_certificate(g)
-            if cert not in seen:
-                seen.add(cert)
-                unique.append(g)
-        return unique
-    return out
+            yield ColoredGraph._trusted(colors, dict(vertices), contraction)
+
+
+def _distinct_vacuum(model: ModelSpec, k: int) -> Iterator[ColoredGraph]:
+    """The first occurrence of each isomorphism class among the Wick
+    contractions, certified as they are built, so a caller that stops early
+    builds no more of them."""
+    seen = set()
+    for g in _wick_contractions(model, k):
+        cert = canonical_certificate(g)
+        if cert not in seen:
+            seen.add(cert)
+            yield g
 
 
 def count_vacuum(model: ModelSpec, k: int) -> tuple[int, int]:
@@ -722,11 +728,12 @@ def find_separators(
 ) -> tuple[SeparatorResult, SeparatorResult]:
     """Search vacuum graphs for the first two non-isomorphic separators.
 
-    Scans enumerate_vacuum outputs for k = 1..max_vertices interaction
-    vertices (deduplicated, in order) and every ordered pair of distinct
+    Scans the deduplicated enumerate_vacuum outputs for k = 1..max_vertices
+    interaction vertices, in order, and every ordered pair of distinct
     color-0 edges, keeping configurations that pass separator_check on all
-    probes, which are prepared once per search.  Returns the first hit and
-    the first hit on a graph not isomorphic to it.
+    probes, whose setups are prepared once.  Returns the first hit and the
+    first hit on a graph not isomorphic to it; vacuum graphs are built and
+    certified one at a time, so none is built after the second hit.
     """
     if model.rank != 3:
         raise GraphError("separator search is defined for rank-3 models")
@@ -735,7 +742,7 @@ def find_separators(
     setups = _probe_setups(default_probes() if probes is None else probes, "first")
     first: SeparatorResult | None = None
     for k in range(1, max_vertices + 1):
-        for g in enumerate_vacuum(model, k, dedup=True):
+        for g in _distinct_vacuum(model, k):
             if first is not None and is_isomorphic(g, first.graph):
                 continue
             zeros = sorted(e for e, x in g.edges.items() if x.color == 0)

@@ -265,26 +265,43 @@ def separator_check(
     return _separates(p, k, l, _probe_setups(probes, choice))
 
 
-def _probe_setups(probes: Sequence[tuple[ColoredGraph, ColoredGraph]], choice: str) -> list:
+# The setups of the probe pairs seen last, keyed by the choice and the
+# identity of the graphs, which are immutable.  Each entry holds its pairs,
+# so no id in a live key can be taken by another graph; the oldest entry is
+# dropped past _MAX_PROBE_SETUPS.
+_PROBE_SETUPS: dict[tuple, tuple[list, tuple]] = {}
+_MAX_PROBE_SETUPS = 8
+
+
+def _probe_setups(probes: Sequence[tuple[ColoredGraph, ColoredGraph]], choice: str) -> tuple:
     """For each probe pair (G, H) with a color-0 edge on each side: G and its
     chosen color-0 edges prefixed ``g.``, the same for H with ``h.``, and the
-    certificate of the union of their boundaries."""
+    certificate of the union of their boundaries.  The same graphs in the
+    same order get the same setups back, prepared once."""
+    pairs = [(g_probe, h_probe) for g_probe, h_probe in probes]
+    key = (choice, tuple((id(g_probe), id(h_probe)) for g_probe, h_probe in pairs))
+    cached = _PROBE_SETUPS.get(key)
+    if cached is not None:
+        return cached[1]
     setups = []
-    for g_probe, h_probe in probes:
+    for g_probe, h_probe in pairs:
         g_edges = sorted(e for e, x in g_probe._edges.items() if x.color == 0)
         h_edges = sorted(e for e, x in h_probe._edges.items() if x.color == 0)
         if g_edges and h_edges:
             n = 1 if choice == "first" else None
             expected = disjoint_union(boundary_graph(g_probe), boundary_graph(h_probe))
             setups.append((
-                add_prefix(g_probe, "g."), ["g." + e for e in g_edges[:n]],
-                add_prefix(h_probe, "h."), ["h." + e for e in h_edges[:n]],
+                add_prefix(g_probe, "g."), tuple("g." + e for e in g_edges[:n]),
+                add_prefix(h_probe, "h."), tuple("h." + e for e in h_edges[:n]),
                 canonical_certificate(expected),
             ))
-    return setups
+    if len(_PROBE_SETUPS) >= _MAX_PROBE_SETUPS:
+        del _PROBE_SETUPS[next(iter(_PROBE_SETUPS))]
+    entry = _PROBE_SETUPS[key] = pairs, tuple(setups)
+    return entry[1]
 
 
-def _separates(p: ColoredGraph, k: str, l: str, setups: list) -> bool:
+def _separates(p: ColoredGraph, k: str, l: str, setups: Sequence) -> bool:
     """:func:`separator_check` of p along k, l against prepared probe setups."""
     p2 = add_prefix(p, "p.")
     for g2, g_edges, h2, h_edges, expected in setups:

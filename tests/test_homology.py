@@ -26,6 +26,7 @@ from tensorgraphs.homology import (
     MAX_HOMOLOGY_COLORS,
     HomologyGroup,
     HomologyResult,
+    _boundary_columns,
     _rank_and_torsion,
     chain_complex,
     euler_characteristic,
@@ -229,8 +230,9 @@ def test_rp3_crys_sum_has_two_z2_summands():
 
 
 def test_sixteen_rp3_copies_have_sixteen_z2_summands():
-    # The degree-2 map leaves a 64 x 17 block without a unit entry, which
-    # the dense smith_normal_form must finish.
+    # The forest-reduced degree-2 map leaves a 16 x 16 block without a unit
+    # entry (64 x 17 on the full map), which the dense smith_normal_form
+    # must finish.
     res = homology(rp3_chain(16))
     assert res.betti == (1, 0, 0, 1)
     assert res.groups[1].torsion == (2,) * 16
@@ -437,8 +439,12 @@ def oracle_cases():
         yield f"{copies} RP^3 copies", rp3_chain(copies)
     k33 = graph_from_permutations([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     for name, g in (("K_3,3", k33), ("RP^3", rp3())):
-        lonely = {**g.vertices, "x0": "w", "x1": "b", "x2": "b"}
-        yield f"{name} with isolated vertices", ColoredGraph(g.colors, lonely, g.edges.values())
+        yield f"{name} with isolated vertices", with_isolated_vertices(g)
+
+
+def with_isolated_vertices(g: ColoredGraph) -> ColoredGraph:
+    lonely = {**g.vertices, "x0": "w", "x1": "b", "x2": "b"}
+    return ColoredGraph(g.colors, lonely, g.edges.values())
 
 
 def test_homology_matches_dense_snf_of_the_definition():
@@ -469,7 +475,8 @@ def test_homology_matches_dense_snf_of_the_definition():
 
 def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
     # rank d_1 and rank d_top come from component counts: a 3-colored graph
-    # needs no elimination at all
+    # needs no elimination at all.  The columns of d_top-1 of a spanning
+    # forest of G* (top cells joined by the (top-1)-cells) are left out.
     eliminated = []
 
     def recording(columns):
@@ -482,9 +489,118 @@ def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
         eliminated.clear()
         homology(g)
         cx = chain_complex(g)
-        assert eliminated == [cx.dim(p) for p in range(2, cx.top_degree)], name
+        top = cx.top_degree
+        with_edge = sum(1 for comp in connected_components(g) if comp.edges)
+        forest = cx.dim(top) - with_edge
+        assert eliminated == [cx.dim(p) - (p == top - 1) * forest for p in range(2, top)], name
         ks.add(len(g.colors))
     assert ks == {2, 3, 4, 5, 6}
+
+
+def padded_rp3_union(k: int, whites: int, rng: random.Random) -> ColoredGraph:
+    """RP^3's Klein four-group permutations, padded to k colors by repeating
+    three of them, beside a random k-colored part with the given whites."""
+    perms = [list(p) for p in KLEIN4] + [list(KLEIN4[1 + i % 3]) for i in range(k - 4)]
+    for perm in perms:
+        perm += [4 + x for x in rng.sample(range(whites), whites)]
+    return graph_from_permutations(perms)
+
+
+def reduction_cases():
+    """Graphs on 4-6 colors: the oracle cases, RP^3 chains of 4-8 copies,
+    padded RP^3 beside random 5- and 6-colored parts (5-8 whites), and
+    some of them with isolated vertices."""
+    rng = random.Random(29)
+    for name, g in oracle_cases():
+        if len(g.colors) >= 4:
+            yield name, g
+    for copies in range(4, 9):
+        yield f"{copies} RP^3 copies", rp3_chain(copies)
+    for k in (5, 6):
+        for whites in range(5, 9):
+            g = padded_rp3_union(k, whites, rng)
+            yield f"padded RP^3 and {whites} whites on {k} colors", g
+            if whites % 2:
+                yield f"padded RP^3 and {whites} whites on {k} colors, isolated vertices", (
+                    with_isolated_vertices(g)
+                )
+
+
+def acyclic(ends) -> bool:
+    """Whether the edges (u, v) form a forest."""
+    parent: dict = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for u, v in ends:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def test_forest_reduction_keeps_the_homology_of_the_definition():
+    seen = set()
+    for name, g in reduction_cases():
+        res = homology(g)
+        assert res == reference_homology(g), name
+        isolated = any(not comp.edges for comp in connected_components(g))
+        seen.add((len(g.colors), bool(res.groups[1].torsion), isolated))
+    assert {(k, True, isolated) for k in (4, 5, 6) for isolated in (False, True)} <= seen
+
+
+def test_reduced_d2_keeps_the_rows_outside_a_spanning_forest():
+    # E - V + #components rows stay, isolated vertices counted as components.
+    # From 5 colors on every column of d_2 is built and every edge lies in a
+    # 2-bubble, so the rows seen are exactly the rows kept, and the dropped
+    # edges must be a spanning forest of the graph.
+    for name, g in reduction_cases():
+        cx = chain_complex(g)
+        d2 = _boundary_columns(g, 2, cx.top_degree - 1, reduced=True)[0]
+        rows = {r for col in d2 for r, _ in col}
+        size = cx.dim(1) - cx.dim(0) + len(connected_components(g))
+        if len(g.colors) == 4:  # rows only in forest columns of d_top-1 are unseen
+            assert rows <= set(range(cx.dim(1))) and len(rows) <= size, name
+            continue
+        assert len(rows) == size, name
+        dropped = [cx.basis[1][r] for r in range(cx.dim(1)) if r not in rows]
+        ends = [(g.edges[b.edges[0]].white, g.edges[b.edges[0]].black) for b in dropped]
+        assert acyclic(ends), name
+
+
+def test_reduced_d_top_minus_1_leaves_out_a_spanning_forest_of_the_top_cells():
+    # dim - (#top cells - #components with an edge) columns stay.  From 5
+    # colors on the rows of d_top-1 are not reduced, so each kept column is
+    # a column of the full map, and the dropped (top-1)-cells, each joining
+    # the two top cells through it, must be a forest.
+    for name, g in reduction_cases():
+        cx = chain_complex(g)
+        top = cx.top_degree
+        with_edge = sum(1 for comp in connected_components(g) if comp.edges)
+        reduced = _boundary_columns(g, 2, top - 1, reduced=True)[-1]
+        assert len(reduced) == cx.dim(top - 1) - (cx.dim(top) - with_edge), name
+        if len(g.colors) == 4:
+            continue
+        full, kept, dropped = cx._columns[top - 2], iter(reduced), []
+        want = next(kept, None)
+        for cell, col in zip(cx.basis[top - 1], full):
+            if col == want:
+                want = next(kept, None)
+            else:
+                dropped.append(cell)
+        assert want is None, name
+        top_cell = {
+            (b.colors, v): i for i, b in enumerate(cx.basis[top]) for v in b.vertices
+        }
+        ends = []
+        for cell in dropped:
+            a, b = (tuple(c for c in g.colors if c != x) for x in set(g.colors) - set(cell.colors))
+            ends.append((top_cell[a, cell.vertices[0]], top_cell[b, cell.vertices[0]]))
+        assert acyclic(ends), name
 
 
 def test_homology_and_euler_build_no_bubble(monkeypatch):

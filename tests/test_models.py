@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from tensorgraphs import models as models_module
+from tensorgraphs import surgery as surgery_module
 from tensorgraphs.graphs import (
     Bubble,
     ColoredGraph,
@@ -20,6 +22,7 @@ from tensorgraphs.graphs import (
     connected_components,
     disjoint_union,
     is_isomorphic,
+    parse,
     relabel,
     remove_color,
     serialize,
@@ -947,6 +950,49 @@ def test_separator_check_agrees_with_setups_prepared_once(choice):
                     assert _reference_separator_check(g, e, f, probes) == want
                 verdicts.append(want)
     assert len(verdicts) == 660 and 0 < sum(verdicts) < 660
+
+
+def test_reused_probe_setups_give_the_verdicts_of_fresh_ones():
+    # setups are kept per probe graphs, by identity: the same per-process
+    # default_probes() pairs get the same setups back; equal graphs that are
+    # other objects get setups of their own, which must agree
+    probes = default_probes()
+    reused = _probe_setups(probes, "first")
+    assert _probe_setups(default_probes(), "first") is reused
+    assert _probe_setups(probes, "all") is not reused
+    copies = [tuple(parse(serialize(x)) for x in pair) for pair in probes]
+    fresh = _probe_setups(copies, "first")
+    assert fresh is not reused
+    verdicts = []
+    for k in (1, 2):
+        for g in enumerate_vacuum(builtin_model("phi4-rank3"), k, dedup=True):
+            zeros = sorted(e for e, x in g.edges.items() if x.color == 0)
+            for e, f in itertools.permutations(zeros, 2):
+                verdicts.append(_separates(g, e, f, reused))
+                assert _separates(g, e, f, fresh) == verdicts[-1]
+    assert 0 < sum(verdicts) < len(verdicts)
+    for _ in range(2 * surgery_module._MAX_PROBE_SETUPS):
+        _probe_setups([tuple(parse(serialize(x)) for x in probes[0])], "first")
+    assert len(surgery_module._PROBE_SETUPS) == surgery_module._MAX_PROBE_SETUPS
+
+
+def test_find_separators_stops_building_at_its_answer(monkeypatch):
+    # vacuum graphs are built one at a time: M is the first k = 2 class, so
+    # the search builds all 6 contractions of k = 1 and 1 of the 144 of k = 2
+    built = []
+    real = models_module._wick_contractions
+
+    def counting(model, k):
+        for g in real(model, k):
+            built.append(k)
+            yield g
+
+    monkeypatch.setattr(models_module, "_wick_contractions", counting)
+    first, second = find_separators(builtin_model("phi4-rank3"), 2)
+    assert built == [1] * 6 + [2]
+    for got, want in ((first, separator_p()), (second, separator_m())):
+        assert serialize(got.graph) == serialize(want.graph)
+        assert (got.k, got.l) == (want.k, want.l)
 
 
 def test_frozen_separators_pass_their_own_check():
