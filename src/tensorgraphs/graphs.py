@@ -496,8 +496,12 @@ def validate(g: ColoredGraph) -> list[str]:
     Structural problems (dangling endpoints, doubled slots, parity clashes)
     cannot occur in a constructed :class:`ColoredGraph`; what remains to
     check is completeness: every vertex must carry exactly one edge of each
-    color, with a leg standing in for the color-0 edge in open graphs.
+    color, with a leg standing in for the color-0 edge in open graphs.  No
+    slot is taken twice, so that holds when the edges and legs fill as
+    many slots as there are.
     """
+    if 2 * len(g._edges) + len(g._legs) == len(g._parity) * len(g._colors):
+        return []
     problems = []
     for v in sorted(g.vertices):
         for c in g.colors:
@@ -604,6 +608,33 @@ def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
         maps = [nbrs[g._colors.index(c)] for c in csub]
         orbits = walked[csub] = [o for o in _orbits(len(labels), maps) if len(o) > 1]
     return orbits
+
+
+def _euler_counts(
+    g: ColoredGraph, pairs: Iterable[tuple[int, int]]
+) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
+    """V - E of each component of g with an edge, and per color pair of
+    `pairs` its number of 2-bubbles in each component.
+
+    Components are the all-color orbits of the walk slot, in the order of
+    their smallest vertex; a vertex without edges is in none of them.
+    """
+    labels, _, _, _, by_color = _walk_state(g)
+    comps = _subset_orbits(g, g._colors)
+    comp_of = [0] * len(labels)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    v_minus_e = [len(comp) for comp in comps]
+    for edges in by_color:
+        for w, _ in edges:
+            v_minus_e[comp_of[w]] -= 1
+    faces = {}
+    for pair in pairs:
+        counts = faces[pair] = [0] * len(comps)
+        for orbit in _subset_orbits(g, pair):
+            counts[comp_of[orbit[0]]] += 1
+    return v_minus_e, faces
 
 
 def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
@@ -816,16 +847,26 @@ def _component_certs(
 
     The BFS order lists the component's vertices as indices into the labels,
     the vertex of canonical index k at position k.  Slots are read in
-    `colors` order (default ``g.colors``); components come in the order of
-    their smallest vertex label.
+    `colors` order (default ``g.colors``, else a subset of them); components
+    come in the order of their smallest vertex label.  A graph whose walk
+    slot is filled lends its arrays and its orbits of the read colors, and
+    a graph without one is not given one.
     """
     read = g._colors if colors is None else tuple(colors)
-    labels, nbrs = _slot_arrays(g, read)
+    comps = None
+    if g._walks is None:
+        labels, nbrs = _slot_arrays(g, read)
+    else:
+        labels, slot_nbrs, walked, _, _ = g._walks
+        nbrs = [slot_nbrs[g._colors.index(c)] for c in read]
+        comps = walked.get(tuple(sorted(read)))
+        if comps is not None and sum(map(len, comps)) < len(labels):
+            comps = None  # its orbits leave out the vertices without an edge
     parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
     pos = [-1] * len(labels)  # BFS index of each vertex queued from the current root
 
     out = []
-    for comp in _orbits(len(labels), nbrs):
+    for comp in comps or _orbits(len(labels), nbrs):
         roots = [v for v in comp if not parity[v]] or comp
         best: tuple | None = None
         best_queue: list[int] = []

@@ -37,8 +37,8 @@ from .graphs import (
     Bubble,
     ColoredGraph,
     GraphError,
+    _euler_counts,
     _subset_orbits,
-    _walk_state,
     bubbles,
     connected_components,
     remove_color,
@@ -138,24 +138,9 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
 
     # Per component, V - E, then the faces of each color pair; a vertex
     # without edges is a component with chi = 1.
-    labels, _, _, _, by_color = _walk_state(g)
-    comps = _subset_orbits(g, colors)
-    if sum(map(len, comps)) < len(labels):
+    if sum(map(len, _subset_orbits(g, colors))) < len(g):
         raise GraphError("odd jacket Euler characteristic")
-    comp_of = [0] * len(labels)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    v_minus_e = [len(comp) for comp in comps]
-    for edges in by_color:
-        for w, _ in edges:
-            v_minus_e[comp_of[w]] -= 1
-    faces_of = {}
-    for pair in combinations(colors, 2):
-        counts = [0] * len(comps)
-        for orbit in _subset_orbits(g, pair):
-            counts[comp_of[orbit[0]]] += 1
-        faces_of[pair] = counts
+    v_minus_e, faces_of = _euler_counts(g, combinations(colors, 2))
 
     jackets = []
     for cycle in cycles:
@@ -166,7 +151,7 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
                 raise GraphError("odd jacket Euler characteristic")
             total_genus += (2 - chi) // 2
         jackets.append(Jacket(cycle, sum(map(sum, per_pair)), total_genus, g))
-    return jackets, len(comps)
+    return jackets, len(v_minus_e)
 
 
 @dataclass(frozen=True)

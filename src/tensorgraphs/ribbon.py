@@ -14,7 +14,11 @@ edges.  The closed surface obtained by capping the boundary circles has
 
 Every closed 3-colored graph is canonically a ribbon graph: order the three
 half-edges by ascending color at white vertices and descending color at
-black vertices (:func:`ribbon_from_colored`).
+black vertices (:func:`ribbon_from_colored`).  Its faces are exactly the
+bicolored cycles of the graph (Gurau, arXiv:1006.0714), so
+:func:`boundary_components` counts them as the graph's 2-bubbles and
+traces no face; the half-edge tables of such a structure are built only
+when something reads them.
 
 Abstract ribbon graphs (not arising from colorings) are read from a small
 file stanza::
@@ -26,9 +30,10 @@ file stanza::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graphs import ColoredGraph, GraphError, _orbits
+from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits
 
 __all__ = [
     "RibbonStructure",
@@ -45,15 +50,24 @@ __all__ = [
 
 
 class RibbonStructure:
-    """Half-edges grouped into cyclically ordered vertices plus an involution."""
+    """Half-edges grouped into cyclically ordered vertices plus an involution.
 
-    __slots__ = ("_orders", "_pair", "_vertex_of", "_succ")
+    A structure made by :func:`ribbon_from_colored` keeps its graph and
+    builds the half-edge tables on first read.
+    """
+
+    __slots__ = ("_orders", "_pair", "_vertex_of", "_succ", "_graph")
 
     def __init__(
         self,
         orders: Mapping[str, tuple[str, ...]] | Iterable[tuple[str, tuple[str, ...]]],
         pairing: Mapping[str, str] | Iterable[tuple[str, str]],
     ) -> None:
+        self._graph: ColoredGraph | None = None
+        self._fill(orders, pairing)
+
+    def _fill(self, orders, pairing) -> None:
+        """Check and store the half-edge tables."""
         items = orders.items() if isinstance(orders, Mapping) else orders
         self._orders: dict[str, tuple[str, ...]] = {}
         self._vertex_of: dict[str, str] = {}
@@ -88,30 +102,43 @@ class RibbonStructure:
         if unmatched:
             raise GraphError(f"unpaired half-edges: {sorted(unmatched)}")
 
+    def _built(self) -> "RibbonStructure":
+        """self, with the tables of a colored source built."""
+        if self._orders is None:
+            g = self._graph
+            self._fill(
+                {
+                    v: tuple(f"{v}:{c}" for c in (g.colors if p == "w" else g.colors[::-1]))
+                    for v, p in sorted(g.vertices.items())
+                },
+                {f"{e.white}:{e.color}": f"{e.black}:{e.color}" for e in g.edges.values()},
+            )
+        return self
+
     @property
     def orders(self) -> dict[str, tuple[str, ...]]:
-        return dict(self._orders)
+        return dict(self._built()._orders)
 
     @property
     def involution(self) -> dict[str, str]:
-        return dict(self._pair)
+        return dict(self._built()._pair)
 
     @property
     def n_vertices(self) -> int:
-        return len(self._orders)
+        return len(self._built()._orders)
 
     @property
     def n_edges(self) -> int:
-        return len(self._pair) // 2
+        return len(self._built()._pair) // 2
 
     def vertex_of(self, h: str) -> str:
-        return self._vertex_of[h]
+        return self._built()._vertex_of[h]
 
     def next_around_vertex(self, h: str) -> str:
-        return self._succ[h]
+        return self._built()._succ[h]
 
     def partner(self, h: str) -> str:
-        return self._pair[h]
+        return self._built()._pair[h]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RibbonStructure(|V|={self.n_vertices}, |E|={self.n_edges})"
@@ -121,18 +148,19 @@ def ribbon_from_colored(g: ColoredGraph) -> RibbonStructure:
     """The canonical ribbon structure of a closed 3-colored graph.
 
     Half-edges are named ``<vertex>:<color>``; white vertices order their
-    half-edges by ascending color, black vertices by descending color.
+    half-edges by ascending color, black vertices by descending color.  The
+    tables are built when first read, but at once for an irregular graph
+    (2|E| < 3|V|), whose unpaired half-edges raise here.
     """
     if g.is_open:
         raise GraphError("ribbon structure requires a closed graph")
     if len(g.colors) != 3:
         raise GraphError(f"ribbon structure needs exactly 3 colors, got {g.colors}")
-    orders = {
-        v: tuple(f"{v}:{c}" for c in (g.colors if p == "w" else g.colors[::-1]))
-        for v, p in sorted(g.vertices.items())
-    }
-    pairing = {f"{e.white}:{e.color}": f"{e.black}:{e.color}" for e in g.edges.values()}
-    return RibbonStructure(orders, pairing)
+    r = RibbonStructure.__new__(RibbonStructure)
+    r._graph, r._orders = g, None
+    if 2 * len(g.edges) != 3 * len(g):
+        r._built()
+    return r
 
 
 # -- file stanza ---------------------------------------------------------------
@@ -191,8 +219,19 @@ class BoundaryReport:
 def boundary_components(r: RibbonStructure) -> BoundaryReport:
     """Count face-permutation orbits and derive chi and genus.
 
-    Components come in the order of their smallest vertex label.
+    Components come in the order of their smallest vertex label.  On the
+    ribbon of a colored graph the faces are its bicolored cycles, so each
+    component's chi is V - E plus its 2-bubbles, and no face is traced.
     """
+    g = r._graph
+    if g is None:
+        return _traced_boundary(r)
+    v_minus_e, faces = _euler_counts(g, combinations(g.colors, 2))
+    return _report([(f, x + f) for x, f in zip(v_minus_e, map(sum, zip(*faces.values())))])
+
+
+def _traced_boundary(r: RibbonStructure) -> BoundaryReport:
+    """:func:`boundary_components` by tracing the face permutation."""
     orders, pair, succ = r._orders, r._pair, r._succ
     labels = sorted(orders)
     half: dict[str, int] = {}  # half-edge -> index, grouped by vertex
@@ -213,11 +252,14 @@ def boundary_components(r: RibbonStructure) -> BoundaryReport:
     face = [half[succ[pair[h]]] for h in half]
     for circle in _orbits(len(owner), [face]):
         bcs[comp_of[owner[circle[0]]]] += 1
+    edges = [sum(len(cycles[v]) for v in comp) // 2 for comp in comps]
+    return _report([(bc, len(comp) - e + bc) for comp, e, bc in zip(comps, edges, bcs)])
 
+
+def _report(counts: list[tuple[int, int]]) -> BoundaryReport:
+    """The report of the (bc, chi) of each component, checked."""
     per = []
-    for comp, bc in zip(comps, bcs):
-        e = sum(len(cycles[v]) for v in comp) // 2
-        chi = len(comp) - e + bc
+    for bc, chi in counts:
         if chi % 2:
             raise GraphError("odd Euler characteristic: inconsistent ribbon data")
         g = (2 - chi) // 2
@@ -267,8 +309,13 @@ def cell_counts(r: RibbonStructure) -> CellReport:
 
 
 def euler_agreement(g: ColoredGraph) -> bool:
-    """Bubble-count chi equals ribbon chi for a closed connected 3-colored graph."""
+    """Bubble-count chi equals ribbon chi for a closed connected 3-colored graph.
+
+    The ribbon side traces the face permutation on the half-edge tables, not
+    the 2-bubble count :func:`boundary_components` uses on a colored source,
+    so the two sides are independent computations.
+    """
     from .homology import euler_characteristic
 
-    ribbon_chi = boundary_components(ribbon_from_colored(g)).euler
+    ribbon_chi = _traced_boundary(ribbon_from_colored(g)._built()).euler
     return euler_characteristic(g) == ribbon_chi

@@ -166,6 +166,63 @@ def test_fixtures_validate_clean(name):
     assert validate(load_fixture(name)) == []
 
 
+# Test-local copy of validate's vertex walk, from before it answered a
+# regular graph by counting filled slots.
+
+
+def _reference_validate(g):
+    problems = []
+    for v in sorted(g.vertices):
+        for c in g.colors:
+            if g.edge_at(v, c) is not None:
+                continue
+            if c == 0 and g.leg_at(v) is not None:
+                continue
+            problems.append(f"vertex {v!r}: missing color {c}")
+    return problems
+
+
+def _filled_graph(rng, colors, legs):
+    """Every slot filled; with `legs`, color 0 is a partial matching and
+    each vertex it leaves out carries a leg."""
+    n = rng.randint(0, 8)
+    verts = {**{f"w{i}": "w" for i in range(n)}, **{f"b{i}": "b" for i in range(n)}}
+    edges, open_ends = [], []
+    for c in colors:
+        image = list(range(n))
+        rng.shuffle(image)
+        for i, j in enumerate(image):
+            if legs and c == 0 and rng.random() < 0.5:
+                open_ends += [f"w{i}", f"b{j}"]
+            else:
+                edges.append((f"e{c}.{i}", c, f"w{i}", f"b{j}"))
+    return ColoredGraph(colors, verts, edges, [(f"l.{v}", v) for v in open_ends])
+
+
+def test_validate_matches_the_vertex_walk_on_seeded_graphs():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        g = _random_graph(rng)
+        want = _reference_validate(g)
+        assert validate(g) == want
+        seen.add((g.is_open, bool(want)))
+    for _ in range(100):
+        legs = rng.random() < 0.5
+        colors = tuple(range(0 if legs else 1, rng.randint(2, 5)))
+        g = _filled_graph(rng, colors, legs)
+        assert validate(g) == _reference_validate(g) == []
+        seen.add((g.is_open, False))
+        if g.legs:  # one leg fewer leaves one slot open
+            drop = rng.choice(sorted(g.legs))
+            h = ColoredGraph(
+                g.colors, dict(g.vertices), g.edges.values(),
+                [l for k, l in g.legs.items() if k != drop],
+            )
+            assert validate(h) == _reference_validate(h) != []
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # ---------------------------------------------------------------- bubbles
 
 def test_dipole_two_bubbles():
@@ -795,6 +852,29 @@ def test_walks_match_reference_on_drawn_graphs(g, rng):
 )
 def test_walks_match_reference_on_edge_cases(g):
     assert_walks_match_reference(g)
+
+
+def test_certificates_read_a_filled_walk_slot_as_fresh_arrays():
+    # a graph whose walk slot holds some color subsets lends its arrays and
+    # orbits to _component_certs; every read order gives what a copy
+    # without a slot gives, and the copy is given none
+    rng = random.Random(19)
+    lent = 0
+    for _ in range(200):
+        g = _random_graph(rng)
+        fresh = ColoredGraph(g.colors, dict(g.vertices), g.edges.values(), g.legs.values())
+        for r in range(1, len(g.colors) + 1):
+            for subset in itertools.combinations(g.colors, r):
+                if rng.random() < 0.5:
+                    bubbles(g, subset)
+        picked = list(g.colors)
+        rng.shuffle(picked)
+        reads = [None, g.colors[::-1], g.colors[1:], picked[: rng.randint(1, len(picked))]]
+        for read in reads:
+            lent += tuple(sorted(read or g.colors)) in (g._walks or ({}, {}, {}))[2]
+            assert _component_certs(g, read) == _component_certs(fresh, read), read
+        assert fresh._walks is None
+    assert lent > 100
 
 
 @pytest.mark.parametrize("name", ALL_GRAPH_FIXTURES)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tensorgraphs.graphs import ColoredGraph, GraphError
+from tensorgraphs import ribbon as ribbon_module
+from tensorgraphs.graphs import ColoredGraph, GraphError, disjoint_union
 from tensorgraphs.ribbon import (
     BoundaryReport,
     RibbonStructure,
@@ -286,14 +287,99 @@ def _random_closed_3colored(rng):
     return ColoredGraph((1, 2, 3), {**dict.fromkeys(whites, "w"), **dict.fromkeys(blacks, "b")}, edges)
 
 
-def test_boundary_matches_reference_on_colored_graphs():
-    rng = random.Random(17)
-    for _ in range(200):
-        r = ribbon_from_colored(_random_closed_3colored(rng))
-        assert boundary_components(r) == _reference_boundary(r)
+def _seeded_closed_3colored(seed, count):
+    """Closed 3-colored graphs, a third of them a disjoint union of two."""
+    rng = random.Random(seed)
+    for i in range(count):
+        g = _random_closed_3colored(rng)
+        yield disjoint_union(g, _random_closed_3colored(rng)) if i % 3 == 0 else g
+
+
+def _colored_corpus():
+    yield from _seeded_closed_3colored(17, 200)
     for name in CLOSED_3COLOR_FIXTURES:
-        r = ribbon_from_colored(load_fixture(name))
-        assert boundary_components(r) == _reference_boundary(r)
+        yield load_fixture(name)
+
+
+def test_boundary_matches_reference_on_colored_graphs():
+    # the 2-bubble count of a colored source equals the face trace, both the
+    # test-local one and the general one on the same tables read back
+    disconnected = 0
+    for g in _colored_corpus():
+        r = ribbon_from_colored(g)
+        rep = boundary_components(r)
+        assert rep == _reference_boundary(r)
+        assert rep == boundary_components(parse_ribbon(serialize_ribbon(r)))
+        disconnected += rep.n_components > 1
+    assert disconnected >= 60
     for name in RIBBON_FIXTURES:
         r = parse_ribbon(fixture_text(name))
         assert boundary_components(r) == _reference_boundary(r)
+
+
+# Test-local copy of ribbon_from_colored from before its tables were built
+# on first read: string half-edges, checked at once.
+
+
+def _eager_ribbon(g):
+    orders = {
+        v: tuple(f"{v}:{c}" for c in (g.colors if p == "w" else g.colors[::-1]))
+        for v, p in sorted(g.vertices.items())
+    }
+    pairing = {f"{e.white}:{e.color}": f"{e.black}:{e.color}" for e in g.edges.values()}
+    return RibbonStructure(orders, pairing)
+
+
+def test_lazy_tables_equal_the_eager_ribbon():
+    for g in _colored_corpus():
+        want = _eager_ribbon(g)
+        r = ribbon_from_colored(g)
+        assert serialize_ribbon(r) == serialize_ribbon(want)
+        assert (r.orders, r.involution) == (want.orders, want.involution)
+        assert (r.n_vertices, r.n_edges) == (want.n_vertices, want.n_edges)
+        for h in want.involution:
+            assert r.vertex_of(h) == want.vertex_of(h)
+            assert r.next_around_vertex(h) == want.next_around_vertex(h)
+            assert r.partner(h) == want.partner(h)
+        # each accessor builds the tables on its own
+        for read in (lambda x: x.n_vertices, lambda x: x.involution, serialize_ribbon):
+            assert read(ribbon_from_colored(g)) == read(want)
+
+
+def test_irregular_graph_raises_when_its_ribbon_is_made():
+    rng = random.Random(29)
+    for _ in range(100):
+        g = _random_closed_3colored(rng)
+        kept = [e for e in g.edges.values() if rng.random() < 0.8]
+        if len(kept) == len(g.edges):
+            kept.pop()
+        h = ColoredGraph(g.colors, dict(g.vertices), kept)
+        with pytest.raises(GraphError) as want:
+            _eager_ribbon(h)
+        with pytest.raises(GraphError, match="unpaired half-edges") as got:
+            ribbon_from_colored(h)
+        assert str(got.value) == str(want.value)
+
+
+def test_reading_the_genus_builds_no_half_edge(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("half-edge tables built")
+
+    monkeypatch.setattr(RibbonStructure, "_built", forbidden)
+    for g in _seeded_closed_3colored(31, 20):
+        r = ribbon_from_colored(g)
+        assert (genus(r), boundary_components(r).bc) == (
+            boundary_components(_eager_ribbon(g)).genus,
+            boundary_components(_eager_ribbon(g)).bc,
+        )
+        assert r._orders is None
+
+
+@pytest.mark.parametrize("name", CLOSED_3COLOR_FIXTURES)
+def test_euler_agreement_traces_the_faces(monkeypatch, name):
+    # the ribbon side of euler_agreement must not be the 2-bubble count
+    def forbidden(*args):
+        raise AssertionError("2-bubble count used")
+
+    monkeypatch.setattr(ribbon_module, "_euler_counts", forbidden)
+    assert euler_agreement(load_fixture(name))
