@@ -281,13 +281,14 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
     if 0 not in g.colors:
         pairs.append(("boundary", "n/a (no propagator color)"))
     elif g.is_open:
-        parts = connected_components(boundary_graph(g))
-        pairs.append(("boundary components", str(len(parts))))
-        if all(len(part.colors) == 3 for part in parts):
-            genera = sorted(
-                boundary_components(ribbon_from_colored(part)).genus for part in parts
-            )
+        boundary = boundary_graph(g)
+        if len(boundary.colors) == 3:
+            per = boundary_components(ribbon_from_colored(boundary)).per_component
+            pairs.append(("boundary components", str(len(per))))
+            genera = sorted(genus for _, _, genus in per)
             pairs.append(("boundary genera", ", ".join(str(x) for x in genera)))
+        else:
+            pairs.append(("boundary components", str(len(connected_components(boundary)))))
     else:
         pairs.append(("boundary", "empty"))
     for name in ("phi4-matrix", "phi4-rank3"):

@@ -136,7 +136,7 @@ class ColoredGraph:
     Instances are immutable after construction; every operation in this
     package returns a new graph.  A graph keeps the walks of :func:`bubbles`
     and of homology once asked for: one set of neighbour arrays, and the
-    orbits and the bubbles of each color subset walked so far.  The color
+    vertex-index orbits of each color subset walked so far.  The color
     set is explicit: regular graphs read from files use contiguous colors
     (``1..D`` or ``0..D``), but intermediate values such as color-deleted
     subgraphs may live on an arbitrary subset.
@@ -580,17 +580,11 @@ def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _walk_state(g: ColoredGraph) -> tuple:
-    """``(labels, nbrs, orbits, found, by_color)``, kept on g from the first
-    call: the :func:`_slot_arrays` of all colors, the :func:`_subset_orbits`
-    and the :func:`bubbles` of each color subset walked so far, and the
-    (white index, label) of each edge by color."""
+    """``(labels, nbrs, orbits)``, kept on g from the first call: the
+    :func:`_slot_arrays` of all colors and the :func:`_subset_orbits` of
+    each color subset walked so far."""
     if g._walks is None:
-        labels, nbrs = _slot_arrays(g, g._colors)
-        index = dict(zip(labels, range(len(labels))))
-        by_color: list[list[tuple[int, str]]] = [[] for _ in g._colors]
-        for label, c, w, _ in g._edges.values():
-            by_color[g._colors.index(c)].append((index[w], label))
-        g._walks = (labels, nbrs, {}, {}, by_color)
+        g._walks = (*_slot_arrays(g, g._colors), {})
     return g._walks
 
 
@@ -602,7 +596,7 @@ def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
     Every edge joins two distinct vertices, so the singleton orbits are
     exactly the vertices without an edge of csub; they are left out.
     """
-    labels, nbrs, walked, _, _ = _walk_state(g)
+    labels, nbrs, walked = _walk_state(g)
     orbits = walked.get(csub)
     if orbits is None:
         maps = [nbrs[g._colors.index(c)] for c in csub]
@@ -614,21 +608,21 @@ def _euler_counts(
     g: ColoredGraph, pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
     """V - E of each component of g with an edge, and per color pair of
-    `pairs` its number of 2-bubbles in each component.
+    `pairs` its number of 2-bubbles in each component.  A component's edges
+    are half its filled slots.
 
     Components are the all-color orbits of the walk slot, in the order of
     their smallest vertex; a vertex without edges is in none of them.
     """
-    labels, _, _, _, by_color = _walk_state(g)
+    labels, nbrs, _ = _walk_state(g)
     comps = _subset_orbits(g, g._colors)
     comp_of = [0] * len(labels)
+    v_minus_e = []
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    v_minus_e = [len(comp) for comp in comps]
-    for edges in by_color:
-        for w, _ in edges:
-            v_minus_e[comp_of[w]] -= 1
+        filled = sum(nb[v] >= 0 for nb in nbrs for v in comp)
+        v_minus_e.append(len(comp) - filled // 2)
     faces = {}
     for pair in pairs:
         counts = faces[pair] = [0] * len(comps)
@@ -643,8 +637,9 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     With ``colors = ()`` every vertex is its own 0-bubble.  Otherwise only
     vertices incident to at least one edge of the chosen colors take part.
     Results are sorted by (color subset, smallest member vertex).  Each
-    color subset is walked once per graph and its bubbles built once (see
-    :class:`ColoredGraph`); each call returns a fresh list.
+    color subset is walked once per graph (see :class:`ColoredGraph`); its
+    bubbles are built on each call, with the edge labels read from g's
+    slots at the orbit's vertices.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -652,23 +647,18 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
             raise GraphError(f"color {c} outside color set {g.colors}")
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
-    labels, _, _, built, by_color = _walk_state(g)
-    found = built.get(csub)
-    if found is None:
-        orbits = _subset_orbits(g, csub)
-        comp_of = [0] * len(labels)
-        for i, orbit in enumerate(orbits):
-            for v in orbit:
-                comp_of[v] = i
-        edges: list[list[str]] = [[] for _ in orbits]
-        for c in csub:
-            for w, label in by_color[g._colors.index(c)]:
-                edges[comp_of[w]].append(label)
-        found = built[csub] = [
-            Bubble(csub, tuple(labels[v] for v in orbit), tuple(sorted(es)))
-            for orbit, es in zip(orbits, edges)
-        ]
-    return found[:]
+    labels, slot = _walk_state(g)[0], g._slots.get
+    found = []
+    for orbit in _subset_orbits(g, csub):
+        members = tuple(labels[v] for v in orbit)
+        edges = sorted(
+            e.label
+            for v in members
+            for c in csub
+            if (e := slot((v, c))) is not None and e.white == v
+        )
+        found.append(Bubble(csub, members, tuple(edges)))
+    return found
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
@@ -857,7 +847,7 @@ def _component_certs(
     if g._walks is None:
         labels, nbrs = _slot_arrays(g, read)
     else:
-        labels, slot_nbrs, walked, _, _ = g._walks
+        labels, slot_nbrs, walked = g._walks
         nbrs = [slot_nbrs[g._colors.index(c)] for c in read]
         comps = walked.get(tuple(sorted(read)))
         if comps is not None and sum(map(len, comps)) < len(labels):

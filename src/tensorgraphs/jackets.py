@@ -40,7 +40,6 @@ from .graphs import (
     _euler_counts,
     _subset_orbits,
     bubbles,
-    connected_components,
     remove_color,
 )
 from .ribbon import boundary_components, ribbon_from_colored
@@ -231,7 +230,4 @@ def boundary_degree(g: ColoredGraph) -> int:
 
     if g.is_closed:
         raise GraphError("boundary degree requires an open graph")
-    total = 0
-    for comp in connected_components(boundary_graph(g)):
-        total += boundary_components(ribbon_from_colored(comp)).genus
-    return 3 * total
+    return 3 * boundary_components(ribbon_from_colored(boundary_graph(g))).genus

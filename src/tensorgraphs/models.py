@@ -56,7 +56,6 @@ from .graphs import (
     add_prefix,
     bubbles,
     canonical_certificate,
-    is_isomorphic,
     parse,
     relabel,
 )
@@ -732,19 +731,21 @@ def find_separators(
     interaction vertices, in order, and every ordered pair of distinct
     color-0 edges, keeping configurations that pass separator_check on all
     probes, whose setups are prepared once.  Returns the first hit and the
-    first hit on a graph not isomorphic to it; vacuum graphs are built and
-    certified one at a time, so none is built after the second hit.
+    first hit on another graph, which is not isomorphic to it: each class
+    comes once per k, and graphs of different k differ in their
+    color-0-deleted components, one per interaction vertex.  Vacuum graphs
+    are built and certified one at a time, so none is built after the
+    second hit.
     """
     if model.rank != 3:
         raise GraphError("separator search is defined for rank-3 models")
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
-    setups = _probe_setups(default_probes() if probes is None else probes, "first")
+    pairs = default_probes() if probes is None else probes
+    setups = _probe_setups(tuple(map(tuple, pairs)), "first")
     first: SeparatorResult | None = None
     for k in range(1, max_vertices + 1):
         for g in _distinct_vacuum(model, k):
-            if first is not None and is_isomorphic(g, first.graph):
-                continue
             zeros = sorted(e for e, x in g.edges.items() if x.color == 0)
             for ke, le in itertools.permutations(zeros, 2):
                 if not _separates(g, ke, le, setups):

@@ -25,6 +25,7 @@ makes the path tracing deterministic.
 from __future__ import annotations
 
 from collections.abc import Container, Sequence
+from functools import lru_cache
 
 from .graphs import (
     ColoredGraph,
@@ -262,27 +263,17 @@ def separator_check(
         raise GraphError("the two separator edges must be distinct")
     if choice not in ("first", "all"):
         raise GraphError(f"unknown edge choice mode {choice!r}")
-    return _separates(p, k, l, _probe_setups(probes, choice))
+    return _separates(p, k, l, _probe_setups(tuple(map(tuple, probes)), choice))
 
 
-# The setups of the probe pairs seen last, keyed by the choice and the
-# identity of the graphs, which are immutable.  Each entry holds its pairs,
-# so no id in a live key can be taken by another graph; the oldest entry is
-# dropped past _MAX_PROBE_SETUPS.
-_PROBE_SETUPS: dict[tuple, tuple[list, tuple]] = {}
-_MAX_PROBE_SETUPS = 8
-
-
-def _probe_setups(probes: Sequence[tuple[ColoredGraph, ColoredGraph]], choice: str) -> tuple:
+@lru_cache(maxsize=8)
+def _probe_setups(pairs: tuple[tuple[ColoredGraph, ColoredGraph], ...], choice: str) -> tuple:
     """For each probe pair (G, H) with a color-0 edge on each side: G and its
     chosen color-0 edges prefixed ``g.``, the same for H with ``h.``, and the
-    certificate of the union of their boundaries.  The same graphs in the
-    same order get the same setups back, prepared once."""
-    pairs = [(g_probe, h_probe) for g_probe, h_probe in probes]
-    key = (choice, tuple((id(g_probe), id(h_probe)) for g_probe, h_probe in pairs))
-    cached = _PROBE_SETUPS.get(key)
-    if cached is not None:
-        return cached[1]
+    certificate of the union of their boundaries.  Graphs hash by identity,
+    so the same graphs in the same order get the same setups back, prepared
+    once; the cache holds its keys, so no id in one is taken by another
+    graph."""
     setups = []
     for g_probe, h_probe in pairs:
         g_edges = sorted(e for e, x in g_probe._edges.items() if x.color == 0)
@@ -295,10 +286,7 @@ def _probe_setups(probes: Sequence[tuple[ColoredGraph, ColoredGraph]], choice: s
                 add_prefix(h_probe, "h."), tuple("h." + e for e in h_edges[:n]),
                 canonical_certificate(expected),
             ))
-    if len(_PROBE_SETUPS) >= _MAX_PROBE_SETUPS:
-        del _PROBE_SETUPS[next(iter(_PROBE_SETUPS))]
-    entry = _PROBE_SETUPS[key] = pairs, tuple(setups)
-    return entry[1]
+    return tuple(setups)
 
 
 def _separates(p: ColoredGraph, k: str, l: str, setups: Sequence) -> bool:
@@ -308,9 +296,8 @@ def _separates(p: ColoredGraph, k: str, l: str, setups: Sequence) -> bool:
         if g2.colors != p.colors:  # H's match G's, or their boundaries' union raised
             raise GraphError(f"color sets differ: {g2.colors} vs {p.colors}")
         for ge in g_edges:
-            left = _splice((g2, p2), ((ge, "p." + k),))
             for he in h_edges:
-                spliced = _splice((left, h2), (("p." + l, he),))
+                spliced = _splice((g2, p2, h2), ((ge, "p." + k), ("p." + l, he)))
                 if canonical_certificate(boundary_graph(spliced)) != expected:
                     return False
     return True

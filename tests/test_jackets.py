@@ -19,6 +19,7 @@ from tensorgraphs.graphs import (
     add_prefix,
     bubbles,
     connected_components,
+    serialize,
     validate,
 )
 from tensorgraphs.homology import homology
@@ -36,6 +37,7 @@ from tensorgraphs.jackets import (
 )
 from tensorgraphs.models import (
     build_dipole,
+    build_l,
     build_melon,
     build_necklace,
     build_o,
@@ -43,12 +45,14 @@ from tensorgraphs.models import (
     build_tg,
 )
 from tensorgraphs.ribbon import boundary_components, ribbon_from_colored
+from tensorgraphs.surgery import boundary_graph, cone
 
 from conftest import (
     CLOSED_3COLOR_FIXTURES,
     CLOSED_4COLOR_FIXTURES,
     CLOSED_FIXTURES,
     load_fixture,
+    run_cli,
 )
 
 
@@ -312,7 +316,10 @@ def test_gurau_degree_counts_components_without_building_them(monkeypatch):
     def forbidden(g):
         raise AssertionError("gurau_degree built component graphs")
 
-    monkeypatch.setattr(jackets_module, "connected_components", forbidden)
+    # jackets does not import connected_components, so a call could only
+    # go through the graphs module, where it is patched
+    assert not hasattr(jackets_module, "connected_components")
+    monkeypatch.setattr(graphs_module, "connected_components", forbidden)
     assert [outcome(gurau_degree, g) for g in graphs] == expected
 
 
@@ -425,3 +432,68 @@ def test_boundary_degree_values():
     assert boundary_degree(build_tg(1)) == 3
     assert boundary_degree(load_fixture("twopoint.cg")) == 0
     assert boundary_degree(load_fixture("l-2-3.cg")) == 3 * (2 + 3)
+
+
+def _reference_boundary_degree(g):
+    """boundary_degree with one ribbon per boundary component."""
+    if g.is_closed:
+        raise GraphError("boundary degree requires an open graph")
+    total = 0
+    for comp in connected_components(boundary_graph(g)):
+        total += boundary_components(ribbon_from_colored(comp)).genus
+    return 3 * total
+
+
+def _reference_boundary_lines(g):
+    """report's kv boundary lines, with one ribbon per boundary component."""
+    parts = connected_components(boundary_graph(g))
+    lines = [f"boundary.components={len(parts)}"]
+    if all(len(part.colors) == 3 for part in parts):
+        genera = sorted(boundary_components(ribbon_from_colored(part)).genus for part in parts)
+        lines.append("boundary.genera=" + ",".join(map(str, genera)))
+    return lines
+
+
+def _random_regular_closed(rng, colors):
+    """Closed and regular on `colors`, possibly disconnected."""
+    n = rng.randint(1, 8)
+    edges = []
+    for c in colors:
+        image = list(range(n))
+        rng.shuffle(image)
+        edges += [(f"e{c}.{i}", c, f"w{i}", f"b{j}") for i, j in enumerate(image)]
+    verts = {**{f"w{i}": "w" for i in range(n)}, **{f"b{i}": "b" for i in range(n)}}
+    return ColoredGraph(colors, verts, edges)
+
+
+def test_boundary_genera_from_one_ribbon_match_the_per_component_loop():
+    # boundary_degree and report's boundary lines read the genus of every
+    # boundary component from one ribbon of the whole boundary; the loop
+    # over component graphs, one ribbon each, is the reference
+    rng = random.Random(20)
+    graphs = []
+    for _ in range(12):
+        genera = [rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(genera)
+        graphs.append(build_l(genera))
+    graphs += [build_tg(g) for g in range(5)]
+    graphs += [cone(_random_regular_closed(rng, (1, 2, 3))) for _ in range(40)]
+    open_three = [cone(build_dipole(2)), cone(_random_regular_closed(rng, (1, 2)))]
+
+    def outcome(degree_of, g):
+        try:
+            return degree_of(g)
+        except GraphError as exc:
+            return str(exc)
+
+    seen_genera = set()
+    for g in graphs + open_three:
+        want = outcome(_reference_boundary_degree, g)
+        assert outcome(boundary_degree, g) == want
+        assert isinstance(want, str) == (g in open_three)
+        code, out, _ = run_cli(["report", "-", "--format", "kv"], serialize(g))
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("boundary.")]
+        assert lines == _reference_boundary_lines(g)
+        seen_genera.update(lines[1:])
+    assert len(seen_genera) > 10  # boundaries of many genus profiles

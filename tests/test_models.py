@@ -7,8 +7,8 @@ import random
 
 import pytest
 
+from tensorgraphs import graphs as graphs_module
 from tensorgraphs import models as models_module
-from tensorgraphs import surgery as surgery_module
 from tensorgraphs.graphs import (
     Bubble,
     ColoredGraph,
@@ -938,7 +938,7 @@ def _reference_separator_check(p, k, l, probes):
 @pytest.mark.parametrize("choice", ["first", "all"])
 def test_separator_check_agrees_with_setups_prepared_once(choice):
     probes = default_probes()
-    setups = _probe_setups(probes, choice)
+    setups = _probe_setups(tuple(map(tuple, probes)), choice)
     verdicts = []
     for k in (1, 2):
         for g in enumerate_vacuum(builtin_model("phi4-rank3"), k, dedup=True):
@@ -953,14 +953,16 @@ def test_separator_check_agrees_with_setups_prepared_once(choice):
 
 
 def test_reused_probe_setups_give_the_verdicts_of_fresh_ones():
-    # setups are kept per probe graphs, by identity: the same per-process
+    # setups are cached per probe graphs, by identity: the same per-process
     # default_probes() pairs get the same setups back; equal graphs that are
     # other objects get setups of their own, which must agree
-    probes = default_probes()
+    probes = tuple(map(tuple, default_probes()))
     reused = _probe_setups(probes, "first")
-    assert _probe_setups(default_probes(), "first") is reused
+    hits = _probe_setups.cache_info().hits
+    assert _probe_setups(tuple(map(tuple, default_probes())), "first") is reused
+    assert _probe_setups.cache_info().hits == hits + 1
     assert _probe_setups(probes, "all") is not reused
-    copies = [tuple(parse(serialize(x)) for x in pair) for pair in probes]
+    copies = tuple(tuple(parse(serialize(x)) for x in pair) for pair in probes)
     fresh = _probe_setups(copies, "first")
     assert fresh is not reused
     verdicts = []
@@ -971,25 +973,36 @@ def test_reused_probe_setups_give_the_verdicts_of_fresh_ones():
                 verdicts.append(_separates(g, e, f, reused))
                 assert _separates(g, e, f, fresh) == verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
-    for _ in range(2 * surgery_module._MAX_PROBE_SETUPS):
-        _probe_setups([tuple(parse(serialize(x)) for x in probes[0])], "first")
-    assert len(surgery_module._PROBE_SETUPS) == surgery_module._MAX_PROBE_SETUPS
+    maxsize = _probe_setups.cache_info().maxsize
+    for _ in range(2 * maxsize):
+        _probe_setups((tuple(parse(serialize(x)) for x in probes[0]),), "first")
+    assert _probe_setups.cache_info().currsize == maxsize
 
 
 def test_find_separators_stops_building_at_its_answer(monkeypatch):
     # vacuum graphs are built one at a time: M is the first k = 2 class, so
-    # the search builds all 6 contractions of k = 1 and 1 of the 144 of k = 2
+    # the search builds all 6 contractions of k = 1 and 1 of the 144 of k = 2,
+    # and certifies each once, for its class, with no isomorphism test
     built = []
     real = models_module._wick_contractions
 
     def counting(model, k):
         for g in real(model, k):
-            built.append(k)
+            built.append((k, g))
             yield g
 
+    certified = []
+    real_certs = graphs_module._component_certs
+
+    def counting_certs(g, colors=None):
+        certified.append(g)
+        return real_certs(g, colors)
+
     monkeypatch.setattr(models_module, "_wick_contractions", counting)
+    monkeypatch.setattr(graphs_module, "_component_certs", counting_certs)
     first, second = find_separators(builtin_model("phi4-rank3"), 2)
-    assert built == [1] * 6 + [2]
+    assert [k for k, _ in built] == [1] * 6 + [2]
+    assert [sum(x is g for x in certified) for _, g in built] == [1] * 7
     for got, want in ((first, separator_p()), (second, separator_m())):
         assert serialize(got.graph) == serialize(want.graph)
         assert (got.k, got.l) == (want.k, want.l)
