@@ -34,7 +34,6 @@ from .graphs import (
     GraphError,
     _subset_orbits,
     bubbles,
-    connected_components,
     export_dot,
     is_isomorphic,
     parse,
@@ -288,7 +287,9 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
             genera = sorted(genus for _, _, genus in per)
             pairs.append(("boundary genera", ", ".join(str(x) for x in genera)))
         else:
-            pairs.append(("boundary components", str(len(connected_components(boundary)))))
+            # every boundary vertex has an edge of each color: no singletons
+            pieces = _subset_orbits(boundary, boundary.colors)
+            pairs.append(("boundary components", str(len(pieces))))
     else:
         pairs.append(("boundary", "empty"))
     for name in ("phi4-matrix", "phi4-rank3"):

@@ -822,7 +822,9 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 # abandoned at its first row that is larger than the best encoding's row
 # at the same index.  Two components are isomorphic (with colors fixed)
 # iff their certificates are equal, and the certificate-minimizing BFS
-# orders themselves provide a witness bijection.
+# orders themselves provide a witness bijection.  The roots that tie the
+# best encoding are the images of the best root under the automorphisms of
+# the component, one root per automorphism, so their number is |Aut|.
 #
 # The read order is the graph's color set unless given: reading `a` in the
 # order [cmap^-1(c) for c in b.colors] yields the encodings of
@@ -832,11 +834,14 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 
 def _component_certs(
     g: ColoredGraph, colors: Iterable[int] | None = None
-) -> tuple[list[str], list[tuple[tuple[tuple[int, ...], ...], list[int]]]]:
-    """The sorted vertex labels and, per component, (canonical code, BFS order).
+) -> tuple[list[str], list[tuple[tuple[tuple[int, ...], ...], list[int], list[int]]]]:
+    """The sorted vertex labels and, per component, (canonical code, BFS
+    order, tied roots).
 
     The BFS order lists the component's vertices as indices into the labels,
-    the vertex of canonical index k at position k.  Slots are read in
+    the vertex of canonical index k at position k.  The tied roots, in
+    increasing order from ``order[0]``, are the images of that best root
+    under the component's automorphisms.  Slots are read in
     `colors` order (default ``g.colors``, else a subset of them); components
     come in the order of their smallest vertex label.  A graph whose walk
     slot is filled lends its arrays and its orbits of the read colors, and
@@ -860,6 +865,7 @@ def _component_certs(
         roots = [v for v in comp if not parity[v]] or comp
         best: tuple | None = None
         best_queue: list[int] = []
+        ties: list[int] = []
         for root in roots:
             pos[root] = 0
             queue = [root]
@@ -885,10 +891,12 @@ def _component_certs(
                 rows.append(row)
             else:
                 if smaller:
-                    best, best_queue = tuple(rows), queue
+                    best, best_queue, ties = tuple(rows), queue, [root]
+                else:
+                    ties.append(root)
             for v in queue:
                 pos[v] = -1
-        out.append((best, best_queue))
+        out.append((best, best_queue, ties))
     return labels, out
 
 
@@ -898,7 +906,7 @@ def canonical_certificate(g: ColoredGraph) -> tuple:
     Suitable as a deduplication key, e.g. when enumerating Wick contractions.
     """
     _, certs = _component_certs(g)
-    return (g.colors, tuple(sorted(code for code, _ in certs)))
+    return (g.colors, tuple(sorted(code for code, _, _ in certs)))
 
 
 # Most colors the up-to-color-permutation test accepts: it may try all k!
@@ -957,20 +965,20 @@ def is_isomorphic(
     if len(a) != len(b) or len(a.edges) != len(b.edges) or len(a.legs) != len(b.legs):
         return IsoResult(False)
     labels_b, certs_b = _component_certs(b)
-    codes_b = sorted(code for code, _ in certs_b)
+    codes_b = sorted(code for code, _, _ in certs_b)
     for cmap in cmaps:
         read = None
         if cmap is not None:
             inverse = {c: s for s, c in cmap.items()}
             read = [inverse[c] for c in b.colors]
         labels_a, certs_a = _component_certs(a, read)
-        if sorted(code for code, _ in certs_a) != codes_b:
+        if sorted(code for code, _, _ in certs_a) != codes_b:
             continue
         by_code: dict[tuple, list[list[int]]] = {}
-        for code, order in certs_b:
+        for code, order, _ in certs_b:
             by_code.setdefault(code, []).append(order)
         witness: dict[str, str] = {}
-        for code, order_a in certs_a:
+        for code, order_a, _ in certs_a:
             for u, v in zip(order_a, by_code[code].pop()):
                 witness[labels_a[u]] = labels_b[v]
         return IsoResult(True, witness, cmap)

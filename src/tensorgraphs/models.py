@@ -52,7 +52,7 @@ from .graphs import (
     Leg,
     _component_certs,
     _orbits,
-    _slot_arrays,
+    _walk_state,
     add_prefix,
     bubbles,
     canonical_certificate,
@@ -119,57 +119,40 @@ class ModelSpec:
     vertex_names: tuple[str, ...]
     # Canonical code of each vertex, read by is_member and count_vacuum.
     _codes: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    # White flags and automorphisms of each vertex, read by count_vacuum.
+    # White flags and automorphisms of each vertex, as index maps over its
+    # sorted labels, read by count_vacuum: the tied roots of its certificate.
     _symmetries: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        codes = []
+        codes, symmetries = [], []
         for label, v in zip(self.vertex_names, self.upsilon):
             if v.colors != tuple(range(1, self.rank + 1)):
                 raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
             if v.is_open:
                 raise GraphError(f"vertex {label} has legs")
+            labels, nbrs, _ = _walk_state(v)
             _, certs = _component_certs(v)
             if len(certs) != 1:
                 raise GraphError(f"vertex {label} is not connected")
             if 2 * len(v.whites()) != len(v):
                 raise GraphError(f"vertex {label} has unequal white and black counts")
-            codes.append(certs[0][0])
+            code, order, ties = certs[0]
+            autos = []
+            for root in ties:
+                # the automorphism taking order[0] to root, extended along
+                # each color from the vertices already mapped
+                image = [0] * len(labels)
+                image[order[0]] = root
+                for x in order:
+                    for nb in nbrs:
+                        if nb[x] >= 0:
+                            image[nb[x]] = nb[image[x]]
+                autos.append(tuple(image))
+            codes.append(code)
+            white = tuple(v._parity[x] == WHITE for x in labels)
+            symmetries.append((white, tuple(autos)))
         object.__setattr__(self, "_codes", tuple(codes))
-        object.__setattr__(self, "_symmetries", tuple(map(_symmetries, self.upsilon)))
-
-
-def _symmetries(v: ColoredGraph) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
-    """A connected vertex's white flags and its color-preserving automorphisms,
-    both over the indices of its sorted vertex labels.
-
-    An automorphism is fixed by the image of the first white: a white root
-    whose BFS code equals the first white's, mapped position by position.
-    """
-    labels, nbrs = _slot_arrays(v, v.colors)
-    white = tuple(v._parity[x] == WHITE for x in labels)
-    walks = []
-    for root in (r for r, w in enumerate(white) if w):
-        pos = {root: 0}
-        queue = [root]
-        code = []
-        for x in queue:
-            for nb in nbrs:
-                u = nb[x]
-                if u >= 0 and u not in pos:
-                    pos[u] = len(queue)
-                    queue.append(u)
-                code.append(pos.get(u, u))
-        walks.append((code, queue))
-    first_code, first = walks[0]
-    autos = []
-    for code, queue in walks:
-        if code == first_code:
-            image = [0] * len(labels)
-            for x, y in zip(first, queue):
-                image[x] = y
-            autos.append(tuple(image))
-    return white, tuple(autos)
+        object.__setattr__(self, "_symmetries", tuple(symmetries))
 
 
 def _cycle_vertex(p: int) -> ColoredGraph:
@@ -269,7 +252,7 @@ def is_member(g: ColoredGraph, model: ModelSpec) -> MembershipReport:
         names.setdefault(code, name)
     # read without color 0: the stripped graph's components, left unbuilt
     labels, certs = _component_certs(g, expected[1:])
-    entries = tuple((labels[min(order)], names.get(code)) for code, order in certs)
+    entries = tuple((labels[min(order)], names.get(code)) for code, order, _ in certs)
     return MembershipReport(all(m is not None for _, m in entries), entries)
 
 

@@ -7,6 +7,7 @@ import collections
 import importlib
 import itertools
 import math
+import random
 import re
 import sys
 
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 
 from tensorgraphs import graphs as graphs_module
 from tensorgraphs import models as models_module
-from tensorgraphs.graphs import MAX_D, GraphError, is_isomorphic, parse, serialize
+from tensorgraphs.graphs import (
+    MAX_D,
+    ColoredGraph,
+    GraphError,
+    connected_components,
+    is_isomorphic,
+    parse,
+    serialize,
+)
 from tensorgraphs.homology import MAX_HOMOLOGY_COLORS
 from tensorgraphs.jackets import MAX_JACKET_COLORS
 from tensorgraphs.models import (
@@ -25,8 +34,9 @@ from tensorgraphs.models import (
     builtin_model,
     enumerate_vacuum,
 )
+from tensorgraphs.surgery import boundary_graph, open_edge
 
-from conftest import FIXTURES, ROOT, fixture_text, run_cli
+from conftest import FIXTURES, OPEN_FIXTURES, ROOT, fixture_text, run_cli
 
 cli_module = importlib.import_module("tensorgraphs.cli")
 homology_module = importlib.import_module("tensorgraphs.homology")
@@ -104,6 +114,37 @@ def test_report_kv_format():
     assert "member.phi4-rank3=yes" in lines
     # kv output is machine-friendly: one = separated pair per line, no spaces
     assert all(" " not in ln and ln.count("=") >= 1 for ln in lines)
+
+
+def test_report_counts_the_boundary_pieces_as_its_components():
+    # report counts the boundary's all-color orbits; every vertex of a
+    # boundary read from a file has an edge of each color, so these are its
+    # connected components (boundaries with 2, 3 and 5 colors, on graphs of
+    # one to three blocks)
+    rng = random.Random(2016)
+    graphs = [parse(fixture_text(name)) for name in OPEN_FIXTURES]
+    for d in (2, 3, 5):
+        for _ in range(10):
+            starts = [0]
+            for _ in range(rng.randint(1, 3)):
+                starts.append(starts[-1] + rng.randint(1, 3))
+            n = starts[-1]
+            parity = {**{f"w{i}": "w" for i in range(n)}, **{f"b{i}": "b" for i in range(n)}}
+            edges = [
+                (f"e{c}.{i}", c, f"w{i}", f"b{j}")
+                for c in range(d + 1)
+                for a, b in zip(starts, starts[1:])
+                for i, j in zip(range(a, b), rng.sample(range(a, b), b - a))
+            ]
+            g = ColoredGraph(tuple(range(d + 1)), parity, edges)
+            for label in rng.sample([f"e0.{i}" for i in range(n)], rng.randint(1, n)):
+                g = open_edge(g, label)
+            graphs.append(g)
+    for g in graphs:
+        code, out, err = run_cli(["report", "-"], stdin_text=serialize(g))
+        pieces = len(connected_components(boundary_graph(g)))
+        assert (code, err) == (0, "")
+        assert f"boundary components: {pieces}\n" in out, serialize(g)
 
 
 # ---------------------------------------------------------------- queries

@@ -41,6 +41,7 @@ from tensorgraphs.graphs import (
     validate,
 )
 from tensorgraphs.models import (
+    ModelSpec,
     _swap_bubble_colors,
     build_cg,
     build_dipole,
@@ -407,9 +408,10 @@ def test_certificate_invariant_under_vertex_permutation(perm):
 # `_component_certs` tries white roots only and abandons a root at its first
 # row larger than the best code's.  The reference below is the plain
 # definition: a BFS from every root of the component, the smallest code
-# winning and the earliest root keeping ties; the color-permutation mode
-# builds `recolor(a, cmap)` for every bijection.  Codes, BFS orders (with
-# their insertion order), certificates, witnesses and color maps must agree.
+# winning and the earliest root keeping ties, with every root of that code
+# listed in label order; the color-permutation mode builds `recolor(a, cmap)`
+# for every bijection.  Codes, BFS orders (with their insertion order), tied
+# roots, certificates, witnesses and color maps must agree.
 
 
 def _reference_bfs_code(g, root):
@@ -452,7 +454,9 @@ def _reference_component_certs(g):
         for root in sorted(comp):
             code, order = _reference_bfs_code(g, root)
             if best is None or code < best[0]:
-                best = (code, order)
+                best = (code, order, [root])
+            elif code == best[0]:
+                best[2].append(root)
         out.append(best)
     return out
 
@@ -464,13 +468,13 @@ def _reference_iso_exact(a, b):
         return IsoResult(False)
     certs_a = _reference_component_certs(a)
     certs_b = _reference_component_certs(b)
-    if sorted(c for c, _ in certs_a) != sorted(c for c, _ in certs_b):
+    if sorted(c for c, _, _ in certs_a) != sorted(c for c, _, _ in certs_b):
         return IsoResult(False)
     by_code = {}
-    for code, order in certs_b:
+    for code, order, _ in certs_b:
         by_code.setdefault(code, []).append(order)
     witness = {}
-    for code, order_a in certs_a:
+    for code, order_a, _ in certs_a:
         inv_b = {i: v for v, i in by_code[code].pop().items()}
         for v, i in order_a.items():
             witness[v] = inv_b[i]
@@ -504,13 +508,15 @@ def assert_kernel_matches_reference(a, b):
     for g in (a, b):
         labels, certs = _component_certs(g)
         fast = [
-            (code, [(labels[v], k) for k, v in enumerate(order)]) for code, order in certs
+            (code, [(labels[v], k) for k, v in enumerate(order)], [labels[v] for v in ties])
+            for code, order, ties in certs
         ]
         slow = [
-            (code, list(order.items())) for code, order in _reference_component_certs(g)
+            (code, list(order.items()), ties)
+            for code, order, ties in _reference_component_certs(g)
         ]
         assert fast == slow
-        assert canonical_certificate(g) == (g.colors, tuple(sorted(c for c, _ in slow)))
+        assert canonical_certificate(g) == (g.colors, tuple(sorted(c for c, _, _ in slow)))
     for mode in ("exact-colors", "up-to-color-permutation"):
         for x, y in ((a, b), (b, a)):
             assert _iso_key(is_isomorphic(x, y, mode)) == _iso_key(
@@ -644,6 +650,61 @@ def test_legs_hold_color_zero_fixed():
     shifted = recolor(closed, {0: 3, 1: 1, 2: 2})
     assert not is_isomorphic(shifted, a, "up-to-color-permutation")
     assert_kernel_matches_reference(shifted, a)
+
+
+def _brute_automorphisms(g):
+    """Every vertex bijection of g preserving parity, colors, edges and legs."""
+    whites, blacks = sorted(g.whites()), sorted(g.blacks())
+    edges = {(e.color, e.white, e.black) for e in g.edges.values()}
+    legged = {l.vertex for l in g.legs.values()}
+    out = []
+    for ws in itertools.permutations(whites):
+        for bs in itertools.permutations(blacks):
+            f = dict(zip(whites, ws)) | dict(zip(blacks, bs))
+            if {(c, f[w], f[b]) for c, w, b in edges} == edges and {
+                f[v] for v in legged
+            } == legged:
+                out.append(f)
+    return out
+
+
+def test_tied_roots_are_the_automorphisms():
+    # |Aut| by brute force on seeded connected graphs with 2-5 colors and at
+    # most 4 whites, some with missing edges, some with legs; a closed
+    # balanced one is also a model vertex, whose automorphisms (extended
+    # from the tied roots) must be exactly the brute-force bijections
+    rng = random.Random(1307)
+    checked = symmetric = modeled = 0
+    while checked < 400:
+        d = rng.randint(2, 5)
+        colors = tuple(range(d)) if rng.random() < 0.5 else tuple(range(1, d + 1))
+        nw = rng.randint(1, 4)
+        nb = nw if rng.random() < 0.8 else rng.randint(1, 4)
+        keep = rng.choice((1.0, 0.8))
+        blacks = list(range(nw, nw + nb))
+        matchings = []
+        for _ in colors:
+            rng.shuffle(blacks)
+            matchings.append([wb for wb in zip(range(nw), blacks) if rng.random() < keep])
+        legs = [i for i in range(nw + nb) if rng.random() < 0.4] if rng.random() < 0.5 else []
+        g = _partial_graph(colors, ["w"] * nw + ["b"] * nb, matchings, legs)
+        labels, certs = _component_certs(g)
+        if len(certs) != 1:
+            continue
+        _, order, ties = certs[0]
+        autos = _brute_automorphisms(g)
+        assert ties[0] == order[0] and ties == sorted(set(ties))
+        assert len(ties) == len(autos), serialize(g)
+        checked += 1
+        symmetric += len(autos) > 1
+        if 0 not in colors and nw == nb:
+            index = {x: i for i, x in enumerate(labels)}
+            spec = ModelSpec("oracle", d, (g,), ("v",))
+            assert set(spec._symmetries[0][1]) == {
+                tuple(index[f[x]] for x in labels) for f in autos
+            }
+            modeled += 1
+    assert symmetric > 40 and modeled > 100
 
 
 # ---------------------------------------------------- Burnside class counts
