@@ -134,20 +134,23 @@ class ColoredGraph:
     (vertex, color) pair.
 
     Instances are immutable after construction; every operation in this
-    package returns a new graph.  A graph keeps the walks of :func:`bubbles`
-    and of homology once asked for: one set of neighbour arrays, and the
-    vertex-index orbits of each color subset walked so far.  The color
-    set is explicit: regular graphs read from files use contiguous colors
-    (``1..D`` or ``0..D``), but intermediate values such as color-deleted
-    subgraphs may live on an arbitrary subset.
+    package returns a new graph.  A graph stores its colors, vertex
+    parities, edges and legs; what derives from them is built when first
+    read and kept: the :func:`_slot_index` of :meth:`edge_at` and
+    :meth:`leg_at`, and the walks of :func:`bubbles` and of homology (one
+    set of neighbour arrays, and the vertex-index orbits of each color
+    subset walked so far).  The color set is explicit: regular graphs read
+    from files use contiguous colors (``1..D`` or ``0..D``), but
+    intermediate values such as color-deleted subgraphs may live on an
+    arbitrary subset.
 
     The constructor rejects malformed input with a :class:`GraphError`
-    naming the first offender.  Operations in this package whose result is
-    valid whenever their input graphs are build it unchecked, through
-    :meth:`_trusted`.
+    naming the first offender, and keeps the slot index it fills while it
+    checks.  Operations in this package whose result is valid whenever
+    their input graphs are build it unchecked, through :meth:`_trusted`.
     """
 
-    __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_leg_at", "_walks")
+    __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_walks")
 
     def __init__(
         self,
@@ -193,7 +196,6 @@ class ColoredGraph:
             raise fault from None
 
         leg_map: dict[str, Leg] = {}
-        leg_at: dict[str, Leg] = {}
         l = None
         try:  # as for the edges
             for item in legs:
@@ -213,9 +215,9 @@ class ColoredGraph:
                     raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
                 if (v, 0) in slots:
                     raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
-                if v in leg_at:
+                if (v, None) in slots:
                     raise GraphError(f"two legs at vertex {v!r}")
-                leg_at[v] = l
+                slots[v, None] = l
                 leg_map[label] = l
         except TypeError:
             fault = l and _unhashable("leg", l.label, (l.vertex,))
@@ -223,32 +225,8 @@ class ColoredGraph:
                 raise
             raise fault from None
 
-        self._store(colors, parity, edge_map, slots, leg_map, leg_at)
-
-    def _store(self, colors, parity, edges, slots, legs, leg_at) -> None:
-        """Keep the parts and their slot and leg indexes; the graph owns the dicts."""
-        self._colors = colors
-        self._parity = parity
-        self._edges = edges
-        self._slots = slots
-        self._legs = legs
-        self._leg_at = leg_at
-        self._walks = None  # filled by _walk_state() only
-
-    def _assemble(
-        self,
-        colors: tuple[int, ...],
-        parity: dict[str, str],
-        edges: dict[str, Edge],
-        legs: dict[str, Leg],
-    ) -> None:
-        """Store the parts of :meth:`_trusted`, deriving their indexes."""
-        slots: dict[tuple[str, int], Edge] = {}
-        for e in edges.values():
-            _, c, w, b = e
-            slots[w, c] = e
-            slots[b, c] = e
-        self._store(colors, parity, edges, slots, legs, {l.vertex: l for l in legs.values()})
+        self._colors, self._parity, self._edges, self._legs = colors, parity, edge_map, leg_map
+        self._slots, self._walks = slots, None
 
     @classmethod
     def _trusted(
@@ -264,10 +242,13 @@ class ColoredGraph:
         their input graphs are: `colors` is a sorted tuple of distinct
         non-negative colors, every edge and leg is keyed by its label and
         fits `parity` and `colors`, and no slot is taken twice.  The dicts
-        must be fresh; the graph keeps them.
+        must be fresh; the graph keeps them and stores nothing else, so its
+        slot index and walks are built when first read.
         """
         g = cls.__new__(cls)
-        g._assemble(colors, parity, edges, {} if legs is None else legs)
+        g._colors, g._parity, g._edges = colors, parity, edges
+        g._legs = {} if legs is None else legs
+        g._slots = g._walks = None
         return g
 
     # -- basic accessors ---------------------------------------------------
@@ -300,13 +281,13 @@ class ColoredGraph:
 
     def edge_at(self, vertex: str, color: int) -> Edge | None:
         """The unique color-`color` edge at `vertex`, or None."""
-        return self._slots.get((vertex, color))
+        return _slot_index(self).get((vertex, color))
 
     def leg_at(self, vertex: str) -> Leg | None:
-        return self._leg_at.get(vertex)
+        return _slot_index(self).get((vertex, None))
 
     def neighbor(self, vertex: str, color: int) -> str | None:
-        e = self._slots.get((vertex, color))
+        e = _slot_index(self).get((vertex, color))
         return None if e is None else e.other(vertex)
 
     @property
@@ -516,6 +497,22 @@ def validate(g: ColoredGraph) -> list[str]:
 # -- substructure ----------------------------------------------------------
 
 
+def _slot_index(g: ColoredGraph) -> dict:
+    """Each edge at its two ``(vertex, color)`` keys, then each leg at
+    ``(vertex, None)``, kept on g from the first call.  No color is None,
+    so a key with a color never finds a leg."""
+    if g._slots is None:
+        slots = {}
+        for e in g._edges.values():
+            _, c, w, b = e
+            slots[w, c] = e
+            slots[b, c] = e
+        for l in g._legs.values():
+            slots[l.vertex, None] = l
+        g._slots = slots
+    return g._slots
+
+
 _EMPTY_SLOT = -1
 _LEG_SLOT = -2
 
@@ -639,7 +636,7 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     Results are sorted by (color subset, smallest member vertex).  Each
     color subset is walked once per graph (see :class:`ColoredGraph`); its
     bubbles are built on each call, with the edge labels read from g's
-    slots at the orbit's vertices.
+    slot index at the orbit's vertices.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -647,7 +644,7 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
             raise GraphError(f"color {c} outside color set {g.colors}")
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
-    labels, slot = _walk_state(g)[0], g._slots.get
+    labels, slot = _walk_state(g)[0], _slot_index(g).get
     found = []
     for orbit in _subset_orbits(g, csub):
         members = tuple(labels[v] for v in orbit)

@@ -27,8 +27,9 @@ beta0 (``_O_EDGES``).  ``tests/test_models.py`` keeps the two searches that
 found them and checks that they still return the frozen answers.
 
 The separator graphs P and M (also figure-only) are found by
-:func:`find_separators`; the shipped builders use a frozen copy of the
-search result so that fixtures regenerate without re-searching.
+:func:`find_separators`; the shipped builders take its answer straight from
+the Wick contractions (the first of one and of two ``phi4-rank3`` vertices),
+so that fixtures regenerate without re-searching.
 
 :func:`build` caps every size parameter at :data:`MAX_FAMILY_PARAMETER`, and
 :func:`builtin_model` caps the p of ``matrix-2p:<p>`` there too.
@@ -56,7 +57,6 @@ from .graphs import (
     add_prefix,
     bubbles,
     canonical_certificate,
-    parse,
     relabel,
 )
 from .ribbon import RibbonStructure
@@ -743,64 +743,17 @@ def find_separators(
     )
 
 
-# Frozen copy of find_separators(builtin_model("phi4-rank3"), 2): the shipped
-# builders must not re-run the search.  Regenerate with the find-separators
-# CLI command if the search logic changes.  P is the one-vertex vacuum graph
-# whose color-0 edges run parallel to the non-crossing colors; M is the first
-# non-isomorphic passer in enumeration order (two disjoint copies of P,
-# spliced through one copy).
-_P_TEXT: str = """\
-colors 3 open
-v x0.a w
-v x0.b w
-v x0.p b
-v x0.q b
-e x0.c11 1 x0.a x0.q
-e x0.c12 1 x0.b x0.p
-e x0.c21 2 x0.a x0.p
-e x0.c22 2 x0.b x0.q
-e x0.c31 3 x0.a x0.p
-e x0.c32 3 x0.b x0.q
-e z0 0 x0.a x0.p
-e z1 0 x0.b x0.q
-"""
-_P_EDGES = ("z0", "z1")
-_M_TEXT: str = """\
-colors 3 open
-v x0.a w
-v x0.b w
-v x0.p b
-v x0.q b
-v x1.a w
-v x1.b w
-v x1.p b
-v x1.q b
-e x0.c11 1 x0.a x0.q
-e x0.c12 1 x0.b x0.p
-e x0.c21 2 x0.a x0.p
-e x0.c22 2 x0.b x0.q
-e x0.c31 3 x0.a x0.p
-e x0.c32 3 x0.b x0.q
-e x1.c11 1 x1.a x1.q
-e x1.c12 1 x1.b x1.p
-e x1.c21 2 x1.a x1.p
-e x1.c22 2 x1.b x1.q
-e x1.c31 3 x1.a x1.p
-e x1.c32 3 x1.b x1.q
-e z0 0 x0.a x0.p
-e z1 0 x0.b x0.q
-e z2 0 x1.a x1.p
-e z3 0 x1.b x1.q
-"""
-_M_EDGES = ("z0", "z1")
-
-
+# The answer of find_separators(builtin_model("phi4-rank3"), 2), taken from
+# the Wick builder so that the shipped builders do not re-run the search.  P
+# is the first one-vertex contraction, whose color-0 edges run parallel to
+# the non-crossing colors; M is the first two-vertex one (two disjoint copies
+# of P, spliced through one copy), the first passer in enumeration order not
+# isomorphic to P.  Both are spliced along z0 and z1.
 @lru_cache(maxsize=1)
 def _frozen_separators() -> tuple[SeparatorResult, SeparatorResult]:
-    return (
-        SeparatorResult(parse(_P_TEXT), *_P_EDGES),
-        SeparatorResult(parse(_M_TEXT), *_M_EDGES),
-    )
+    model = builtin_model("phi4-rank3")
+    p, m = (next(_wick_contractions(model, k)) for k in (1, 2))
+    return SeparatorResult(p, "z0", "z1"), SeparatorResult(m, "z0", "z1")
 
 
 def separator_p() -> SeparatorResult:

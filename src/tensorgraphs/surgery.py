@@ -33,6 +33,7 @@ from .graphs import (
     GraphError,
     Leg,
     _namespace_pair,
+    _slot_index,
     add_prefix,
     canonical_certificate,
     disjoint_union,
@@ -211,9 +212,8 @@ def boundary_graph(g: ColoredGraph) -> ColoredGraph:
     if 0 not in g.colors:
         raise GraphError("boundary graph needs color 0 in the color set")
     colors = tuple(c for c in g._colors if c != 0)
-    leg_of = {l.vertex: l.label for l in g._legs.values()}
     vertices = {l.label: g._parity[l.vertex] for l in g._legs.values()}
-    slot = g._slots.get
+    slot = _slot_index(g).get
     edges = {}
     for label, start in sorted(l for l in g._legs.values() if vertices[l.label] == "w"):
         for c in colors:
@@ -225,9 +225,10 @@ def boundary_graph(g: ColoredGraph) -> ColoredGraph:
                         f"broken (0,{c})-path at vertex {cur!r}: missing color {c}"
                     )
                 nxt = e.black
-                if nxt in leg_of:
+                leg = slot((nxt, None))
+                if leg is not None:
                     name = f"{label}.{c}"
-                    edges[name] = Edge(name, c, label, leg_of[nxt])
+                    edges[name] = Edge(name, c, label, leg.label)
                     break
                 e = slot((nxt, 0))
                 if e is None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import settings
 
 from tensorgraphs.cli import main
-from tensorgraphs.graphs import ColoredGraph, parse
+from tensorgraphs.graphs import ColoredGraph, _slot_index, parse
 from tensorgraphs.ribbon import RibbonStructure, parse_ribbon
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,8 +81,9 @@ def load_ribbon_fixture(name: str) -> RibbonStructure:
 
 
 def graph_state(g: ColoredGraph) -> tuple:
-    """Everything a graph stores, with the insertion order of every dict."""
-    dicts = (g._parity, g._edges, g._slots, g._legs, g._leg_at)
+    """Everything a graph stores, and its slot index, with the insertion
+    order of every dict."""
+    dicts = (g._parity, g._edges, _slot_index(g), g._legs)
     return g._colors, *(list(d.items()) for d in dicts)
 
 

@@ -25,6 +25,7 @@ from tensorgraphs.graphs import (
     Leg,
     _component_certs,
     _orbits,
+    _slot_index,
     add_prefix,
     amputate,
     bubbles,
@@ -1092,7 +1093,8 @@ def _reference_construct(colors, vertices, edges, legs):
             raise GraphError(f"two legs at vertex {l.vertex!r}")
         leg_at[l.vertex] = l
         leg_map[l.label] = l
-    return colors, *(list(d.items()) for d in (parity, edge_map, slots, leg_map, leg_at))
+    slot_items = [*slots.items(), *(((v, None), l) for v, l in leg_at.items())]
+    return colors, list(parity.items()), list(edge_map.items()), slot_items, list(leg_map.items())
 
 
 def _reference_hashable(kind, label, value, what):
@@ -1346,14 +1348,21 @@ def test_unhashable_label_is_a_graph_error(colors, vertices, edges, message):
 #
 # Operations whose output is valid whenever their input graphs are skip the
 # constructor's checks.  Each output must equal the graph the validating
-# constructor builds from its public parts, insertion order included, and
-# must own its dicts.  It must also equal the output of the operation as it
-# was written before it skipped the checks: the references below, which
-# build through the validating constructor.
+# constructor builds from its public parts, slot index and insertion order
+# included, and must own its dicts.  It must also equal the output of the
+# operation as it was written before it skipped the checks: the references
+# below, which build through the validating constructor.  An output stores
+# its parts only: its slot index is built on the first read.
 
 
 def _dicts(g):
-    return (g._parity, g._edges, g._slots, g._legs, g._leg_at)
+    return (g._parity, g._edges, _slot_index(g), g._legs)
+
+
+def assert_index_built_on_first_read(g):
+    assert g._slots is None
+    assert g.edge_at("", 0) is None  # any read fills the whole index
+    assert g._slots is not None
 
 
 def assert_rebuilds(out, *inputs):
@@ -1603,6 +1612,8 @@ def test_trusted_operations_match_rebuild_and_reference():
                 continue
             out = operation(*args)
             outs, refs = (out, ref) if name == "connected_components" else ([out], [ref])
+            for x in outs:
+                assert_index_built_on_first_read(x)
             assert list(map(graph_state, outs)) == list(map(graph_state, refs)), name
             inputs = [x for x in args if isinstance(x, ColoredGraph)]
             for x in outs:
@@ -1623,6 +1634,8 @@ def test_trusted_operations_match_rebuild_and_reference():
 def test_wick_contractions_match_rebuild_and_reference(model, k):
     spec = builtin_model(model)
     out = enumerate_vacuum(spec, k)
+    for g in out:
+        assert_index_built_on_first_read(g)
     reference = _ref_enumerate_vacuum(spec, k)
     assert list(map(graph_state, out)) == list(map(graph_state, reference))
     owned = set()
@@ -1637,8 +1650,10 @@ def test_trusted_outputs_of_the_builders_rebuild():
     for g in (build_o(), build_n(), build_qgbc(2, 1, 2), build_l([1, 0, 2]), build_kg(2)):
         assert_rebuilds(g)
     for genus in range(5):
-        assert_rebuilds(build_cg(genus))
-        t = build_tg(genus)
+        c, t = build_cg(genus), build_tg(genus)
+        assert_index_built_on_first_read(c)
+        assert_index_built_on_first_read(t)
+        assert_rebuilds(c)
         assert_rebuilds(t)
         assert graph_state(boundary_graph(t)) == graph_state(_ref_boundary_graph(t))
     for pair in default_probes():
@@ -1647,6 +1662,46 @@ def test_trusted_outputs_of_the_builders_rebuild():
             b = boundary_graph(g)
             assert_rebuilds(b, g)
             assert graph_state(b) == graph_state(_ref_boundary_graph(g))
+
+
+# ------------------------------------------------- the slot index of legs
+#
+# Each leg sits in the slot index at (vertex, None), after the edges at
+# their (vertex, color) keys; no color is None.
+
+
+def test_edge_at_never_returns_a_leg():
+    rng = random.Random(2023)
+    opened = 0
+    while opened < 100:
+        g = _random_graph(rng)
+        if g.is_closed:
+            continue
+        opened += 1
+        for h in (g, add_prefix(g, "t.")):  # checked, then trusted
+            for v in h.vertices:
+                for c in h.colors:
+                    e = h.edge_at(v, c)
+                    assert e is None or type(e) is Edge and e.color == c
+                    assert h.neighbor(v, c) == (None if e is None else e.other(v))
+                assert h.leg_at(v) == next((l for l in h.legs.values() if l.vertex == v), None)
+
+
+def test_leg_at_and_validate_on_trusted_irregular_graphs_match_the_rebuild():
+    rng = random.Random(2024)
+    irregular = 0
+    for _ in range(200):
+        g = _random_graph(rng)
+        outs = [amputate(g)] if g.legs else []
+        outs += [open_edge(g, e) for e, x in g.edges.items() if x.color == 0]
+        for out in outs:
+            rebuilt = ColoredGraph(out.colors, out.vertices, out.edges.values(), out.legs.values())
+            assert validate(out) == validate(rebuilt)
+            assert [out.leg_at(v) for v in out.vertices] == [
+                rebuilt.leg_at(v) for v in out.vertices
+            ]
+            irregular += bool(validate(out))
+    assert irregular >= 100
 
 
 def test_relabel_with_a_colliding_map_still_raises():
