@@ -137,9 +137,12 @@ class ColoredGraph:
     package returns a new graph.  A graph stores its colors, vertex
     parities, edges and legs; what derives from them is built when first
     read and kept: the :func:`_slot_index` of :meth:`edge_at` and
-    :meth:`leg_at`, and the walks of :func:`bubbles` and of homology (one
-    set of neighbour arrays, and the vertex-index orbits of each color
-    subset walked so far).  The color set is explicit: regular graphs read
+    :meth:`leg_at`, and the walk slot (one set of neighbour arrays, and the
+    vertex-index orbits of each color subset walked so far).  Only bubble
+    walks fill the slot: :func:`bubbles`, homology, jackets, the ribbon of
+    a colored graph and ``report``'s 2-bubble counts.  Certificates,
+    isomorphism, components and model vertices build their own arrays and
+    leave it empty.  The color set is explicit: regular graphs read
     from files use contiguous colors (``1..D`` or ``0..D``), but
     intermediate values such as color-deleted subgraphs may live on an
     arbitrary subset.
@@ -601,12 +604,10 @@ def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
     return orbits
 
 
-def _euler_counts(
-    g: ColoredGraph, pairs: Iterable[tuple[int, int]]
-) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
-    """V - E of each component of g with an edge, and per color pair of
-    `pairs` its number of 2-bubbles in each component.  A component's edges
-    are half its filled slots.
+def _euler_counts(g: ColoredGraph) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
+    """V - E of each component of g with an edge, and per pair of g's colors
+    its number of 2-bubbles in each component.  A component's edges are
+    half its filled slots.
 
     Components are the all-color orbits of the walk slot, in the order of
     their smallest vertex; a vertex without edges is in none of them.
@@ -621,7 +622,7 @@ def _euler_counts(
         filled = sum(nb[v] >= 0 for nb in nbrs for v in comp)
         v_minus_e.append(len(comp) - filled // 2)
     faces = {}
-    for pair in pairs:
+    for pair in itertools.combinations(g._colors, 2):
         counts = faces[pair] = [0] * len(comps)
         for orbit in _subset_orbits(g, pair):
             counts[comp_of[orbit[0]]] += 1
@@ -840,25 +841,16 @@ def _component_certs(
     increasing order from ``order[0]``, are the images of that best root
     under the component's automorphisms.  Slots are read in
     `colors` order (default ``g.colors``, else a subset of them); components
-    come in the order of their smallest vertex label.  A graph whose walk
-    slot is filled lends its arrays and its orbits of the read colors, and
-    a graph without one is not given one.
+    come in the order of their smallest vertex label.  The arrays are built
+    for this call: the walk slot is neither read nor filled, so the result
+    does not depend on what was walked before.
     """
-    read = g._colors if colors is None else tuple(colors)
-    comps = None
-    if g._walks is None:
-        labels, nbrs = _slot_arrays(g, read)
-    else:
-        labels, slot_nbrs, walked = g._walks
-        nbrs = [slot_nbrs[g._colors.index(c)] for c in read]
-        comps = walked.get(tuple(sorted(read)))
-        if comps is not None and sum(map(len, comps)) < len(labels):
-            comps = None  # its orbits leave out the vertices without an edge
+    labels, nbrs = _slot_arrays(g, g._colors if colors is None else tuple(colors))
     parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
     pos = [-1] * len(labels)  # BFS index of each vertex queued from the current root
 
     out = []
-    for comp in comps or _orbits(len(labels), nbrs):
+    for comp in _orbits(len(labels), nbrs):
         roots = [v for v in comp if not parity[v]] or comp
         best: tuple | None = None
         best_queue: list[int] = []

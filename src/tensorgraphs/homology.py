@@ -133,10 +133,9 @@ def _joins(parent: list[int], u: int, v: int) -> bool:
     return True
 
 
-def _boundary_columns(
-    g: ColoredGraph, first: int, last: int, reduced: bool = False
-) -> list[tuple[Column, ...]]:
-    """Columns of the boundary maps of degrees ``first .. last`` (first is 1 or 2).
+def _boundary_columns(g: ColoredGraph, reduced: bool = False) -> list[tuple[Column, ...]]:
+    """Columns of the boundary maps of degrees 1 .. top, or with ``reduced``
+    of degrees 2 .. top - 1 (the maps :func:`homology` eliminates).
 
     Degree-0 rows are vertex indices; the bubbles of a color subset take
     consecutive rows of their layer, and ``row_of[S][v]`` is the row of the
@@ -151,16 +150,17 @@ def _boundary_columns(
     and one -1.  So the top map is the transposed incidence matrix of a
     graph G* on the top cells, whose pieces are the components with an edge.
 
-    With ``reduced`` (first = 2, for :func:`homology` on a regular graph)
-    two spanning forests shrink the maps without changing their ranks or
-    invariant factors.  The rows of d_2 of the edges of a spanning forest
-    of the graph, picked by union-find over the 1-bubble rows in row order,
-    are set to -1 in ``row_of`` and so dropped: E - V + #components rows
-    stay.  And from 4 colors on, the columns of d_top-1 of the edges of a
-    spanning forest of G* are never built: dim - (#top cells - #components
-    with an edge) columns stay.  Kept rows keep their full-map numbers.
+    With ``reduced`` (for :func:`homology` on a regular graph) two spanning
+    forests shrink the maps without changing their ranks or invariant
+    factors.  The rows of d_2 of the edges of a spanning forest of the
+    graph, picked by union-find over the 1-bubble rows in row order, are set
+    to -1 in ``row_of`` and so dropped: E - V + #components rows stay.  And
+    from 4 colors on, the columns of d_top-1 of the edges of a spanning
+    forest of G* are never built: dim - (#top cells - #components with an
+    edge) columns stay.  Kept rows keep their full-map numbers.
     """
-    if first > last:
+    first, last = 1 + reduced, len(g.colors) - 1 - reduced
+    if first > last:  # e.g. reduced on 3 colors: no 1-bubble is walked
         return []
     labels, colors, parity = _walk_state(g)[0], g.colors, g._parity
     row_of: dict[tuple[int, ...], list[int]] = {}
@@ -224,7 +224,7 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
         tuple(b for subset in combinations(colors, p) for b in bubbles(g, subset))
         for p in range(top + 1)
     )
-    return ChainComplex(colors, basis, tuple(_boundary_columns(g, 1, top)))
+    return ChainComplex(colors, basis, tuple(_boundary_columns(g)))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -501,7 +501,7 @@ def homology(g: ColoredGraph) -> HomologyResult:
     if top >= 1:
         comps = _subset_orbits(g, g.colors)  # the components with an edge
         rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
-    for p, columns in enumerate(_boundary_columns(g, 2, top - 1, reduced=True), 2):
+    for p, columns in enumerate(_boundary_columns(g, reduced=True), 2):
         rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:
         rank[top] = dims[top] - len(comps)

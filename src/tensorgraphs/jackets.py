@@ -139,7 +139,7 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
     # without edges is a component with chi = 1.
     if sum(map(len, _subset_orbits(g, colors))) < len(g):
         raise GraphError("odd jacket Euler characteristic")
-    v_minus_e, faces_of = _euler_counts(g, combinations(colors, 2))
+    v_minus_e, faces_of = _euler_counts(g)
 
     jackets = []
     for cycle in cycles:

@@ -20,11 +20,12 @@ examples).  O and the chains Qg, Kg, Qgbc and L are each one splice of
 their blocks (``surgery._splice``), which equals the successive connected
 sums and openings without copying the growing chain at every step.
 
-Two constructions the literature leaves to figures are frozen here, no
+Three constructions the literature leaves to figures are frozen here, no
 longer searched for at run time: the Tg gadget wiring (written out in
-:func:`build_tg`) and O's four distinguished color-0 edges mu0, nu0, alpha0,
-beta0 (``_O_EDGES``).  ``tests/test_models.py`` keeps the two searches that
-found them and checks that they still return the frozen answers.
+:func:`build_tg`), O's four distinguished color-0 edges mu0, nu0, alpha0,
+beta0 (``_O_EDGES``), and the central (1,2)-bubble whose colors N swaps
+(``_N_BUBBLE``).  ``tests/test_models.py`` keeps the searches that found
+them and checks that they still return the frozen answers.
 
 The separator graphs P and M (also figure-only) are found by
 :func:`find_separators`; the shipped builders take its answer straight from
@@ -46,16 +47,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     WHITE,
-    Bubble,
     ColoredGraph,
     Edge,
     GraphError,
     Leg,
     _component_certs,
     _orbits,
-    _walk_state,
+    _slot_arrays,
     add_prefix,
-    bubbles,
     canonical_certificate,
     relabel,
 )
@@ -130,7 +129,7 @@ class ModelSpec:
                 raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
             if v.is_open:
                 raise GraphError(f"vertex {label} has legs")
-            labels, nbrs, _ = _walk_state(v)
+            labels, nbrs = _slot_arrays(v, v.colors)
             _, certs = _component_certs(v)
             if len(certs) != 1:
                 raise GraphError(f"vertex {label} is not connected")
@@ -528,22 +527,11 @@ def _o_base() -> ColoredGraph:
     )
 
 
-def _central_bubble(g: ColoredGraph, mu: str, nu: str) -> Bubble | None:
-    """First (1,2)-bubble touching an endpoint of mu and one of nu."""
-    em, en = g.edges[mu], g.edges[nu]
-    ends_mu = {em.white, em.black}
-    ends_nu = {en.white, en.black}
-    for b in bubbles(g, (1, 2)):
-        vs = set(b.vertices)
-        if vs & ends_mu and vs & ends_nu:
-            return b
-    return None
-
-
-def _swap_bubble_colors(g: ColoredGraph, bubble: Bubble) -> ColoredGraph:
-    """Swap colors 1 <-> 2 on the edges of one (1,2)-bubble of g."""
+def _swap_bubble_colors(g: ColoredGraph, labels: Iterable[str]) -> ColoredGraph:
+    """Swap colors 1 <-> 2 on the edges of one (1,2)-bubble of g, given by
+    their labels."""
     swap = {1: 2, 2: 1}
-    target = set(bubble.edges)
+    target = set(labels)
     edges = {
         label: Edge(label, swap[e.color], e.white, e.black) if label in target else e
         for label, e in g._edges.items()
@@ -577,15 +565,13 @@ _O_EDGES = {
     "r0b.beta0": "beta0",
 }
 
+# The edges of O's central (1,2)-bubble, the first that touches an end of
+# mu0 and one of nu0; N swaps their colors.  tests/test_models.py re-runs
+# the bubble search.
+_N_BUBBLE = ("r1.e1", "r1.e2", "r1.f1", "r1.f2")
+
 
 @lru_cache(maxsize=1)
-def _o_structure() -> tuple[ColoredGraph, Bubble]:
-    o = relabel(_o_base(), edge_map=_O_EDGES)
-    bub = _central_bubble(o, "mu0", "nu0")
-    assert bub is not None
-    return o, bub
-
-
 def build_o() -> ColoredGraph:
     """The 24-vertex torus block (R0 # R1) # R0'.
 
@@ -593,13 +579,13 @@ def build_o() -> ColoredGraph:
     alpha0, beta0 (boundary creation).  The choice is the frozen map
     ``_O_EDGES``; ``tests/test_models.py`` re-runs the search behind it.
     """
-    return _o_structure()[0]
+    return relabel(_o_base(), edge_map=_O_EDGES)
 
 
 def build_n() -> ColoredGraph:
-    """The sphere twin of O: the central (1,2)-bubble's colors swapped."""
-    o, bub = _o_structure()
-    return _swap_bubble_colors(o, bub)
+    """The sphere twin of O: the colors of the central (1,2)-bubble
+    ``_N_BUBBLE`` swapped."""
+    return _swap_bubble_colors(build_o(), _N_BUBBLE)
 
 
 def build_qg(g: int) -> ColoredGraph:
@@ -704,28 +690,25 @@ def _probes() -> tuple[tuple[ColoredGraph, ColoredGraph], ...]:
 
 
 def find_separators(
-    model: ModelSpec,
-    max_vertices: int,
-    probes: Sequence[tuple[ColoredGraph, ColoredGraph]] | None = None,
+    model: ModelSpec, max_vertices: int
 ) -> tuple[SeparatorResult, SeparatorResult]:
     """Search vacuum graphs for the first two non-isomorphic separators.
 
     Scans the deduplicated enumerate_vacuum outputs for k = 1..max_vertices
     interaction vertices, in order, and every ordered pair of distinct
     color-0 edges, keeping configurations that pass separator_check on all
-    probes, whose setups are prepared once.  Returns the first hit and the
-    first hit on another graph, which is not isomorphic to it: each class
-    comes once per k, and graphs of different k differ in their
-    color-0-deleted components, one per interaction vertex.  Vacuum graphs
-    are built and certified one at a time, so none is built after the
-    second hit.
+    :func:`default_probes`, whose setups are prepared once.  Returns the
+    first hit and the first hit on another graph, which is not isomorphic
+    to it: each class comes once per k, and graphs of different k differ in
+    their color-0-deleted components, one per interaction vertex.  Vacuum
+    graphs are built and certified one at a time, so none is built after
+    the second hit.
     """
     if model.rank != 3:
         raise GraphError("separator search is defined for rank-3 models")
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
-    pairs = default_probes() if probes is None else probes
-    setups = _probe_setups(tuple(map(tuple, pairs)), "first")
+    setups = _probe_setups(_probes(), "first")
     first: SeparatorResult | None = None
     for k in range(1, max_vertices + 1):
         for g in _distinct_vacuum(model, k):

@@ -30,7 +30,6 @@ file stanza::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits
@@ -226,7 +225,7 @@ def boundary_components(r: RibbonStructure) -> BoundaryReport:
     g = r._graph
     if g is None:
         return _traced_boundary(r)
-    v_minus_e, faces = _euler_counts(g, combinations(g.colors, 2))
+    v_minus_e, faces = _euler_counts(g)
     return _report([(f, x + f) for x, f in zip(v_minus_e, map(sum, zip(*faces.values())))])
 
 

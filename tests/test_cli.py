@@ -77,6 +77,76 @@ member phi4-matrix: n/a
 member phi4-rank3: yes
 """
 
+# Closed graphs on colors 1..D, the shape of most benchmark inputs: no
+# propagator color, so no boundary and no model membership.
+C1_REPORT = """\
+validation: ok
+vertices: 6
+edges: 9
+legs: 0
+colors: 1 2 3
+2-bubbles: {12}:1 {13}:1 {23}:1
+homology: H_0 = Z; H_1 = Z^2; H_2 = Z
+chi: 0
+jacket (123): faces = 3, genus = 1
+degree: 1
+boundary: n/a (no propagator color)
+member phi4-matrix: n/a
+member phi4-rank3: n/a
+"""
+
+C1_REPORT_KV = """\
+validation=ok
+vertices=6
+edges=9
+legs=0
+colors=1,2,3
+2-bubbles={12}:1,{13}:1,{23}:1
+homology=H_0=Z;H_1=Z^2;H_2=Z
+chi=0
+jacket.(123)=faces=3,genus=1
+degree=1
+boundary=n/a,(no,propagator,color)
+member.phi4-matrix=n/a
+member.phi4-rank3=n/a
+"""
+
+NECKLACE_BASE1_REPORT = """\
+validation: ok
+vertices: 4
+edges: 8
+legs: 0
+colors: 1 2 3 4
+2-bubbles: {12}:2 {13}:1 {14}:1 {23}:1 {24}:1 {34}:2
+homology: H_0 = Z; H_1 = 0; H_2 = 0; H_3 = Z
+chi: 0
+jacket (1234): faces = 6, genus = 0
+jacket (1243): faces = 6, genus = 0
+jacket (1324): faces = 4, genus = 1
+degree: 1
+boundary: n/a (no propagator color)
+member phi4-matrix: n/a
+member phi4-rank3: n/a
+"""
+
+NECKLACE_BASE1_REPORT_KV = """\
+validation=ok
+vertices=4
+edges=8
+legs=0
+colors=1,2,3,4
+2-bubbles={12}:2,{13}:1,{14}:1,{23}:1,{24}:1,{34}:2
+homology=H_0=Z;H_1=0;H_2=0;H_3=Z
+chi=0
+jacket.(1234)=faces=6,genus=0
+jacket.(1243)=faces=6,genus=0
+jacket.(1324)=faces=4,genus=1
+degree=1
+boundary=n/a,(no,propagator,color)
+member.phi4-matrix=n/a
+member.phi4-rank3=n/a
+"""
+
 NECKLACE_JACKETS_KV = """\
 jacket.0123.faces=6
 jacket.0123.genus=0
@@ -102,6 +172,19 @@ def test_report_l23_golden():
     code, out, err = run_cli(["report", fx("l-2-3.cg")])
     assert (code, err) == (0, "")
     assert out == L23_REPORT
+
+
+@pytest.mark.parametrize(
+    "name, text, kv",
+    [
+        ("c1.cg", C1_REPORT, C1_REPORT_KV),
+        ("necklace-base1.cg", NECKLACE_BASE1_REPORT, NECKLACE_BASE1_REPORT_KV),
+    ],
+    ids=["c1", "necklace-base1"],
+)
+def test_report_on_graphs_without_a_propagator_color(name, text, kv):
+    assert run_cli(["report", fx(name)]) == (0, text, "")
+    assert run_cli(["report", fx(name), "--format", "kv"]) == (0, kv, "")
 
 
 def test_report_kv_format():
@@ -400,6 +483,19 @@ def test_export_dot():
     assert '"w"' in out and '"b"' in out
 
 
+def test_export_dot_draws_each_leg_to_a_point():
+    # twopoint has 11 edges and the legs lw at w1 and lb at b3
+    code, out, err = run_cli(["export-dot", fx("twopoint.cg")])
+    assert (code, err) == (0, "")
+    dashed = [line for line in out.splitlines() if "style=dashed" in line]
+    assert dashed == [
+        '  "b3" -- "out_lb" [label="0", style=dashed, tooltip="lb"];',
+        '  "w1" -- "out_lw" [label="0", style=dashed, tooltip="lw"];',
+    ]
+    assert '  "out_lw" [shape=point, label=""];' in out.splitlines()
+    assert out.count(" -- ") == 11 + 2
+
+
 def test_stdin_stdout_dash():
     text = fixture_text("r0.cg")
     code, out, _ = run_cli(["euler", "-"], stdin_text=text)
@@ -552,9 +648,9 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
     # make one, is counted by the function that made it.  The walk slot
     # builds the neighbour arrays once; each color subset is one _orbits
     # call made by _subset_orbits, the components being the all-color
-    # subset; report's membership test reads its certificates from the
-    # arrays and the colors-1..3 orbits already in the slot.  The graph the
-    # command parsed keeps the subsets it walked.
+    # subset.  report's membership test builds its certificates' own arrays
+    # of colors 1..3 and their orbits, and leaves the slot as it found it.
+    # The graph the command parsed keeps the subsets it walked.
     modules = (graphs_module, homology_module, jackets_module, cli_module)
     calls = collections.Counter()
     loaded = []
@@ -587,6 +683,8 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
         code, _, _ = run_cli([command, fx("necklace.cg")])
         assert code == 0
         walks = {("_slot_arrays", "_walk_state"): 1, ("_orbits", "_subset_orbits"): len(walked) + 1}
+        if command == "report":
+            walks |= {("_slot_arrays", "_component_certs"): 1, ("_orbits", "_component_certs"): 1}
         assert calls == walks, command
         (g,) = loaded
         assert sorted(g._walks[2]) == sorted(walked + [colors]), command
@@ -674,6 +772,12 @@ def test_find_separators_unwritable_out_p(tmp_path):
     # the P line is printed before the write fails; M is never reached
     assert (code, out) == (1, SEPARATOR_LINES[0])
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_bubbles_rejects_a_bad_color_list():
+    code, out, err = run_cli(["bubbles", fx("o.cg"), "--colors", "1,x"])
+    assert (code, out) == (1, "")
+    assert err == "error: bad color list '1,x' (expected e.g. 1,2)\n"
 
 
 def test_bubbles_with_no_colors_lists_every_vertex():

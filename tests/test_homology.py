@@ -560,7 +560,7 @@ def test_reduced_d2_keeps_the_rows_outside_a_spanning_forest():
     # edges must be a spanning forest of the graph.
     for name, g in reduction_cases():
         cx = chain_complex(g)
-        d2 = _boundary_columns(g, 2, cx.top_degree - 1, reduced=True)[0]
+        d2 = _boundary_columns(g, reduced=True)[0]
         rows = {r for col in d2 for r, _ in col}
         size = cx.dim(1) - cx.dim(0) + len(connected_components(g))
         if len(g.colors) == 4:  # rows only in forest columns of d_top-1 are unseen
@@ -581,7 +581,7 @@ def test_reduced_d_top_minus_1_leaves_out_a_spanning_forest_of_the_top_cells():
         cx = chain_complex(g)
         top = cx.top_degree
         with_edge = sum(1 for comp in connected_components(g) if comp.edges)
-        reduced = _boundary_columns(g, 2, top - 1, reduced=True)[-1]
+        reduced = _boundary_columns(g, reduced=True)[-1]
         assert len(reduced) == cx.dim(top - 1) - (cx.dim(top) - with_edge), name
         if len(g.colors) == 4:
             continue

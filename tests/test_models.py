@@ -31,10 +31,10 @@ from tensorgraphs.homology import euler_characteristic, homology
 from tensorgraphs.jackets import gurau_degree
 from tensorgraphs.models import (
     MAX_FAMILY_PARAMETER,
+    _N_BUBBLE,
     _O_EDGES,
     MembershipReport,
     ModelSpec,
-    _central_bubble,
     _chain,
     _leg_fragment,
     _o_base,
@@ -109,6 +109,15 @@ def test_builtin_models():
     assert mp.rank == 2
     assert mp.vertex_names == ("V6",)
     assert len(mp.upsilon[0].vertices) == 6
+
+
+def test_model_vertices_carry_no_walk_slot():
+    # ModelSpec takes each vertex's certificate and automorphisms from
+    # arrays of its own, so a built model leaves no walk slot on a vertex
+    models_module._builtin_model.cache_clear()
+    for name in ("phi4-matrix", "phi4-rank3", "matrix-2p:3"):
+        upsilon = builtin_model(name).upsilon
+        assert [v._walks for v in upsilon] == [None] * len(upsilon), name
 
 
 def test_unknown_model_rejected():
@@ -497,10 +506,11 @@ def test_o_and_n_blocks():
 
 # ------------------------------------------------ frozen search results
 #
-# models.py wires the Tg gadgets and names O's distinguished edges from
-# frozen constants.  The searches that found them follow, as the package
-# ran them at first use before they were frozen (the package's _tg(g, cfg)
-# is reference_tg here); the tests re-run them as oracles.
+# models.py wires the Tg gadgets, names O's distinguished edges and picks
+# N's central bubble from frozen constants.  The searches that found them
+# follow, as the package ran them at first use before they were frozen (the
+# package's _tg(g, cfg) is reference_tg here); the tests re-run them as
+# oracles.
 
 # The gadget configuration (t, s, wa, ba, rule) that _gadget_config finds:
 # rule 0, the identity, contracts a color-3 edge (w_i, b_j) of Cg to (i, j).
@@ -528,7 +538,7 @@ def _chain_conditions(
     three blocks must create exactly 5 boundary circles.
     """
     o = relabel(base, edge_map={mu: "mu0", nu: "nu0", alpha: "alpha0", beta: "beta0"})
-    n = _swap_bubble_colors(o, bub)
+    n = _swap_bubble_colors(o, bub.edges)
     if two_bubble_count(_chain((o, o))) != 22:
         return False
     chain3 = _chain((o, o, n))
@@ -537,6 +547,18 @@ def _chain_conditions(
     for label in ("o1.alpha0", "o1.beta0", "o2.alpha0", "o2.beta0", "o3.alpha0"):
         chain3 = open_edge(chain3, label)
     return len(connected_components(boundary_graph(chain3))) == 5
+
+
+def _central_bubble(g: ColoredGraph, mu: str, nu: str) -> Bubble | None:
+    """First (1,2)-bubble touching an endpoint of mu and one of nu."""
+    em, en = g.edges[mu], g.edges[nu]
+    ends_mu = {em.white, em.black}
+    ends_nu = {en.white, en.black}
+    for b in bubbles(g, (1, 2)):
+        vs = set(b.vertices)
+        if vs & ends_mu and vs & ends_nu:
+            return b
+    return None
 
 
 def _search_o_edges(base: ColoredGraph) -> tuple[str, str, str, str]:
@@ -569,7 +591,7 @@ def _search_o_edges(base: ColoredGraph) -> tuple[str, str, str, str]:
 
     def twin(bub: Bubble) -> ColoredGraph | None:
         if bub.key not in twins:
-            g = _swap_bubble_colors(base, bub)
+            g = _swap_bubble_colors(base, bub.edges)
             twins[bub.key] = g if two_bubble_count(g) == 14 else None
         return twins[bub.key]
 
@@ -701,6 +723,7 @@ def test_o_edge_search_returns_the_frozen_map():
     assert found == _O_EDGES
     assert serialize(relabel(base, edge_map=found)) == serialize(build_o())
     assert serialize(build_o()) == fixture_text("o.cg")
+    assert _N_BUBBLE == _central_bubble(build_o(), "mu0", "nu0").edges
     assert serialize(build_n()) == fixture_text("n.cg")
 
 
@@ -816,7 +839,7 @@ def test_o_and_n_equal_the_successive_sums():
     assert graph_state(_o_base()) == graph_state(reference_o_base())
     o = relabel(reference_o_base(), edge_map=_O_EDGES)
     assert graph_state(build_o()) == graph_state(o)
-    n = _swap_bubble_colors(o, _central_bubble(o, "mu0", "nu0"))
+    n = _swap_bubble_colors(o, _central_bubble(o, "mu0", "nu0").edges)
     assert graph_state(build_n()) == graph_state(n)
 
 
