@@ -169,9 +169,8 @@ def _cmd_validate(args):
 
 
 def _cmd_homology(args):
-    result = homology(_load(args.file))
-    rows = [_kv(f"H_{q}", group) for q, group in enumerate(result.groups)]
-    return rows + [_kv("chi", result.euler)], 0
+    lines = homology(_load(args.file)).lines()
+    return [(line, line.replace(" = ", "=")) for line in lines], 0
 
 
 def _cmd_bubbles(args):
@@ -263,9 +262,7 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
         pairs.append(("homology", "n/a (open graph)"))
     else:
         result = homology(g)
-        pairs.append(
-            ("homology", "; ".join(f"H_{q} = {grp}" for q, grp in enumerate(result.groups)))
-        )
+        pairs.append(("homology", "; ".join(result.lines()[:-1])))
         pairs.append(("chi", str(result.euler)))
         if len(g.colors) >= 3:
             report = gurau_degree(g)
@@ -281,15 +278,13 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
         pairs.append(("boundary", "n/a (no propagator color)"))
     elif g.is_open:
         boundary = boundary_graph(g)
+        # every boundary vertex has an edge of each color: no singletons
+        pieces = _subset_orbits(boundary, boundary.colors)
+        pairs.append(("boundary components", str(len(pieces))))
         if len(boundary.colors) == 3:
             per = boundary_components(ribbon_from_colored(boundary)).per_component
-            pairs.append(("boundary components", str(len(per))))
             genera = sorted(genus for _, _, genus in per)
             pairs.append(("boundary genera", ", ".join(str(x) for x in genera)))
-        else:
-            # every boundary vertex has an edge of each color: no singletons
-            pieces = _subset_orbits(boundary, boundary.colors)
-            pairs.append(("boundary components", str(len(pieces))))
     else:
         pairs.append(("boundary", "empty"))
     for name in ("phi4-matrix", "phi4-rank3"):

@@ -482,19 +482,18 @@ def validate(g: ColoredGraph) -> list[str]:
     check is completeness: every vertex must carry exactly one edge of each
     color, with a leg standing in for the color-0 edge in open graphs.  No
     slot is taken twice, so that holds when the edges and legs fill as
-    many slots as there are.
+    many slots as there are.  Otherwise the empty slots of
+    :func:`_slot_arrays` are the missing colors; a leg fills color 0.
     """
     if 2 * len(g._edges) + len(g._legs) == len(g._parity) * len(g._colors):
         return []
-    problems = []
-    for v in sorted(g.vertices):
-        for c in g.colors:
-            if g.edge_at(v, c) is not None:
-                continue
-            if c == 0 and g.leg_at(v) is not None:
-                continue
-            problems.append(f"vertex {v!r}: missing color {c}")
-    return problems
+    labels, nbrs = _slot_arrays(g, g._colors)
+    return [
+        f"vertex {v!r}: missing color {c}"
+        for i, v in enumerate(labels)
+        for c, nb in zip(g._colors, nbrs)
+        if nb[i] == _EMPTY_SLOT
+    ]
 
 
 # -- substructure ----------------------------------------------------------

@@ -43,6 +43,7 @@ from .graphs import (
     remove_color,
 )
 from .ribbon import boundary_components, ribbon_from_colored
+from .surgery import boundary_graph
 
 __all__ = [
     "MAX_JACKET_COLORS",
@@ -226,8 +227,6 @@ def boundary_degree(g: ColoredGraph) -> int:
     This is the computable right-hand side of the degree bound for open
     4-colored graphs; the boundary components are closed 3-colored graphs.
     """
-    from .surgery import boundary_graph
-
     if g.is_closed:
         raise GraphError("boundary degree requires an open graph")
     return 3 * boundary_components(ribbon_from_colored(boundary_graph(g))).genus

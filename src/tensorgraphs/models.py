@@ -125,10 +125,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         codes, symmetries = [], []
         for label, v in zip(self.vertex_names, self.upsilon):
-            if v.colors != tuple(range(1, self.rank + 1)):
+            if v.colors != tuple(range(1, self.rank + 1)):  # no color 0: no legs
                 raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
-            if v.is_open:
-                raise GraphError(f"vertex {label} has legs")
             labels, nbrs = _slot_arrays(v, v.colors)
             _, certs = _component_certs(v)
             if len(certs) != 1:
@@ -708,7 +706,7 @@ def find_separators(
         raise GraphError("separator search is defined for rank-3 models")
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
-    setups = _probe_setups(_probes(), "first")
+    setups = _probe_setups(_probes())
     first: SeparatorResult | None = None
     for k in range(1, max_vertices + 1):
         for g in _distinct_vacuum(model, k):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits
+from .homology import euler_characteristic
 
 __all__ = [
     "RibbonStructure",
@@ -230,29 +231,31 @@ def boundary_components(r: RibbonStructure) -> BoundaryReport:
 
 
 def _traced_boundary(r: RibbonStructure) -> BoundaryReport:
-    """:func:`boundary_components` by tracing the face permutation."""
-    orders, pair, succ = r._orders, r._pair, r._succ
-    labels = sorted(orders)
-    half: dict[str, int] = {}  # half-edge -> index, grouped by vertex
-    owner: list[int] = []  # half-edge index -> vertex index
-    for i, v in enumerate(labels):
-        for h in orders[v]:
-            half[h] = len(owner)
-            owner.append(i)
-    cycles = [orders[v] for v in labels]
-    # one map per cyclic position: v -> the vertex across its k-th half-edge
-    across = [
-        [owner[half[pair[c[k]]]] if k < len(c) else -1 for c in cycles]
-        for k in range(max(map(len, cycles), default=0))
-    ]
-    comps = _orbits(len(labels), across)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    """:func:`boundary_components` by tracing the face permutation.
+
+    Half-edges are numbered vertex by vertex in label order; ``around``
+    maps each to its cyclic successor and ``across`` to its partner.  The
+    components are the orbits of both maps, and the faces the orbits of
+    around after across.
+    """
+    orders = r._orders
+    half = {h: i for i, h in enumerate(h for v in sorted(orders) for h in orders[v])}
+    around = [half[r._succ[h]] for h in half]
+    across = [half[r._pair[h]] for h in half]
+    comps = _orbits(len(half), [around, across])
+    comp_of = [0] * len(half)
+    for i, comp in enumerate(comps):
+        for h in comp:
+            comp_of[h] = i
+    vertices = [0] * len(comps)
+    for cycle in orders.values():
+        vertices[comp_of[half[cycle[0]]]] += 1
     bcs = [0] * len(comps)
-    face = [half[succ[pair[h]]] for h in half]
-    for circle in _orbits(len(owner), [face]):
-        bcs[comp_of[owner[circle[0]]]] += 1
-    edges = [sum(len(cycles[v]) for v in comp) // 2 for comp in comps]
-    return _report([(bc, len(comp) - e + bc) for comp, e, bc in zip(comps, edges, bcs)])
+    for face in _orbits(len(half), [[around[j] for j in across]]):
+        bcs[comp_of[face[0]]] += 1
+    return _report(
+        [(bc, v - len(comp) // 2 + bc) for comp, v, bc in zip(comps, vertices, bcs)]
+    )
 
 
 def _report(counts: list[tuple[int, int]]) -> BoundaryReport:
@@ -314,7 +317,5 @@ def euler_agreement(g: ColoredGraph) -> bool:
     the 2-bubble count :func:`boundary_components` uses on a colored source,
     so the two sides are independent computations.
     """
-    from .homology import euler_characteristic
-
     ribbon_chi = _traced_boundary(ribbon_from_colored(g)._built()).euler
     return euler_characteristic(g) == ribbon_chi

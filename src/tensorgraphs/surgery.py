@@ -244,47 +244,42 @@ def separator_check(
     k: str,
     l: str,
     probes: Sequence[tuple[ColoredGraph, ColoredGraph]],
-    *,
-    choice: str = "first",
 ) -> bool:
     """Does splicing p (along k, l) between probe pairs split their boundaries?
 
-    For each probe pair (G, H), G is summed to p along an internal color-0
-    edge of G and k, then H along l and an internal color-0 edge of H; the
-    check holds if the boundary of the splice is isomorphic to the disjoint
-    union of the boundaries of G and H.  ``choice='first'`` uses the first
-    internal color-0 edge (by label) on each side; ``choice='all'`` demands
-    the property for every choice.  A probe side with no internal color-0
-    edge admits no choice and is skipped (vacuously true).
+    For each probe pair (G, H), G is summed to p along the first internal
+    color-0 edge of G (by label) and k, then H along l and the first
+    internal color-0 edge of H; the check holds if the boundary of the
+    splice is isomorphic to the disjoint union of the boundaries of G and H.
+    A probe side with no internal color-0 edge admits no cut and is skipped
+    (vacuously true).  To cut other edges, pass probe pairs relabelled so
+    that those edges sort first; the verdict depends on the edges cut.
     """
     for label in (k, l):
         if label not in p.edges or p.edges[label].color != 0:
             raise GraphError(f"{label!r} is not a color-0 edge of the separator")
     if k == l:
         raise GraphError("the two separator edges must be distinct")
-    if choice not in ("first", "all"):
-        raise GraphError(f"unknown edge choice mode {choice!r}")
-    return _separates(p, k, l, _probe_setups(tuple(map(tuple, probes)), choice))
+    return _separates(p, k, l, _probe_setups(tuple(map(tuple, probes))))
 
 
 @lru_cache(maxsize=8)
-def _probe_setups(pairs: tuple[tuple[ColoredGraph, ColoredGraph], ...], choice: str) -> tuple:
-    """For each probe pair (G, H) with a color-0 edge on each side: G and its
-    chosen color-0 edges prefixed ``g.``, the same for H with ``h.``, and the
-    certificate of the union of their boundaries.  Graphs hash by identity,
-    so the same graphs in the same order get the same setups back, prepared
-    once; the cache holds its keys, so no id in one is taken by another
-    graph."""
+def _probe_setups(pairs: tuple[tuple[ColoredGraph, ColoredGraph], ...]) -> tuple:
+    """For each probe pair (G, H) with a color-0 edge on each side: G
+    prefixed ``g.`` and its first color-0 edge, the same for H with ``h.``,
+    and the certificate of the union of their boundaries.  Graphs hash by
+    identity, so the same graphs in the same order get the same setups
+    back, prepared once; the cache holds its keys, so no id in one is taken
+    by another graph."""
     setups = []
     for g_probe, h_probe in pairs:
-        g_edges = sorted(e for e, x in g_probe._edges.items() if x.color == 0)
-        h_edges = sorted(e for e, x in h_probe._edges.items() if x.color == 0)
+        g_edges = [e for e, x in g_probe._edges.items() if x.color == 0]
+        h_edges = [e for e, x in h_probe._edges.items() if x.color == 0]
         if g_edges and h_edges:
-            n = 1 if choice == "first" else None
             expected = disjoint_union(boundary_graph(g_probe), boundary_graph(h_probe))
             setups.append((
-                add_prefix(g_probe, "g."), tuple("g." + e for e in g_edges[:n]),
-                add_prefix(h_probe, "h."), tuple("h." + e for e in h_edges[:n]),
+                add_prefix(g_probe, "g."), "g." + min(g_edges),
+                add_prefix(h_probe, "h."), "h." + min(h_edges),
                 canonical_certificate(expected),
             ))
     return tuple(setups)
@@ -293,12 +288,10 @@ def _probe_setups(pairs: tuple[tuple[ColoredGraph, ColoredGraph], ...], choice: 
 def _separates(p: ColoredGraph, k: str, l: str, setups: Sequence) -> bool:
     """:func:`separator_check` of p along k, l against prepared probe setups."""
     p2 = add_prefix(p, "p.")
-    for g2, g_edges, h2, h_edges, expected in setups:
+    for g2, ge, h2, he, expected in setups:
         if g2.colors != p.colors:  # H's match G's, or their boundaries' union raised
             raise GraphError(f"color sets differ: {g2.colors} vs {p.colors}")
-        for ge in g_edges:
-            for he in h_edges:
-                spliced = _splice((g2, p2, h2), ((ge, "p." + k), ("p." + l, he)))
-                if canonical_certificate(boundary_graph(spliced)) != expected:
-                    return False
+        spliced = _splice((g2, p2, h2), ((ge, "p." + k), ("p." + l, he)))
+        if canonical_certificate(boundary_graph(spliced)) != expected:
+            return False
     return True

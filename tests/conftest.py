@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import settings
 
 from tensorgraphs.cli import main
-from tensorgraphs.graphs import ColoredGraph, _slot_index, parse
+from tensorgraphs.graphs import ColoredGraph, _slot_index, parse, relabel
 from tensorgraphs.ribbon import RibbonStructure, parse_ribbon
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +85,25 @@ def graph_state(g: ColoredGraph) -> tuple:
     order of every dict."""
     dicts = (g._parity, g._edges, _slot_index(g), g._legs)
     return g._colors, *(list(d.items()) for d in dicts)
+
+
+def every_edge_choice(probes: list) -> list:
+    """One probe pair per ordered choice of a color-0 edge on each side of
+    each pair of `probes`, the chosen edges renamed ``!<label>`` so that
+    :func:`~tensorgraphs.surgery.separator_check` cuts them first.  A side
+    with no color-0 edge admits no choice, and its pair is kept as it is."""
+    out = []
+    for g, h in probes:
+        g_edges = sorted(e for e, x in g.edges.items() if x.color == 0)
+        h_edges = sorted(e for e, x in h.edges.items() if x.color == 0)
+        if not g_edges or not h_edges:
+            out.append((g, h))
+        out += [
+            (relabel(g, edge_map={ge: "!" + ge}), relabel(h, edge_map={he: "!" + he}))
+            for ge in g_edges
+            for he in h_edges
+        ]
+    return out
 
 
 def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:

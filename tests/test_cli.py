@@ -530,6 +530,45 @@ def test_usage_errors_exit_2(argv):
 
 
 
+# Each input error as (argv, standard input, error line).
+INPUT_ERRORS = [
+    (["validate", "-"], "colors 3 closed\nv a\n", "line 2: expected: v <label> <w|b>"),
+    (["validate", "-"], "e x 1 a b\n", "line 1: 'colors' header must come first"),
+    (["validate", "-"], "leg l a\n", "line 1: 'colors' header must come first"),
+    (
+        ["validate", "-"], "colors 3 closed\ne x 1 a\n",
+        "line 2: expected: e <label> <color> <white> <black>",
+    ),
+    (["validate", "-"], "colors 3 open\nleg l\n", "line 2: expected: leg <label> <inner-vertex>"),
+    (["genus", "-"], "# c\n\nrv v h1\n", "line 3: rv needs a vertex and >= 2 half-edges"),
+    (["genus", "-"], "rv v h1 h2\nrj h1\n", "line 2: expected: rj <h> <h'>"),
+    (
+        ["build", "necklace", "--base", "5"], "",
+        "color set (5, 6, 7, 8) is not contiguous; cannot serialize",
+    ),
+    (["bubbles", fx("r0.cg"), "--colors", "7"], "", "color 7 outside color set (0, 1, 2)"),
+    (
+        ["member", fx("r0.cg"), "--model", "matrix-2p:x"], "",
+        "bad matrix-2p parameter in 'matrix-2p:x'",
+    ),
+    (["enumerate", "--model", "phi4-matrix", "-k", "0"], "", "k must be >= 1"),
+    (["build", "cg", "--genus", "-1"], "", "genus must be >= 0"),
+    (["build", "tg", "--genus", "-1"], "", "genus must be >= 0"),
+    (["build", "kg", "--genus", "0"], "", "kg needs g >= 1"),
+    (["build", "qgbc", "--genus", "-1"], "", "qgbc parameters must be non-negative"),
+    (["build", "l", "--genera=-1"], "", "genera must be non-negative"),
+    (["find-separators", "--max-vertices", "0"], "", "max_vertices must be >= 1"),
+    (["cap", fx("twopoint.cg"), "nope", "lb"], "", "no leg 'nope'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,text,message", INPUT_ERRORS, ids=[m for _, _, m in INPUT_ERRORS]
+)
+def test_input_errors_are_domain_errors(argv, text, message):
+    assert run_cli(argv, text) == (1, "", f"error: {message}\n")
+
+
 def test_header_dimension_cap_is_a_domain_error():
     for command in ("validate", "report", "homology"):
         code, out, err = run_cli([command, "-"], f"colors {MAX_D + 1} closed\n")

@@ -310,6 +310,21 @@ def test_disjoint_union_namespaces_on_collision():
     assert len(connected_components(u)) == 2
 
 
+def test_transformations_reject_bad_input():
+    d3 = build_dipole(3)
+    twopoint = load_fixture("twopoint.cg")
+    with pytest.raises(GraphError, match=r"^amputate: graph is closed \(no legs\)$"):
+        amputate(d3)
+    with pytest.raises(GraphError, match=r"^color 7 outside color set \(1, 2, 3\)$"):
+        remove_color(d3, 7)
+    with pytest.raises(GraphError, match="^recoloring is not injective on the color set$"):
+        recolor(d3, {1: 2})
+    with pytest.raises(GraphError, match="^cannot move color 0 of a graph with legs$"):
+        recolor(twopoint, {0: 3, 3: 0})
+    with pytest.raises(GraphError, match=r"^color sets differ: \(1, 2, 3\) vs \(1, 2, 3, 4\)$"):
+        disjoint_union(d3, build_dipole(4))
+
+
 def test_union_and_sum_share_the_namespacing():
     d = build_dipole(3)
     u = disjoint_union(d, d)

@@ -282,6 +282,11 @@ def test_chain_complex_dimensions_r1():
     cx = chain_complex(build_r1())
     assert cx.dims == (8, 12, 4)
     assert cx.top_degree == 2
+    # outside 0..top a degree has no cells, and only 1..top a boundary matrix
+    assert cx.dim(-1) == cx.dim(3) == 0
+    for p in (0, 3):
+        with pytest.raises(GraphError, match=f"^no boundary matrix in degree {p}$"):
+            cx.matrix(p)
 
 
 @pytest.mark.parametrize("name", CLOSED_FIXTURES)

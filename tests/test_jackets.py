@@ -336,6 +336,20 @@ def test_amplitude_exponent_matrix_case():
         assert amplitude_exponent(2, g) == 2 - 2 * g
 
 
+def test_degree_functions_reject_bad_input():
+    with pytest.raises(GraphError, match=r"^amplitude exponent defined for rank D >= 2$"):
+        amplitude_exponent(1, 0)
+    with pytest.raises(GraphError, match="^degree bound requires a closed graph$"):
+        degree_lower_bound(load_fixture("twopoint.cg"))
+    # one white vertex with a color-1 and a color-2 edge to two black ones
+    odd = ColoredGraph(
+        (1, 2, 3), {"w": "w", "b1": "b", "b2": "b"},
+        [Edge("s", 1, "w", "b1"), Edge("t", 2, "w", "b2")],
+    )
+    with pytest.raises(GraphError, match="^odd vertex count in a closed bipartite graph$"):
+        gurau_degree(odd)
+
+
 def test_amplitude_exponent_general_values():
     assert amplitude_exponent(3, 0) == Fraction(3)
     assert amplitude_exponent(3, 1) == Fraction(2)

@@ -80,6 +80,7 @@ from tensorgraphs.surgery import (
 from conftest import (
     CLOSED_FIXTURES,
     OPEN_FIXTURES,
+    every_edge_choice,
     fixture_text,
     graph_state,
     load_fixture,
@@ -138,6 +139,17 @@ def test_unbalanced_model_vertex_is_rejected():
         ModelSpec("lopsided", 2, (lopsided,), ("V",))
     # the balanced vertices are still admitted, whatever their name
     assert ModelSpec("m", 2, builtin_model("matrix-2p:3").upsilon, ("W",)).rank == 2
+
+
+def test_model_vertices_must_be_closed_connected_and_on_the_model_colors():
+    d = build_dipole(2)
+    with pytest.raises(GraphError, match=r"^vertex V: colors \(1, 2, 3\) != 1..2$"):
+        ModelSpec("x", 2, (build_dipole(3),), ("V",))
+    # legs sit on color 0, which no model color set has
+    with pytest.raises(GraphError, match=r"^vertex V: colors \(0, 1, 2, 3\) != 1..3$"):
+        ModelSpec("x", 3, (load_fixture("twopoint.cg"),), ("V",))
+    with pytest.raises(GraphError, match="^vertex V is not connected$"):
+        ModelSpec("x", 2, (disjoint_union(d, d),), ("V",))
 
 
 def test_rank3_interaction_vertices_are_distinct():
@@ -945,7 +957,7 @@ def test_default_probes_shape():
 
 
 def _reference_separator_check(p, k, l, probes):
-    """separator_check with choice='first', by connected sums and is_isomorphic."""
+    """separator_check, by connected sums and is_isomorphic."""
     for g_probe, h_probe in probes:
         g_edges = sorted(e for e, x in g_probe.edges.items() if x.color == 0)
         h_edges = sorted(e for e, x in h_probe.edges.items() if x.color == 0)
@@ -969,15 +981,18 @@ def _rank3_candidates():
                 yield g, e, f
 
 
-@pytest.mark.parametrize("choice,passes", [("first", 252), ("all", 192)], ids=["first", "all"])
-def test_separator_check_pass_counts_on_rank3_contractions(choice, passes):
-    # one check per candidate; that setups prepared once per search give the
-    # same verdicts is test_reused_probe_setups_give_the_verdicts_of_fresh_ones
+@pytest.mark.parametrize("every,passes", [(False, 252), (True, 192)], ids=["first", "all"])
+def test_separator_check_pass_counts_on_rank3_contractions(every, passes):
+    # one check per candidate, cutting the first edge of each probe side or,
+    # through every_edge_choice, each ordered choice of edges; that setups
+    # prepared once per search give the same verdicts is
+    # test_reused_probe_setups_give_the_verdicts_of_fresh_ones
     probes = default_probes()
+    choices = every_edge_choice(probes) if every else probes
     verdicts = []
     for g, e, f in _rank3_candidates():
-        verdict = separator_check(g, e, f, probes, choice=choice)
-        if choice == "first":
+        verdict = separator_check(g, e, f, choices)
+        if not every:
             assert _reference_separator_check(g, e, f, probes) == verdict
         elif verdict:  # passing for every edge choice, it passes for the first
             assert separator_check(g, e, f, probes)
@@ -990,13 +1005,13 @@ def test_reused_probe_setups_give_the_verdicts_of_fresh_ones():
     # default_probes() pairs get the same setups back; equal graphs that are
     # other objects get setups of their own, which must agree
     probes = tuple(map(tuple, default_probes()))
-    reused = _probe_setups(probes, "first")
+    reused = _probe_setups(probes)
     hits = _probe_setups.cache_info().hits
-    assert _probe_setups(tuple(map(tuple, default_probes())), "first") is reused
+    assert _probe_setups(tuple(map(tuple, default_probes()))) is reused
     assert _probe_setups.cache_info().hits == hits + 1
-    assert _probe_setups(probes, "all") is not reused
+    assert _probe_setups(probes[::-1]) is not reused
     copies = tuple(tuple(parse(serialize(x)) for x in pair) for pair in probes)
-    fresh = _probe_setups(copies, "first")
+    fresh = _probe_setups(copies)
     assert fresh is not reused
     verdicts = []
     for g, e, f in _rank3_candidates():
@@ -1005,7 +1020,7 @@ def test_reused_probe_setups_give_the_verdicts_of_fresh_ones():
     assert 0 < sum(verdicts) < len(verdicts)
     maxsize = _probe_setups.cache_info().maxsize
     for _ in range(2 * maxsize):
-        _probe_setups((tuple(parse(serialize(x)) for x in probes[0]),), "first")
+        _probe_setups((tuple(parse(serialize(x)) for x in probes[0]),))
     assert _probe_setups.cache_info().currsize == maxsize
 
 

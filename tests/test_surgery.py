@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs.graphs import (
+    ColoredGraph,
     GraphError,
     add_prefix,
     bubbles,
@@ -16,6 +17,7 @@ from tensorgraphs.graphs import (
     connected_components,
     disjoint_union,
     is_isomorphic,
+    relabel,
 )
 from tensorgraphs.homology import euler_characteristic
 from tensorgraphs.models import (
@@ -38,7 +40,7 @@ from tensorgraphs.surgery import (
     separator_check,
 )
 
-from conftest import graph_state, load_fixture
+from conftest import every_edge_choice, graph_state, load_fixture
 
 
 def two_bubble_count(g):
@@ -98,6 +100,16 @@ def test_connected_sum_rejects_bad_input(f, args, msg):
         f(a, e, b, fe)
 
 
+def test_connected_sum_takes_the_next_fresh_label():
+    # r1 with its edge beta0 renamed alpha0': the cut edge alpha0 cannot
+    # pass its name on as alpha0', which is taken, so the new edge is alpha0''
+    a = relabel(build_r1(), edge_map={"beta0": "alpha0'"})
+    s = connected_sum(a, "alpha0", build_r1(), "alpha0")
+    assert sorted(e for e in s.edges if e.startswith("l.alpha0")) == ["l.alpha0'", "l.alpha0''"]
+    assert s.edges["l.alpha0''"].color == 0
+    assert s.edges["l.alpha0''"].white == "l." + a.edges["alpha0"].white
+
+
 # --------------------------------------------------------------- crys sum
 
 def test_crys_sum_counts():
@@ -115,6 +127,16 @@ def test_crys_sum_requires_white_then_black():
         crys_sum(r1, "a", r1, "a")
     with pytest.raises(GraphError, match="not a black vertex"):
         crys_sum(r1, "p", r1, "q")
+
+
+def test_crys_sum_requires_one_color_set_and_full_slots():
+    d3 = build_dipole(3)
+    with pytest.raises(GraphError, match=r"^color sets differ: \(1, 2, 3\) vs \(1, 2, 3, 4\)$"):
+        crys_sum(d3, "w", build_dipole(4), "b")
+    # w has no color-3 edge
+    partial = ColoredGraph((1, 2, 3), {"w": "w", "b": "b"}, [("e1", 1, "w", "b"), ("e2", 2, "w", "b")])
+    with pytest.raises(GraphError, match="^missing color 3 at 'l.w' or 'r.b'$"):
+        crys_sum(partial, "w", d3, "b")
 
 
 def test_crys_sum_requires_closed_graphs():
@@ -256,9 +278,9 @@ def test_separator_edge_choice_is_not_independent():
     # over every ordered edge pair does not.
     p = build_p()
     t1, t2 = build_tg(1), build_tg(2)
-    assert separator_check(p, "z0", "z1", [(t1, t1)], choice="first")
-    assert not separator_check(p, "z0", "z1", [(t1, t1)], choice="all")
-    assert not separator_check(p, "z0", "z1", [(t1, t2)], choice="all")
+    assert separator_check(p, "z0", "z1", [(t1, t1)])
+    assert not separator_check(p, "z0", "z1", every_edge_choice([(t1, t1)]))
+    assert not separator_check(p, "z0", "z1", every_edge_choice([(t1, t2)]))
 
 
 def test_documented_bad_insert_fails():
@@ -285,10 +307,11 @@ def test_separator_check_input_validation():
     p = build_p()
     with pytest.raises(GraphError, match="distinct"):
         separator_check(p, "z0", "z0", [])
-    with pytest.raises(GraphError, match="unknown edge choice"):
-        separator_check(p, "z0", "z1", [], choice="sometimes")
     with pytest.raises(GraphError):
         separator_check(p, "x0.c11", "z1", [])  # not a color-0 edge
+    r0 = load_fixture("r0.cg")  # a 3-colored probe against a 4-colored separator
+    with pytest.raises(GraphError, match=r"^color sets differ: \(0, 1, 2\) vs \(0, 1, 2, 3\)$"):
+        separator_check(p, "z0", "z1", [(r0, r0)])
 
 
 def test_spliced_boundary_splits_explicitly():
