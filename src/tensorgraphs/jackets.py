@@ -16,6 +16,10 @@ melon.  :func:`is_melonic` answers "degree 0" on any number of colors.
 Jacket genera and face totals come from counts of the bubble walks the
 graph keeps (:func:`~tensorgraphs.graphs.bubbles` of each color pair and
 of all colors), so no ``Bubble`` is built until a jacket's faces are read.
+The canonical cycles and their adjacent color pairs depend on the color
+set only; they are generated once per color set, already canonical and
+sorted, and cached (``_jacket_table``).  :func:`canonical_cycle` is the
+normal form they follow.
 
 For a connected graph on ``d`` colors with ``2p`` vertices the total number
 of 2-bubbles satisfies
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 from .graphs import (
@@ -111,6 +116,27 @@ def _adjacent_pairs(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
     return [tuple(sorted((cycle[i], cycle[(i + 1) % n]))) for i in range(n)]
 
 
+@lru_cache(maxsize=8)
+def _jacket_table(
+    colors: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """Each jacket's canonical cycle and its adjacent color pairs, for a
+    sorted color set, with the cycles in sorted order.
+
+    ``colors[0]`` is the smallest color, so ``(colors[0],) + rest`` is
+    canonical exactly when ``rest < rest[::-1]``, and walking the
+    permutations of ``colors[1:]`` in order yields the canonical cycles
+    sorted.  Each color pair is one tuple shared by all its jackets.
+    """
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    table = []
+    for rest in permutations(colors[1:]):
+        if rest < rest[::-1]:
+            cycle = (colors[0],) + rest
+            table.append((cycle, tuple(shared.setdefault(p, p) for p in _adjacent_pairs(cycle))))
+    return tuple(table)
+
+
 def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
     """All D!/2 jackets of a closed graph on D+1 >= 3 colors.
 
@@ -119,8 +145,9 @@ def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
     return _jackets(g)[0]
 
 
-def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
-    """:func:`enumerate_jackets` and the number of connected components of g."""
+def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int, int]:
+    """:func:`enumerate_jackets`, the number of connected components of g
+    and its number of 2-bubbles over all color pairs."""
     if g.is_open:
         raise GraphError("jackets require a closed graph")
     colors = g.colors
@@ -132,26 +159,23 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int]:
             f"jackets; at most {MAX_JACKET_COLORS} colors are supported"
         )
 
-    cycles = sorted(
-        {canonical_cycle((colors[0],) + rest) for rest in permutations(colors[1:])}
-    )
-
     # Per component, V - E, then the faces of each color pair; a vertex
     # without edges is a component with chi = 1.
     if sum(map(len, _subset_orbits(g, colors))) < len(g):
         raise GraphError("odd jacket Euler characteristic")
     v_minus_e, faces_of = _euler_counts(g)
 
+    # A jacket's genus sums (2 - chi) / 2 over the components, and its
+    # faces are its total chi less the total V - E.
+    n_comp, base = len(v_minus_e), sum(v_minus_e)
     jackets = []
-    for cycle in cycles:
-        per_pair = [faces_of[pair] for pair in _adjacent_pairs(cycle)]
-        total_genus = 0
-        for chi in map(sum, zip(v_minus_e, *per_pair)):
-            if chi % 2:
-                raise GraphError("odd jacket Euler characteristic")
-            total_genus += (2 - chi) // 2
-        jackets.append(Jacket(cycle, sum(map(sum, per_pair)), total_genus, g))
-    return jackets, len(v_minus_e)
+    for cycle, pairs in _jacket_table(colors):
+        chis = list(map(sum, zip(v_minus_e, *[faces_of[pair] for pair in pairs])))
+        if any(chi % 2 for chi in chis):
+            raise GraphError("odd jacket Euler characteristic")
+        chi = sum(chis)
+        jackets.append(Jacket(cycle, chi - base, n_comp - chi // 2, g))
+    return jackets, n_comp, sum(map(sum, faces_of.values()))
 
 
 @dataclass(frozen=True)
@@ -171,7 +195,7 @@ class DegreeReport:
 
 def gurau_degree(g: ColoredGraph) -> DegreeReport:
     """Degree of a closed graph, with the face-counting cross-check."""
-    found, n_comp = _jackets(g)
+    found, n_comp, faces = _jackets(g)
     jackets = tuple(found)
     degree = sum(j.genus for j in jackets)
 
@@ -179,7 +203,6 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
     p, rem = divmod(len(g.vertices), 2)
     if rem:
         raise GraphError("odd vertex count in a closed bipartite graph")
-    faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
     face_deg = Fraction(factorial(d - 2), 2) * (
         comb(d - 1, 2) * p + (d - 1) * n_comp - faces
     )

@@ -579,7 +579,7 @@ def test_header_dimension_cap_is_a_domain_error():
 def test_jacket_cap_is_a_domain_error():
     n = MAX_JACKET_COLORS + 1
     text = serialize(build_dipole(n))
-    for command in ("jackets", "degree", "melonic"):
+    for command in ("jackets", "degree", "melonic", "report"):
         code, out, err = run_cli([command, "-"], text)
         assert (code, out) == (1, "")
         assert err == (

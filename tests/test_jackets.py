@@ -93,6 +93,43 @@ def test_jacket_cycles_are_canonical_and_distinct():
     assert all(j.cycle == canonical_cycle(j.cycle) for j in jackets)
 
 
+def _reference_table(colors):
+    # canonicalize every cyclic order, then pair each cycle's neighbours
+    cycles = sorted({canonical_cycle(p) for p in itertools.permutations(colors)})
+    return [(c, jackets_module._adjacent_pairs(c)) for c in cycles]
+
+
+@pytest.mark.parametrize(
+    "colors",
+    [tuple(range(b, b + n)) for n in range(3, MAX_JACKET_COLORS + 1) for b in (0, 1)]
+    + [(0, 2, 5, 7), (3, 5, 6, 9, 11)],
+)
+def test_jacket_table_matches_canonical_cycles(colors):
+    table = jackets_module._jacket_table(colors)
+    assert [(c, list(pairs)) for c, pairs in table] == _reference_table(colors)
+    assert len(table) == factorial(len(colors) - 1) // 2
+    # one tuple per color pair, shared by all the jackets that have it
+    assert len({id(p) for _, pairs in table for p in pairs}) == comb(len(colors), 2)
+
+
+def test_report_builds_one_jacket_table_per_color_set():
+    # two graphs on colors 1..6 share one table; colors 0..5 add one more
+    vertices = {"w0": "w", "w1": "w", "b0": "b", "b1": "b"}
+    edges = [
+        (f"e{c}.{i}", c, f"w{i}", f"b{(i + (c > 3)) % 2}") for c in range(1, 7) for i in (0, 1)
+    ]
+    other = ColoredGraph(tuple(range(1, 7)), vertices, edges)
+    graphs = [build_dipole(6), other, build_dipole(6, base=0)]
+    table = jackets_module._jacket_table
+    table.cache_clear()
+    builds = []
+    for g in graphs:
+        code, out, _ = run_cli(["report", "-", "--format", "kv"], serialize(g))
+        assert code == 0 and out.count("\njacket") == 60
+        builds.append(table.cache_info().misses)
+    assert builds == [1, 1, 2]
+
+
 def test_jackets_cap_the_color_count():
     with pytest.raises(GraphError, match=f"at most {MAX_JACKET_COLORS} colors"):
         enumerate_jackets(build_dipole(MAX_JACKET_COLORS + 1))
@@ -128,8 +165,13 @@ def _reference_jackets(g):
 
 
 def _random_closed(rng):
-    """Closed, on 3-5 colors, possibly irregular and disconnected."""
-    colors = tuple(range(1, rng.randint(3, 5) + 1))
+    """Closed, on 3-7 colors, contiguous or gapped, possibly irregular and
+    disconnected."""
+    k = rng.randint(3, 7)
+    if rng.random() < 0.5:
+        colors = tuple(range(1, k + 1))
+    else:
+        colors = tuple(sorted(rng.sample(range(12), k)))
     n = rng.randint(0, 10)
     whites = [f"w{rng.randint(0, 99)}.{i}" for i in range(n)]
     blacks = [f"b{rng.randint(0, 99)}.{i}" for i in range(n)]
@@ -166,6 +208,8 @@ def test_jackets_match_reference_on_random_graphs():
         seen["error" if isinstance(found, str) else "ok"] += 1
         seen["irregular"] += bool(validate(g))
         seen["disconnected"] += len(connected_components(g)) > 1
+        seen["gapped"] += g.colors[-1] - g.colors[0] >= len(g.colors)
+        seen[f"{len(g.colors)} colors"] += 1
     assert min(seen.values()) >= 10, seen
 
 
