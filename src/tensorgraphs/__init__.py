@@ -10,7 +10,7 @@ encode:
   unit-pivot elimination, with the dense Smith normal form (the public
   reference, with U and V) run only on the leftover block;
 * :mod:`tensorgraphs.ribbon` -- ribbon structures, boundary components,
-  genus, cell counts;
+  genus;
 * :mod:`tensorgraphs.jackets` -- jackets, the degree, melonicity, degree
   bounds;
 * :mod:`tensorgraphs.surgery` -- connected sums, edge opening/capping,
@@ -83,10 +83,8 @@ from .models import (
 )
 from .ribbon import (
     BoundaryReport,
-    CellReport,
     RibbonStructure,
     boundary_components,
-    cell_counts,
     euler_agreement,
     genus,
     parse_ribbon,
@@ -162,10 +160,8 @@ __all__ = [
     "separator_p",
     # ribbon
     "BoundaryReport",
-    "CellReport",
     "RibbonStructure",
     "boundary_components",
-    "cell_counts",
     "euler_agreement",
     "genus",
     "parse_ribbon",

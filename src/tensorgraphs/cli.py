@@ -187,8 +187,7 @@ def _cmd_bubbles(args):
 
 def _jacket_rows(path: str) -> list[_Row]:
     """The jackets, then degree, faces and amplitude exponent."""
-    g = _load(path)
-    report = gurau_degree(g)
+    report = gurau_degree(_load(path))
     rows = []
     for j in report.jackets:
         tag = _cycle_tag(j.cycle)
@@ -201,7 +200,7 @@ def _jacket_rows(path: str) -> list[_Row]:
         )
     return rows + [
         _kv("degree", report.degree),
-        _kv("faces", sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))),
+        _kv("faces", report.faces),
         _kv("amplitude-exponent", report.amplitude_exponent),
     ]
 

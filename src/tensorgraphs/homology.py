@@ -54,7 +54,6 @@ __all__ = [
     "HomologyResult",
     "homology",
     "euler_characteristic",
-    "matches_three_sphere",
 ]
 
 Matrix = list[list[int]]
@@ -267,40 +266,29 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     >>> smith_normal_form([[1, 0], [0, 1], [0, 0]]).rank
     2
     """
-    a: Matrix = [[operator.index(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
+    rows: Matrix = [[operator.index(x) for x in row] for row in matrix]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
-    u: Matrix = [[int(i == j) for j in range(m)] for i in range(m)]
-    v: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    # One augmented matrix [[M, U], [V, 0]]: an operation on the first m
+    # rows acts on M and U together, one on the first n columns on M and V
+    # together, and none ever reaches the zero block.
+    a: Matrix = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    a += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
 
     def row_sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
-        ai, aj, ui, uj = a[i], a[j], u[i], u[j]
-        for k in range(n):
+        ai, aj = a[i], a[j]
+        for k in range(n + m):
             ai[k] -= q * aj[k]
-        for k in range(m):
-            ui[k] -= q * uj[k]
 
     def col_sub(i: int, j: int, q: int) -> None:  # col i -= q * col j
-        for r in range(m):
-            a[r][i] -= q * a[r][j]
-        for r in range(n):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for r in a:
+            r[i] -= q * r[j]
 
     def swap_cols(i: int, j: int) -> None:
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for r in a:
+            r[i], r[j] = r[j], r[i]
 
     size = min(m, n)
     t = 0
@@ -314,10 +302,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
                     pivot, best = (i, j), abs(x)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         d = a[t][t]
         for i in range(t + 1, m):
             if a[i][t]:
@@ -343,8 +331,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(
         diagonal,
         sum(1 for d in diagonal if d),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
+        tuple(tuple(row[n:]) for row in a[:m]),
+        tuple(tuple(row[:n]) for row in a[m:]),
         (m, n),
     )
 
@@ -529,16 +517,3 @@ def euler_characteristic(g: ColoredGraph) -> int:
         for subset in combinations(colors, p)
     )
 
-
-def matches_three_sphere(result: HomologyResult) -> bool:
-    """True iff the homology is (Z, 0, 0, Z) with no torsion.
-
-    Informational only: sharing the homology of the 3-sphere does not make
-    a graph spherical (degree-1 counterexamples exist), so nothing in this
-    package treats the pattern as conclusive.
-    """
-    return (
-        len(result.groups) == 4
-        and result.betti == (1, 0, 0, 1)
-        and all(not h.torsion for h in result.groups)
-    )

@@ -26,8 +26,12 @@ of 2-bubbles satisfies
 
     F  =  C(d-1, 2) * p  +  (d - 1)  -  2 w / (d-2)!
 
-which this module uses as an independent cross-check on the jacket count
-(``face_count_degree``).
+which ``face_count_degree`` evaluates.  It is not independent of the jacket
+genera: both come from the same 2-bubble orbit counts, each color pair is
+adjacent in (d-2)! of the (d-1)!/2 jackets, and V - E = (2 - d) p on a
+regular graph, so the formula equals the sum of the genera by algebra.  It
+checks that counting identity only.  An independent check of the degree is
+still to come: the exponents of exact Gaussian moments (ROADMAP item 17).
 """
 
 from __future__ import annotations
@@ -180,21 +184,24 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int, int]:
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Degree data: per-jacket genera plus two independent computations.
+    """Degree data: per-jacket genera, the 2-bubble total and the degree.
 
-    ``degree`` sums the jacket genera; ``face_count_degree`` recovers the
-    same number from the total 2-bubble count (valid verbatim for connected
-    graphs; for disconnected ones the component count enters the formula).
+    ``degree`` sums the jacket genera; ``faces`` counts the 2-bubbles over
+    all color pairs, and ``face_count_degree`` recovers the degree from that
+    total by the counting identity of the module docstring (verbatim for
+    connected graphs; for disconnected ones the component count enters the
+    formula).  Both read the same orbit counts, so they agree by algebra.
     """
 
     jackets: tuple[Jacket, ...]
     degree: int
+    faces: int
     face_count_degree: Fraction
     amplitude_exponent: Fraction
 
 
 def gurau_degree(g: ColoredGraph) -> DegreeReport:
-    """Degree of a closed graph, with the face-counting cross-check."""
+    """Degree of a closed graph, with its face-counting identity."""
     found, n_comp, faces = _jackets(g)
     jackets = tuple(found)
     degree = sum(j.genus for j in jackets)
@@ -209,6 +216,7 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
     return DegreeReport(
         jackets=jackets,
         degree=degree,
+        faces=faces,
         face_count_degree=face_deg,
         amplitude_exponent=amplitude_exponent(d - 1, degree),
     )

@@ -38,12 +38,10 @@ from .homology import euler_characteristic
 __all__ = [
     "RibbonStructure",
     "BoundaryReport",
-    "CellReport",
     "ribbon_from_colored",
     "parse_ribbon",
     "serialize_ribbon",
     "boundary_components",
-    "cell_counts",
     "genus",
     "euler_agreement",
 ]
@@ -280,34 +278,6 @@ def _report(counts: list[tuple[int, int]]) -> BoundaryReport:
 def genus(r: RibbonStructure) -> int:
     """Total genus (summed over connected components)."""
     return boundary_components(r).genus
-
-
-@dataclass(frozen=True)
-class CellReport:
-    """Cell counts of the full thickened 2-complex (diagnostic).
-
-    Each vertex of valence n contributes 2n 0-cells (corner points), edges
-    contribute sides, and the 2-cells are the vertex disks, edge bands and
-    boundary-capping disks.  The alternating sum reproduces V - E + bc.
-    """
-
-    zero_cells: int
-    one_cells: int
-    two_cells: int
-
-    @property
-    def euler(self) -> int:
-        return self.zero_cells - self.one_cells + self.two_cells
-
-
-def cell_counts(r: RibbonStructure) -> CellReport:
-    total_valence = sum(len(c) for c in r.orders.values())
-    report = boundary_components(r)
-    return CellReport(
-        zero_cells=2 * total_valence,
-        one_cells=2 * total_valence + 2 * r.n_edges,
-        two_cells=r.n_vertices + r.n_edges + report.bc,
-    )
 
 
 def euler_agreement(g: ColoredGraph) -> bool:

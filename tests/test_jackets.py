@@ -339,7 +339,7 @@ def _reference_gurau_degree(g):
         raise GraphError("odd vertex count in a closed bipartite graph")
     faces = len({b.key for j in jackets for b in j.faces})
     face_deg = Fraction(factorial(d - 2), 2) * (comb(d - 1, 2) * p + (d - 1) * n_comp - faces)
-    return DegreeReport(jackets, degree, face_deg, amplitude_exponent(d - 1, degree))
+    return DegreeReport(jackets, degree, faces, face_deg, amplitude_exponent(d - 1, degree))
 
 
 def test_gurau_degree_counts_components_without_building_them(monkeypatch):

@@ -1,4 +1,4 @@
-"""Ribbon structures: parsing, face tracing, genus, cell counts."""
+"""Ribbon structures: parsing, face tracing, genus."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from tensorgraphs.ribbon import (
     BoundaryReport,
     RibbonStructure,
     boundary_components,
-    cell_counts,
     euler_agreement,
     genus,
     parse_ribbon,
@@ -97,20 +96,6 @@ def test_w_and_q_share_underlying_graph_not_genus():
     assert w.n_vertices == q.n_vertices == 1
     assert w.n_edges == q.n_edges == 2
     assert genus(w) != genus(q)
-
-
-# ------------------------------------------------------------ cell counts
-
-@pytest.mark.parametrize("builder", [build_ribbon_w, build_ribbon_q, build_ribbon_r])
-def test_cell_count_identities(builder):
-    r = builder()
-    rep = boundary_components(r)
-    cells = cell_counts(r)
-    valence = sum(len(order) for order in r.orders.values())
-    assert cells.zero_cells == 2 * valence
-    assert cells.one_cells == 2 * valence + 2 * r.n_edges
-    assert cells.two_cells == r.n_vertices + r.n_edges + rep.bc
-    assert cells.zero_cells - cells.one_cells + cells.two_cells == rep.euler
 
 
 # ------------------------------------------- colored graphs as ribbons
