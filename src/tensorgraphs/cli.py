@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from itertools import combinations
 from typing import Sequence
@@ -93,14 +94,18 @@ def _load(path: str) -> ColoredGraph:
     return parse(_read(path))
 
 
+# The nonempty lines of str.splitlines(): runs of anything but its boundaries.
+_LINES = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def _load_either(
     path: str, require_regular: bool = True
 ) -> ColoredGraph | RibbonStructure:
     """A ribbon structure if the first directive is ``rv`` or ``rj``, else a
     colored graph."""
     text = _read(path)
-    for line in text.splitlines():
-        words = line.split("#", 1)[0].split()
+    for line in _LINES.finditer(text):  # lazily, up to the first directive
+        words = line[0].split("#", 1)[0].split()
         if words:
             if words[0] in ("rv", "rj"):
                 return parse_ribbon(text)

@@ -628,6 +628,15 @@ def _euler_counts(g: ColoredGraph) -> tuple[list[int], dict[tuple[int, int], lis
     return v_minus_e, faces
 
 
+def _degree_excess(k: int, n: int, comps: int, faces: int) -> int:
+    """4 w / (k-2)! for the degree w of a closed regular graph on k >= 3
+    colors with n vertices, ``comps`` components and ``faces`` 2-bubbles
+    over all color pairs: C(k-1, 2) n + 2 (k-1) comps - 2 faces.  w sums
+    nonnegative jacket genera, so this is 0 exactly when every component
+    has degree 0 (see :mod:`tensorgraphs.jackets`)."""
+    return (k - 1) * (k - 2) // 2 * n + 2 * (k - 1) * comps - 2 * faces
+
+
 def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     """The connected components of the subgraph of edges with given colors.
 

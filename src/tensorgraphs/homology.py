@@ -15,7 +15,15 @@ sub-bubbles obtained by deleting color ``i_q``, with sign ``(-1)**(q+1)``.
 The boundary columns are built on vertex indices, from the bubble walks
 the graph keeps; only :func:`chain_complex` builds ``Bubble`` bases.
 
-Homology needs only the rank and the torsion of each boundary map.  The
+A graph of degree 0 needs no boundary map at all.  A connected closed
+graph of degree 0 on 3 or more colors is dual to a PL sphere (Gurau,
+arXiv:1102.5759; Bonzom, Gurau, Riello and Rivasseau, arXiv:1105.3122), so
+its homology is Z in degree 0 and in the top degree and 0 in between.  The
+degree follows from the number of 2-bubbles (``graphs._degree_excess``,
+the identity behind ``DegreeReport.face_count_degree``), so on such a
+graph :func:`homology` walks no color subset past the pairs.
+
+Any other graph needs only the rank and the torsion of each map.  The
 first map is a signed incidence matrix, totally unimodular, so its rank
 is |V| minus the number of connected components and it has no torsion.
 With 3 or more colors the top map is one too, up to column signs, so its
@@ -42,7 +50,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import WHITE, Bubble, ColoredGraph, GraphError, bubbles
-from .graphs import _EMPTY_SLOT, _subset_orbits, _walk_state
+from .graphs import _EMPTY_SLOT, _degree_excess, _subset_orbits, _walk_state
 
 __all__ = [
     "MAX_HOMOLOGY_COLORS",
@@ -61,8 +69,10 @@ Column = tuple[tuple[int, int], ...]  # the (row, value) entries of a sparse col
 
 # Most colors chain_complex and euler_characteristic accept.  A graph on k
 # colors has bubbles over all 2^k color subsets: 1024 at 10 colors, where
-# homology of a two-vertex dipole takes about 0.025 s of CPU (best of 7, on a
-# shared 2-core x86-64 host), and each further color about doubles that.
+# homology of a 6-vertex graph of positive degree (H_2 = Z) takes about
+# 0.031 s of CPU (best of 7, on a shared 2-core x86-64 host), and each
+# further color about doubles that.  A graph of degree 0 walks only the
+# color pairs.
 MAX_HOMOLOGY_COLORS = 10
 
 
@@ -448,6 +458,17 @@ def _rank_and_torsion(
 def homology(g: ColoredGraph) -> HomologyResult:
     """Integer homology H_q = ker d_q / im d_{q+1}.
 
+    On 3 or more colors, a graph whose components all have degree 0 is a
+    union of spheres: a connected closed graph of degree 0 is dual to a PL
+    sphere (Gurau, arXiv:1102.5759; Bonzom, Gurau, Riello and Rivasseau,
+    arXiv:1105.3122), so each component adds Z to H_0 and to H_top and
+    nothing else.  On k colors the degree w, a sum of nonnegative jacket
+    genera, satisfies 4 w / (k-2)! = C(k-1, 2) |V| + 2 (k-1) c - 2 F over
+    the c components and the F 2-bubbles, which is 0 exactly when every
+    component has degree 0.  An isolated vertex adds C(k-1, 2) and no face,
+    so a graph with one never passes.  Such graphs are answered from these
+    counts: no color subset is walked past the pairs and no map eliminated.
+
     Two maps are signed incidence matrices, totally unimodular, so each has
     the rank of a graph and no torsion.  rank d_1 is |V| minus the number of
     components.  With 3 or more colors, rank d_top is the number of top
@@ -480,15 +501,20 @@ def homology(g: ColoredGraph) -> HomologyResult:
                     f"homology: vertex {label!r}: missing color {missing[0]} "
                     "(each vertex needs all colors or none)"
                 )
+    comps = _subset_orbits(g, g.colors) if top else []  # the components with an edge
+    if top >= 2:  # an isolated vertex adds C(top, 2) > 0 to the excess
+        faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
+        if not _degree_excess(top + 1, n, len(comps), faces):
+            sphere = HomologyGroup(len(comps))
+            groups = (sphere,) + (HomologyGroup(0),) * (top - 1) + (sphere,)
+            return HomologyResult(groups, len(comps) * (1 + (-1) ** top))
     dims = [n, len(g._edges)] + [
         sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, p))
         for p in range(2, top + 1)
     ]
     rank = [0] * (top + 2)  # rank[p] = rank of the degree-p boundary map
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
-    if top >= 1:
-        comps = _subset_orbits(g, g.colors)  # the components with an edge
-        rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
+    rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
     for p, columns in enumerate(_boundary_columns(g, reduced=True), 2):
         rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:

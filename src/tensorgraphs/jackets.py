@@ -26,12 +26,15 @@ of 2-bubbles satisfies
 
     F  =  C(d-1, 2) * p  +  (d - 1)  -  2 w / (d-2)!
 
-which ``face_count_degree`` evaluates.  It is not independent of the jacket
-genera: both come from the same 2-bubble orbit counts, each color pair is
-adjacent in (d-2)! of the (d-1)!/2 jackets, and V - E = (2 - d) p on a
-regular graph, so the formula equals the sum of the genera by algebra.  It
-checks that counting identity only.  An independent check of the degree is
-still to come: the exponents of exact Gaussian moments (ROADMAP item 17).
+which ``face_count_degree`` evaluates through ``graphs._degree_excess``;
+:func:`~tensorgraphs.homology.homology` reads the same helper to answer a
+graph of degree 0 with no elimination.  The formula is not independent of
+the jacket genera: both come from the same 2-bubble orbit counts, each
+color pair is adjacent in (d-2)! of the (d-1)!/2 jackets, and
+V - E = (2 - d) p on a regular graph, so the formula equals the sum of the
+genera by algebra.  It checks that counting identity only.  An
+independent check of the degree is still to come: the exponents of exact
+Gaussian moments (ROADMAP item 17).
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 from .graphs import (
     Bubble,
     ColoredGraph,
     GraphError,
+    _degree_excess,
     _euler_counts,
     _subset_orbits,
     bubbles,
@@ -207,12 +211,9 @@ def gurau_degree(g: ColoredGraph) -> DegreeReport:
     degree = sum(j.genus for j in jackets)
 
     d = len(g.colors)
-    p, rem = divmod(len(g.vertices), 2)
-    if rem:
+    if len(g.vertices) % 2:
         raise GraphError("odd vertex count in a closed bipartite graph")
-    face_deg = Fraction(factorial(d - 2), 2) * (
-        comb(d - 1, 2) * p + (d - 1) * n_comp - faces
-    )
+    face_deg = Fraction(factorial(d - 2), 4) * _degree_excess(d, len(g.vertices), n_comp, faces)
     return DegreeReport(
         jackets=jackets,
         degree=degree,

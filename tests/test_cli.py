@@ -835,6 +835,18 @@ def test_report_ribbon_kv():
     )
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\f", "\u2028"])
+def test_first_directive_tells_ribbon_files_from_graph_files(newline):
+    # Comment and blank lines before the first directive are skipped, on
+    # every line boundary str.splitlines() knows; "rv" in a comment is no
+    # directive.
+    head = ["# rv in a comment", "", "   # rj"]
+    for name, genus in (("w.rg", 1), ("dipole3.cg", 0)):
+        lines = head + fixture_text(name).splitlines()
+        code, out, err = run_cli(["genus", "-"], newline.join(lines) + newline)
+        assert (code, out, err) == (0, f"genus = {genus}\n", ""), name
+
+
 def test_report_irregular_kv():
     text = "colors 2 closed\nv a w\nv b b\ne e1 1 a b\n"
     code, out, err = run_cli(["report", "-", "--format", "kv"], text)

@@ -33,6 +33,7 @@ from tensorgraphs.homology import (
     homology,
     smith_normal_form,
 )
+from tensorgraphs.jackets import gurau_degree
 from tensorgraphs.models import (
     build_dipole,
     build_kg,
@@ -473,10 +474,21 @@ def test_homology_matches_dense_snf_of_the_definition():
     assert {1, 2, 3} <= components
 
 
+def has_degree_0(g: ColoredGraph) -> bool:
+    """Whether g is closed on 3 or more colors, has no isolated vertex and
+    its degree is 0 (the graphs whose homology is read off the face count)."""
+    return (
+        len(g.colors) >= 3
+        and all(comp.edges for comp in connected_components(g))
+        and gurau_degree(g).degree == 0
+    )
+
+
 def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
     # rank d_1 and rank d_top come from component counts: a 3-colored graph
     # needs no elimination at all.  The columns of d_top-1 of a spanning
     # forest of G* (top cells joined by the (top-1)-cells) are left out.
+    # A graph of degree 0 eliminates nothing: its homology is a sphere's.
     eliminated = []
 
     def recording(columns):
@@ -484,7 +496,7 @@ def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
         return _rank_and_torsion(columns)
 
     monkeypatch.setattr(homology_module, "_rank_and_torsion", recording)
-    ks = set()
+    ks, degree_0 = set(), set()
     for name, g in oracle_cases():
         eliminated.clear()
         homology(g)
@@ -492,9 +504,171 @@ def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
         top = cx.top_degree
         with_edge = sum(1 for comp in connected_components(g) if comp.edges)
         forest = cx.dim(top) - with_edge
-        assert eliminated == [cx.dim(p) - (p == top - 1) * forest for p in range(2, top)], name
+        if has_degree_0(g):
+            assert eliminated == [], name
+            degree_0.add(len(g.colors))
+        else:
+            assert eliminated == [
+                cx.dim(p) - (p == top - 1) * forest for p in range(2, top)
+            ], name
         ks.add(len(g.colors))
     assert ks == {2, 3, 4, 5, 6}
+    assert degree_0 & {4, 5, 6}  # a degree-0 graph that would eliminate maps
+
+
+def melonic(k: int, whites: int, rng: random.Random) -> list[list[int]]:
+    """Permutations of a melonic graph on k colors, for
+    :func:`graph_from_permutations`: from the elementary melon, each new
+    white-black pair is inserted on an edge of a random color and joined to
+    each other by the other k - 1 colors."""
+    perms = [[0] for _ in range(k)]
+    for n in range(1, whites):
+        c, w = rng.randrange(k), rng.randrange(n)
+        for perm in perms:
+            perm.append(n)
+        perms[c][n], perms[c][w] = perms[c][w], n
+    return perms
+
+
+def cube() -> list[list[int]]:
+    """Permutations of the 3-colored cube: color c + 1 flips bit c of a
+    vertex of {0, 1}^3, the whites have even weight.  It is planar, so of
+    degree 0, and no melon."""
+    whites = [v for v in range(8) if bin(v).count("1") % 2 == 0]
+    blacks = [v for v in range(8) if bin(v).count("1") % 2]
+    return [[blacks.index(w ^ 1 << c) for w in whites] for c in range(3)]
+
+
+def disjoint(*parts: list[list[int]]) -> list[list[int]]:
+    """Permutations of the disjoint union of graphs on the same colors."""
+    perms: list[list[int]] = [[] for _ in parts[0]]
+    offset = 0
+    for part in parts:
+        for perm, q in zip(perms, part):
+            perm += [offset + x for x in q]
+        offset += len(part[0])
+    return perms
+
+
+def degree_0_cases():
+    """Seeded melonic graphs on 3-8 colors, the 3-colored cube, disjoint
+    unions of 2 and 3 graphs of degree 0, and the dipole on the color cap."""
+    rng = random.Random(37)
+    for k in range(3, 9):
+        for whites in (1, 2, 3, 5) if k < 7 else (2, 3):
+            yield f"melonic, {k} colors, {whites} whites", melonic(k, whites, rng)
+    yield "cube", cube()
+    yield "cube + melonic", disjoint(cube(), melonic(3, 4, rng))
+    for k in (4, 5):
+        parts = [melonic(k, whites, rng) for whites in (3, 1, 2)]
+        yield f"2 melonic, {k} colors", disjoint(*parts[:2])
+        yield f"3 melonic, {k} colors", disjoint(*parts)
+
+
+@pytest.fixture
+def walks_past_pairs(monkeypatch) -> list:
+    """One entry per :func:`_boundary_columns` call, which :func:`homology`
+    makes exactly when it does not read the homology off the face count."""
+    calls = []
+
+    def recording(g, reduced=False):
+        calls.append(len(g.colors))
+        return _boundary_columns(g, reduced)
+
+    monkeypatch.setattr(homology_module, "_boundary_columns", recording)
+    return calls
+
+
+def test_degree_0_homology_matches_dense_snf_of_the_definition(walks_past_pairs):
+    cases = [(name, graph_from_permutations(perms)) for name, perms in degree_0_cases()]
+    cases.append(("dipole on the color cap", build_dipole(MAX_HOMOLOGY_COLORS)))
+    for name, g in cases:
+        walks_past_pairs.clear()
+        res = homology(g)
+        assert walks_past_pairs == [], name
+        assert res == reference_homology(g), name
+        comps = len(connected_components(g))
+        top = len(g.colors) - 1
+        assert res.betti == (comps,) + (0,) * (top - 1) + (comps,), name
+        assert res.euler == comps * (1 + (-1) ** top), name
+        if len(g.colors) <= 8:
+            assert gurau_degree(g).degree == 0, name
+
+
+def test_degree_0_exit_is_taken_exactly_on_degree_0(walks_past_pairs):
+    # Random closed graphs on 3-8 colors, one to three parts of 1-5 whites
+    # (1-3 from 7 colors on), beside seeded melonic ones; several of
+    # positive degree have the homology of a sphere, so an exit keyed on the
+    # homology would fail.
+    rng = random.Random(41)
+    taken = {k: set() for k in range(3, 9)}
+    spheres_of_positive_degree = 0
+    for t in range(120):
+        k, parts = 3 + t % 6, 1 + t // 6 % 3
+        part_list = [
+            [rng.sample(range(n), n) for _ in range(k)]
+            for n in [rng.randint(1, 5 if k < 7 else 3) for _ in range(parts)]
+        ]
+        for perms in (disjoint(*part_list), melonic(k, rng.randint(2, 4), rng)):
+            g = graph_from_permutations(perms)
+            walks_past_pairs.clear()
+            res = homology(g)
+            exited = not walks_past_pairs
+            assert exited == (gurau_degree(g).degree == 0), (t, perms)
+            taken[k].add(exited)
+            top = k - 1
+            sphere = res.betti == (1,) + (0,) * (top - 1) + (1,)
+            if sphere and not exited and not any(h.torsion for h in res.groups):
+                spheres_of_positive_degree += 1
+    assert all(found == {True, False} for found in taken.values()), taken
+    assert spheres_of_positive_degree >= 5
+
+
+def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past_pairs):
+    # On two whites each color is the identity or the swap.  The graph has
+    # degree 0 (one melon inserted in a dipole, or two dipoles) exactly when
+    # at most one color is on the other side from the rest; otherwise it
+    # has positive degree and still the homology of a sphere.
+    rng = random.Random(43)
+    sphere = (1,) + (0,) * (MAX_HOMOLOGY_COLORS - 2) + (1,)
+    for swapped in range(MAX_HOMOLOGY_COLORS):
+        chosen = set(rng.sample(range(MAX_HOMOLOGY_COLORS), swapped))
+        perms = [[1, 0] if c in chosen else [0, 1] for c in range(MAX_HOMOLOGY_COLORS)]
+        walks_past_pairs.clear()
+        res = homology(graph_from_permutations(perms))
+        melonic_or_apart = min(swapped, MAX_HOMOLOGY_COLORS - swapped) <= 1
+        assert (not walks_past_pairs) == melonic_or_apart, swapped
+        if not melonic_or_apart:
+            assert res.betti == sphere and not any(h.torsion for h in res.groups), swapped
+
+
+# A 3-white tuple on the color cap of positive degree whose homology is no
+# sphere's: H_2 = Z, chi = 1 (also pinned in CI, where it is eliminated).
+TEN_COLOR_TUPLE = [
+    [0, 1, 2], [0, 2, 1], [0, 1, 2], [1, 0, 2], [2, 1, 0],
+    [1, 0, 2], [1, 2, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1],
+]
+
+
+def test_ten_color_tuple_of_positive_degree_is_eliminated(walks_past_pairs):
+    res = homology(graph_from_permutations(TEN_COLOR_TUPLE))
+    assert walks_past_pairs == [MAX_HOMOLOGY_COLORS]
+    assert res.lines() == (
+        ["H_0 = Z", "H_1 = 0", "H_2 = Z"] + [f"H_{q} = 0" for q in range(3, 9)]
+        + ["H_9 = Z", "chi = 1"]
+    )
+
+
+def test_isolated_vertices_keep_degree_0_graphs_on_the_elimination_path(walks_past_pairs):
+    rng = random.Random(47)
+    for k in (3, 4, 6):
+        for g in (graph_from_permutations(melonic(k, 3, rng)), build_dipole(k)):
+            lonely = with_isolated_vertices(g)
+            walks_past_pairs.clear()
+            res = homology(lonely)
+            assert walks_past_pairs == [k], k
+            assert res == reference_homology(lonely), k
+            assert res.betti[0] == 4
 
 
 def padded_rp3_union(k: int, whites: int, rng: random.Random) -> ColoredGraph:
