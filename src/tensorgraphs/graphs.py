@@ -496,6 +496,14 @@ def validate(g: ColoredGraph) -> list[str]:
     ]
 
 
+def _require_regular(g: ColoredGraph, what: str) -> None:
+    """Raise :class:`GraphError` naming the first missing color unless every
+    vertex of g carries every color (a leg for color 0), by the count
+    :func:`validate` starts with; invariant readers call it at entry."""
+    if 2 * len(g._edges) + len(g._legs) != len(g._parity) * len(g._colors):
+        raise GraphError(f"{what}: {validate(g)[0]}")
+
+
 # -- substructure ----------------------------------------------------------
 
 
@@ -604,36 +612,33 @@ def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
 
 
 def _euler_counts(g: ColoredGraph) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
-    """V - E of each component of g with an edge, and per pair of g's colors
-    its number of 2-bubbles in each component.  A component's edges are
-    half its filled slots.
+    """V - E of each component of a regular closed graph g on k >= 1
+    colors, (2 - k) V / 2, and per pair of g's colors its number of
+    2-bubbles in each component.
 
     Components are the all-color orbits of the walk slot, in the order of
-    their smallest vertex; a vertex without edges is in none of them.
+    their smallest vertex.
     """
-    labels, nbrs, _ = _walk_state(g)
     comps = _subset_orbits(g, g._colors)
-    comp_of = [0] * len(labels)
-    v_minus_e = []
+    comp_of = [0] * len(g._parity)
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-        filled = sum(nb[v] >= 0 for nb in nbrs for v in comp)
-        v_minus_e.append(len(comp) - filled // 2)
     faces = {}
     for pair in itertools.combinations(g._colors, 2):
         counts = faces[pair] = [0] * len(comps)
         for orbit in _subset_orbits(g, pair):
             counts[comp_of[orbit[0]]] += 1
-    return v_minus_e, faces
+    return [(2 - len(g._colors)) * len(comp) // 2 for comp in comps], faces
 
 
 def _degree_excess(k: int, n: int, comps: int, faces: int) -> int:
-    """4 w / (k-2)! for the degree w of a closed regular graph on k >= 3
+    """4 w / (k-2)! for the degree w of a regular closed graph on k >= 3
     colors with n vertices, ``comps`` components and ``faces`` 2-bubbles
     over all color pairs: C(k-1, 2) n + 2 (k-1) comps - 2 faces.  w sums
     nonnegative jacket genera, so this is 0 exactly when every component
-    has degree 0 (see :mod:`tensorgraphs.jackets`)."""
+    has degree 0 (see :mod:`tensorgraphs.jackets`); on an irregular graph,
+    which its readers refuse first, it can be negative."""
     return (k - 1) * (k - 2) // 2 * n + 2 * (k - 1) * comps - 2 * faces
 
 
@@ -1001,26 +1006,30 @@ def export_dot(g: ColoredGraph) -> str:
 
     Vertex parity is shown as node fill (white/black), the edge color index
     as an edge label plus a drawing color, and each leg as a dashed edge to
-    an auto-named point-shaped outer node.
+    an auto-named point-shaped outer node.  Node IDs and tooltips are
+    quoted, with backslashes and quotes in labels escaped.
     """
+    def q(s: str) -> str:  # s as a quoted DOT string
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["graph coloredgraph {", "  node [shape=circle];"]
     for v, p in sorted(g.vertices.items()):
         if p == WHITE:
             style = 'style=filled, fillcolor=white'
         else:
             style = 'style=filled, fillcolor=black, fontcolor=white'
-        lines.append(f'  "{v}" [{style}];')
+        lines.append(f"  {q(v)} [{style}];")
     for _, e in sorted(g.edges.items()):
         tint = _DOT_PALETTE[e.color % len(_DOT_PALETTE)]
         lines.append(
-            f'  "{e.white}" -- "{e.black}" [label="{e.color}", color="{tint}", '
-            f'tooltip="{e.label}"];'
+            f'  {q(e.white)} -- {q(e.black)} [label="{e.color}", color="{tint}", '
+            f"tooltip={q(e.label)}];"
         )
     for _, l in sorted(g.legs.items()):
-        outer = f"out_{l.label}"
-        lines.append(f'  "{outer}" [shape=point, label=""];')
+        outer = q(f"out_{l.label}")
+        lines.append(f'  {outer} [shape=point, label=""];')
         lines.append(
-            f'  "{l.vertex}" -- "{outer}" [label="0", style=dashed, tooltip="{l.label}"];'
+            f'  {q(l.vertex)} -- {outer} [label="0", style=dashed, tooltip={q(l.label)}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,9 @@ colors ``i_1 < ... < i_p`` maps to the alternating sum over ``q`` of its
 sub-bubbles obtained by deleting color ``i_q``, with sign ``(-1)**(q+1)``.
 
 The boundary columns are built on vertex indices, from the bubble walks
-the graph keeps; only :func:`chain_complex` builds ``Bubble`` bases.
+the graph keeps; only :func:`chain_complex` builds ``Bubble`` bases, and
+it takes any closed graph.  :func:`homology` and :func:`euler_characteristic`
+take regular ones only, in which every vertex carries every color.
 
 A graph of degree 0 needs no boundary map at all.  A connected closed
 graph of degree 0 on 3 or more colors is dual to a PL sphere (Gurau,
@@ -21,15 +23,16 @@ arXiv:1102.5759; Bonzom, Gurau, Riello and Rivasseau, arXiv:1105.3122), so
 its homology is Z in degree 0 and in the top degree and 0 in between.  The
 degree follows from the number of 2-bubbles (``graphs._degree_excess``,
 the identity behind ``DegreeReport.face_count_degree``), so on such a
-graph :func:`homology` walks no color subset past the pairs.
+graph :func:`homology` and :func:`euler_characteristic` walk no color
+subset past the pairs (:func:`_sphere_homology`).
 
 Any other graph needs only the rank and the torsion of each map.  The
 first map is a signed incidence matrix, totally unimodular, so its rank
 is |V| minus the number of connected components and it has no torsion.
 With 3 or more colors the top map is one too, up to column signs, so its
-rank is the number of top cells minus the number of components with an
-edge (see :func:`homology`).  The spanning forests behind these two
-counts also shrink the maps in between: from 4 colors on, d_2 loses the
+rank is the number of top cells minus the number of components (see
+:func:`homology`).  The spanning forests behind these two counts also
+shrink the maps in between: from 4 colors on, d_2 loses the
 rows of the edges of a spanning forest of the graph and d_top-1 the
 columns of a spanning forest of the graph on the top cells, with the
 same rank and invariant factors.  These maps are found by sparse
@@ -50,7 +53,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import WHITE, Bubble, ColoredGraph, GraphError, bubbles
-from .graphs import _EMPTY_SLOT, _degree_excess, _subset_orbits, _walk_state
+from .graphs import _degree_excess, _require_regular, _subset_orbits, _walk_state
 
 __all__ = [
     "MAX_HOMOLOGY_COLORS",
@@ -455,26 +458,38 @@ def _rank_and_torsion(
     return rank + rest.rank, rest.torsion
 
 
-def homology(g: ColoredGraph) -> HomologyResult:
-    """Integer homology H_q = ker d_q / im d_{q+1}.
+def _sphere_homology(g: ColoredGraph, top: int) -> HomologyResult | None:
+    """The homology of a regular closed graph g of top degree 2 or more whose
+    components all have degree 0, one sphere each; None for any other g.
+    Only the color pairs and the components are walked: 4 w / (k-2)! =
+    C(k-1, 2) |V| + 2 (k-1) c - 2 F over the c components and F 2-bubbles.
+    """
+    if top < 2:
+        return None
+    c = len(_subset_orbits(g, g.colors))
+    faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
+    if _degree_excess(top + 1, len(g), c, faces):
+        return None
+    sphere = HomologyGroup(c)
+    return HomologyResult(
+        (sphere,) + (HomologyGroup(0),) * (top - 1) + (sphere,), c * (1 + (-1) ** top)
+    )
 
-    On 3 or more colors, a graph whose components all have degree 0 is a
-    union of spheres: a connected closed graph of degree 0 is dual to a PL
-    sphere (Gurau, arXiv:1102.5759; Bonzom, Gurau, Riello and Rivasseau,
-    arXiv:1105.3122), so each component adds Z to H_0 and to H_top and
-    nothing else.  On k colors the degree w, a sum of nonnegative jacket
-    genera, satisfies 4 w / (k-2)! = C(k-1, 2) |V| + 2 (k-1) c - 2 F over
-    the c components and the F 2-bubbles, which is 0 exactly when every
-    component has degree 0.  An isolated vertex adds C(k-1, 2) and no face,
-    so a graph with one never passes.  Such graphs are answered from these
-    counts: no color subset is walked past the pairs and no map eliminated.
+
+def homology(g: ColoredGraph) -> HomologyResult:
+    """Integer homology H_q = ker d_q / im d_{q+1} of a regular closed graph.
+
+    A graph with a vertex missing a color raises :class:`GraphError`.  On 3
+    or more colors, a graph whose components all have degree 0 is a union
+    of spheres, answered from its 2-bubble count with no map eliminated
+    (see the module docstring and :func:`_sphere_homology`).
 
     Two maps are signed incidence matrices, totally unimodular, so each has
     the rank of a graph and no torsion.  rank d_1 is |V| minus the number of
     components.  With 3 or more colors, rank d_top is the number of top
-    cells minus the number of components with an edge: each (k-2)-bubble is
-    a face of exactly two top cells, with opposite signs once the column of
-    each (C - {a})-cell is multiplied by (-1)**index(a) (see
+    cells minus the number of components: each (k-2)-bubble is a face of
+    exactly two top cells, with opposite signs once the column of each
+    (C - {a})-cell is multiplied by (-1)**index(a) (see
     :func:`_boundary_columns`).  Only the maps in between go to
     :func:`_rank_and_torsion`, so a 3-colored graph needs no elimination.
 
@@ -486,35 +501,19 @@ def homology(g: ColoredGraph) -> HomologyResult:
     span a complement of it, so only their columns are built.  Neither step
     changes the rank or the invariant factors, and the chain ranks ``dims``
     come from orbit counts.
-
-    With 3 or more colors, d_1 d_2 = 0 needs every vertex to have all colors
-    or none, so a vertex with some but not all raises :class:`GraphError`.
     """
     top = _check_complex(g)
-    labels, nbrs = _walk_state(g)[:2]
-    n = len(labels)
-    if len(nbrs) >= 3 and any(_EMPTY_SLOT in nb for nb in nbrs):
-        for v, label in enumerate(labels):
-            missing = [c for c, nb in zip(g.colors, nbrs) if nb[v] == _EMPTY_SLOT]
-            if 0 < len(missing) < len(nbrs):
-                raise GraphError(
-                    f"homology: vertex {label!r}: missing color {missing[0]} "
-                    "(each vertex needs all colors or none)"
-                )
-    comps = _subset_orbits(g, g.colors) if top else []  # the components with an edge
-    if top >= 2:  # an isolated vertex adds C(top, 2) > 0 to the excess
-        faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
-        if not _degree_excess(top + 1, n, len(comps), faces):
-            sphere = HomologyGroup(len(comps))
-            groups = (sphere,) + (HomologyGroup(0),) * (top - 1) + (sphere,)
-            return HomologyResult(groups, len(comps) * (1 + (-1) ** top))
-    dims = [n, len(g._edges)] + [
+    _require_regular(g, "homology")
+    if (spheres := _sphere_homology(g, top)) is not None:
+        return spheres
+    comps = _subset_orbits(g, g.colors) if top else []
+    dims = [len(g), len(g._edges)] + [
         sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, p))
         for p in range(2, top + 1)
     ]
     rank = [0] * (top + 2)  # rank[p] = rank of the degree-p boundary map
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
-    rank[1] = sum(map(len, comps)) - len(comps)  # isolated vertices add 0
+    rank[1] = sum(map(len, comps)) - len(comps)  # 0 with no d_1
     for p, columns in enumerate(_boundary_columns(g, reduced=True), 2):
         rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:
@@ -528,18 +527,22 @@ def homology(g: ColoredGraph) -> HomologyResult:
 
 
 def euler_characteristic(g: ColoredGraph) -> int:
-    """Alternating sum over p of the number of p-bubbles, p = 0 .. k-1.
+    """Alternating sum over p of the number of p-bubbles, p = 0 .. k-1, of a
+    regular closed graph.
 
     These are the ranks of the chain groups (degree 0 being the vertices),
     whose alternating sum equals that of the homology free ranks; no
-    boundary map is built.  At most :data:`MAX_HOMOLOGY_COLORS` colors are
+    boundary map is built, and a graph of degree 0 is answered as in
+    :func:`homology`.  At most :data:`MAX_HOMOLOGY_COLORS` colors are
     accepted.
     """
-    _check_complex(g)
+    top = _check_complex(g)
+    _require_regular(g, "euler characteristic")
+    if (spheres := _sphere_homology(g, top)) is not None:
+        return spheres.euler
     colors = g.colors
     return len(g) + sum(
         (-1) ** p * len(_subset_orbits(g, subset))
         for p in range(1, len(colors))
         for subset in combinations(colors, p)
     )
-

@@ -1,17 +1,18 @@
 """Jackets, Gurau degree, melonicity, and large-N amplitude exponents.
 
-A *jacket* of a closed graph on ``D+1`` colors is the ribbon graph with the
-same vertices and edges but only the faces (2-bubbles) whose color pair is
-consecutive in a fixed cyclic ordering of the colors.  Orderings that are
-rotations or reversals of each other give the same jacket, so there are
-``D!/2`` of them.  Each jacket is an orientable surface; the *degree* of the
-graph is the sum of the jacket genera, a non-negative integer that plays the
-role the genus plays for matrix models: it governs the ``1/N`` expansion of
-rank-D tensor models through the amplitude exponent ``D - 2 w / (D-1)!``,
-and the leading graphs are exactly those of degree 0.  From 4 colors on
-(D >= 3) degree 0 means melonic.  On 3 colors it means planar, which is
-weaker from 4 white vertices on: the 3-colored cube has degree 0 and is no
-melon.  :func:`is_melonic` answers "degree 0" on any number of colors.
+A *jacket* of a regular closed graph on ``D+1`` colors is the ribbon graph
+with the same vertices and edges but only the faces (2-bubbles) whose color
+pair is consecutive in a fixed cyclic ordering of the colors.  Orderings
+that are rotations or reversals of each other give the same jacket, so
+there are ``D!/2`` of them.  Each jacket is a closed orientable surface;
+the *degree* of the graph is the sum of the jacket genera, a non-negative
+integer that plays the role the genus plays for matrix models: it governs
+the ``1/N`` expansion of rank-D tensor models through the amplitude
+exponent ``D - 2 w / (D-1)!``, and the leading graphs are exactly those of
+degree 0.  From 4 colors on (D >= 3) degree 0 means melonic.  On 3 colors
+it means planar, which is weaker from 4 white vertices on: the 3-colored
+cube has degree 0 and is no melon.  :func:`is_melonic` answers "degree 0"
+on any number of colors.
 
 Jacket genera and face totals come from counts of the bubble walks the
 graph keeps (:func:`~tensorgraphs.graphs.bubbles` of each color pair and
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .graphs import (
@@ -50,7 +51,7 @@ from .graphs import (
     ColoredGraph,
     GraphError,
     _degree_excess,
-    _euler_counts,
+    _require_regular,
     _subset_orbits,
     bubbles,
     remove_color,
@@ -146,7 +147,7 @@ def _jacket_table(
 
 
 def enumerate_jackets(g: ColoredGraph) -> list[Jacket]:
-    """All D!/2 jackets of a closed graph on D+1 >= 3 colors.
+    """All D!/2 jackets of a regular closed graph on D+1 >= 3 colors.
 
     At most :data:`MAX_JACKET_COLORS` colors are accepted.
     """
@@ -166,24 +167,19 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int, int]:
             f"jackets: {len(colors)} colors give {factorial(len(colors) - 1) // 2} "
             f"jackets; at most {MAX_JACKET_COLORS} colors are supported"
         )
+    _require_regular(g, "jackets")
 
-    # Per component, V - E, then the faces of each color pair; a vertex
-    # without edges is a component with chi = 1.
-    if sum(map(len, _subset_orbits(g, colors))) < len(g):
-        raise GraphError("odd jacket Euler characteristic")
-    v_minus_e, faces_of = _euler_counts(g)
-
-    # A jacket's genus sums (2 - chi) / 2 over the components, and its
-    # faces are its total chi less the total V - E.
-    n_comp, base = len(v_minus_e), sum(v_minus_e)
+    # Each jacket of a regular graph is a closed orientable surface whose chi
+    # is the graph's V - E, (2 - k) V / 2, plus its faces; its genus sums
+    # (2 - chi) / 2 over the components.
+    n_comp = len(_subset_orbits(g, colors))
+    base = (2 - len(colors)) * len(g) // 2
+    totals = {pair: len(_subset_orbits(g, pair)) for pair in combinations(colors, 2)}
     jackets = []
     for cycle, pairs in _jacket_table(colors):
-        chis = list(map(sum, zip(v_minus_e, *[faces_of[pair] for pair in pairs])))
-        if any(chi % 2 for chi in chis):
-            raise GraphError("odd jacket Euler characteristic")
-        chi = sum(chis)
-        jackets.append(Jacket(cycle, chi - base, n_comp - chi // 2, g))
-    return jackets, n_comp, sum(map(sum, faces_of.values()))
+        faces = sum(totals[pair] for pair in pairs)
+        jackets.append(Jacket(cycle, faces, n_comp - (base + faces) // 2, g))
+    return jackets, n_comp, sum(totals.values())
 
 
 @dataclass(frozen=True)
@@ -205,14 +201,12 @@ class DegreeReport:
 
 
 def gurau_degree(g: ColoredGraph) -> DegreeReport:
-    """Degree of a closed graph, with its face-counting identity."""
+    """Degree of a regular closed graph, with its face-counting identity."""
     found, n_comp, faces = _jackets(g)
     jackets = tuple(found)
     degree = sum(j.genus for j in jackets)
 
     d = len(g.colors)
-    if len(g.vertices) % 2:
-        raise GraphError("odd vertex count in a closed bipartite graph")
     face_deg = Fraction(factorial(d - 2), 4) * _degree_excess(d, len(g.vertices), n_comp, faces)
     return DegreeReport(
         jackets=jackets,
@@ -241,7 +235,7 @@ def amplitude_exponent(d: int, omega: int) -> Fraction:
 
 
 def degree_lower_bound(g: ColoredGraph) -> int:
-    """Lower bound on the degree of a closed 4-colored graph.
+    """Lower bound on the degree of a regular closed 4-colored graph.
 
     Deleting the largest color leaves 3-colored bubbles, each a ribbon
     graph; the degree is at least 3 times their total genus.
@@ -250,6 +244,7 @@ def degree_lower_bound(g: ColoredGraph) -> int:
         raise GraphError("degree bound requires a closed graph")
     if len(g.colors) != 4:
         raise GraphError("degree bound requires exactly 4 colors")
+    _require_regular(g, "degree bound")
     return 3 * boundary_components(ribbon_from_colored(remove_color(g, max(g.colors)))).genus
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits
+from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits, _require_regular
 from .homology import euler_characteristic
 
 __all__ = [
@@ -143,21 +143,20 @@ class RibbonStructure:
 
 
 def ribbon_from_colored(g: ColoredGraph) -> RibbonStructure:
-    """The canonical ribbon structure of a closed 3-colored graph.
+    """The canonical ribbon structure of a regular closed 3-colored graph.
 
     Half-edges are named ``<vertex>:<color>``; white vertices order their
     half-edges by ascending color, black vertices by descending color.  The
-    tables are built when first read, but at once for an irregular graph
-    (2|E| < 3|V|), whose unpaired half-edges raise here.
+    tables are built when first read.  A graph with a vertex missing a
+    color has unpaired half-edges and raises here.
     """
     if g.is_open:
         raise GraphError("ribbon structure requires a closed graph")
     if len(g.colors) != 3:
         raise GraphError(f"ribbon structure needs exactly 3 colors, got {g.colors}")
+    _require_regular(g, "ribbon structure")
     r = RibbonStructure.__new__(RibbonStructure)
     r._graph, r._orders = g, None
-    if 2 * len(g.edges) != 3 * len(g):
-        r._built()
     return r
 
 

@@ -33,6 +33,7 @@ from .graphs import (
     GraphError,
     Leg,
     _namespace_pair,
+    _require_regular,
     _slot_index,
     add_prefix,
     canonical_certificate,
@@ -201,16 +202,18 @@ def cone(b: ColoredGraph) -> ColoredGraph:
 
 
 def boundary_graph(g: ColoredGraph) -> ColoredGraph:
-    """The D-colored graph on the legs of g.
+    """The D-colored graph on the legs of a regular graph g.
 
     One vertex per leg (parity inherited from the legged inner vertex); for
     each leg on a white vertex and each color c != 0, the alternating
     (0, c)-path from that vertex ends at a black-legged vertex, giving one
-    color-c edge ``<leg>.<c>``.  Closed graphs have empty boundary.  Each
-    path is a path component of the (0, c)-subgraph, so the edges fit.
+    color-c edge ``<leg>.<c>``.  Closed graphs have empty boundary.  As g is
+    regular, each path goes on until a leg, and it is a path component of
+    the (0, c)-subgraph, so the edges fit.
     """
     if 0 not in g.colors:
         raise GraphError("boundary graph needs color 0 in the color set")
+    _require_regular(g, "boundary graph")
     colors = tuple(c for c in g._colors if c != 0)
     vertices = {l.label: g._parity[l.vertex] for l in g._legs.values()}
     slot = _slot_index(g).get
@@ -219,23 +222,13 @@ def boundary_graph(g: ColoredGraph) -> ColoredGraph:
         for c in colors:
             cur = start  # always white: the path alternates c and 0
             while True:
-                e = slot((cur, c))
-                if e is None:
-                    raise GraphError(
-                        f"broken (0,{c})-path at vertex {cur!r}: missing color {c}"
-                    )
-                nxt = e.black
+                nxt = slot((cur, c)).black
                 leg = slot((nxt, None))
                 if leg is not None:
                     name = f"{label}.{c}"
                     edges[name] = Edge(name, c, label, leg.label)
                     break
-                e = slot((nxt, 0))
-                if e is None:
-                    raise GraphError(
-                        f"broken (0,{c})-path at vertex {nxt!r}: no color-0 edge or leg"
-                    )
-                cur = e.white
+                cur = slot((nxt, 0)).white
     return ColoredGraph._trusted(colors, vertices, edges)
 
 

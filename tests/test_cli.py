@@ -496,6 +496,22 @@ def test_export_dot_draws_each_leg_to_a_point():
     assert out.count(" -- ") == 11 + 2
 
 
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
+    # labels may hold quotes and backslashes; each must stay one quoted DOT
+    # string that reads back to the label
+    path = tmp_path / "quoted.cg"
+    path.write_text('colors 1 open\nv a"b w\nv c\\ b\ne x\\"y 1 a"b c\\\nleg l" a"b\nleg m\\ c\\\n')
+    code, out, err = run_cli(["export-dot", str(path)])
+    assert (code, err) == (0, "")
+    for line in out.splitlines():
+        assert '"' not in DOT_STRING.sub("", line), line
+    found = {re.sub(r"\\(.)", r"\1", x[1:-1]) for x in DOT_STRING.findall(out)}
+    assert {'a"b', "c\\", 'x\\"y', 'l"', 'out_l"', "m\\", "out_m\\"} <= found
+
+
 def test_stdin_stdout_dash():
     text = fixture_text("r0.cg")
     code, out, _ = run_cli(["euler", "-"], stdin_text=text)

@@ -21,6 +21,7 @@ from tensorgraphs.graphs import (
     bubbles,
     connected_components,
     parse,
+    validate,
 )
 from tensorgraphs.homology import (
     MAX_HOMOLOGY_COLORS,
@@ -451,7 +452,11 @@ def with_isolated_vertices(g: ColoredGraph) -> ColoredGraph:
 def test_homology_matches_dense_snf_of_the_definition():
     components = set()
     for name, g in oracle_cases():
-        assert homology(g) == reference_homology(g), name
+        if validate(g):  # isolated vertices: homology refuses the graph
+            with pytest.raises(GraphError, match="^homology: vertex 'x0': missing color 1$"):
+                homology(g)
+        else:
+            assert homology(g) == reference_homology(g), name
         # d_1 is a signed incidence matrix: rank |V| - #components, no torsion
         cx, comps = chain_complex(g), connected_components(g)
         top = cx.top_degree
@@ -475,13 +480,9 @@ def test_homology_matches_dense_snf_of_the_definition():
 
 
 def has_degree_0(g: ColoredGraph) -> bool:
-    """Whether g is closed on 3 or more colors, has no isolated vertex and
-    its degree is 0 (the graphs whose homology is read off the face count)."""
-    return (
-        len(g.colors) >= 3
-        and all(comp.edges for comp in connected_components(g))
-        and gurau_degree(g).degree == 0
-    )
+    """Whether the regular closed graph g is on 3 or more colors and of
+    degree 0 (the graphs whose homology is read off the face count)."""
+    return len(g.colors) >= 3 and gurau_degree(g).degree == 0
 
 
 def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
@@ -498,6 +499,8 @@ def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
     monkeypatch.setattr(homology_module, "_rank_and_torsion", recording)
     ks, degree_0 = set(), set()
     for name, g in oracle_cases():
+        if validate(g):  # refused before any map is built
+            continue
         eliminated.clear()
         homology(g)
         cx = chain_complex(g)
@@ -642,6 +645,33 @@ def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past
             assert res.betti == sphere and not any(h.torsion for h in res.groups), swapped
 
 
+def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatch):
+    # chi of a graph of degree 0 is read off its 2-bubble count, as its
+    # homology is: only the color pairs and the components are walked
+    walked = []
+    real = homology_module._subset_orbits
+
+    def recording(g, csub):
+        walked.append(len(csub))
+        return real(g, csub)
+
+    monkeypatch.setattr(homology_module, "_subset_orbits", recording)
+    for name, perms in degree_0_cases():
+        g = graph_from_permutations(perms)
+        walked.clear()
+        walks_past_pairs.clear()
+        chi = euler_characteristic(g)
+        assert set(walked) == {2, len(g.colors)}, name
+        assert homology(g).euler == chi and walks_past_pairs == [], name
+        cx = chain_complex(g)
+        assert chi == sum((-1) ** p * cx.dim(p) for p in range(cx.top_degree + 1)), name
+    # a graph of positive degree still walks every proper subset
+    g = graph_from_permutations(TEN_COLOR_TUPLE)
+    walked.clear()
+    euler_characteristic(g)
+    assert set(walked) == set(range(1, MAX_HOMOLOGY_COLORS + 1))
+
+
 # A 3-white tuple on the color cap of positive degree whose homology is no
 # sphere's: H_2 = Z, chi = 1 (also pinned in CI, where it is eliminated).
 TEN_COLOR_TUPLE = [
@@ -659,16 +689,17 @@ def test_ten_color_tuple_of_positive_degree_is_eliminated(walks_past_pairs):
     )
 
 
-def test_isolated_vertices_keep_degree_0_graphs_on_the_elimination_path(walks_past_pairs):
+def test_isolated_vertices_make_degree_0_graphs_raise_before_any_walk(walks_past_pairs):
     rng = random.Random(47)
     for k in (3, 4, 6):
         for g in (graph_from_permutations(melonic(k, 3, rng)), build_dipole(k)):
-            lonely = with_isolated_vertices(g)
             walks_past_pairs.clear()
-            res = homology(lonely)
-            assert walks_past_pairs == [k], k
-            assert res == reference_homology(lonely), k
-            assert res.betti[0] == 4
+            res = homology(g)
+            with pytest.raises(GraphError, match="^homology: vertex 'x0': missing color 1$"):
+                homology(with_isolated_vertices(g))
+            assert walks_past_pairs == [], k
+            assert res == reference_homology(g), k
+            assert res.betti[0] == 1
 
 
 def padded_rp3_union(k: int, whites: int, rng: random.Random) -> ColoredGraph:
@@ -720,11 +751,14 @@ def acyclic(ends) -> bool:
 def test_forest_reduction_keeps_the_homology_of_the_definition():
     seen = set()
     for name, g in reduction_cases():
+        if validate(g):  # isolated vertices: homology refuses the graph
+            with pytest.raises(GraphError, match="^homology: vertex 'x0': missing color 1$"):
+                homology(g)
+            continue
         res = homology(g)
         assert res == reference_homology(g), name
-        isolated = any(not comp.edges for comp in connected_components(g))
-        seen.add((len(g.colors), bool(res.groups[1].torsion), isolated))
-    assert {(k, True, isolated) for k in (4, 5, 6) for isolated in (False, True)} <= seen
+        seen.add((len(g.colors), bool(res.groups[1].torsion)))
+    assert {(k, True) for k in (4, 5, 6)} <= seen
 
 
 def test_reduced_d2_keeps_the_rows_outside_a_spanning_forest():
@@ -801,11 +835,11 @@ IRREGULAR_HOMOLOGY = {
     "three colors, one vertex pair on two": (
         "colors 3 closed\nv a w\nv b b\nv c w\nv d b\n"
         "e x 1 a b\ne y 2 a b\ne z 3 a b\ne p 1 c d\ne q 2 c d\n",
-        "homology: vertex 'c': missing color 3 (each vertex needs all colors or none)",
+        "homology: vertex 'c': missing color 3",
     ),
     IRREGULAR: (
         graph_from_permutations(KLEIN4, missing={(0, 0), (1, 1)}),
-        "homology: vertex 'b0': missing color 1 (each vertex needs all colors or none)",
+        "homology: vertex 'b0': missing color 1",
     ),
 }
 
@@ -819,20 +853,6 @@ def test_homology_refuses_irregular_graphs_with_three_colors(name):
         homology(g)
     assert str(info.value) == message
     chain_complex(g)  # the complex itself is still defined
-
-
-def test_homology_accepts_isolated_vertices_and_two_color_gaps():
-    # an isolated vertex keeps d_1 d_2 = 0; with 2 colors there is no d_2
-    isolated = ColoredGraph(
-        (1, 2, 3), {"w": "w", "b": "b", "z": "b"}, [(f"e{c}", c, "w", "b") for c in (1, 2, 3)]
-    )
-    assert homology(isolated) == reference_homology(isolated)
-    assert homology(isolated).betti == (2, 0, 1)
-    path = ColoredGraph(
-        (1, 2), {"w": "w", "b": "b", "v": "w"}, [("x", 1, "w", "b"), ("y", 2, "v", "b")]
-    )
-    assert homology(path) == reference_homology(path)
-    assert homology(path).lines() == ["H_0 = Z", "H_1 = 0", "chi = 1"]
 
 
 def test_group_rendering():

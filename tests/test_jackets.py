@@ -138,10 +138,13 @@ def test_jackets_cap_the_color_count():
 
 # Test-local copy of the jacket loop before it shared one bubble walk per
 # color pair and one component map: bubbles per cycle, components as graphs.
-# Each jacket is (cycle, faces, genus).
+# Each jacket is (cycle, faces, genus).  Irregular graphs are refused first.
 
 
 def _reference_jackets(g):
+    problems = validate(g)
+    if problems:
+        raise GraphError(f"jackets: {problems[0]}")
     colors = g.colors
     cycles = sorted(
         {canonical_cycle((colors[0],) + rest) for rest in itertools.permutations(colors[1:])}
@@ -157,8 +160,6 @@ def _reference_jackets(g):
         for i, comp in enumerate(comps):
             f = sum(1 for b in faces if comp_of[b.vertices[0]] == i)
             chi = len(comp.vertices) - len(comp.edges) + f
-            if chi % 2:
-                raise GraphError("odd jacket Euler characteristic")
             total += (2 - chi) // 2
         out.append((cycle, tuple(faces), total))
     return out
@@ -188,12 +189,13 @@ def _random_closed(rng):
 
 def test_jackets_match_reference_on_random_graphs():
     # the genera come from orbit counts; every field, the faces built when
-    # read, and the error on an odd chi must match the bubble-built oracle
+    # read, and the error on an irregular graph must match the bubble-built
+    # oracle
     rng = random.Random(29)
     seen = collections.Counter()
     for t in range(150):
         g = _random_closed(rng)
-        if t % 10 == 0:  # a vertex without edges is a component with chi = 1
+        if t % 10 == 0:  # a vertex without edges makes the graph irregular
             g = ColoredGraph(g.colors, {**g.vertices, "lone": "w"}, g.edges.values())
             seen["isolated"] += 1
         try:
@@ -334,9 +336,7 @@ def _reference_gurau_degree(g):
     degree = sum(j.genus for j in jackets)
     d = len(g.colors)
     n_comp = len(connected_components(g))
-    p, rem = divmod(len(g.vertices), 2)
-    if rem:
-        raise GraphError("odd vertex count in a closed bipartite graph")
+    p = len(g.vertices) // 2
     faces = len({b.key for j in jackets for b in j.faces})
     face_deg = Fraction(factorial(d - 2), 2) * (comb(d - 1, 2) * p + (d - 1) * n_comp - faces)
     return DegreeReport(jackets, degree, faces, face_deg, amplitude_exponent(d - 1, degree))
@@ -390,7 +390,7 @@ def test_degree_functions_reject_bad_input():
         (1, 2, 3), {"w": "w", "b1": "b", "b2": "b"},
         [Edge("s", 1, "w", "b1"), Edge("t", 2, "w", "b2")],
     )
-    with pytest.raises(GraphError, match="^odd vertex count in a closed bipartite graph$"):
+    with pytest.raises(GraphError, match="^jackets: vertex 'b1': missing color 2$"):
         gurau_degree(odd)
 
 
@@ -464,18 +464,17 @@ def test_degree_lower_bound_matches_the_per_bubble_sum(keep):
     rng = random.Random(41)
     for _ in range(300):
         g = _random_four_colored(rng, keep)
-        try:
-            want = _per_bubble_lower_bound(g)
-        except GraphError:
-            with pytest.raises(GraphError, match="unpaired half-edges"):
+        problems = validate(g)
+        if problems:
+            with pytest.raises(GraphError, match=f"^degree bound: {problems[0]}$"):
                 degree_lower_bound(g)
         else:
-            assert degree_lower_bound(g) == want
+            assert degree_lower_bound(g) == _per_bubble_lower_bound(g)
     # a vertex with only the deleted color lies in no 3-bubble, so the sum
-    # skips it; the one ribbon graph counts its half-edges as unpaired
+    # skips it; the bound refuses the irregular graph
     g = ColoredGraph((1, 2, 3, 4), {"w": "w", "b": "b"}, [("e", 4, "w", "b")])
     assert _per_bubble_lower_bound(g) == 0
-    with pytest.raises(GraphError, match=r"unpaired half-edges: \['b:1'"):
+    with pytest.raises(GraphError, match="^degree bound: vertex 'b': missing color 1$"):
         degree_lower_bound(g)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorgraphs import ribbon as ribbon_module
-from tensorgraphs.graphs import ColoredGraph, GraphError, disjoint_union
+from tensorgraphs.graphs import ColoredGraph, GraphError, disjoint_union, validate
 from tensorgraphs.ribbon import (
     BoundaryReport,
     RibbonStructure,
@@ -339,11 +339,11 @@ def test_irregular_graph_raises_when_its_ribbon_is_made():
         if len(kept) == len(g.edges):
             kept.pop()
         h = ColoredGraph(g.colors, dict(g.vertices), kept)
-        with pytest.raises(GraphError) as want:
+        with pytest.raises(GraphError, match="unpaired half-edges"):
             _eager_ribbon(h)
-        with pytest.raises(GraphError, match="unpaired half-edges") as got:
+        with pytest.raises(GraphError) as got:
             ribbon_from_colored(h)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"ribbon structure: {validate(h)[0]}"
 
 
 def test_reading_the_genus_builds_no_half_edge(monkeypatch):
