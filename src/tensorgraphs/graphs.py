@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -102,8 +101,45 @@ class Leg(NamedTuple):
     vertex: str
 
 
-@dataclass(frozen=True)
-class Bubble:
+class _Record:
+    """Base of an immutable record that keeps private slots, which a named
+    tuple cannot: ``_fields`` names its constructor's arguments, in order,
+    which ``repr`` shows, equality and hashing read and copies are rebuilt
+    from; ``__slots__`` holds them first, then the private ones."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class Bubble(NamedTuple):
     """A connected subgraph spanned by the edges of a fixed color subset.
 
     ``colors`` is the defining color subset (not necessarily the set of
@@ -916,8 +952,7 @@ def canonical_certificate(g: ColoredGraph) -> tuple:
 _MAX_PERMUTED_COLORS = 8
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     """Outcome of an isomorphism test.
 
     ``witness`` maps vertices of the first graph to vertices of the second

@@ -48,11 +48,10 @@ arbitrary-precision integers; no floating point enters anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import WHITE, Bubble, ColoredGraph, GraphError, bubbles
+from .graphs import WHITE, Bubble, ColoredGraph, GraphError, _Record, bubbles
 from .graphs import _degree_excess, _require_regular, _subset_orbits, _walk_state
 
 __all__ = [
@@ -79,8 +78,7 @@ Column = tuple[tuple[int, int], ...]  # the (row, value) entries of a sparse col
 MAX_HOMOLOGY_COLORS = 10
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Record):
     """Ordered bubble bases and integer boundary matrices.
 
     ``basis[p]`` lists the p-bubbles in the canonical order (sorted by
@@ -89,11 +87,17 @@ class ChainComplex:
     ``len(basis[p-1])`` rows and ``len(basis[p])`` columns.
     """
 
-    colors: tuple[int, ...]
-    basis: tuple[tuple[Bubble, ...], ...]
     # _columns[p - 1][j] lists the nonzero (row, coefficient) entries of
     # column j of matrix(p).
-    _columns: tuple[tuple[Column, ...], ...]
+    __slots__ = _fields = ("colors", "basis", "_columns")
+
+    def __init__(
+        self,
+        colors: tuple[int, ...],
+        basis: tuple[tuple[Bubble, ...], ...],
+        _columns: tuple[tuple[Column, ...], ...],
+    ) -> None:
+        self._set(colors, basis, _columns)
 
     @property
     def top_degree(self) -> int:
@@ -242,8 +246,7 @@ def chain_complex(g: ColoredGraph) -> ChainComplex:
 # -- Smith normal form -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U * M * V = diag(d_1, ..., d_r, 0, ...) with d_i | d_{i+1}.
 
     ``diagonal`` has min(rows, cols) entries, all non-negative; ``rank``
@@ -353,8 +356,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 # -- homology ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """One homology group: free rank plus torsion coefficients."""
 
     free_rank: int
@@ -370,8 +372,7 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """Integer homology of the bubble complex, degree by degree."""
 
     groups: tuple[HomologyGroup, ...]

@@ -40,11 +40,11 @@ Gaussian moments (ROADMAP item 17).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from typing import NamedTuple
 
 from .graphs import (
     Bubble,
@@ -87,20 +87,20 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(rotate_to_min(cycle), rotate_to_min(tuple(reversed(cycle))))
 
 
-@dataclass(frozen=True, eq=False)
-class Jacket:
+class Jacket(NamedTuple):
     """One jacket: its canonical color cycle, face count and genus.
 
     The jacket shares all vertices and edges with ``graph``; only the face
     set depends on the cycle.  ``genus`` is summed over connected
     components.  ``faces`` is built from the graph's bubbles when read;
-    jackets are equal when their cycles, faces and genera are.
+    jackets are equal when their cycles, faces and genera are, and
+    ``repr`` leaves the graph out.
     """
 
     cycle: tuple[int, ...]
     face_count: int
     genus: int
-    graph: ColoredGraph = field(repr=False)
+    graph: ColoredGraph
 
     @property
     def faces(self) -> tuple[Bubble, ...]:
@@ -116,8 +116,16 @@ class Jacket:
             self.graph is other.graph or self.faces == other.faces
         )
 
+    def __ne__(self, other: object) -> bool:
+        # tuple.__ne__ would compare the graphs too, disagreeing with __eq__
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     def __hash__(self) -> int:
         return hash((self.cycle, self.face_count, self.genus))
+
+    def __repr__(self) -> str:
+        return f"Jacket(cycle={self.cycle!r}, face_count={self.face_count!r}, genus={self.genus!r})"
 
 
 def _adjacent_pairs(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -182,8 +190,7 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int, int]:
     return jackets, n_comp, sum(totals.values())
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Degree data: per-jacket genera, the 2-bubble total and the degree.
 
     ``degree`` sums the jacket genera; ``faces`` counts the 2-bubbles over

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     WHITE,
@@ -53,6 +52,7 @@ from .graphs import (
     Leg,
     _component_certs,
     _orbits,
+    _Record,
     _slot_arrays,
     add_prefix,
     canonical_certificate,
@@ -108,25 +108,27 @@ MAX_FAMILY_PARAMETER = 64
 # -- model specifications ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Record):
     """Rank D plus the interaction vertices (closed D-colored graphs)."""
 
-    name: str
-    rank: int
-    upsilon: tuple[ColoredGraph, ...]
-    vertex_names: tuple[str, ...]
-    # Canonical code of each vertex, read by is_member and count_vacuum.
-    _codes: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    # White flags and automorphisms of each vertex, as index maps over its
-    # sorted labels, read by count_vacuum: the tied roots of its certificate.
-    _symmetries: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "rank", "upsilon", "vertex_names")
+    # _codes holds the canonical code of each vertex, read by is_member and
+    # count_vacuum; _symmetries the white flags and automorphisms of each
+    # vertex, as index maps over its sorted labels, read by count_vacuum:
+    # the tied roots of its certificate.
+    __slots__ = _fields + ("_codes", "_symmetries")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        rank: int,
+        upsilon: tuple[ColoredGraph, ...],
+        vertex_names: tuple[str, ...],
+    ) -> None:
         codes, symmetries = [], []
-        for label, v in zip(self.vertex_names, self.upsilon):
-            if v.colors != tuple(range(1, self.rank + 1)):  # no color 0: no legs
-                raise GraphError(f"vertex {label}: colors {v.colors} != 1..{self.rank}")
+        for label, v in zip(vertex_names, upsilon):
+            if v.colors != tuple(range(1, rank + 1)):  # no color 0: no legs
+                raise GraphError(f"vertex {label}: colors {v.colors} != 1..{rank}")
             labels, nbrs = _slot_arrays(v, v.colors)
             _, certs = _component_certs(v)
             if len(certs) != 1:
@@ -148,8 +150,7 @@ class ModelSpec:
             codes.append(code)
             white = tuple(v._parity[x] == WHITE for x in labels)
             symmetries.append((white, tuple(autos)))
-        object.__setattr__(self, "_codes", tuple(codes))
-        object.__setattr__(self, "_symmetries", tuple(symmetries))
+        self._set(name, rank, upsilon, vertex_names, tuple(codes), tuple(symmetries))
 
 
 def _cycle_vertex(p: int) -> ColoredGraph:
@@ -215,8 +216,7 @@ def _builtin_model(kind: str, p: int) -> ModelSpec:
 # -- membership ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Verdict plus, per component of the 0-color-deleted interior, the
     matched vertex name (or None)."""
 
@@ -666,8 +666,7 @@ def build_tg(g: int) -> ColoredGraph:
 # -- separators and the multi-boundary chain L ------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparatorResult:
+class SeparatorResult(NamedTuple):
     """A separator graph with its two distinguished color-0 splice edges."""
 
     graph: ColoredGraph

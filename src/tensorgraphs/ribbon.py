@@ -29,8 +29,7 @@ file stanza::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .graphs import ColoredGraph, GraphError, _euler_counts, _orbits, _require_regular
 from .homology import euler_characteristic
@@ -198,8 +197,7 @@ def serialize_ribbon(r: RibbonStructure) -> str:
 # -- boundary tracing ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Boundary circles and derived surface invariants.
 
     ``euler`` is chi of the capped surface, V - E + bc (summed over
