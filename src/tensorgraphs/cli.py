@@ -84,10 +84,16 @@ def _resolve(path: str) -> str:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(_resolve(path), "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(_resolve(path), "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise GraphError(
+            f"{source}: not {exc.encoding} text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _load(path: str) -> ColoredGraph:
@@ -123,6 +129,9 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
+        # A label read through surrogateescape cannot be encoded: fail
+        # before the file is opened, so an existing file is left as it was.
+        text.encode("utf-8")
         with open(_resolve(output), "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -447,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             result = serialize(result)
         _emit(result, args.output)
         return 0
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -186,7 +186,8 @@ class ColoredGraph:
     The constructor rejects malformed input with a :class:`GraphError`
     naming the first offender, and keeps the slot index it fills while it
     checks.  Operations in this package whose result is valid whenever
-    their input graphs are build it unchecked, through :meth:`_trusted`.
+    their input graphs are build it unchecked, through :meth:`_trusted`, and
+    so does :func:`parse` once its parts pass a check over whole columns.
     """
 
     __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_walks")
@@ -393,6 +394,54 @@ def _checked_parity(
     return parity
 
 
+def _bulk_checked(
+    colors: tuple[int, ...],
+    vertices: list[tuple[str, str]],
+    edges: list[Edge],
+    legs: list[Leg],
+) -> ColoredGraph | None:
+    """``ColoredGraph(colors, vertices, edges, legs)`` assembled through
+    :meth:`ColoredGraph._trusted`, or None when the constructor would reject
+    the parts.
+
+    For :func:`parse`, whose labels are strings and whose colors are a
+    sorted range: every check is a set, ``zip`` or ``map`` pass over whole
+    columns, so it cannot say which item is at fault.  The constructor,
+    called on a rejection, names the first offender.
+    """
+    parity = dict(vertices)
+    values = list(parity.values())
+    if len(parity) != len(vertices) or values.count(WHITE) + values.count(BLACK) != len(values):
+        return None
+    labels, cs, ws, bs = zip(*edges) if edges else ((), (), (), ())
+    n = len(edges)
+    white_slots, black_slots = set(zip(ws, cs)), set(zip(bs, cs))
+    if (
+        len(set(labels)) != n
+        or not set(cs) <= set(colors)
+        or list(map(parity.get, ws)).count(WHITE) != n
+        or list(map(parity.get, bs)).count(BLACK) != n
+        or len(white_slots) != n
+        or len(black_slots) != n
+    ):
+        return None
+    leg_map = {}
+    if legs:
+        leg_labels, at = zip(*legs)
+        zero_slots = set(zip(at, itertools.repeat(0)))
+        if (
+            0 not in colors
+            or len(set(leg_labels)) != len(legs)
+            or len(set(at)) != len(legs)
+            or not parity.keys() >= set(at)
+            or not zero_slots.isdisjoint(white_slots)
+            or not zero_slots.isdisjoint(black_slots)
+        ):
+            return None
+        leg_map = dict(zip(leg_labels, legs))
+    return ColoredGraph._trusted(colors, parity, dict(zip(labels, edges)), leg_map)
+
+
 def _unhashable(kind: str, label, vertices: tuple) -> GraphError | None:
     """The error for an unhashable label, else for the first unhashable
     vertex, else None."""
@@ -434,14 +483,26 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
     vertices: list[tuple[str, str]] = []
     edges: list[Edge] = []
     legs: list[Leg] = []
+    new = tuple.__new__
+    lines = text.splitlines()
+    if "#" in text:  # one scan, so a file without comments splits each line once
+        lines = [raw.split("#", 1)[0] for raw in lines]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        try:
+    # One handler for the whole loop, so an edge or vertex line pays nothing
+    # for it: a ValueError comes from int() or is a GraphError.
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            kind = tokens[0]
+            if kind == "e" and len(tokens) == 5 and colors is not None:
+                edges.append(new(Edge, (tokens[1], int(tokens[2]), tokens[3], tokens[4])))
+                continue
+            if kind == "v" and len(tokens) == 3 and colors is not None:
+                vertices.append((tokens[1], tokens[2]))
+                continue
+            args = tokens[1:]
             if kind == "colors":
                 if colors is not None:
                     raise GraphError("second 'colors' header")
@@ -453,32 +514,26 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
                 if d > MAX_D:
                     raise GraphError(f"D must be <= {MAX_D}")
                 colors = tuple(range(1, d + 1)) if args[1] == "closed" else tuple(range(d + 1))
-            elif kind == "v":
-                if colors is None:
-                    raise GraphError("'colors' header must come first")
-                if len(args) != 2:
-                    raise GraphError("expected: v <label> <w|b>")
-                vertices.append((args[0], args[1]))
-            elif kind == "e":
-                if colors is None:
-                    raise GraphError("'colors' header must come first")
-                if len(args) != 4:
-                    raise GraphError("expected: e <label> <color> <white> <black>")
-                edges.append(Edge(args[0], int(args[1]), args[2], args[3]))
-            elif kind == "leg":
-                if colors is None:
-                    raise GraphError("'colors' header must come first")
-                if len(args) != 2:
-                    raise GraphError("expected: leg <label> <inner-vertex>")
-                legs.append(Leg(args[0], args[1]))
-            else:
+            elif kind not in ("v", "e", "leg"):
                 raise GraphError(f"unknown directive {kind!r}")
-        except (GraphError, ValueError) as exc:
-            raise GraphError(f"line {lineno}: {exc}") from None
+            elif colors is None:
+                raise GraphError("'colors' header must come first")
+            elif kind == "v":
+                raise GraphError("expected: v <label> <w|b>")
+            elif kind == "e":
+                raise GraphError("expected: e <label> <color> <white> <black>")
+            elif len(args) != 2:
+                raise GraphError("expected: leg <label> <inner-vertex>")
+            else:
+                legs.append(Leg(args[0], args[1]))
+    except (GraphError, ValueError) as exc:
+        raise GraphError(f"line {lineno}: {exc}") from None
 
     if colors is None:
         raise GraphError("missing 'colors' header")
-    g = ColoredGraph(colors, vertices, edges, legs)
+    g = _bulk_checked(colors, vertices, edges, legs)
+    if g is None:
+        g = ColoredGraph(colors, vertices, edges, legs)  # raises, naming the offender
     if require_regular:
         problems = validate(g)
         if problems:

@@ -7,8 +7,10 @@ import collections
 import importlib
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -590,6 +592,48 @@ def test_header_dimension_cap_is_a_domain_error():
         code, out, err = run_cli([command, "-"], f"colors {MAX_D + 1} closed\n")
         assert (code, out) == (1, "")
         assert err == f"error: line 1: D must be <= {MAX_D}\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path):
+    path = tmp_path / "bad.cg"
+    path.write_bytes(b"colors 3 closed\nv a\xff w\n")
+    message = f"error: {path}: not utf-8 text (invalid start byte at byte 19)\n"
+    for argv in (
+        ["report", str(path)], ["validate", str(path)], ["homology", str(path)],
+        ["genus", str(path)], ["iso", fx("r0.cg"), str(path)], ["cone", str(path), "-o", "-"],
+    ):
+        assert run_cli(argv) == (1, "", message), argv
+
+
+def test_a_label_that_utf8_cannot_encode_is_a_domain_error(tmp_path):
+    # standard input read through surrogateescape turns the byte 0xff into
+    # the lone surrogate U+DCFF; the output file is left as it was
+    out = tmp_path / "out.cg"
+    out.write_text("kept\n")
+    text = "colors 1 closed\nv a\udcff w\nv b b\ne e 1 a\udcff b\n"
+    assert run_cli(["cone", "-", "-o", str(out)], text) == (
+        1, "", "error: 'utf-8' codec can't encode character '\\udcff' in position 17: "
+        "surrogates not allowed\n",
+    )
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_standard_input_that_is_not_utf8_is_a_domain_error(tmp_path, errors):
+    # a fresh interpreter reads the raw bytes: strictly decoded they fail on
+    # reading, through surrogateescape on writing the label
+    out = tmp_path / "out.cg"
+    result = subprocess.run(
+        [sys.executable, "-m", "tensorgraphs.cli", "cone", "-", "-o", str(out)],
+        input=b"colors 1 closed\nv a\xff w\nv b b\ne e 1 a\xff b\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": f"utf-8:{errors}"},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert not out.exists()
 
 
 def test_jacket_cap_is_a_domain_error():

@@ -275,6 +275,292 @@ def test_validate_matches_the_vertex_walk_on_seeded_graphs():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+# ------------------------------------ bulk-checked parse vs. reference
+#
+# parse checks its collected parts in bulk and assembles a valid graph
+# directly; only a rejected file reaches the checking constructor, which
+# names the offender.  The reference is parse as it was written before:
+# the same line loop, then the checking constructor on every file.  On every
+# file both must build the same graph, insertion order and slot index
+# included, or raise the same message; a parsed graph builds its slot index
+# on first read.
+
+
+def _reference_parse(text, require_regular=True):
+    colors = None
+    vertices, edges, legs = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind, args = tokens[0], tokens[1:]
+        try:
+            if kind == "colors":
+                if colors is not None:
+                    raise GraphError("second 'colors' header")
+                if len(args) != 2 or args[1] not in ("closed", "open"):
+                    raise GraphError("expected: colors <D> <closed|open>")
+                d = int(args[0])
+                if d < 1:
+                    raise GraphError("D must be >= 1")
+                if d > MAX_D:
+                    raise GraphError(f"D must be <= {MAX_D}")
+                colors = tuple(range(1, d + 1)) if args[1] == "closed" else tuple(range(d + 1))
+            elif kind == "v":
+                if colors is None:
+                    raise GraphError("'colors' header must come first")
+                if len(args) != 2:
+                    raise GraphError("expected: v <label> <w|b>")
+                vertices.append((args[0], args[1]))
+            elif kind == "e":
+                if colors is None:
+                    raise GraphError("'colors' header must come first")
+                if len(args) != 4:
+                    raise GraphError("expected: e <label> <color> <white> <black>")
+                edges.append(Edge(args[0], int(args[1]), args[2], args[3]))
+            elif kind == "leg":
+                if colors is None:
+                    raise GraphError("'colors' header must come first")
+                if len(args) != 2:
+                    raise GraphError("expected: leg <label> <inner-vertex>")
+                legs.append(Leg(args[0], args[1]))
+            else:
+                raise GraphError(f"unknown directive {kind!r}")
+        except (GraphError, ValueError) as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
+    if colors is None:
+        raise GraphError("missing 'colors' header")
+    g = ColoredGraph(colors, vertices, edges, legs)
+    if require_regular:
+        problems = validate(g)
+        if problems:
+            raise GraphError("; ".join(problems))
+    return g
+
+
+def assert_parse_matches_reference(text):
+    """Same graph or same message, with and without the regularity check.
+
+    Returns both outcomes of the reference, without the check first.
+    """
+    outcomes = []
+    for regular in (False, True):
+        try:
+            g = parse(text, require_regular=regular)
+        except GraphError as exc:
+            new = "error", str(exc)
+        else:
+            assert_index_built_on_first_read(g)
+            new = "ok", graph_state(g)
+        ref = _outcome(_reference_parse, text, regular)
+        assert new == ref
+        outcomes.append(ref)
+    return outcomes
+
+
+_OPEN_BASE = "colors 2 open\nv a w\nv b b\ne x 1 a b\ne y 2 a b\nleg la a\nleg lb b\n"
+
+# Files with one defect each, or none; each named case the checking
+# constructor rejects is in _CONSTRUCTOR_REJECTS.
+_PARSE_BATTERY = {
+    "valid open": _OPEN_BASE,
+    "valid empty": "colors 3 closed\n",
+    "duplicate vertex": _OPEN_BASE + "v a b\n",
+    "duplicate edge": "colors 1 closed\nv a w\nv b b\nv c w\nv d b\ne x 1 a b\ne x 1 c d\n",
+    "duplicate leg": _OPEN_BASE.replace("leg lb b", "leg la b"),
+    "bad parity": _OPEN_BASE + "v c white\n",
+    "unknown white end": _OPEN_BASE + "v c b\ne z 1 nowhere c\n",
+    "unknown black end": "colors 1 closed\nv a w\ne x 1 a nowhere\n",
+    "wrong-parity end": "colors 1 open\nv a w\nv b b\ne x 1 b a\n",
+    "doubled white slot": "colors 1 closed\nv a w\nv b b\nv c b\ne x 1 a b\ne y 1 a c\n",
+    "doubled black slot": "colors 1 closed\nv a w\nv c w\nv b b\ne x 1 a b\ne y 1 c b\n",
+    "color outside the set": "colors 1 closed\nv a w\nv b b\ne x 2 a b\n",
+    "color 0 under a closed header": "colors 1 closed\nv a w\nv b b\ne x 0 a b\n",
+    "leg on a white color-0 end": "colors 1 open\nv a w\nv b b\ne z 0 a b\nleg l a\n",
+    "leg on a black color-0 end": "colors 1 open\nv a w\nv b b\ne z 0 a b\nleg l b\n",
+    "two legs at one vertex": _OPEN_BASE + "leg lc a\n",
+    "leg under a closed header": "colors 1 closed\nv a w\nv b b\ne x 1 a b\nleg l a\n",
+    "leg on an unknown vertex": _OPEN_BASE.replace("leg lb b", "leg lb nowhere"),
+    "bad integer": "colors 1 closed\nv a w\nv b b\ne x one a b\n",
+    "fractional color": "colors 1 closed\nv a w\nv b b\ne x 1.0 a b\n",
+    "bad header integer": "colors three closed\n",
+    "short vertex line": "colors 1 closed\nv a\n",
+    "long edge line": "colors 1 closed\nv a w\nv b b\ne x 1 a b c\n",
+    "long leg line": "colors 1 open\nleg l a b\n",
+    "edge before the header": "e x 1 a b\ncolors 1 closed\n",
+    "vertex before the header": "# first\nv a w\ncolors 1 closed\n",
+    "second header": "colors 1 closed\ncolors 1 closed\n",
+    "unknown directive": "colors 1 closed\nvertex a w\n",
+    "missing header": "# nothing\n\n",
+    "missing color": "colors 2 closed\nv a w\nv b b\ne x 1 a b\n",
+    "comments and blank lines": (
+        "# head\n\ncolors 1 closed  # c\n  v a w\n\tv b b # x\n#e y 1 a b\ne x 1 a b#y\n"
+    ),
+    "CRLF": _OPEN_BASE.replace("\n", "\r\n"),
+    "CRLF, short line 3": "colors 1 closed\r\nv a w\r\nv b\r\n",
+    "\\x1c line breaks": _OPEN_BASE.replace("\n", "\x1c"),
+    "\\x1c line breaks, short line 2": "colors 1 closed\x1cv a\x1c",
+    "\\x1c line breaks, duplicate vertex": "colors 1 closed\x1cv a w\x1cv a b\x1c",
+}
+
+_CONSTRUCTOR_REJECTS = {
+    "duplicate vertex", "duplicate edge", "duplicate leg", "bad parity", "unknown white end",
+    "unknown black end", "wrong-parity end", "doubled white slot", "doubled black slot",
+    "color outside the set", "color 0 under a closed header", "leg on a white color-0 end",
+    "leg on a black color-0 end",
+    "two legs at one vertex", "leg under a closed header", "leg on an unknown vertex",
+    "\\x1c line breaks, duplicate vertex",
+}
+
+
+@pytest.mark.parametrize("name", ALL_GRAPH_FIXTURES)
+def test_parse_matches_reference_on_fixtures(name):
+    assert assert_parse_matches_reference(fixture_text(name))[1][0] == "ok"
+
+
+@pytest.mark.parametrize("name", list(_PARSE_BATTERY))
+def test_parse_matches_reference_on_named_files(name):
+    loose, _ = assert_parse_matches_reference(_PARSE_BATTERY[name])
+    if name in _CONSTRUCTOR_REJECTS:
+        assert loose[0] == "error" and not loose[1].startswith("line ")
+
+
+def _add_defect(rng, g, header, body):
+    """Append lines with one defect to `body`, when g has room for the
+    defect drawn.  The defects cover every check of the constructor and of
+    the line loop; where another check could also catch a defect, fresh
+    vertices keep it alone."""
+    vs = sorted(g.vertices) or ["a"]
+    es = sorted(g.edges.values())
+    ls = sorted(g.legs.values())
+    zero = [e for e in es if e.color == 0]
+    ws, bs = g.whites() or ["a"], g.blacks() or ["b"]
+    v, c = rng.choice(vs), rng.choice(g.colors)
+    kind = rng.randrange(14)
+    if kind == 0:
+        body.append(f"v {v} {rng.choice('wb')}")
+    elif kind == 1 and es:
+        body += ["v new.w w", "v new.b b", f"e {rng.choice(es).label} {c} new.w new.b"]
+    elif kind == 2 and ls:
+        body += ["v new w", f"leg {rng.choice(ls).label} new"]
+    elif kind == 3:
+        body.append(f"v new {rng.choice(['x', 'W', '0', 'bb'])}")
+    elif kind == 4:
+        ends = rng.choice([("nowhere", "new.b"), ("new.w", "nowhere"), ("nowhere", "nowhere")])
+        body += ["v new.w w", "v new.b b", "e new {} {} {}".format(c, *ends)]
+    elif kind == 5:
+        ends = rng.choice([("new.b", "new.b2"), ("new.w", "new.w2"), ("new.b", "new.w")])
+        body += ["v new.w w", "v new.w2 w", "v new.b b", "v new.b2 b"]
+        body.append("e new {} {} {}".format(c, *ends))
+    elif kind == 6 and es:
+        e = rng.choice(es)
+        if rng.random() < 0.5:
+            body += ["v dbl.b b", f"e dbl {e.color} {e.white} dbl.b"]
+        else:
+            body += ["v dbl.w w", f"e dbl {e.color} dbl.w {e.black}"]
+    elif kind == 7 and zero:
+        e = rng.choice(zero)
+        body.append(f"leg onedge {rng.choice((e.white, e.black))}")
+    elif kind == 8 and ls:
+        body.append(f"leg twice {rng.choice(ls).vertex}")
+    elif kind == 9:
+        body.append(f"leg new {v}")  # fine on a free vertex under an open header
+    elif kind == 10:
+        body.append("leg lost nowhere")
+    elif kind == 11:
+        body.append(f"e out {rng.choice([max(g.colors) + 1, -1])} {rng.choice(ws)} {rng.choice(bs)}")
+    elif kind == 12:  # int() reads the Arabic-Indic digit one as 1
+        color = rng.choice(["one", "1.5", "0x1", "\u0661"])
+        body.append(f"e bad {color} {rng.choice(ws)} {rng.choice(bs)}")
+    elif kind == 13:
+        body.append(rng.choice(["v a", "e x 1 a", "leg l", header, "edge x 1 a b", "leg l a b"]))
+
+
+def _graph_file(rng, g, defects):
+    """The file of g with `defects` defective lines, its body shuffled and,
+    at random, decorated with comments, blank lines and odd whitespace."""
+    header, *body = serialize(g).splitlines()
+    for _ in range(defects):
+        _add_defect(rng, g, header, body)
+    rng.shuffle(body)
+    lines = [header] + body
+    if rng.random() < 0.5:
+        decorated = []
+        for line in lines:
+            roll = rng.random()
+            if roll < 0.1:
+                decorated.append(rng.choice(["", " ", "\t"]))
+            elif roll < 0.2:
+                decorated.append("#" + rng.choice([" note", "e x 1 a b", "", "#"]))
+            if rng.random() < 0.2:
+                line += rng.choice(["  # tail", "#", "\t#e y 1", " \u3000"])
+            if rng.random() < 0.1:
+                line = rng.choice([" ", "\t", "\u3000"]) + line
+            decorated.append(line)
+        lines = decorated
+    sep = rng.choice(["\n", "\n", "\r\n", "\r", "\x1c", "\u2028"])
+    return sep.join(lines) + rng.choice([sep, ""])
+
+
+def test_parse_matches_reference_on_seeded_files():
+    rng = random.Random(3104)
+    accepted = regular = 0
+    met = set()
+    for i in range(400):
+        d = rng.randint(1, 6)
+        with_legs = rng.random() < 0.5
+        colors = tuple(range(0 if with_legs else 1, d + 1))
+        g = _filled_graph(rng, colors, with_legs) if i % 2 else _random_graph(rng, colors)
+        text = _graph_file(rng, g, rng.choice((0, 0, 1, 1, 2)))
+        loose, strict = assert_parse_matches_reference(text)
+        accepted += loose[0] == "ok"
+        regular += strict[0] == "ok"
+        for kind, message in (loose, strict):
+            if kind == "error":
+                met.update(k for k in _PARSE_MESSAGE_KINDS if k in message)
+    assert accepted >= 150 and regular >= 100
+    assert met == set(_PARSE_MESSAGE_KINDS)
+
+
+# The first words of every message parse raises past its line loop, the
+# line prefix of every message raised inside it, and the regularity check.
+_PARSE_MESSAGE_KINDS = (
+    "duplicate vertex", "parity must", "duplicate edge", "outside color set", "unknown vertex",
+    "is not", "duplicate color at", "color 0 not", "already has", "two legs", "duplicate leg",
+    "line ", "missing color",
+)
+
+
+def test_parse_calls_the_checking_constructor_only_to_name_a_fault(monkeypatch):
+    calls = []
+    checking = ColoredGraph.__init__
+
+    def recording(self, *args):
+        try:
+            checking(self, *args)
+        except GraphError as exc:
+            calls.append(exc)
+            raise
+        calls.append(None)
+
+    monkeypatch.setattr(ColoredGraph, "__init__", recording)
+    for name in ALL_GRAPH_FIXTURES:
+        parse(fixture_text(name))
+    assert calls == []
+    for name, text in _PARSE_BATTERY.items():
+        calls.clear()
+        raised = None
+        try:
+            parse(text, require_regular=False)
+        except GraphError as exc:
+            raised = exc
+        if name in _CONSTRUCTOR_REJECTS:
+            assert raised is not None and calls == [raised], name
+        else:
+            assert calls == [], name
+
+
 # ---------------------------------------------------------------- bubbles
 
 def test_dipole_two_bubbles():
