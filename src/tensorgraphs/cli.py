@@ -33,7 +33,7 @@ from typing import Sequence
 from .graphs import (
     ColoredGraph,
     GraphError,
-    _subset_orbits,
+    _subset_labels,
     bubbles,
     export_dot,
     is_isomorphic,
@@ -85,8 +85,9 @@ def _resolve(path: str) -> str:
 
 def _read(path: str) -> str:
     try:
-        if path == "-":
-            return sys.stdin.read()
+        if path == "-":  # the bytes, decoded as a file is, not by the locale
+            buffer = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         with open(_resolve(path), "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -269,7 +270,9 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
     pairs.append(("edges", str(len(g.edges))))
     pairs.append(("legs", str(len(g.legs))))
     pairs.append(("colors", " ".join(str(c) for c in g.colors)))
-    counts = [f"{{{i}{j}}}:{len(_subset_orbits(g, (i, j)))}" for i, j in combinations(g.colors, 2)]
+    counts = [
+        f"{{{i}{j}}}:{len(_subset_labels(g, (i, j))[1])}" for i, j in combinations(g.colors, 2)
+    ]
     pairs.append(("2-bubbles", " ".join(counts)))
     if g.is_open:
         pairs.append(("homology", "n/a (open graph)"))
@@ -291,9 +294,9 @@ def _report_colored(g: ColoredGraph) -> list[tuple[str, str]]:
         pairs.append(("boundary", "n/a (no propagator color)"))
     elif g.is_open:
         boundary = boundary_graph(g)
-        # every boundary vertex has an edge of each color: no singletons
-        pieces = _subset_orbits(boundary, boundary.colors)
-        pairs.append(("boundary components", str(len(pieces))))
+        # every boundary vertex has an edge of each color, so is in a component
+        pieces = len(_subset_labels(boundary, boundary.colors)[1])
+        pairs.append(("boundary components", str(pieces)))
         if len(boundary.colors) == 3:
             per = boundary_components(ribbon_from_colored(boundary)).per_component
             genera = sorted(genus for _, _, genus in per)

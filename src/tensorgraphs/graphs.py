@@ -173,8 +173,9 @@ class ColoredGraph:
     package returns a new graph.  A graph stores its colors, vertex
     parities, edges and legs; what derives from them is built when first
     read and kept: the :func:`_slot_index` of :meth:`edge_at` and
-    :meth:`leg_at`, and the walk slot (one set of neighbour arrays, and the
-    vertex-index orbits of each color subset walked so far).  Only bubble
+    :meth:`leg_at`, and the walk slot (one set of neighbour arrays, and per
+    color subset built so far a label array giving each vertex the index of
+    its bubble, and each bubble's smallest vertex).  Only bubble
     walks fill the slot: :func:`bubbles`, homology, jackets, the ribbon of
     a colored graph and ``report``'s 2-bubble counts.  Certificates,
     isomorphism, components and model vertices build their own arrays and
@@ -484,12 +485,17 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
     edges: list[Edge] = []
     legs: list[Leg] = []
     new = tuple.__new__
+    # int() also reads signs, underscores and non-ASCII digits: only a text
+    # that holds one of them has its numbers checked
+    number = int
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        number = _ascii_int
     lines = text.splitlines()
     if "#" in text:  # one scan, so a file without comments splits each line once
         lines = [raw.split("#", 1)[0] for raw in lines]
 
     # One handler for the whole loop, so an edge or vertex line pays nothing
-    # for it: a ValueError comes from int() or is a GraphError.
+    # for it: a ValueError comes from number() or is a GraphError.
     try:
         for lineno, raw in enumerate(lines, start=1):
             tokens = raw.split()
@@ -497,7 +503,7 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
                 continue
             kind = tokens[0]
             if kind == "e" and len(tokens) == 5 and colors is not None:
-                edges.append(new(Edge, (tokens[1], int(tokens[2]), tokens[3], tokens[4])))
+                edges.append(new(Edge, (tokens[1], number(tokens[2]), tokens[3], tokens[4])))
                 continue
             if kind == "v" and len(tokens) == 3 and colors is not None:
                 vertices.append((tokens[1], tokens[2]))
@@ -508,7 +514,7 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
                     raise GraphError("second 'colors' header")
                 if len(args) != 2 or args[1] not in ("closed", "open"):
                     raise GraphError("expected: colors <D> <closed|open>")
-                d = int(args[0])
+                d = number(args[0])
                 if d < 1:
                     raise GraphError("D must be >= 1")
                 if d > MAX_D:
@@ -539,6 +545,14 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
         if problems:
             raise GraphError("; ".join(problems))
     return g
+
+
+def _ascii_int(token: str) -> int:
+    """``int(token)``, refused unless the token is ASCII decimal digits."""
+    value = int(token)
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits: {token!r}")
+    return value
 
 
 def serialize(g: ColoredGraph) -> str:
@@ -678,28 +692,103 @@ def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _walk_state(g: ColoredGraph) -> tuple:
-    """``(labels, nbrs, orbits)``, kept on g from the first call: the
-    :func:`_slot_arrays` of all colors and the :func:`_subset_orbits` of
-    each color subset walked so far."""
+    """``(labels, nbrs, walked)``, kept on g from the first call: the
+    :func:`_slot_arrays` of all colors and the :func:`_subset_labels` of
+    each color subset built so far."""
     if g._walks is None:
         g._walks = (*_slot_arrays(g, g._colors), {})
     return g._walks
 
 
-def _subset_orbits(g: ColoredGraph, csub: tuple[int, ...]) -> list[list[int]]:
-    """The bubbles over a sorted, nonempty subset of g's colors, as sorted
-    lists of vertex indices by smallest member; walked once per graph, and
-    shared, so callers must not change them.
+def _subset_labels(g: ColoredGraph, csub: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The bubbles over a sorted, nonempty subset S of g's colors as
+    ``(lab, reps)``: ``lab[v]`` indexes the bubble holding vertex v (-1 when
+    v has no edge of S), ``reps[i]`` is the smallest vertex of bubble i, and
+    bubbles come in that order.  Built once per graph and shared.
 
-    Every edge joins two distinct vertices, so the singleton orbits are
-    exactly the vertices without an edge of csub; they are left out.
+    One or two colors are walked (:func:`_face_labels`).  More merge the
+    bubbles of S - {c}, for the last c whose S - {c} is built, along the
+    c-edges; with none built, those of S's first two colors along the edges
+    of all the others at once (:func:`_merged_labels`).
     """
     labels, nbrs, walked = _walk_state(g)
-    orbits = walked.get(csub)
-    if orbits is None:
-        maps = [nbrs[g._colors.index(c)] for c in csub]
-        orbits = walked[csub] = [o for o in _orbits(len(labels), maps) if len(o) > 1]
-    return orbits
+    found = walked.get(csub)
+    if found is None:
+        n, maps = len(labels), [nbrs[g._colors.index(c)] for c in csub]
+        if len(csub) <= 2:
+            found = _face_labels(n, maps[0], maps[-1])
+        else:
+            for q in reversed(range(len(csub))):
+                base = walked.get(csub[:q] + csub[q + 1 :])
+                if base is not None:
+                    found = _merged_labels(n, *base, [maps[q]])
+                    break
+            else:
+                found = _merged_labels(n, *_subset_labels(g, csub[:2]), maps[2:])
+        walked[csub] = found
+    return found
+
+
+def _face_labels(n: int, ma: Sequence[int], mb: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The ``(lab, reps)`` of the bubbles of two neighbour arrays: cycles or
+    paths of alternating edges, each walked from its smallest vertex v along
+    ma first, and a path's other half from v along mb.  With ``ma is mb``
+    each edge is a cycle of two steps."""
+    lab, reps = [-1] * n, []
+    for v in range(n):
+        if lab[v] >= 0 or (ma[v] < 0 and mb[v] < 0):
+            continue
+        i = lab[v] = len(reps)
+        reps.append(v)
+        u = v
+        while (u := ma[u]) >= 0:
+            lab[u] = i
+            if (u := mb[u]) < 0 or u == v:
+                break
+            lab[u] = i
+        if u < 0:
+            u = v
+            while (u := mb[u]) >= 0:
+                lab[u] = i
+                if (u := ma[u]) < 0:
+                    break
+                lab[u] = i
+    return lab, reps
+
+
+def _merged_labels(
+    n: int, lab: list[int], reps: list[int], maps: Sequence[Sequence[int]]
+) -> tuple[list[int], list[int]]:
+    """The ``(lab, reps)`` of the bubbles ``(lab, reps)`` joined along the
+    edges of `maps`, by union-find with the smaller bubble as root; a vertex
+    with edges in `maps` only is first made a bubble of its own."""
+    loose = -1 in lab and [v for v in range(n) if lab[v] < 0 and any(m[v] >= 0 for m in maps)]
+    if loose:
+        ids = sorted(reps + loose)
+        index = dict(zip(ids, range(len(ids))))
+        lab = [index[reps[i]] if i >= 0 else index.get(v, -1) for v, i in enumerate(lab)]
+        reps = ids
+    parent = list(range(len(reps)))
+    for m in maps:
+        for v, u in enumerate(m):
+            if u > v and (x := lab[v]) != (y := lab[u]):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+    new, roots = [], []
+    for i, r in enumerate(parent):  # a root, or r < i with new[r] its class's id
+        if r == i:
+            new.append(len(roots))
+            roots.append(reps[i])
+        else:
+            new.append(new[r])
+    new.append(-1)  # lab's -1 stays -1
+    return list(map(new.__getitem__, lab)), roots
 
 
 def _euler_counts(g: ColoredGraph) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
@@ -707,20 +796,19 @@ def _euler_counts(g: ColoredGraph) -> tuple[list[int], dict[tuple[int, int], lis
     colors, (2 - k) V / 2, and per pair of g's colors its number of
     2-bubbles in each component.
 
-    Components are the all-color orbits of the walk slot, in the order of
+    Components are the all-color bubbles of the walk slot, in the order of
     their smallest vertex.
     """
-    comps = _subset_orbits(g, g._colors)
-    comp_of = [0] * len(g._parity)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    comp_of, comps = _subset_labels(g, g._colors)
+    sizes = [0] * len(comps)
+    for i in comp_of:
+        sizes[i] += 1
     faces = {}
     for pair in itertools.combinations(g._colors, 2):
         counts = faces[pair] = [0] * len(comps)
-        for orbit in _subset_orbits(g, pair):
-            counts[comp_of[orbit[0]]] += 1
-    return [(2 - len(g._colors)) * len(comp) // 2 for comp in comps], faces
+        for v in _subset_labels(g, pair)[1]:
+            counts[comp_of[v]] += 1
+    return [(2 - len(g._colors)) * size // 2 for size in sizes], faces
 
 
 def _degree_excess(k: int, n: int, comps: int, faces: int) -> int:
@@ -739,9 +827,10 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     With ``colors = ()`` every vertex is its own 0-bubble.  Otherwise only
     vertices incident to at least one edge of the chosen colors take part.
     Results are sorted by (color subset, smallest member vertex).  Each
-    color subset is walked once per graph (see :class:`ColoredGraph`); its
-    bubbles are built on each call, with the edge labels read from g's
-    slot index at the orbit's vertices.
+    color subset is built once per graph as a label array (see
+    :func:`_subset_labels`); its bubbles are built on each call, the
+    members by one pass over the labels and the edge labels read from g's
+    slot index at the members.
     """
     csub = tuple(sorted(set(colors)))
     for c in csub:
@@ -750,9 +839,13 @@ def bubbles(g: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     if not csub:
         return [Bubble((), (v,), ()) for v in sorted(g.vertices)]
     labels, slot = _walk_state(g)[0], _slot_index(g).get
+    lab, reps = _subset_labels(g, csub)
+    lists: list[list[str]] = [[] for _ in reps]
+    for v, i in enumerate(lab):  # in vertex order, so each list is sorted
+        if i >= 0:
+            lists[i].append(labels[v])
     found = []
-    for orbit in _subset_orbits(g, csub):
-        members = tuple(labels[v] for v in orbit)
+    for members in map(tuple, lists):
         edges = sorted(
             e.label
             for v in members

@@ -12,10 +12,14 @@ Boundary maps: an edge maps to (white end) - (black end); a bubble with
 colors ``i_1 < ... < i_p`` maps to the alternating sum over ``q`` of its
 sub-bubbles obtained by deleting color ``i_q``, with sign ``(-1)**(q+1)``.
 
-The boundary columns are built on vertex indices, from the bubble walks
-the graph keeps; only :func:`chain_complex` builds ``Bubble`` bases, and
-it takes any closed graph.  :func:`homology` and :func:`euler_characteristic`
-take regular ones only, in which every vertex carries every color.
+The boundary columns are built from the label arrays the graph keeps per
+color subset: the bubbles over one color are its edges, those over two
+its alternating paths and cycles, each walked once, and those over more
+colors unions of bubbles over one color fewer.  A column lists the rows
+of its bubble's faces, each face read off at its smallest vertex.  Only
+:func:`chain_complex` builds ``Bubble`` bases, and it takes any closed
+graph; :func:`homology` and :func:`euler_characteristic` take regular
+ones only, in which every vertex carries every color.
 
 A graph of degree 0 needs no boundary map at all.  A connected closed
 graph of degree 0 on 3 or more colors is dual to a PL sphere (Gurau,
@@ -23,8 +27,8 @@ arXiv:1102.5759; Bonzom, Gurau, Riello and Rivasseau, arXiv:1105.3122), so
 its homology is Z in degree 0 and in the top degree and 0 in between.  The
 degree follows from the number of 2-bubbles (``graphs._degree_excess``,
 the identity behind ``DegreeReport.face_count_degree``), so on such a
-graph :func:`homology` and :func:`euler_characteristic` walk no color
-subset past the pairs (:func:`_sphere_homology`).
+graph :func:`homology` and :func:`euler_characteristic` build the color
+pairs and the components only (:func:`_sphere_homology`).
 
 Any other graph needs only the rank and the torsion of each map.  The
 first map is a signed incidence matrix, totally unimodular, so its rank
@@ -52,7 +56,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import WHITE, Bubble, ColoredGraph, GraphError, _Record, bubbles
-from .graphs import _degree_excess, _require_regular, _subset_orbits, _walk_state
+from .graphs import _degree_excess, _require_regular, _subset_labels, _walk_state
 
 __all__ = [
     "MAX_HOMOLOGY_COLORS",
@@ -73,8 +77,8 @@ Column = tuple[tuple[int, int], ...]  # the (row, value) entries of a sparse col
 # colors has bubbles over all 2^k color subsets: 1024 at 10 colors, where
 # homology of a 6-vertex graph of positive degree (H_2 = Z) takes about
 # 0.031 s of CPU (best of 7, on a shared 2-core x86-64 host), and each
-# further color about doubles that.  A graph of degree 0 walks only the
-# color pairs.
+# further color about doubles that.  A graph of degree 0 builds only the
+# color pairs and its components.
 MAX_HOMOLOGY_COLORS = 10
 
 
@@ -154,10 +158,11 @@ def _boundary_columns(g: ColoredGraph, reduced: bool = False) -> list[tuple[Colu
     of degrees 2 .. top - 1 (the maps :func:`homology` eliminates).
 
     Degree-0 rows are vertex indices; the bubbles of a color subset take
-    consecutive rows of their layer, and ``row_of[S][v]`` is the row of the
-    S-bubble holding v, or -1.  Each bubble over S - {c} lies inside one
-    S-bubble, so the faces of an S-bubble with color c dropped are the
-    distinct rows of its vertices in ``row_of[S - {c}]``.
+    consecutive rows of their layer, in the order of the walk slot's label
+    arrays (:func:`graphs._subset_labels`).  Each bubble over S - {c} lies
+    inside one S-bubble, the one that holds its smallest vertex, so the
+    faces of the S-bubbles are dealt out by one label read per
+    (S - {c})-bubble: ``lab_S[rep]``.
 
     :func:`homology` never asks for the top map of 3 or more colors C: a
     (k-2)-bubble over C - {a, b} is a face of exactly two top cells, the
@@ -169,61 +174,60 @@ def _boundary_columns(g: ColoredGraph, reduced: bool = False) -> list[tuple[Colu
     With ``reduced`` (for :func:`homology` on a regular graph) two spanning
     forests shrink the maps without changing their ranks or invariant
     factors.  The rows of d_2 of the edges of a spanning forest of the
-    graph, picked by union-find over the 1-bubble rows in row order, are set
-    to -1 in ``row_of`` and so dropped: E - V + #components rows stay.  And
-    from 4 colors on, the columns of d_top-1 of the edges of a spanning
-    forest of G* are never built: dim - (#top cells - #components with an
-    edge) columns stay.  Kept rows keep their full-map numbers.
+    graph, picked by union-find over the 1-bubble rows in row order, are
+    dropped: E - V + #components rows stay.  And from 4 colors on, the
+    columns of d_top-1 of the edges of a spanning forest of G*, whose ends
+    are the top cells' labels at the edge's smallest vertex, are never
+    built: dim - (#top cells - #components with an edge) columns stay.
+    Kept rows keep their full-map numbers.
     """
     first, last = 1 + reduced, len(g.colors) - 1 - reduced
     if first > last:  # e.g. reduced on 3 colors: no 1-bubble is walked
         return []
-    labels, colors, parity = _walk_state(g)[0], g.colors, g._parity
-    row_of: dict[tuple[int, ...], list[int]] = {}
+    labels, nbrs, _ = _walk_state(g)
+    colors, parity = g.colors, g._parity
+    kept: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # (row, smallest vertex)
     forest = list(range(len(labels)))  # union-find over the vertices
     columns = []
     for p in range(1, last + 1):  # 1-bubble rows serve d_2
         layer, start = [], 0
         dual = reduced and p == len(colors) - 2
-        if dual:  # the top cell through each vertex, by the color it lacks
-            cell_of, cells = {}, 0
+        if dual:  # the top cells, numbered by the color each lacks
+            cells, offset = {}, 0
             for a in colors:
-                top_orbits = _subset_orbits(g, tuple(c for c in colors if c != a))
-                cell = cell_of[a] = [-1] * len(labels)
-                for i, orbit in enumerate(top_orbits, cells):
-                    for v in orbit:
-                        cell[v] = i
-                cells += len(top_orbits)
-            dual_forest = list(range(cells))  # union-find over the top cells
+                cell_lab, cell_reps = _subset_labels(g, tuple(c for c in colors if c != a))
+                cells[a] = offset, cell_lab
+                offset += len(cell_reps)
+            dual_forest = list(range(offset))  # union-find over the top cells
         for subset in combinations(colors, p):
-            orbits = _subset_orbits(g, subset)
-            if p == 1 and first == 1:  # an edge maps to (white end) - (black end)
-                layer.extend(
-                    ((u, 1), (v, -1)) if parity[labels[u]] == WHITE else ((v, 1), (u, -1))
-                    for u, v in orbits
-                )
-            elif p > 1:
-                faces = [(1 - q % 2 * 2, row_of[subset[:q] + subset[q + 1 :]]) for q in range(p)]
-                if dual:  # this bubble is the edge of G* between these two cells
-                    a, b = (c for c in colors if c not in subset)
-                    ends_a, ends_b = cell_of[a], cell_of[b]
-                for orbit in orbits:
-                    if dual and _joins(dual_forest, ends_a[orbit[0]], ends_b[orbit[0]]):
-                        continue
-                    col: dict[int, int] = {}
-                    for sign, row in faces:
-                        for v in orbit:
-                            col[row[v]] = sign
-                    col.pop(-1, None)
-                    layer.append(tuple(col.items()))
+            lab, reps = _subset_labels(g, subset)
+            if p == 1:
+                nb = nbrs[colors.index(subset[0])]
+                if first == 1:  # an edge maps to (white end) - (black end)
+                    for u in reps:
+                        w, b = (u, nb[u]) if parity[labels[u]] == WHITE else (nb[u], u)
+                        layer.append(((w, 1), (b, -1)))
+            else:
+                cols: list[list[tuple[int, int]]] = [[] for _ in reps]
+                for q in range(p):
+                    sign = 1 - q % 2 * 2
+                    for row, r in kept[subset[:q] + subset[q + 1 :]]:
+                        cols[lab[r]].append((row, sign))
+                if dual:  # each bubble is the edge of G* between two cells
+                    (at_a, lab_a), (at_b, lab_b) = (cells[c] for c in colors if c not in subset)
+                    cols = [
+                        col
+                        for col, r in zip(cols, reps)
+                        if not _joins(dual_forest, at_a + lab_a[r], at_b + lab_b[r])
+                    ]
+                layer.extend(map(tuple, cols))
             if p < last:
-                row = row_of[subset] = [-1] * len(labels)
-                for i, orbit in enumerate(orbits, start):
-                    if reduced and p == 1 and _joins(forest, *orbit):
-                        continue
-                    for v in orbit:
-                        row[v] = i
-                start += len(orbits)
+                kept[subset] = [
+                    (i, r)
+                    for i, r in enumerate(reps, start)
+                    if not (reduced and p == 1 and _joins(forest, r, nb[r]))
+                ]
+                start += len(reps)
         if p >= first:
             columns.append(tuple(layer))
     return columns
@@ -462,13 +466,13 @@ def _rank_and_torsion(
 def _sphere_homology(g: ColoredGraph, top: int) -> HomologyResult | None:
     """The homology of a regular closed graph g of top degree 2 or more whose
     components all have degree 0, one sphere each; None for any other g.
-    Only the color pairs and the components are walked: 4 w / (k-2)! =
+    Only the color pairs and the components are built: 4 w / (k-2)! =
     C(k-1, 2) |V| + 2 (k-1) c - 2 F over the c components and F 2-bubbles.
     """
     if top < 2:
         return None
-    c = len(_subset_orbits(g, g.colors))
-    faces = sum(len(_subset_orbits(g, pair)) for pair in combinations(g.colors, 2))
+    c = len(_subset_labels(g, g.colors)[1])
+    faces = sum(len(_subset_labels(g, pair)[1]) for pair in combinations(g.colors, 2))
     if _degree_excess(top + 1, len(g), c, faces):
         return None
     sphere = HomologyGroup(c)
@@ -501,24 +505,25 @@ def homology(g: ColoredGraph) -> HomologyResult:
     d_top-1 vanishes; the (top-1)-cells outside a spanning forest of G*
     span a complement of it, so only their columns are built.  Neither step
     changes the rank or the invariant factors, and the chain ranks ``dims``
-    come from orbit counts.
+    come from bubble counts.
     """
     top = _check_complex(g)
     _require_regular(g, "homology")
     if (spheres := _sphere_homology(g, top)) is not None:
         return spheres
-    comps = _subset_orbits(g, g.colors) if top else []
+    comps = len(_subset_labels(g, g.colors)[1]) if top else 0
     dims = [len(g), len(g._edges)] + [
-        sum(len(_subset_orbits(g, s)) for s in combinations(g.colors, p))
+        sum(len(_subset_labels(g, s)[1]) for s in combinations(g.colors, p))
         for p in range(2, top + 1)
     ]
     rank = [0] * (top + 2)  # rank[p] = rank of the degree-p boundary map
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
-    rank[1] = sum(map(len, comps)) - len(comps)  # 0 with no d_1
+    if top:  # every vertex has an edge
+        rank[1] = len(g) - comps
     for p, columns in enumerate(_boundary_columns(g, reduced=True), 2):
         rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:
-        rank[top] = dims[top] - len(comps)
+        rank[top] = dims[top] - comps
     groups = [
         HomologyGroup(dims[q] - rank[q] - rank[q + 1], torsion[q + 1])
         for q in range(top + 1)
@@ -543,7 +548,7 @@ def euler_characteristic(g: ColoredGraph) -> int:
         return spheres.euler
     colors = g.colors
     return len(g) + sum(
-        (-1) ** p * len(_subset_orbits(g, subset))
+        (-1) ** p * len(_subset_labels(g, subset)[1])
         for p in range(1, len(colors))
         for subset in combinations(colors, p)
     )

@@ -30,7 +30,7 @@ of 2-bubbles satisfies
 which ``face_count_degree`` evaluates through ``graphs._degree_excess``;
 :func:`~tensorgraphs.homology.homology` reads the same helper to answer a
 graph of degree 0 with no elimination.  The formula is not independent of
-the jacket genera: both come from the same 2-bubble orbit counts, each
+the jacket genera: both come from the same 2-bubble counts, each
 color pair is adjacent in (d-2)! of the (d-1)!/2 jackets, and
 V - E = (2 - d) p on a regular graph, so the formula equals the sum of the
 genera by algebra.  It checks that counting identity only.  An
@@ -52,7 +52,7 @@ from .graphs import (
     GraphError,
     _degree_excess,
     _require_regular,
-    _subset_orbits,
+    _subset_labels,
     bubbles,
     remove_color,
 )
@@ -180,9 +180,9 @@ def _jackets(g: ColoredGraph) -> tuple[list[Jacket], int, int]:
     # Each jacket of a regular graph is a closed orientable surface whose chi
     # is the graph's V - E, (2 - k) V / 2, plus its faces; its genus sums
     # (2 - chi) / 2 over the components.
-    n_comp = len(_subset_orbits(g, colors))
+    n_comp = len(_subset_labels(g, colors)[1])
     base = (2 - len(colors)) * len(g) // 2
-    totals = {pair: len(_subset_orbits(g, pair)) for pair in combinations(colors, 2)}
+    totals = {pair: len(_subset_labels(g, pair)[1]) for pair in combinations(colors, 2)}
     jackets = []
     for cycle, pairs in _jacket_table(colors):
         faces = sum(totals[pair] for pair in pairs)
@@ -197,7 +197,7 @@ class DegreeReport(NamedTuple):
     all color pairs, and ``face_count_degree`` recovers the degree from that
     total by the counting identity of the module docstring (verbatim for
     connected graphs; for disconnected ones the component count enters the
-    formula).  Both read the same orbit counts, so they agree by algebra.
+    formula).  Both read the same bubble counts, so they agree by algebra.
     """
 
     jackets: tuple[Jacket, ...]

@@ -618,21 +618,28 @@ def test_a_label_that_utf8_cannot_encode_is_a_domain_error(tmp_path):
     assert out.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
-def test_standard_input_that_is_not_utf8_is_a_domain_error(tmp_path, errors):
-    # a fresh interpreter reads the raw bytes: strictly decoded they fail on
-    # reading, through surrogateescape on writing the label
+@pytest.mark.parametrize(
+    "setting",
+    [{"PYTHONIOENCODING": "utf-8:strict"}, {"PYTHONIOENCODING": "utf-8:surrogateescape"},
+     {"LC_ALL": "C"}],
+    ids=["strict", "surrogateescape", "c-locale"],
+)
+def test_standard_input_that_is_not_utf8_is_a_domain_error(tmp_path, setting):
+    # a fresh interpreter reads the raw bytes of standard input and decodes
+    # them as it decodes a file, whatever the locale's decoder would let
+    # through (a C locale's surrogateescape passed the byte 0xff on)
     out = tmp_path / "out.cg"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
     result = subprocess.run(
         [sys.executable, "-m", "tensorgraphs.cli", "cone", "-", "-o", str(out)],
         input=b"colors 1 closed\nv a\xff w\nv b b\ne e 1 a\xff b\n",
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": f"utf-8:{errors}"},
+        env={**env, "PYTHONPATH": str(ROOT / "src"), **setting},
         timeout=60,
     )
     assert (result.returncode, result.stdout) == (1, b"")
-    lines = result.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    message = "error: standard input: not utf-8 text (invalid start byte at byte 19)\n"
+    assert result.stderr.decode() == message
     assert not out.exists()
 
 
@@ -743,13 +750,15 @@ def test_enumerate_builds_no_graph(monkeypatch):
 
 
 def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
-    # every call of _slot_arrays and _orbits, in every module that could
-    # make one, is counted by the function that made it.  The walk slot
-    # builds the neighbour arrays once; each color subset is one _orbits
-    # call made by _subset_orbits, the components being the all-color
-    # subset.  report's membership test builds its certificates' own arrays
-    # of colors 1..3 and their orbits, and leaves the slot as it found it.
-    # The graph the command parsed keeps the subsets it walked.
+    # every call of _slot_arrays, _orbits and the two subset builders, in
+    # every module that could make one, is counted by the function that
+    # made it.  The walk slot builds the neighbour arrays once; each subset
+    # of 1 or 2 colors is one walk and each subset of 3 or more colors one
+    # merge, both made by _subset_labels, the components being the
+    # all-color subset, merged at once from a pair.  report's membership
+    # test builds its certificates' own arrays of colors 1..3 and their
+    # orbits, and leaves the slot as it found it.  The graph the command
+    # parsed keeps the subsets it built.
     modules = (graphs_module, homology_module, jackets_module, cli_module)
     calls = collections.Counter()
     loaded = []
@@ -770,8 +779,8 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
 
     for name in ("phi4-matrix", "phi4-rank3"):
         builtin_model(name)  # the model vertices are built once per process
-    counting("_orbits")
-    counting("_slot_arrays")
+    for name in ("_orbits", "_slot_arrays", "_face_labels", "_merged_labels"):
+        counting(name)
     monkeypatch.setattr(cli_module, "parse", keeping)
     colors = (0, 1, 2, 3)
     pairs = list(itertools.combinations(colors, 2))
@@ -781,7 +790,11 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
         loaded.clear()
         code, _, _ = run_cli([command, fx("necklace.cg")])
         assert code == 0
-        walks = {("_slot_arrays", "_walk_state"): 1, ("_orbits", "_subset_orbits"): len(walked) + 1}
+        walks = {
+            ("_slot_arrays", "_walk_state"): 1,
+            ("_face_labels", "_subset_labels"): sum(len(s) <= 2 for s in walked),
+            ("_merged_labels", "_subset_labels"): sum(len(s) > 2 for s in walked) + 1,
+        }
         if command == "report":
             walks |= {("_slot_arrays", "_component_certs"): 1, ("_orbits", "_component_certs"): 1}
         assert calls == walks, command

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -26,7 +27,9 @@ from tensorgraphs.graphs import (
     Leg,
     _component_certs,
     _orbits,
+    _slot_arrays,
     _slot_index,
+    _subset_labels,
     add_prefix,
     amputate,
     bubbles,
@@ -42,6 +45,7 @@ from tensorgraphs.graphs import (
     serialize,
     validate,
 )
+from tensorgraphs.homology import _boundary_columns, _rank_and_torsion
 from tensorgraphs.models import (
     ModelSpec,
     _swap_bubble_colors,
@@ -286,6 +290,15 @@ def test_validate_matches_the_vertex_walk_on_seeded_graphs():
 # on first read.
 
 
+def _reference_number(token):
+    """int(token), refusing the signs, underscores and other digit systems
+    int() reads as well: a number is ASCII decimal digits."""
+    value = int(token)
+    if not re.fullmatch("[0-9]+", token):
+        raise ValueError(f"expected ASCII decimal digits: {token!r}")
+    return value
+
+
 def _reference_parse(text, require_regular=True):
     colors = None
     vertices, edges, legs = [], [], []
@@ -301,7 +314,7 @@ def _reference_parse(text, require_regular=True):
                     raise GraphError("second 'colors' header")
                 if len(args) != 2 or args[1] not in ("closed", "open"):
                     raise GraphError("expected: colors <D> <closed|open>")
-                d = int(args[0])
+                d = _reference_number(args[0])
                 if d < 1:
                     raise GraphError("D must be >= 1")
                 if d > MAX_D:
@@ -318,7 +331,7 @@ def _reference_parse(text, require_regular=True):
                     raise GraphError("'colors' header must come first")
                 if len(args) != 4:
                     raise GraphError("expected: e <label> <color> <white> <black>")
-                edges.append(Edge(args[0], int(args[1]), args[2], args[3]))
+                edges.append(Edge(args[0], _reference_number(args[1]), args[2], args[3]))
             elif kind == "leg":
                 if colors is None:
                     raise GraphError("'colors' header must come first")
@@ -385,6 +398,15 @@ _PARSE_BATTERY = {
     "bad integer": "colors 1 closed\nv a w\nv b b\ne x one a b\n",
     "fractional color": "colors 1 closed\nv a w\nv b b\ne x 1.0 a b\n",
     "bad header integer": "colors three closed\n",
+    "Arabic-Indic digit color": "colors 1 closed\nv a w\nv b b\ne x \u0661 a b\n",
+    "signed, underscored color": "colors 1 closed\nv a w\nv b b\ne x +0_1 a b\n",
+    "negative color": "colors 1 closed\nv a w\nv b b\ne x -1 a b\n",
+    "signed header": "colors +1 closed\n",
+    "negative header": "colors -1 closed\n",
+    "full-width digit header": "colors \uff11 closed\n",
+    "signs in labels": "colors 1 closed\nv a-1 w\nv b_+ b\ne x- 1 a-1 b_+\n",
+    "signs in labels, bad integer": "colors 1 closed\nv a-1 w\nv b b\ne x one a-1 b\n",
+    "non-ASCII labels": "colors 1 closed\nv \u00e4 w\nv b b\ne x 1 \u00e4 b\n",
     "short vertex line": "colors 1 closed\nv a\n",
     "long edge line": "colors 1 closed\nv a w\nv b b\ne x 1 a b c\n",
     "long leg line": "colors 1 open\nleg l a b\n",
@@ -424,6 +446,24 @@ def test_parse_matches_reference_on_named_files(name):
     loose, _ = assert_parse_matches_reference(_PARSE_BATTERY[name])
     if name in _CONSTRUCTOR_REJECTS:
         assert loose[0] == "error" and not loose[1].startswith("line ")
+
+
+@pytest.mark.parametrize(
+    "text, number",
+    [
+        ("colors 1 closed\nv a w\nv b b\ne x \u0661 a b\n", "\u0661"),
+        ("colors 1 closed\nv a w\nv b b\ne x +0_1 a b\n", "+0_1"),
+        ("colors 1 open\nv a w\nv b b\ne x -0 a b\n", "-0"),
+        ("colors +1 closed\n", "+1"),
+        ("colors 1_0 closed\n", "1_0"),
+    ],
+)
+def test_numbers_are_ascii_decimal_digits(text, number):
+    # int() reads each of these as a number that serializes differently
+    with pytest.raises(GraphError) as raised:
+        parse(text, require_regular=False)
+    line = text.count("\n")
+    assert str(raised.value) == f"line {line}: expected ASCII decimal digits: {number!r}"
 
 
 def _add_defect(rng, g, header, body):
@@ -470,7 +510,7 @@ def _add_defect(rng, g, header, body):
         body.append("leg lost nowhere")
     elif kind == 11:
         body.append(f"e out {rng.choice([max(g.colors) + 1, -1])} {rng.choice(ws)} {rng.choice(bs)}")
-    elif kind == 12:  # int() reads the Arabic-Indic digit one as 1
+    elif kind == 12:  # int() reads the Arabic-Indic digit one as 1; parse refuses it
         color = rng.choice(["one", "1.5", "0x1", "\u0661"])
         body.append(f"e bad {color} {rng.choice(ws)} {rng.choice(bs)}")
     elif kind == 13:
@@ -1305,6 +1345,10 @@ def test_only_bubbles_keeps_walks_on_the_graph(name):
     assert g._walks is None
     bubbles(g, g.colors[:2])
     assert list(g._walks[2]) == [g.colors[:2]]
+    # a larger subset with no subset one color smaller built is merged from
+    # that pair, and only it is stored
+    bubbles(g, g.colors)
+    assert list(g._walks[2]) == list(dict.fromkeys([g.colors[:2], g.colors]))
 
 
 def _reference_orbits(n, maps):
@@ -1340,6 +1384,177 @@ def test_orbits_of_involutions_and_a_permutation(data):
     assert _orbits(n, maps) == _reference_orbits(n, maps)
     sigma = data.draw(st.permutations(range(n)))
     assert _orbits(n, [sigma]) == _reference_orbits(n, [sigma])
+
+
+# ------------------------------------------------------------ label walks
+#
+# The walk slot keeps each color subset as a label array and the smallest
+# vertex of each bubble, built from the edges (one color), by alternating
+# walks (two) or by merging the bubbles of a smaller subset (more).  Every
+# read order must give the orbits of the subset's neighbour arrays, and the
+# boundary columns read from the labels must be those built vertex by
+# vertex from sorted orbits.
+
+
+def _label_walk_cases(rng):
+    """Graphs on 1-8 colors: regular closed, irregular closed and open, open
+    with legs on every free color-0 slot, with isolated vertices added, and
+    hundreds of small components."""
+    cases = []
+    for t in range(48):
+        k = 1 + t % 8
+        colors = tuple(range(k)) if t % 3 == 0 else tuple(range(1, k + 1))
+        cases.append(_regular_graph(rng, tuple(range(1, k + 1))))
+        cases.append(_random_graph(rng, colors))
+        if t % 4 == 0:
+            cases.append(_filled_graph(rng, tuple(range(min(k, 6))), True))
+    for g in cases[::5]:
+        isolated = {**g.vertices, "iso.w": "w", "iso.b": "b"}
+        cases.append(ColoredGraph(g.colors, isolated, g.edges.values(), g.legs.values()))
+    for k in (3, 4, 5):  # connected and not, with dozens of bubbles to merge
+        verts = {f"{p}{i}": p for p in "wb" for i in range(20)}
+        edges = [
+            (f"e{c}.{i}", c, f"w{i}", f"b{j}")
+            for c in range(1, k + 1)
+            for i, j in enumerate(rng.sample(range(10), 10) + rng.sample(range(10, 20), 10))
+        ]
+        cases.append(ColoredGraph(range(1, k + 1), verts, edges))
+        cases.append(ColoredGraph(range(1, k + 1), verts, edges[5:]))
+    cases += [_many_components(rng) for _ in range(2)]
+    return cases
+
+
+def _read_orders(colors, rng):
+    subsets = [s for r in range(1, len(colors) + 1) for s in itertools.combinations(colors, r)]
+    shuffled = subsets[:]
+    rng.shuffle(shuffled)
+    return {
+        "pairs first": sorted(subsets, key=lambda s: (len(s) != 2, len(s))),
+        "all colors first": sorted(subsets, key=len, reverse=True),
+        "random": shuffled,
+    }
+
+
+def test_label_walks_give_the_orbits_in_every_read_order():
+    rng = random.Random(32)
+    seen = collections.Counter()
+    for g in _label_walk_cases(rng):
+        labels, _ = _slot_arrays(g, g.colors)
+        for order, subsets in _read_orders(g.colors, rng).items():
+            h = ColoredGraph(g.colors, dict(g.vertices), g.edges.values(), g.legs.values())
+            for subset in subsets:
+                lab, reps = _subset_labels(h, subset)
+                members = {}
+                for v, i in enumerate(lab):
+                    if i >= 0:
+                        members.setdefault(i, []).append(v)
+                assert len(lab) == len(labels) and sorted(members) == list(range(len(reps)))
+                want = [o for o in _orbits(len(labels), _slot_arrays(g, subset)[1]) if len(o) > 1]
+                assert [members[i] for i in range(len(reps))] == want, (order, subset)
+                assert reps == [o[0] for o in want], (order, subset)
+                assert _subset_labels(h, subset) == (lab, reps)
+            assert sorted(h._walks[2]) == sorted(subsets)
+        seen[len(g.colors)] += 1
+        seen["open"] += g.is_open
+        seen["irregular"] += bool(validate(g))
+        seen["isolated"] += any(
+            g.leg_at(v) is None and all(g.edge_at(v, c) is None for c in g.colors)
+            for v in g.vertices
+        )
+    assert min(seen.values()) >= 6, seen
+
+
+def _vertex_built_columns(g, reduced=False):
+    """The boundary columns as built from sorted orbit lists: a per-vertex
+    row array per color subset, the top cell through each vertex, and one
+    dict write per vertex per dropped color for each column."""
+    labels, nbrs = _slot_arrays(g, g.colors)
+    colors, parity = g.colors, g.vertices
+
+    def orbits(subset):
+        maps = [nbrs[colors.index(c)] for c in subset]
+        return [o for o in _orbits(len(labels), maps) if len(o) > 1]
+
+    def joins(parent, u, v):
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        parent[u] = v
+        return u != v
+
+    first, last = 1 + reduced, len(colors) - 1 - reduced
+    if first > last:
+        return []
+    row_of, forest, columns = {}, list(range(len(labels))), []
+    for p in range(1, last + 1):
+        layer, start = [], 0
+        dual = reduced and p == len(colors) - 2
+        if dual:
+            cell_of, cells = {}, 0
+            for a in colors:
+                top = orbits(tuple(c for c in colors if c != a))
+                cell = cell_of[a] = [-1] * len(labels)
+                for i, orbit in enumerate(top, cells):
+                    for v in orbit:
+                        cell[v] = i
+                cells += len(top)
+            dual_forest = list(range(cells))
+        for subset in itertools.combinations(colors, p):
+            found = orbits(subset)
+            if p == 1 and first == 1:
+                layer.extend(
+                    ((u, 1), (v, -1)) if parity[labels[u]] == WHITE else ((v, 1), (u, -1))
+                    for u, v in found
+                )
+            elif p > 1:
+                faces = [(1 - q % 2 * 2, row_of[subset[:q] + subset[q + 1 :]]) for q in range(p)]
+                if dual:
+                    a, b = (c for c in colors if c not in subset)
+                for orbit in found:
+                    if dual and joins(dual_forest, cell_of[a][orbit[0]], cell_of[b][orbit[0]]):
+                        continue
+                    col = {}
+                    for sign, row in faces:
+                        for v in orbit:
+                            col[row[v]] = sign
+                    col.pop(-1, None)
+                    layer.append(tuple(col.items()))
+            if p < last:
+                row = row_of[subset] = [-1] * len(labels)
+                for i, orbit in enumerate(found, start):
+                    if reduced and p == 1 and joins(forest, *orbit):
+                        continue
+                    for v in orbit:
+                        row[v] = i
+                start += len(found)
+        if p >= first:
+            columns.append(tuple(layer))
+    return columns
+
+
+def test_boundary_columns_read_from_labels_match_the_vertex_built_ones():
+    rng = random.Random(33)
+    reduced_maps = 0
+    for g in _label_walk_cases(rng):
+        if g.is_open:
+            continue
+        regular = not validate(g)
+        want = _vertex_built_columns(g)
+        want_reduced = _vertex_built_columns(g, reduced=True) if regular else None
+        for order, subsets in _read_orders(g.colors, rng).items():
+            h = ColoredGraph(g.colors, dict(g.vertices), g.edges.values(), g.legs.values())
+            for subset in subsets[: rng.randint(0, len(subsets))]:  # a partly filled slot
+                _subset_labels(h, subset)
+            assert _boundary_columns(h) == want, order
+            if regular:
+                found = _boundary_columns(h, reduced=True)
+                assert found == want_reduced, order
+                assert list(map(_rank_and_torsion, found)) == list(
+                    map(_rank_and_torsion, want_reduced)
+                ), order
+                reduced_maps += len(found)
+    assert reduced_maps >= 100
 
 
 # ------------------------------------------------------------- export

@@ -647,29 +647,33 @@ def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past
 
 def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatch):
     # chi of a graph of degree 0 is read off its 2-bubble count, as its
-    # homology is: only the color pairs and the components are walked
-    walked = []
-    real = homology_module._subset_orbits
+    # homology is: only the color pairs and the components are built, the
+    # components by one merge of the first pair's bubbles along the edges
+    # of all other colors, with no subset of 3 to k-1 colors stored
+    merges = []
+    real = graphs_module._merged_labels
 
-    def recording(g, csub):
-        walked.append(len(csub))
-        return real(g, csub)
+    def merging(n, lab, reps, maps):
+        merges.append(len(maps))
+        return real(n, lab, reps, maps)
 
-    monkeypatch.setattr(homology_module, "_subset_orbits", recording)
+    monkeypatch.setattr(graphs_module, "_merged_labels", merging)
     for name, perms in degree_0_cases():
         g = graph_from_permutations(perms)
-        walked.clear()
+        k = len(g.colors)
+        merges.clear()
         walks_past_pairs.clear()
         chi = euler_characteristic(g)
-        assert set(walked) == {2, len(g.colors)}, name
+        assert {len(s) for s in g._walks[2]} == {2, k}, name
+        assert merges == [k - 2], name
         assert homology(g).euler == chi and walks_past_pairs == [], name
         cx = chain_complex(g)
         assert chi == sum((-1) ** p * cx.dim(p) for p in range(cx.top_degree + 1)), name
-    # a graph of positive degree still walks every proper subset
+    # a graph of positive degree still builds every subset
     g = graph_from_permutations(TEN_COLOR_TUPLE)
-    walked.clear()
     euler_characteristic(g)
-    assert set(walked) == set(range(1, MAX_HOMOLOGY_COLORS + 1))
+    assert {len(s) for s in g._walks[2]} == set(range(1, MAX_HOMOLOGY_COLORS + 1))
+    assert len(g._walks[2]) == 2 ** MAX_HOMOLOGY_COLORS - 1
 
 
 # A 3-white tuple on the color cap of positive degree whose homology is no

@@ -216,27 +216,32 @@ def test_jackets_match_reference_on_random_graphs():
 
 
 def test_each_color_pair_is_walked_once(monkeypatch):
-    # one walk per color pair and the all-color walk of the components; a
-    # jacket builds its faces only when they are read
-    walks = []
-    real = graphs_module._orbits
+    # one alternating walk per color pair, and the components merged from
+    # the bubbles of the first pair along the edges of the 4 other colors
+    # at once; a jacket builds its faces only when they are read
+    faces, merges = [], []
+    real_faces, real_merge = graphs_module._face_labels, graphs_module._merged_labels
 
-    def counting(n, maps):
-        walks.append(len(maps))
-        return real(n, maps)
+    def walking(n, ma, mb):
+        faces.append(n)
+        return real_faces(n, ma, mb)
+
+    def merging(n, lab, reps, maps):
+        merges.append(len(maps))
+        return real_merge(n, lab, reps, maps)
 
     def forbidden(*args):
         raise AssertionError("a Bubble was built")
 
-    monkeypatch.setattr(graphs_module, "_orbits", counting)
-    monkeypatch.setattr(jackets_module, "_orbits", counting, raising=False)
+    monkeypatch.setattr(graphs_module, "_face_labels", walking)
+    monkeypatch.setattr(graphs_module, "_merged_labels", merging)
     monkeypatch.setattr(graphs_module, "Bubble", forbidden)
     g = build_dipole(6)
     found = enumerate_jackets(g)
     assert {(j.face_count, j.genus) for j in found} == {(6, 0)}
     pairs = list(itertools.combinations(range(1, 7), 2))
     assert sorted(g._walks[2]) == sorted(pairs + [g.colors])
-    assert sorted(walks) == [2] * len(pairs) + [6]
+    assert (len(faces), merges) == (len(pairs), [4])
     monkeypatch.undo()
     assert all(len(j.faces) == j.face_count for j in found)
 
