@@ -25,7 +25,7 @@ The header's ``D`` is at most :data:`MAX_D`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -569,13 +569,11 @@ def serialize(g: ColoredGraph) -> str:
         header = f"colors {len(cs) - 1} open"
     else:
         raise GraphError(f"color set {cs} is not contiguous; cannot serialize")
+    parity, edges, legs = g._parity, g._edges, g._legs
     lines = [header]
-    lines += [f"v {v} {p}" for v, p in sorted(g.vertices.items())]
-    lines += [
-        f"e {e.label} {e.color} {e.white} {e.black}"
-        for _, e in sorted(g.edges.items())
-    ]
-    lines += [f"leg {l.label} {l.vertex}" for _, l in sorted(g.legs.items())]
+    lines += [f"v {v} {parity[v]}" for v in sorted(parity)]
+    lines += ["e %s %s %s %s" % edges[e] for e in sorted(edges)]
+    lines += ["leg %s %s" % legs[l] for l in sorted(legs)]
     return "\n".join(lines) + "\n"
 
 
@@ -708,8 +706,8 @@ def _subset_labels(g: ColoredGraph, csub: tuple[int, ...]) -> tuple[list[int], l
 
     One or two colors are walked (:func:`_face_labels`).  More merge the
     bubbles of S - {c}, for the last c whose S - {c} is built, along the
-    c-edges; with none built, those of S's first two colors along the edges
-    of all the others at once (:func:`_merged_labels`).
+    c-edges (:func:`_merged_labels`); with none built, S's bubbles are the
+    :func:`_orbits` of its arrays that hold an edge.
     """
     labels, nbrs, walked = _walk_state(g)
     found = walked.get(csub)
@@ -723,8 +721,14 @@ def _subset_labels(g: ColoredGraph, csub: tuple[int, ...]) -> tuple[list[int], l
                 if base is not None:
                     found = _merged_labels(n, *base, [maps[q]])
                     break
-            else:
-                found = _merged_labels(n, *_subset_labels(g, csub[:2]), maps[2:])
+            else:  # one BFS; a vertex with no edge in S is an orbit of one
+                lab, reps = [-1] * n, []
+                for orbit in _orbits(n, maps):
+                    if len(orbit) > 1:
+                        for v in orbit:
+                            lab[v] = len(reps)
+                        reps.append(orbit[0])
+                found = lab, reps
         walked[csub] = found
     return found
 
@@ -930,19 +934,72 @@ def relabel(
     )
 
 
+def _fresh(label: str, taken: Container[str]) -> str:
+    while label in taken:
+        label += "'"
+    return label
+
+
+def _splice(
+    blocks: Sequence[tuple[ColoredGraph, str]],
+    links: Sequence[tuple[str, str]] = (),
+    opens: Sequence[str] = (),
+) -> ColoredGraph:
+    """The one assembly of a graph from blocks (graph, label prefix), each
+    prefixed as its records are copied.  They share one color set, their
+    prefixed labels are disjoint, and links and opens name prefixed edges.
+
+    Link ``links[k - 1] = (e, f)``, if any, joins edge e of an earlier block
+    to edge f of block k as :func:`~tensorgraphs.surgery.connected_sum`
+    does; each edge in `opens`, cut by no link, becomes two legs as in
+    :func:`~tensorgraphs.surgery.open_edge`.  The result equals the union
+    of the prefixed blocks, then those sums, then those openings, insertion
+    order included: block k's uncut edges, then the two new edges of link
+    k - 1; the blocks' legs, then the opened ones.
+    """
+    new = tuple.__new__
+    cut = {label for link in links for label in link}
+    cut.update(opens)
+    gone: dict[str, Edge] = {}
+    parity: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    legs: dict[str, Leg] = {}
+    for k, (block, pre) in enumerate(blocks):
+        if not pre:
+            parity.update(block._parity)
+            edges.update(block._edges)
+            legs.update(block._legs)
+            for label in cut.intersection(block._edges):
+                gone[label] = edges.pop(label)
+        else:
+            parity.update(zip([pre + v for v in block._parity], block._parity.values()))
+            for label, c, w, b in block._edges.values():
+                label = pre + label
+                x = new(Edge, (label, c, pre + w, pre + b))
+                if label in cut:
+                    gone[label] = x
+                else:
+                    edges[label] = x
+            legs.update([(pre + x, new(Leg, (pre + x, pre + v))) for x, v in block._legs.values()])
+        if k and links:
+            e, f = links[k - 1]
+            ea, fb = gone[e], gone[f]
+            e_new = _fresh(e + "'", edges)
+            edges[e_new] = Edge(e_new, ea.color, ea.white, fb.black)
+            f_new = _fresh(f + "'", edges)
+            edges[f_new] = Edge(f_new, fb.color, fb.white, ea.black)
+    for e in opens:
+        x = gone[e]
+        lw = _fresh(f"{e}.w", legs)
+        legs[lw] = Leg(lw, x.white)
+        lb = _fresh(f"{e}.b", legs)
+        legs[lb] = Leg(lb, x.black)
+    return ColoredGraph._trusted(blocks[0][0]._colors, parity, edges, legs)
+
+
 def add_prefix(g: ColoredGraph, prefix: str) -> ColoredGraph:
-    """Prefix every vertex, edge and leg label (namespacing for sums)."""
-    edges = {}
-    for label, e in g._edges.items():
-        label = prefix + label
-        edges[label] = Edge(label, e.color, prefix + e.white, prefix + e.black)
-    legs = {}
-    for label, l in g._legs.items():
-        label = prefix + label
-        legs[label] = Leg(label, prefix + l.vertex)
-    return ColoredGraph._trusted(
-        g._colors, {prefix + v: p for v, p in g._parity.items()}, edges, legs
-    )
+    """Prefix every vertex, edge and leg label: a one-block :func:`_splice`."""
+    return _splice(((g, prefix),))
 
 
 def recolor(g: ColoredGraph, color_map: Mapping[int, int]) -> ColoredGraph:
@@ -967,34 +1024,20 @@ def recolor(g: ColoredGraph, color_map: Mapping[int, int]) -> ColoredGraph:
     )
 
 
-def _namespace_pair(
-    a: ColoredGraph, b: ColoredGraph
-) -> tuple[ColoredGraph, ColoredGraph, str, str]:
-    """Prefix both graphs' labels (``l.``/``r.``) if any collide; return the
-    two graphs and the prefixes used."""
-    if (
-        set(a.vertices) & set(b.vertices)
-        or set(a.edges) & set(b.edges)
-        or set(a.legs) & set(b.legs)
-    ):
-        return add_prefix(a, "l."), add_prefix(b, "r."), "l.", "r."
-    return a, b, "", ""
+def _namespace_pair(a: ColoredGraph, b: ColoredGraph) -> tuple[str, str]:
+    """The label prefixes for a union of a and b: ``l.``/``r.`` if any of
+    their vertex, edge or leg labels collide, else none."""
+    apart = a._parity.keys().isdisjoint(b._parity) and a._edges.keys().isdisjoint(b._edges)
+    return ("", "") if apart and a._legs.keys().isdisjoint(b._legs) else ("l.", "r.")
 
 
 def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
-    """Disjoint union of two graphs on the same color set.
-
-    If any labels collide, both sides are namespaced (``l.``/``r.``).
-    """
+    """Disjoint union of two graphs on the same color set, a two-block
+    :func:`_splice`; if any labels collide, both sides are namespaced."""
     if a.colors != b.colors:
         raise GraphError(f"color sets differ: {a.colors} vs {b.colors}")
-    a, b, _, _ = _namespace_pair(a, b)
-    return ColoredGraph._trusted(
-        a._colors,
-        {**a._parity, **b._parity},
-        {**a._edges, **b._edges},
-        {**a._legs, **b._legs},
-    )
+    pa, pb = _namespace_pair(a, b)
+    return _splice(((a, pa), (b, pb)))
 
 
 # -- isomorphism -------------------------------------------------------------

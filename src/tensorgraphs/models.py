@@ -17,8 +17,8 @@ bordism versions Qgbc, the canonical genus-g boundary templates Cg, the
 filled graphs Tg with boundary Cg, separator-spliced chains L, and small
 fixture graphs (dipoles, the necklace, a 2-point chain, abstract ribbon
 examples).  O and the chains Qg, Kg, Qgbc and L are each one splice of
-their blocks (``surgery._splice``), which equals the successive connected
-sums and openings without copying the growing chain at every step.
+their blocks, each prefixed as it is copied (``graphs._splice``): the
+successive connected sums and openings, with no copy of the growing chain.
 
 Three constructions the literature leaves to figures are frozen here, no
 longer searched for at run time: the Tg gadget wiring (written out in
@@ -54,12 +54,13 @@ from .graphs import (
     _orbits,
     _Record,
     _slot_arrays,
+    _splice,
     add_prefix,
     canonical_certificate,
     relabel,
 )
 from .ribbon import RibbonStructure
-from .surgery import _probe_setups, _separates, _splice, cone
+from .surgery import _probe_setups, _separates, cone
 
 __all__ = [
     "MAX_FAMILY_PARAMETER",
@@ -520,7 +521,7 @@ def _o_base() -> ColoredGraph:
     """(R0 # R1) # R0', summed along the alpha0 / beta0 color-0 edges."""
     r0, r1 = build_r0(), build_r1()
     return _splice(
-        (add_prefix(r0, "r0."), add_prefix(r1, "r1."), add_prefix(r0, "r0b.")),
+        ((r0, "r0."), (r1, "r1."), (r0, "r0b.")),
         (("r0.alpha0", "r1.alpha0"), ("r1.beta0", "r0b.alpha0")),
     )
 
@@ -547,7 +548,7 @@ def _chain(
     with the `right` edge of the next, then the edges in `opens` are opened.
     Block k is namespaced ``o<k>.``."""
     return _splice(
-        [add_prefix(b, f"o{k}.") for k, b in enumerate(blocks, 1)],
+        [(b, f"o{k}.") for k, b in enumerate(blocks, 1)],
         [(f"o{k - 1}.{left}", f"o{k}.{right}") for k in range(2, len(blocks) + 1)],
         opens,
     )
@@ -646,21 +647,25 @@ def build_tg(g: int) -> ColoredGraph:
     if g < 0:
         raise GraphError("genus must be >= 0")
     n = 2 * g + 1
+    new = tuple.__new__
     vertices: dict[str, str] = {}
-    edges: list[Edge] = []
+    edges: dict[str, Edge] = {}
     legs: dict[str, Leg] = {}
     gadgets = _leg_fragment(1, "a"), _leg_fragment(2, "p")
     for i in range(n):
-        for prefix, gadget in zip((f"a{i}.", f"m{i}."), gadgets):
-            piece = add_prefix(gadget, prefix)
-            vertices.update(piece._parity)
-            edges.extend(piece._edges.values())
-            legs.update(piece._legs)
+        for pre, gadget in zip((f"a{i}.", f"m{i}."), gadgets):
+            vertices.update(zip([pre + v for v in gadget._parity], gadget._parity.values()))
+            for label, c, w, b in gadget._edges.values():
+                label = pre + label
+                edges[label] = new(Edge, (label, c, pre + w, pre + b))
+            legs.update([(pre + x, new(Leg, (pre + x, pre + v))) for x, v in gadget._legs.values()])
     for i in range(n):
-        edges.append(Edge(f"z1.{i}", 0, f"m{i}.b", f"a{i}.p"))
-        edges.append(Edge(f"z2.{i}", 0, f"m{i}.a", f"a{(i + 1) % n}.q"))
-        edges.append(Edge(f"z3.{i}", 0, f"a{i}.b", f"m{(i + g) % n}.q"))
-    return ColoredGraph._trusted((0, 1, 2, 3), vertices, {e.label: e for e in edges}, legs)
+        j, k = (i + 1) % n, (i + g) % n
+        ends = (f"m{i}.b", f"a{i}.p"), (f"m{i}.a", f"a{j}.q"), (f"a{i}.b", f"m{k}.q")
+        for z, (w, b) in enumerate(ends, 1):
+            label = f"z{z}.{i}"
+            edges[label] = new(Edge, (label, 0, w, b))
+    return ColoredGraph._trusted((0, 1, 2, 3), vertices, edges, legs)
 
 
 # -- separators and the multi-boundary chain L ------------------------------------
@@ -773,14 +778,14 @@ def build_l(genera: Sequence[int]) -> ColoredGraph:
         genus: sorted(label for label, e in t._edges.items() if e.color == 0)[:2]
         for genus, t in tg.items()
     }
-    blocks: list[ColoredGraph] = []
+    blocks: list[tuple[ColoredGraph, str]] = []
     links: list[tuple[str, str]] = []
     for i, genus in enumerate(genera, 1):
         first, second = (f"t{i}.{label}" for label in zeros[genus])
         if i > 1:
-            blocks.append(add_prefix(sep.graph, f"p{i}."))
+            blocks.append((sep.graph, f"p{i}."))
             links += [(free, f"p{i}.{sep.k}"), (f"p{i}.{sep.l}", first)]
-        blocks.append(add_prefix(tg[genus], f"t{i}."))
+        blocks.append((tg[genus], f"t{i}."))
         free = first if i == 1 else second
     return _splice(blocks, links)
 

@@ -13,18 +13,19 @@ of opposite parity restores an edge.  The cone over a closed D-colored
 graph ``b`` is the open (D+1)-colored graph with one leg per vertex of
 ``b``; its boundary is ``b`` again.
 
-Sums along edges and openings share one routine, ``_splice``; it takes a
-whole row of blocks, so the chain families of :mod:`tensorgraphs.models`
-splice once instead of copying the growing chain at every sum.
+Sums along edges and openings, like prefixing and unions, are one assembly,
+``graphs._splice``: it takes a whole row of blocks, each prefixed as it is
+copied, so the chain families of :mod:`tensorgraphs.models` splice once,
+with no prefixed copy of a block and no copy of the growing chain per sum.
 
 The boundary graph of an open graph has one vertex per leg and one color-c
 edge for each alternating (0, c)-path between legs; regularity of the input
-makes the path tracing deterministic.
+makes the path tracing deterministic, through one map per color.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .graphs import (
@@ -32,9 +33,10 @@ from .graphs import (
     Edge,
     GraphError,
     Leg,
+    _fresh,
     _namespace_pair,
     _require_regular,
-    _slot_index,
+    _splice,
     add_prefix,
     canonical_certificate,
     disjoint_union,
@@ -51,57 +53,6 @@ __all__ = [
 ]
 
 
-def _fresh(label: str, taken: Container[str]) -> str:
-    while label in taken:
-        label += "'"
-    return label
-
-
-def _splice(
-    blocks: Sequence[ColoredGraph],
-    links: Sequence[tuple[str, str]] = (),
-    opens: Sequence[str] = (),
-) -> ColoredGraph:
-    """Sum a row of blocks and open edges, in one pass and one assembly.
-
-    The blocks share one color set and have disjoint labels.  Link
-    ``links[k - 1] = (e, f)`` joins edge e of an earlier block to edge f of
-    ``blocks[k]`` as :func:`connected_sum` does; each edge in `opens`, cut by
-    no link, becomes two legs as in :func:`open_edge`.  The result equals
-    those sums, then those openings, one after the other, insertion order
-    included: block k's uncut edges, then the two new edges of link k - 1;
-    the blocks' legs, then the opened ones.
-    """
-    cut = {label for link in links for label in link}
-    cut.update(opens)
-    gone: dict[str, Edge] = {}
-    parity: dict[str, str] = {}
-    edges: dict[str, Edge] = {}
-    legs: dict[str, Leg] = {}
-    for k, block in enumerate(blocks):
-        parity.update(block._parity)
-        legs.update(block._legs)
-        for label, x in block._edges.items():
-            if label in cut:
-                gone[label] = x
-            else:
-                edges[label] = x
-        if k:
-            e, f = links[k - 1]
-            ea, fb = gone[e], gone[f]
-            e_new = _fresh(e + "'", edges)
-            edges[e_new] = Edge(e_new, ea.color, ea.white, fb.black)
-            f_new = _fresh(f + "'", edges)
-            edges[f_new] = Edge(f_new, fb.color, fb.white, ea.black)
-    for e in opens:
-        x = gone[e]
-        lw = _fresh(f"{e}.w", legs)
-        legs[lw] = Leg(lw, x.white)
-        lb = _fresh(f"{e}.b", legs)
-        legs[lb] = Leg(lb, x.black)
-    return ColoredGraph._trusted(blocks[0]._colors, parity, edges, legs)
-
-
 def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGraph:
     """Cut edge e of a and edge f of b (same color) and cross-rejoin.
 
@@ -115,12 +66,11 @@ def connected_sum(a: ColoredGraph, e: str, b: ColoredGraph, f: str) -> ColoredGr
         raise GraphError(f"no edge {e!r} in the first summand")
     if f not in b.edges:
         raise GraphError(f"no edge {f!r} in the second summand")
-    a2, b2, pa, pb = _namespace_pair(a, b)
-    e2, f2 = pa + e, pb + f
-    ca, cb = a2.edges[e2].color, b2.edges[f2].color
+    ca, cb = a._edges[e].color, b._edges[f].color
     if ca != cb:
         raise GraphError(f"edge colors differ: {ca} vs {cb}")
-    return _splice((a2, b2), ((e2, f2),))
+    pa, pb = _namespace_pair(a, b)
+    return _splice(((a, pa), (b, pb)), ((pa + e, pb + f),))
 
 
 def crys_sum(a: ColoredGraph, p: str, b: ColoredGraph, q: str) -> ColoredGraph:
@@ -138,24 +88,27 @@ def crys_sum(a: ColoredGraph, p: str, b: ColoredGraph, q: str) -> ColoredGraph:
         raise GraphError(f"{p!r} is not a white vertex of the first summand")
     if q not in b.vertices or b.parity(q) != "b":
         raise GraphError(f"{q!r} is not a black vertex of the second summand")
-    a2, b2, pa, pb = _namespace_pair(a, b)
-    p2, q2 = pa + p, pb + q
-    edges = {
-        label: x for label, x in a2._edges.items() if p2 not in (x.white, x.black)
-    }
-    edges.update(
-        (label, x) for label, x in b2._edges.items() if q2 not in (x.white, x.black)
-    )
-    for c in a2.colors:
-        ea = a2.edge_at(p2, c)
-        eb = b2.edge_at(q2, c)
+    pa, pb = _namespace_pair(a, b)
+    edges: dict[str, Edge] = {}
+    at = {}  # (summand, color): its edge at the deleted vertex
+    for i, g, v, pre in ((0, a, p, pa), (1, b, q, pb)):
+        for x in g._edges.values():
+            label, c, w, bl = x
+            if v == w or v == bl:
+                at[i, c] = x
+            elif pre:
+                edges[pre + label] = Edge(pre + label, c, pre + w, pre + bl)
+            else:
+                edges[label] = x
+    for c in a._colors:
+        ea, eb = at.get((0, c)), at.get((1, c))
         if ea is None or eb is None:
-            raise GraphError(f"missing color {c} at {p2!r} or {q2!r}")
-        label = _fresh(f"{ea.label}~{eb.label}", edges)
-        edges[label] = Edge(label, c, eb.white, ea.black)
-    vertices = {v: par for v, par in a2._parity.items() if v != p2}
-    vertices.update((v, par) for v, par in b2._parity.items() if v != q2)
-    return ColoredGraph._trusted(a2._colors, vertices, edges)
+            raise GraphError(f"missing color {c} at {pa + p!r} or {pb + q!r}")
+        label = _fresh(f"{pa}{ea.label}~{pb}{eb.label}", edges)
+        edges[label] = Edge(label, c, pb + eb.white, pa + ea.black)
+    vertices = {pa + v: par for v, par in a._parity.items() if v != p}
+    vertices.update((pb + v, par) for v, par in b._parity.items() if v != q)
+    return ColoredGraph._trusted(a._colors, vertices, edges)
 
 
 def open_edge(g: ColoredGraph, e: str) -> ColoredGraph:
@@ -165,7 +118,7 @@ def open_edge(g: ColoredGraph, e: str) -> ColoredGraph:
     edge = g.edges[e]
     if edge.color != 0:
         raise GraphError(f"edge {e!r} has color {edge.color}, not 0")
-    return _splice((g,), (), (e,))
+    return _splice(((g, ""),), (), (e,))
 
 
 def close_legs(g: ColoredGraph, l1: str, l2: str) -> ColoredGraph:
@@ -216,19 +169,19 @@ def boundary_graph(g: ColoredGraph) -> ColoredGraph:
     _require_regular(g, "boundary graph")
     colors = tuple(c for c in g._colors if c != 0)
     vertices = {l.label: g._parity[l.vertex] for l in g._legs.values()}
-    slot = _slot_index(g).get
+    leg_at = {l.vertex: l.label for l in g._legs.values()}
+    ends: dict[int, dict[str, str]] = {c: {} for c in g._colors}
+    for _, c, w, b in g._edges.values():  # white to black, and back along color 0
+        ends[c][w if c else b] = b if c else w
     edges = {}
     for label, start in sorted(l for l in g._legs.values() if vertices[l.label] == "w"):
         for c in colors:
-            cur = start  # always white: the path alternates c and 0
-            while True:
-                nxt = slot((cur, c)).black
-                leg = slot((nxt, None))
-                if leg is not None:
-                    name = f"{label}.{c}"
-                    edges[name] = Edge(name, c, label, leg.label)
-                    break
-                cur = slot((nxt, 0)).white
+            forth, back = ends[c], ends[0]
+            v = forth[start]  # always black: the path alternates c and 0
+            while v not in leg_at:
+                v = forth[back[v]]
+            name = f"{label}.{c}"
+            edges[name] = Edge(name, c, label, leg_at[v])
     return ColoredGraph._trusted(colors, vertices, edges)
 
 
@@ -280,11 +233,10 @@ def _probe_setups(pairs: tuple[tuple[ColoredGraph, ColoredGraph], ...]) -> tuple
 
 def _separates(p: ColoredGraph, k: str, l: str, setups: Sequence) -> bool:
     """:func:`separator_check` of p along k, l against prepared probe setups."""
-    p2 = add_prefix(p, "p.")
     for g2, ge, h2, he, expected in setups:
         if g2.colors != p.colors:  # H's match G's, or their boundaries' union raised
             raise GraphError(f"color sets differ: {g2.colors} vs {p.colors}")
-        spliced = _splice((g2, p2, h2), ((ge, "p." + k), ("p." + l, he)))
+        spliced = _splice(((g2, ""), (p, "p."), (h2, "")), ((ge, "p." + k), ("p." + l, he)))
         if canonical_certificate(boundary_graph(spliced)) != expected:
             return False
     return True

@@ -106,11 +106,24 @@ def every_edge_choice(probes: list) -> list:
     return out
 
 
-def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
-    """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
+def run_cli(
+    argv: list[str], stdin_text: str | bytes = "", *, text_only: bool = False
+) -> tuple[int, str, str]:
+    """Run the CLI in-process; returns (exit_code, stdout, stderr).
+
+    Standard input is a text stream over the bytes of `stdin_text` (a str
+    is encoded as UTF-8), so a command that reads ``-`` decodes its byte
+    buffer, as the installed CLI does.  With `text_only` it is a stream of
+    the str with no byte buffer, as a program that calls ``main`` may set
+    it, and the CLI reads the text as it is."""
+    if text_only:
+        stdin = io.StringIO(stdin_text)
+    else:
+        data = stdin_text.encode("utf-8") if isinstance(stdin_text, str) else stdin_text
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
+    sys.stdin = stdin
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -26,10 +26,13 @@ from tensorgraphs.graphs import (
     IsoResult,
     Leg,
     _component_certs,
+    _face_labels,
+    _merged_labels,
     _orbits,
     _slot_arrays,
     _slot_index,
     _subset_labels,
+    _walk_state,
     add_prefix,
     amputate,
     bubbles,
@@ -48,6 +51,7 @@ from tensorgraphs.graphs import (
 from tensorgraphs.homology import _boundary_columns, _rank_and_torsion
 from tensorgraphs.models import (
     ModelSpec,
+    _leg_fragment,
     _swap_bubble_colors,
     build_cg,
     build_dipole,
@@ -1464,6 +1468,34 @@ def test_label_walks_give_the_orbits_in_every_read_order():
     assert min(seen.values()) >= 6, seen
 
 
+def test_one_bfs_labels_a_subset_as_merging_a_pair_does():
+    # with no subset one color smaller built, a subset of 3 or more colors
+    # is one BFS over its arrays; merging the bubbles of its first two
+    # colors along the edges of all the others must give the same labels,
+    # -1 for a vertex with no edge of the subset (a leg is none)
+    rng = random.Random(3406)
+    seen = collections.Counter()
+    for t in range(240):
+        k = 3 + t % 4
+        colors = tuple(range(k)) if t % 3 == 0 else tuple(range(1, k + 1))
+        g = _filled_graph(rng, colors, True) if t % 3 == 0 else _regular_graph(rng, colors)
+        if t % 2:  # drop some edges, so some vertices lose a subset's every edge
+            kept = [e for e in g.edges.values() if rng.random() < 0.6]
+            g = ColoredGraph(g.colors, g.vertices, kept, g.legs.values())
+        labels, nbrs, walked = _walk_state(g)
+        n = len(labels)
+        for r in range(3, k + 1):
+            for subset in itertools.combinations(colors, r):
+                walked.clear()
+                maps = [nbrs[colors.index(c)] for c in subset]
+                merged = _merged_labels(n, *_face_labels(n, *maps[:2]), maps[2:])
+                assert _subset_labels(g, subset) == merged, (colors, subset)
+                seen["unlabelled"] += -1 in merged[0]
+                seen["several"] += len(merged[1]) > 1
+        seen[k] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def _vertex_built_columns(g, reduced=False):
     """The boundary columns as built from sorted orbit lists: a per-vertex
     row array per color subset, the top cell through each vertex, and one
@@ -2152,6 +2184,8 @@ def _trusted_cases(rng):
     to one random graph and a partner on the same colors."""
     g = _random_graph(rng)
     h = g if rng.random() < 0.3 else _random_graph(rng, g.colors)
+    if rng.random() < 0.3:  # labels apart; the shared scheme collides on nonempty graphs
+        h = _ref_add_prefix(h, "s.")
     yield "add_prefix", (g, "p.")
     yield "connected_components", (g,)
     zeros = [e for e in g.edges if g.edges[e].color == 0]
@@ -2173,6 +2207,8 @@ def _trusted_cases(rng):
         e, f = rng.choice(pairs)
         yield "connected_sum", (g, e, h, f)
     a, b = _regular_graph(rng, g.colors), _regular_graph(rng, g.colors)
+    if rng.random() < 0.5:  # labels apart, else the same scheme collides
+        b = _ref_add_prefix(b, "s.")
     yield "crys_sum", (a, rng.choice(a.whites()), b, rng.choice(b.blacks()))
     whites = [l for l, x in opened.legs.items() if opened.parity(x.vertex) == "w"]
     blacks = [l for l, x in opened.legs.items() if opened.parity(x.vertex) == "b"]
@@ -2191,8 +2227,11 @@ def _trusted_cases(rng):
 
 
 def test_trusted_operations_match_rebuild_and_reference():
+    # the sums and the union are held to the reference both with labels
+    # apart and with colliding ones, namespaced l./r. inside the assembly
     rng = random.Random(1604)
     graphs = dict.fromkeys(_TRUSTED_OPERATIONS, 0)
+    namespaced = collections.Counter()
     for _ in range(1500):
         applied = set()
         for name, args in _trusted_cases(rng):
@@ -2212,11 +2251,14 @@ def test_trusted_operations_match_rebuild_and_reference():
             for x in outs:
                 assert_rebuilds(x, *inputs)
             applied.add(name)
+            if name in ("connected_sum", "crys_sum", "disjoint_union"):
+                namespaced[name, _ref_namespace(inputs[0], inputs[1])[2]] += 1
         for name in applied:
             graphs[name] += 1
-        if min(graphs.values()) >= 300:
+        if min(graphs.values()) >= 300 and min(namespaced.values()) >= 50:
             break
     assert min(graphs.values()) >= 300, graphs
+    assert len(namespaced) == 6 and min(namespaced.values()) >= 50, namespaced
 
 
 @pytest.mark.parametrize(
@@ -2237,6 +2279,33 @@ def test_wick_contractions_match_rebuild_and_reference(model, k):
         ids = {id(d) for d in _dicts(g)}
         assert owned.isdisjoint(ids)
         owned |= ids
+
+
+def _ref_build_tg(g):
+    # build_tg's gadgets prefixed one by one, then joined in the same order
+    n = 2 * g + 1
+    pieces = []
+    for i in range(n):
+        pieces.append(_ref_add_prefix(_leg_fragment(1, "a"), f"a{i}."))
+        pieces.append(_ref_add_prefix(_leg_fragment(2, "p"), f"m{i}."))
+    edges = [e for piece in pieces for e in piece.edges.values()]
+    for i in range(n):
+        edges += [
+            Edge(f"z1.{i}", 0, f"m{i}.b", f"a{i}.p"),
+            Edge(f"z2.{i}", 0, f"m{i}.a", f"a{(i + 1) % n}.q"),
+            Edge(f"z3.{i}", 0, f"a{i}.b", f"m{(i + g) % n}.q"),
+        ]
+    return ColoredGraph(
+        (0, 1, 2, 3),
+        {v: p for piece in pieces for v, p in piece.vertices.items()},
+        edges,
+        [l for piece in pieces for l in piece.legs.values()],
+    )
+
+
+def test_tg_matches_its_gadgets_prefixed_one_by_one():
+    for g in range(9):
+        assert graph_state(build_tg(g)) == graph_state(_ref_build_tg(g)), g
 
 
 def test_trusted_outputs_of_the_builders_rebuild():

@@ -648,24 +648,30 @@ def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past
 def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatch):
     # chi of a graph of degree 0 is read off its 2-bubble count, as its
     # homology is: only the color pairs and the components are built, the
-    # components by one merge of the first pair's bubbles along the edges
-    # of all other colors, with no subset of 3 to k-1 colors stored
-    merges = []
-    real = graphs_module._merged_labels
+    # components by one BFS over the arrays of all k colors, with no merge
+    # and no subset of 3 to k-1 colors stored
+    merges, bfs = [], []
+    real, real_orbits = graphs_module._merged_labels, graphs_module._orbits
 
     def merging(n, lab, reps, maps):
         merges.append(len(maps))
         return real(n, lab, reps, maps)
 
+    def orbits(n, maps):
+        bfs.append(len(maps))
+        return real_orbits(n, maps)
+
     monkeypatch.setattr(graphs_module, "_merged_labels", merging)
+    monkeypatch.setattr(graphs_module, "_orbits", orbits)
     for name, perms in degree_0_cases():
         g = graph_from_permutations(perms)
         k = len(g.colors)
         merges.clear()
+        bfs.clear()
         walks_past_pairs.clear()
         chi = euler_characteristic(g)
         assert {len(s) for s in g._walks[2]} == {2, k}, name
-        assert merges == [k - 2], name
+        assert (merges, bfs) == ([], [k]), name
         assert homology(g).euler == chi and walks_past_pairs == [], name
         cx = chain_complex(g)
         assert chi == sum((-1) ** p * cx.dim(p) for p in range(cx.top_degree + 1)), name

@@ -216,11 +216,12 @@ def test_jackets_match_reference_on_random_graphs():
 
 
 def test_each_color_pair_is_walked_once(monkeypatch):
-    # one alternating walk per color pair, and the components merged from
-    # the bubbles of the first pair along the edges of the 4 other colors
-    # at once; a jacket builds its faces only when they are read
-    faces, merges = [], []
+    # one alternating walk per color pair, and the components by one BFS
+    # over the arrays of all 6 colors, with no merge; a jacket builds its
+    # faces only when they are read
+    faces, merges, bfs = [], [], []
     real_faces, real_merge = graphs_module._face_labels, graphs_module._merged_labels
+    real_orbits = graphs_module._orbits
 
     def walking(n, ma, mb):
         faces.append(n)
@@ -230,18 +231,23 @@ def test_each_color_pair_is_walked_once(monkeypatch):
         merges.append(len(maps))
         return real_merge(n, lab, reps, maps)
 
+    def orbits(n, maps):
+        bfs.append(len(maps))
+        return real_orbits(n, maps)
+
     def forbidden(*args):
         raise AssertionError("a Bubble was built")
 
     monkeypatch.setattr(graphs_module, "_face_labels", walking)
     monkeypatch.setattr(graphs_module, "_merged_labels", merging)
+    monkeypatch.setattr(graphs_module, "_orbits", orbits)
     monkeypatch.setattr(graphs_module, "Bubble", forbidden)
     g = build_dipole(6)
     found = enumerate_jackets(g)
     assert {(j.face_count, j.genus) for j in found} == {(6, 0)}
     pairs = list(itertools.combinations(range(1, 7), 2))
     assert sorted(g._walks[2]) == sorted(pairs + [g.colors])
-    assert (len(faces), merges) == (len(pairs), [4])
+    assert (len(faces), merges, bfs) == (len(pairs), [], [6])
     monkeypatch.undo()
     assert all(len(j.faces) == j.face_count for j in found)
 

@@ -320,8 +320,6 @@ def test_spliced_boundary_splits_explicitly():
     t1, t2 = build_tg(1), build_tg(2)
     expected = disjoint_union(boundary_graph(t1), boundary_graph(t2))
     # replicate: cut first internal 0-edge of each probe, splice through P
-    from tensorgraphs.graphs import add_prefix
-
     g2, h2, p2 = add_prefix(t1, "g."), add_prefix(t2, "h."), add_prefix(p, "p.")
     ge = sorted(e for e, ed in t1.edges.items() if ed.color == 0)[0]
     he = sorted(e for e, ed in t2.edges.items() if ed.color == 0)[0]
@@ -378,15 +376,27 @@ def test_open_close_random_roundtrips():
         assert is_isomorphic(back, g).isomorphic
 
 
+def _prefixed(g, prefix):
+    """g with every label prefixed, renamed by the checking constructor."""
+    return relabel(
+        g,
+        {v: prefix + v for v in g.vertices},
+        {e: prefix + e for e in g.edges},
+        {l: prefix + l for l in g.legs},
+    )
+
+
 def _random_splice(rng):
-    """A row of 1-5 prefixed blocks (some already open), links of random
-    colors between uncut edges, and a few uncut color-0 edges to open."""
+    """A row of 1-5 blocks (some already open), each with a prefix (the
+    first sometimes none), links of random colors between uncut edges, and
+    a few uncut color-0 edges to open; labels name prefixed edges."""
     blocks = []
     for k in range(rng.randint(1, 5)):
         g = rng.choice(matrix_pool())
         if rng.random() < 0.3:
             g = open_edge(g, rng.choice(sorted(e for e, x in g.edges.items() if x.color == 0)))
-        blocks.append(add_prefix(g, f"b{k}."))
+        blocks.append((g, "" if k == 0 and rng.random() < 0.3 else f"b{k}."))
+    prefixed = [_prefixed(g, prefix) for g, prefix in blocks]
     cut = set()
 
     def uncut(graphs, color):
@@ -394,19 +404,22 @@ def _random_splice(rng):
 
     links = []
     for k in range(1, len(blocks)):
-        color = rng.choice([c for c in (0, 1, 2) if uncut(blocks[:k], c)])
-        links.append((rng.choice(uncut(blocks[:k], color)), rng.choice(uncut([blocks[k]], color))))
+        color = rng.choice([c for c in (0, 1, 2) if uncut(prefixed[:k], c)])
+        links.append(
+            (rng.choice(uncut(prefixed[:k], color)), rng.choice(uncut([prefixed[k]], color)))
+        )
         cut.update(links[-1])
-    zeros = uncut(blocks, 0)
-    return blocks, links, rng.sample(zeros, rng.randint(0, min(3, len(zeros))))
+    zeros = uncut(prefixed, 0)
+    return blocks, prefixed, links, rng.sample(zeros, rng.randint(0, min(3, len(zeros))))
 
 
 def test_splice_equals_the_successive_sums_and_openings():
+    # the prefixes applied inside the splice against blocks prefixed first
     rng = random.Random(1608)
     for _ in range(300):
-        blocks, links, opens = _random_splice(rng)
-        s = blocks[0]
-        for block, (e, f) in zip(blocks[1:], links):
+        blocks, prefixed, links, opens = _random_splice(rng)
+        s = prefixed[0]
+        for block, (e, f) in zip(prefixed[1:], links):
             s = connected_sum(s, e, block, f)
         for e in opens:
             s = open_edge(s, e)
