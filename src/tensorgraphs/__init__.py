@@ -6,9 +6,10 @@ encode:
 
 * :mod:`tensorgraphs.graphs` -- the graph type, file format, bubbles,
   components, isomorphism, DOT export;
-* :mod:`tensorgraphs.homology` -- integer bubble homology by sparse
-  unit-pivot elimination, with the dense Smith normal form (the public
-  reference, with U and V) run only on the leftover block;
+* :mod:`tensorgraphs.homology` -- integer bubble homology by top-down
+  unit-pivot elimination of the chain complex, with the invariant factors
+  of each leftover block from a diagonal-only reduction, and the dense
+  Smith normal form (with U and V) as the public reference;
 * :mod:`tensorgraphs.ribbon` -- ribbon structures, boundary components,
   genus;
 * :mod:`tensorgraphs.jackets` -- jackets, the degree, melonicity, degree

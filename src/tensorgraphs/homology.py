@@ -30,21 +30,19 @@ the identity behind ``DegreeReport.face_count_degree``), so on such a
 graph :func:`homology` and :func:`euler_characteristic` build the color
 pairs and the components only (:func:`_sphere_homology`).
 
-Any other graph needs only the rank and the torsion of each map.  The
-first map is a signed incidence matrix, totally unimodular, so its rank
-is |V| minus the number of connected components and it has no torsion.
-With 3 or more colors the top map is one too, up to column signs, so its
-rank is the number of top cells minus the number of components (see
-:func:`homology`).  The spanning forests behind these two counts also
-shrink the maps in between: from 4 colors on, d_2 loses the
-rows of the edges of a spanning forest of the graph and d_top-1 the
-columns of a spanning forest of the graph on the top cells, with the
-same rank and invariant factors.  These maps are found by sparse
-elimination on +-1 pivots, taken in passes over the columns, shortest
-first; only the block left without a unit entry goes to the dense Smith
-normal form, so free ranks and torsion coefficients are exact.
-:func:`chain_complex` keeps the full maps.
-:func:`smith_normal_form` remains the public reference and returns the
+Any other graph needs only the rank and the torsion of each map, and
+:func:`homology` reduces its complex from the top down by the Gaussian
+elimination lemma (Bar-Natan, J. Knot Theory Ramif. 16 (2007)): a +-1
+pivot of d_p at row r and column s removes column r from d_p-1 and row s
+from d_p+1 and changes nothing else in them.  d_1 and, from 3 colors on,
+d_top are signed incidence matrices, whose unit pivots are the edges of
+spanning forests; d_top-1 down to d_2 are then eliminated in turn, each
+built without the columns of the pivot rows of the map above.  What is
+left of a map without a unit pivot gets its invariant factors from a
+sparse reduction that keeps only the diagonal (Dumas, Saunders and
+Villard, J. Symb. Comput. 32 (2001)), so free ranks and torsion
+coefficients are exact.  :func:`chain_complex` keeps the full maps, and
+:func:`smith_normal_form` remains the public reference with the
 unimodular transforms U and V.  All arithmetic uses Python's
 arbitrary-precision integers; no floating point enters anywhere.
 """
@@ -53,7 +51,8 @@ from __future__ import annotations
 
 import operator
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from math import gcd
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .graphs import WHITE, Bubble, ColoredGraph, GraphError, _Record, bubbles
 from .graphs import _degree_excess, _require_regular, _subset_labels, _walk_state
@@ -76,7 +75,7 @@ Column = tuple[tuple[int, int], ...]  # the (row, value) entries of a sparse col
 # Most colors chain_complex and euler_characteristic accept.  A graph on k
 # colors has bubbles over all 2^k color subsets: 1024 at 10 colors, where
 # homology of a 6-vertex graph of positive degree (H_2 = Z) takes about
-# 0.031 s of CPU (best of 7, on a shared 2-core x86-64 host), and each
+# 0.008 s of CPU (best of 7, on a shared 2-core x86-64 host), and each
 # further color about doubles that.  A graph of degree 0 builds only the
 # color pairs and its components.
 MAX_HOMOLOGY_COLORS = 10
@@ -140,97 +139,84 @@ def _check_complex(g: ColoredGraph) -> int:
     return max(k - 1, 0)
 
 
-def _joins(parent: list[int], u: int, v: int) -> bool:
-    """Join the trees of u and v in the union-find forest ``parent``; False
-    when they are one tree already, so that an edge u-v would close a cycle."""
-    while parent[u] != u:
-        parent[u] = u = parent[parent[u]]  # path halving
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    if u == v:
-        return False
-    parent[u] = v
-    return True
+def _forest(ends: Iterable[tuple[int, int]], n: int) -> set[int]:
+    """The indices of the pairs ``ends`` that join two trees of a union-find
+    forest over range(n), taken in order: the edges of a spanning forest."""
+    parent, found = list(range(n)), set()
+    for i, (u, v) in enumerate(ends):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]  # path halving
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            found.add(i)
+    return found
 
 
-def _boundary_columns(g: ColoredGraph, reduced: bool = False) -> list[tuple[Column, ...]]:
-    """Columns of the boundary maps of degrees 1 .. top, or with ``reduced``
-    of degrees 2 .. top - 1 (the maps :func:`homology` eliminates).
+def _forests(g: ColoredGraph) -> tuple[set[int], set[int]]:
+    """The rows of d_2 of the edges of a spanning forest of a regular g on 4
+    or more colors, and the columns of d_top-1 of the edges of one of the
+    graph G* on the top cells (see :func:`homology`): a (k-2)-cell over
+    C - {a, b} joins the top cells over C - {a} and C - {b} through it."""
+    colors, (_, nbrs, _) = g.colors, _walk_state(g)
+    edges = [(r, nb[r]) for c, nb in zip(colors, nbrs) for r in _subset_labels(g, (c,))[1]]
+    cells, offset = {}, 0
+    for a in colors:  # the top cells, numbered by the color each lacks
+        lab, reps = _subset_labels(g, tuple(c for c in colors if c != a))
+        cells[a] = offset, lab
+        offset += len(reps)
+    ends = []
+    for subset in combinations(colors, len(colors) - 2):
+        (at_a, lab_a), (at_b, lab_b) = (cells[c] for c in colors if c not in subset)
+        ends += [(at_a + lab_a[r], at_b + lab_b[r]) for r in _subset_labels(g, subset)[1]]
+    return _forest(edges, len(g)), _forest(ends, offset)
 
-    Degree-0 rows are vertex indices; the bubbles of a color subset take
-    consecutive rows of their layer, in the order of the walk slot's label
-    arrays (:func:`graphs._subset_labels`).  Each bubble over S - {c} lies
-    inside one S-bubble, the one that holds its smallest vertex, so the
-    faces of the S-bubbles are dealt out by one label read per
-    (S - {c})-bubble: ``lab_S[rep]``.
 
-    :func:`homology` never asks for the top map of 3 or more colors C: a
-    (k-2)-bubble over C - {a, b} is a face of exactly two top cells, the
-    (C - {a})- and the (C - {b})-bubble through it, and once the column of
-    each (C - {a})-cell is multiplied by (-1)**index(a) its row holds one +1
-    and one -1.  So the top map is the transposed incidence matrix of a
-    graph G* on the top cells, whose pieces are the components with an edge.
-
-    With ``reduced`` (for :func:`homology` on a regular graph) two spanning
-    forests shrink the maps without changing their ranks or invariant
-    factors.  The rows of d_2 of the edges of a spanning forest of the
-    graph, picked by union-find over the 1-bubble rows in row order, are
-    dropped: E - V + #components rows stay.  And from 4 colors on, the
-    columns of d_top-1 of the edges of a spanning forest of G*, whose ends
-    are the top cells' labels at the edge's smallest vertex, are never
-    built: dim - (#top cells - #components with an edge) columns stay.
-    Kept rows keep their full-map numbers.
+def _boundary_map(
+    g: ColoredGraph, p: int, skip: Container[int] = (), drop: Container[int] = ()
+) -> list[tuple[int, dict[int, int]]]:
+    """The boundary map of degree p >= 2 as (column, {row: entry}) pairs,
+    for the p-cells outside ``skip`` (never built), without the rows in
+    ``drop``.  A degree numbers its bubbles by color subset, those of one
+    subset in the order of their label arrays (:func:`graphs._subset_labels`).
+    A bubble over S - {c} lies in the S-bubble that holds its smallest
+    vertex, so the S-bubbles' faces are dealt out by one label read per
+    (S - {c})-bubble, ``lab_S[rep]``: by dropped color, then by row.
     """
-    first, last = 1 + reduced, len(g.colors) - 1 - reduced
-    if first > last:  # e.g. reduced on 3 colors: no 1-bubble is walked
+    faces, start = {}, 0
+    for face in combinations(g.colors, p - 1):
+        reps = _subset_labels(g, face)[1]
+        faces[face] = [(i, r) for i, r in enumerate(reps, start) if i not in drop]
+        start += len(reps)
+    columns, start = [], 0
+    for subset in combinations(g.colors, p):
+        lab, reps = _subset_labels(g, subset)
+        cols = [None if j in skip else {} for j in range(start, start + len(reps))]
+        for q in range(p):
+            sign = 1 - q % 2 * 2
+            for row, r in faces[subset[:q] + subset[q + 1 :]]:
+                if (col := cols[lab[r]]) is not None:
+                    col[row] = sign
+        columns += [(j, col) for j, col in enumerate(cols, start) if col is not None]
+        start += len(reps)
+    return columns
+
+
+def _boundary_columns(g: ColoredGraph) -> list[tuple[Column, ...]]:
+    """Columns of the boundary maps of degrees 1 .. top: d_1 has a vertex
+    index per row and maps an edge to (white end) - (black end), the others
+    are :func:`_boundary_map`'s."""
+    if len(g.colors) < 2:
         return []
     labels, nbrs, _ = _walk_state(g)
-    colors, parity = g.colors, g._parity
-    kept: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # (row, smallest vertex)
-    forest = list(range(len(labels)))  # union-find over the vertices
-    columns = []
-    for p in range(1, last + 1):  # 1-bubble rows serve d_2
-        layer, start = [], 0
-        dual = reduced and p == len(colors) - 2
-        if dual:  # the top cells, numbered by the color each lacks
-            cells, offset = {}, 0
-            for a in colors:
-                cell_lab, cell_reps = _subset_labels(g, tuple(c for c in colors if c != a))
-                cells[a] = offset, cell_lab
-                offset += len(cell_reps)
-            dual_forest = list(range(offset))  # union-find over the top cells
-        for subset in combinations(colors, p):
-            lab, reps = _subset_labels(g, subset)
-            if p == 1:
-                nb = nbrs[colors.index(subset[0])]
-                if first == 1:  # an edge maps to (white end) - (black end)
-                    for u in reps:
-                        w, b = (u, nb[u]) if parity[labels[u]] == WHITE else (nb[u], u)
-                        layer.append(((w, 1), (b, -1)))
-            else:
-                cols: list[list[tuple[int, int]]] = [[] for _ in reps]
-                for q in range(p):
-                    sign = 1 - q % 2 * 2
-                    for row, r in kept[subset[:q] + subset[q + 1 :]]:
-                        cols[lab[r]].append((row, sign))
-                if dual:  # each bubble is the edge of G* between two cells
-                    (at_a, lab_a), (at_b, lab_b) = (cells[c] for c in colors if c not in subset)
-                    cols = [
-                        col
-                        for col, r in zip(cols, reps)
-                        if not _joins(dual_forest, at_a + lab_a[r], at_b + lab_b[r])
-                    ]
-                layer.extend(map(tuple, cols))
-            if p < last:
-                kept[subset] = [
-                    (i, r)
-                    for i, r in enumerate(reps, start)
-                    if not (reduced and p == 1 and _joins(forest, r, nb[r]))
-                ]
-                start += len(reps)
-        if p >= first:
-            columns.append(tuple(layer))
-    return columns
+    d1 = []
+    for c, nb in zip(g.colors, nbrs):
+        for u in _subset_labels(g, (c,))[1]:
+            w, b = (u, nb[u]) if g._parity[labels[u]] == WHITE else (nb[u], u)
+            d1.append(((w, 1), (b, -1)))
+    maps = [_boundary_map(g, p) for p in range(2, len(g.colors))]
+    return [tuple(d1)] + [tuple(tuple(col.items()) for _, col in m) for m in maps]
 
 
 def chain_complex(g: ColoredGraph) -> ChainComplex:
@@ -395,72 +381,79 @@ class HomologyResult(NamedTuple):
         return "\n".join(self.lines())
 
 
-def _rank_and_torsion(
-    columns: Sequence[Iterable[tuple[int, int]]],
-) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion coefficients of a sparse integer matrix.
-
-    ``columns[j]`` lists the (row, value) entries of column j.  A +-1
-    pivot is eliminated from its column by row operations; its row can
-    then be cleared by column operations that touch nothing else, so the
-    invariant factors are a 1 plus those of the matrix without that row
-    and column.  Pivots are taken in passes over the columns, shortest
-    first by their lengths at the start of the pass; in each column the
-    pivot is the +-1 entry whose row is currently shortest, to keep
-    fill-in low.  Passes repeat while the last one found a pivot.
-    Whatever block is left has no +-1 entry and goes to
-    :func:`smith_normal_form`.
+def _unit_pivots(
+    columns: list[tuple[int, dict[int, int]]],
+) -> tuple[set[int], set[int], dict[int, dict[int, int]]]:
+    """The pivot rows, the pivot columns and the leftover ``{column: {row:
+    entry}}`` of a sparse map of (column, {row: entry}) pairs, eliminated on
+    +-1 pivots with its columns reduced in place.  Each column is reduced
+    against the pivots found so far, each of which vanishes on the rows of
+    those before it; that leaves the one vector in the column plus their
+    span that vanishes on all pivot rows, the column that eliminating them
+    leaves.  A +-1 entry then makes it a pivot; else it is left over, to be
+    reduced again when a later pivot's row meets it.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for j, entries in enumerate(columns):
-        for i, x in entries:
-            if x:
-                rows.setdefault(i, {})[j] = x
-                cols.setdefault(j, set()).add(i)
+    pivots, used, rest = {}, set(), {}  # pivots: row -> its column
+    queue = columns[::-1]
+    while queue:
+        j, col = queue.pop()
+        while hits := col.keys() & pivots.keys():
+            for i in hits:
+                if f := col.get(i):
+                    piv = pivots[i]
+                    f *= piv[i]
+                    for r, x in piv.items():
+                        if y := col.get(r, 0) - f * x:
+                            col[r] = y
+                        else:
+                            del col[r]
+        if (i := next((i for i, x in col.items() if x == 1 or x == -1), None)) is None:
+            if col:
+                rest[j] = col
+            continue
+        pivots[i] = col
+        used.add(j)
+        queue += [(k, rest.pop(k)) for k in [k for k, c in rest.items() if i in c]]
+    return set(pivots), used, rest
 
-    rank = 0
-    found = True
-    while found:
-        found = False
-        for j in sorted(cols, key=lambda c: len(cols[c])):
-            below = cols.get(j)
-            if below is None:
-                continue
-            units = [k for k in below if rows[k][j] in (1, -1)]
-            if not units:
-                continue
-            found = True
-            rank += 1
-            i = min(units, key=lambda k: len(rows[k]))
-            pivot_row = rows.pop(i)
-            u = pivot_row.pop(j)
-            del cols[j]
-            below.discard(i)
-            for c in pivot_row:
-                cols[c].discard(i)
-            for k in below:
-                row = rows[k]
-                f = row.pop(j) * u
-                for c, x in pivot_row.items():
-                    y = row.get(c, 0) - f * x
-                    if y:
-                        row[c] = y
-                        cols[c].add(k)
+
+def _invariant_factors(
+    columns: dict[int, dict[int, int]], dropped: Container[int] = ()
+) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion coefficients of a sparse integer matrix ``{column:
+    {row: entry}}`` without the rows in ``dropped``, reduced as its transpose.
+    Each pivot is an entry of least magnitude.  Row operations clear its
+    column, then column operations, which touch no other row, reduce the
+    rest of its row to remainders; a nonzero one is the next pivot.  Else
+    the pivot's magnitude is kept and its row and column dropped.  The kept
+    d_1, ..., d_r make an equivalent diagonal matrix, and replacing pairs by
+    their gcd and lcm gives the invariant factors, with no U or V built.
+    """
+    rows = {j: {i: x for i, x in col.items() if i not in dropped} for j, col in columns.items()}
+    diagonal: list[int] = []
+    while any(rows.values()):
+        _, r, c = min((abs(x), r, c) for r, row in rows.items() for c, x in row.items())
+        row, x = rows[r], rows[r][c]
+        for other in rows.values():
+            if other is not row and c in other:
+                q = other[c] // x
+                for c2, y in row.items():
+                    if z := other.get(c2, 0) - q * y:
+                        other[c2] = z
                     else:
-                        del row[c]
-                        cols[c].discard(k)
-                if not row:
-                    del rows[k]
-            for c in pivot_row:
-                if not cols[c]:
-                    del cols[c]
-
-    if not rows:
-        return rank, ()
-    block = [[rows[i].get(j, 0) for j in sorted(cols)] for i in sorted(rows)]
-    rest = smith_normal_form(block)
-    return rank + rest.rank, rest.torsion
+                        del other[c2]
+        if any(c in other for other in rows.values() if other is not row):
+            continue  # a remainder
+        if remainders := {c2: m for c2, y in row.items() if c2 != c and (m := y % x)}:
+            rows[r] = {c: x, **remainders}
+        else:
+            del rows[r]
+            diagonal.append(abs(x))
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            d = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = d, diagonal[a] * diagonal[b] // d
+    return len(diagonal), tuple(d for d in diagonal if d > 1)
 
 
 def _sphere_homology(g: ColoredGraph, top: int) -> HomologyResult | None:
@@ -489,23 +482,20 @@ def homology(g: ColoredGraph) -> HomologyResult:
     of spheres, answered from its 2-bubble count with no map eliminated
     (see the module docstring and :func:`_sphere_homology`).
 
-    Two maps are signed incidence matrices, totally unimodular, so each has
-    the rank of a graph and no torsion.  rank d_1 is |V| minus the number of
-    components.  With 3 or more colors, rank d_top is the number of top
-    cells minus the number of components: each (k-2)-bubble is a face of
-    exactly two top cells, with opposite signs once the column of each
-    (C - {a})-cell is multiplied by (-1)**index(a) (see
-    :func:`_boundary_columns`).  Only the maps in between go to
-    :func:`_rank_and_torsion`, so a 3-colored graph needs no elimination.
-
-    Those maps are reduced first.  im d_2 lies in ker d_1, a direct summand
-    of C_1 that the projection onto the edges outside a spanning forest maps
-    isomorphically, so the forest rows of d_2 are dropped.  im d_top is the
-    cut space of the graph G* on the top cells, also a summand, on which
-    d_top-1 vanishes; the (top-1)-cells outside a spanning forest of G*
-    span a complement of it, so only their columns are built.  Neither step
-    changes the rank or the invariant factors, and the chain ranks ``dims``
-    come from bubble counts.
+    Otherwise the complex is reduced by the Gaussian elimination lemma: a
+    +-1 pivot of d_p at row r and column s removes column r from d_p-1 and
+    row s from d_p+1.  d_1 is a signed incidence matrix, whose unit pivots
+    are the edges of a spanning forest, so rank d_1 is |V| minus the number
+    of components and d_2 loses their rows.  So is d_top on 3 or more
+    colors C, once the column of each (C - {a})-cell is multiplied by
+    (-1)**index(a), as a (k-2)-bubble is a face of exactly two top cells:
+    rank d_top is their number minus the number of components, and d_top-1
+    loses the columns of a spanning forest of the graph G* so made on them.
+    Then d_top-1 down to d_2 are eliminated in turn, d_p built without the
+    columns of d_p+1's pivot rows, and d_p+1's leftover loses the rows of
+    d_p's pivot columns.  rank d_p is its unit pivots plus the rank of its
+    leftover, whose invariant factors are the torsion.  A 3-colored graph
+    eliminates nothing; the chain ranks ``dims`` are bubble counts.
     """
     top = _check_complex(g)
     _require_regular(g, "homology")
@@ -520,10 +510,17 @@ def homology(g: ColoredGraph) -> HomologyResult:
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
     if top:  # every vertex has an edge
         rank[1] = len(g) - comps
-    for p, columns in enumerate(_boundary_columns(g, reduced=True), 2):
-        rank[p], torsion[p] = _rank_and_torsion(columns)
     if top >= 2:
         rank[top] = dims[top] - comps
+    drop, skip = _forests(g) if top >= 3 else ((), ())
+    left, used = {}, {1: ()}  # d_1's pivot columns, the forest, are no rows of d_2
+    for p in range(top - 1, 1, -1):
+        skip, used[p], left[p] = _unit_pivots(_boundary_map(g, p, skip, drop if p == 2 else ()))
+        rank[p] = len(used[p])
+    for p, rest in left.items():  # d_p's leftover without d_p-1's pivot columns
+        if rest:
+            extra, torsion[p] = _invariant_factors(rest, used[p - 1])
+            rank[p] += extra
     groups = [
         HomologyGroup(dims[q] - rank[q] - rank[q + 1], torsion[q + 1])
         for q in range(top + 1)

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from tensorgraphs.cli import main
 from tensorgraphs.graphs import ColoredGraph, _slot_index, parse, relabel
+from tensorgraphs.homology import _invariant_factors, _unit_pivots
 from tensorgraphs.ribbon import RibbonStructure, parse_ribbon
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +71,15 @@ CLOSED_4COLOR_FIXTURES = [
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def rank_and_torsion(columns) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion of the sparse map with (row, value) entries
+    ``columns[j]``, the way homology finds them: its unit pivots, then the
+    invariant factors of what they leave."""
+    _, used, rest = _unit_pivots([(j, dict(col)) for j, col in enumerate(columns)])
+    rank, torsion = _invariant_factors(rest)
+    return len(used) + rank, torsion
 
 
 def load_fixture(name: str) -> ColoredGraph:

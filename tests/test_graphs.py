@@ -48,7 +48,7 @@ from tensorgraphs.graphs import (
     serialize,
     validate,
 )
-from tensorgraphs.homology import _boundary_columns, _rank_and_torsion
+from tensorgraphs.homology import _boundary_columns, _boundary_map, _forests
 from tensorgraphs.models import (
     ModelSpec,
     _leg_fragment,
@@ -82,6 +82,7 @@ from conftest import (
     fixture_text,
     graph_state,
     load_fixture,
+    rank_and_torsion,
 )
 
 ALL_GRAPH_FIXTURES = CLOSED_FIXTURES + OPEN_FIXTURES
@@ -1565,9 +1566,26 @@ def _vertex_built_columns(g, reduced=False):
     return columns
 
 
+def _forest_reduced_columns(g):
+    """The maps d_2 .. d_top-1 as homology first builds them, from the two
+    spanning forests alone: d_2 without the forest rows of the graph and
+    d_top-1 without the forest columns of the graph on the top cells."""
+    top = len(g.colors) - 1
+    if top < 3:
+        return []
+    drop, skip = _forests(g)
+    return [
+        tuple(
+            tuple(col.items())
+            for _, col in _boundary_map(g, p, skip if p == top - 1 else (), drop if p == 2 else ())
+        )
+        for p in range(2, top)
+    ]
+
+
 def test_boundary_columns_read_from_labels_match_the_vertex_built_ones():
-    rng = random.Random(33)
-    reduced_maps = 0
+    rng, pick = random.Random(33), random.Random(34)
+    reduced_maps = skipped = 0
     for g in _label_walk_cases(rng):
         if g.is_open:
             continue
@@ -1580,13 +1598,19 @@ def test_boundary_columns_read_from_labels_match_the_vertex_built_ones():
                 _subset_labels(h, subset)
             assert _boundary_columns(h) == want, order
             if regular:
-                found = _boundary_columns(h, reduced=True)
+                found = _forest_reduced_columns(h)
                 assert found == want_reduced, order
-                assert list(map(_rank_and_torsion, found)) == list(
-                    map(_rank_and_torsion, want_reduced)
+                assert list(map(rank_and_torsion, found)) == list(
+                    map(rank_and_torsion, want_reduced)
                 ), order
                 reduced_maps += len(found)
-    assert reduced_maps >= 100
+            for p in range(2, len(g.colors)):  # any skipped columns keep their numbers
+                skip = set(pick.sample(range(len(want[p - 1])), pick.randint(0, len(want[p - 1]))))
+                assert [(j, tuple(col.items())) for j, col in _boundary_map(h, p, skip)] == [
+                    (j, col) for j, col in enumerate(want[p - 1]) if j not in skip
+                ], (order, p)
+                skipped += len(skip)
+    assert reduced_maps >= 100 and skipped >= 1000
 
 
 # ------------------------------------------------------------- export

@@ -28,7 +28,11 @@ from tensorgraphs.homology import (
     HomologyGroup,
     HomologyResult,
     _boundary_columns,
-    _rank_and_torsion,
+    _boundary_map,
+    _forests,
+    _invariant_factors,
+    _sphere_homology,
+    _unit_pivots,
     chain_complex,
     euler_characteristic,
     homology,
@@ -45,7 +49,7 @@ from tensorgraphs.models import (
 )
 from tensorgraphs.surgery import crys_sum
 
-from conftest import CLOSED_FIXTURES, load_fixture
+from conftest import CLOSED_FIXTURES, load_fixture, rank_and_torsion
 
 homology_module = importlib.import_module("tensorgraphs.homology")
 
@@ -229,11 +233,20 @@ def test_rp3_crys_sum_has_two_z2_summands():
     assert str(res.groups[1]) == "Z/2 + Z/2"
 
 
-def test_sixteen_rp3_copies_have_sixteen_z2_summands():
-    # The forest-reduced degree-2 map leaves a 16 x 16 block without a unit
-    # entry (64 x 17 on the full map), which the dense smith_normal_form
-    # must finish.
+def test_sixteen_rp3_copies_have_sixteen_z2_summands(monkeypatch):
+    # The unit pivots of the forest-reduced degree-2 map leave a 16 x 16
+    # block without a unit entry, whose invariant factors the diagonal-only
+    # reduction finds.
+    leftovers = []
+
+    def recording(columns, dropped=()):
+        rows = {i for col in columns.values() for i in col if i not in dropped}
+        leftovers.append((len(columns), len(rows)))
+        return _invariant_factors(columns, dropped)
+
+    monkeypatch.setattr(homology_module, "_invariant_factors", recording)
     res = homology(rp3_chain(16))
+    assert leftovers == [(16, 16)]  # of d_2; d_3 leaves none
     assert res.betti == (1, 0, 0, 1)
     assert res.groups[1].torsion == (2,) * 16
     assert all(not h.torsion for q, h in enumerate(res.groups) if q != 1)
@@ -424,10 +437,33 @@ def reference_homology(g: ColoredGraph) -> HomologyResult:
     return HomologyResult(groups, sum((-1) ** q * h.free_rank for q, h in enumerate(groups)))
 
 
+# Seeded tuples with torsion behind two to four eliminated maps: H =
+# (Z, Z/2, 0, 0, Z) on 5 colors, Z/2 in H_1 on 6 and 7 colors.
+TORSION_TUPLES = {
+    "5 colors, 6 whites": (
+        (0, 1, 2, 3, 4, 5), (5, 1, 3, 4, 2, 0), (4, 0, 2, 5, 1, 3), (3, 1, 4, 0, 2, 5),
+        (3, 1, 2, 0, 5, 4),
+    ),
+    "6 colors, 5 whites": (
+        (0, 1, 2, 3, 4), (0, 4, 1, 3, 2), (2, 0, 4, 3, 1), (3, 2, 4, 0, 1), (1, 3, 0, 4, 2),
+        (4, 2, 3, 1, 0),
+    ),
+    "7 colors, 4 whites": (
+        (0, 1, 2, 3), (3, 1, 2, 0), (2, 0, 3, 1), (0, 2, 1, 3), (1, 3, 2, 0), (3, 0, 2, 1),
+        (1, 3, 0, 2),
+    ),
+    "7 colors, 5 whites": (
+        (0, 1, 2, 3, 4), (0, 3, 2, 1, 4), (3, 2, 0, 1, 4), (1, 0, 2, 3, 4), (1, 3, 4, 0, 2),
+        (3, 4, 1, 2, 0), (2, 3, 0, 4, 1),
+    ),
+}
+
+
 def oracle_cases():
     """Seeded random regular graphs on 2-6 colors, some with two or three
-    components, then crystallization sums of 1-3 RP^3 copies, then graphs
-    on 3 and 4 colors with isolated vertices."""
+    components, then crystallization sums of 1-3 RP^3 copies, then the
+    torsion tuples on 5-7 colors, then graphs on 3 and 4 colors with
+    isolated vertices."""
     rng = random.Random(23)
     for t in range(48):
         k = 2 + t % 5
@@ -439,6 +475,8 @@ def oracle_cases():
         yield f"random {t}: {k} colors, {parts} x {n} whites", graph_from_permutations(perms)
     for copies in (1, 2, 3):
         yield f"{copies} RP^3 copies", rp3_chain(copies)
+    for name, perms in TORSION_TUPLES.items():
+        yield f"torsion tuple, {name}", graph_from_permutations(perms)
     k33 = graph_from_permutations([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     for name, g in (("K_3,3", k33), ("RP^3", rp3())):
         yield f"{name} with isolated vertices", with_isolated_vertices(g)
@@ -461,14 +499,14 @@ def test_homology_matches_dense_snf_of_the_definition():
         cx, comps = chain_complex(g), connected_components(g)
         top = cx.top_degree
         if top >= 1:
-            assert _rank_and_torsion(cx._columns[0]) == (len(g) - len(comps), ()), name
+            assert rank_and_torsion(cx._columns[0]) == (len(g) - len(comps), ()), name
         # so is d_top with 3 or more colors C, once the column of each
         # (C - {a})-cell is multiplied by (-1)**index(a): every row then holds
         # one +1 and one -1, and the rank is #top cells - #components with
         # an edge
         if top >= 2:
             with_edge = sum(1 for comp in comps if comp.edges)
-            assert _rank_and_torsion(cx._columns[-1]) == (cx.dim(top) - with_edge, ()), name
+            assert rank_and_torsion(cx._columns[-1]) == (cx.dim(top) - with_edge, ()), name
             rows: list[list[int]] = [[] for _ in cx.basis[top - 1]]
             for cell, col in zip(cx.basis[top], cx._columns[-1]):
                 (a,) = set(g.colors) - set(cell.colors)
@@ -487,36 +525,49 @@ def has_degree_0(g: ColoredGraph) -> bool:
 
 def test_homology_eliminates_only_the_maps_between_d1_and_d_top(monkeypatch):
     # rank d_1 and rank d_top come from component counts: a 3-colored graph
-    # needs no elimination at all.  The columns of d_top-1 of a spanning
-    # forest of G* (top cells joined by the (top-1)-cells) are left out.
-    # A graph of degree 0 eliminates nothing: its homology is a sphere's.
-    eliminated = []
+    # needs no elimination at all.  d_top-1 down to d_2 are eliminated in
+    # turn, each on the columns of its cells outside the pivot rows of the
+    # map above: for d_top-1 the (top-1)-cells of a spanning forest of G*
+    # (top cells joined by the (top-1)-cells), below it the unit pivots of
+    # d_p+1.  A graph of degree 0 eliminates nothing: its homology is a
+    # sphere's.
+    calls = []
 
     def recording(columns):
-        eliminated.append(len(columns))
-        return _rank_and_torsion(columns)
+        cells = [j for j, _ in columns]
+        pivot_rows, used, rest = _unit_pivots(columns)
+        calls.append((cells, pivot_rows, used))
+        return pivot_rows, used, rest
 
-    monkeypatch.setattr(homology_module, "_rank_and_torsion", recording)
-    ks, degree_0 = set(), set()
+    monkeypatch.setattr(homology_module, "_unit_pivots", recording)
+    ks, degree_0, below_top = set(), set(), 0
     for name, g in oracle_cases():
         if validate(g):  # refused before any map is built
             continue
-        eliminated.clear()
+        calls.clear()
         homology(g)
         cx = chain_complex(g)
         top = cx.top_degree
-        with_edge = sum(1 for comp in connected_components(g) if comp.edges)
-        forest = cx.dim(top) - with_edge
         if has_degree_0(g):
-            assert eliminated == [], name
+            assert calls == [], name
             degree_0.add(len(g.colors))
         else:
-            assert eliminated == [
-                cx.dim(p) - (p == top - 1) * forest for p in range(2, top)
-            ], name
+            assert len(calls) == max(top - 2, 0), name
+            with_edge = sum(1 for comp in connected_components(g) if comp.edges)
+            skip = _forests(g)[1] if top >= 3 else set()
+            assert len(skip) == (top >= 3) * (cx.dim(top) - with_edge), name
+            for p, (cells, pivot_rows, used) in zip(range(top - 1, 1, -1), calls):
+                # dim(p) minus the dual forest (p = top-1) or d_p+1's unit pivots
+                assert len(cells) == cx.dim(p) - len(skip), (name, p)
+                assert cells == [j for j in range(cx.dim(p)) if j not in skip], (name, p)
+                rank = smith_normal_form(cx.matrix(p)).rank
+                assert len(used) == len(pivot_rows) <= rank, (name, p)
+                below_top += p < top - 1
+                skip = pivot_rows
         ks.add(len(g.colors))
-    assert ks == {2, 3, 4, 5, 6}
+    assert ks == set(range(2, 8))
     assert degree_0 & {4, 5, 6}  # a degree-0 graph that would eliminate maps
+    assert below_top  # a map built without the pivot rows of an eliminated one
 
 
 def melonic(k: int, whites: int, rng: random.Random) -> list[list[int]]:
@@ -569,26 +620,47 @@ def degree_0_cases():
 
 
 @pytest.fixture
-def walks_past_pairs(monkeypatch) -> list:
-    """One entry per :func:`_boundary_columns` call, which :func:`homology`
-    makes exactly when it does not read the homology off the face count."""
-    calls = []
+def past_the_exit(monkeypatch) -> list:
+    """What :func:`homology` and :func:`euler_characteristic` build past
+    :func:`_require_regular`, in order: "sphere" or "no sphere" for the
+    answer of :func:`_sphere_homology`, "forests" for a :func:`_forests`
+    call and p for a :func:`_boundary_map` call of degree p.  A graph of
+    degree 0 logs ["sphere"] alone, and an irregular one nothing."""
+    log = []
 
-    def recording(g, reduced=False):
-        calls.append(len(g.colors))
-        return _boundary_columns(g, reduced)
+    def sphere(g, top):
+        found = _sphere_homology(g, top)
+        log.append("no sphere" if found is None else "sphere")
+        return found
 
-    monkeypatch.setattr(homology_module, "_boundary_columns", recording)
-    return calls
+    def forests(g):
+        log.append("forests")
+        return _forests(g)
+
+    def boundary_map(g, p, *args):
+        log.append(p)
+        return _boundary_map(g, p, *args)
+
+    monkeypatch.setattr(homology_module, "_sphere_homology", sphere)
+    monkeypatch.setattr(homology_module, "_forests", forests)
+    monkeypatch.setattr(homology_module, "_boundary_map", boundary_map)
+    return log
 
 
-def test_degree_0_homology_matches_dense_snf_of_the_definition(walks_past_pairs):
+def eliminated(k: int) -> list:
+    """The :func:`past_the_exit` log of a k-colored graph of positive
+    degree: from 4 colors on the forests, then d_k-2 down to d_2."""
+    return ["no sphere"] + (k >= 4) * ["forests"] + list(range(k - 2, 1, -1))
+
+
+def test_degree_0_homology_matches_dense_snf_of_the_definition(past_the_exit):
     cases = [(name, graph_from_permutations(perms)) for name, perms in degree_0_cases()]
     cases.append(("dipole on the color cap", build_dipole(MAX_HOMOLOGY_COLORS)))
     for name, g in cases:
-        walks_past_pairs.clear()
+        past_the_exit.clear()
         res = homology(g)
-        assert walks_past_pairs == [], name
+        assert past_the_exit == ["sphere"], name
+        assert {len(s) for s in g._walks[2]} == {2, len(g.colors)}, name
         assert res == reference_homology(g), name
         comps = len(connected_components(g))
         top = len(g.colors) - 1
@@ -598,7 +670,7 @@ def test_degree_0_homology_matches_dense_snf_of_the_definition(walks_past_pairs)
             assert gurau_degree(g).degree == 0, name
 
 
-def test_degree_0_exit_is_taken_exactly_on_degree_0(walks_past_pairs):
+def test_degree_0_exit_is_taken_exactly_on_degree_0(past_the_exit):
     # Random closed graphs on 3-8 colors, one to three parts of 1-5 whites
     # (1-3 from 7 colors on), beside seeded melonic ones; several of
     # positive degree have the homology of a sphere, so an exit keyed on the
@@ -614,10 +686,14 @@ def test_degree_0_exit_is_taken_exactly_on_degree_0(walks_past_pairs):
         ]
         for perms in (disjoint(*part_list), melonic(k, rng.randint(2, 4), rng)):
             g = graph_from_permutations(perms)
-            walks_past_pairs.clear()
+            past_the_exit.clear()
             res = homology(g)
-            exited = not walks_past_pairs
+            exited = past_the_exit == ["sphere"]
             assert exited == (gurau_degree(g).degree == 0), (t, perms)
+            if exited:
+                assert {len(s) for s in g._walks[2]} == {2, k}, (t, perms)
+            else:
+                assert past_the_exit == eliminated(k), (t, perms)
             taken[k].add(exited)
             top = k - 1
             sphere = res.betti == (1,) + (0,) * (top - 1) + (1,)
@@ -627,7 +703,7 @@ def test_degree_0_exit_is_taken_exactly_on_degree_0(walks_past_pairs):
     assert spheres_of_positive_degree >= 5
 
 
-def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past_pairs):
+def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(past_the_exit):
     # On two whites each color is the identity or the swap.  The graph has
     # degree 0 (one melon inserted in a dipole, or two dipoles) exactly when
     # at most one color is on the other side from the rest; otherwise it
@@ -637,15 +713,16 @@ def test_ten_color_two_white_graphs_of_positive_degree_are_eliminated(walks_past
     for swapped in range(MAX_HOMOLOGY_COLORS):
         chosen = set(rng.sample(range(MAX_HOMOLOGY_COLORS), swapped))
         perms = [[1, 0] if c in chosen else [0, 1] for c in range(MAX_HOMOLOGY_COLORS)]
-        walks_past_pairs.clear()
+        past_the_exit.clear()
         res = homology(graph_from_permutations(perms))
         melonic_or_apart = min(swapped, MAX_HOMOLOGY_COLORS - swapped) <= 1
-        assert (not walks_past_pairs) == melonic_or_apart, swapped
+        want = ["sphere"] if melonic_or_apart else eliminated(MAX_HOMOLOGY_COLORS)
+        assert past_the_exit == want, swapped
         if not melonic_or_apart:
             assert res.betti == sphere and not any(h.torsion for h in res.groups), swapped
 
 
-def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatch):
+def test_euler_characteristic_takes_the_sphere_exit(past_the_exit, monkeypatch):
     # chi of a graph of degree 0 is read off its 2-bubble count, as its
     # homology is: only the color pairs and the components are built, the
     # components by one BFS over the arrays of all k colors, with no merge
@@ -668,11 +745,12 @@ def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatc
         k = len(g.colors)
         merges.clear()
         bfs.clear()
-        walks_past_pairs.clear()
+        past_the_exit.clear()
         chi = euler_characteristic(g)
         assert {len(s) for s in g._walks[2]} == {2, k}, name
         assert (merges, bfs) == ([], [k]), name
-        assert homology(g).euler == chi and walks_past_pairs == [], name
+        assert homology(g).euler == chi, name
+        assert past_the_exit == ["sphere", "sphere"], name
         cx = chain_complex(g)
         assert chi == sum((-1) ** p * cx.dim(p) for p in range(cx.top_degree + 1)), name
     # a graph of positive degree still builds every subset
@@ -683,31 +761,43 @@ def test_euler_characteristic_takes_the_sphere_exit(walks_past_pairs, monkeypatc
 
 
 # A 3-white tuple on the color cap of positive degree whose homology is no
-# sphere's: H_2 = Z, chi = 1 (also pinned in CI, where it is eliminated).
+# sphere's: H_2 = Z, chi = 1 (also pinned in CI, where d_8 .. d_2 are
+# eliminated).
 TEN_COLOR_TUPLE = [
     [0, 1, 2], [0, 2, 1], [0, 1, 2], [1, 0, 2], [2, 1, 0],
     [1, 0, 2], [1, 2, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1],
 ]
 
 
-def test_ten_color_tuple_of_positive_degree_is_eliminated(walks_past_pairs):
+def test_ten_color_tuple_of_positive_degree_is_eliminated(past_the_exit, monkeypatch):
+    leftovers = []
+
+    def recording(columns, dropped=()):
+        leftovers.append(len(columns))
+        return _invariant_factors(columns, dropped)
+
+    monkeypatch.setattr(homology_module, "_invariant_factors", recording)
     res = homology(graph_from_permutations(TEN_COLOR_TUPLE))
-    assert walks_past_pairs == [MAX_HOMOLOGY_COLORS]
+    # d_8 .. d_2 eliminated, and no leftover: unit pivots give every rank
+    assert past_the_exit == eliminated(MAX_HOMOLOGY_COLORS) and leftovers == []
     assert res.lines() == (
         ["H_0 = Z", "H_1 = 0", "H_2 = Z"] + [f"H_{q} = 0" for q in range(3, 9)]
         + ["H_9 = Z", "chi = 1"]
     )
 
 
-def test_isolated_vertices_make_degree_0_graphs_raise_before_any_walk(walks_past_pairs):
+def test_isolated_vertices_make_degree_0_graphs_raise_before_any_walk(past_the_exit):
     rng = random.Random(47)
     for k in (3, 4, 6):
         for g in (graph_from_permutations(melonic(k, 3, rng)), build_dipole(k)):
-            walks_past_pairs.clear()
+            past_the_exit.clear()
             res = homology(g)
+            assert past_the_exit == ["sphere"], k
+            past_the_exit.clear()
+            lonely = with_isolated_vertices(g)
             with pytest.raises(GraphError, match="^homology: vertex 'x0': missing color 1$"):
-                homology(with_isolated_vertices(g))
-            assert walks_past_pairs == [], k
+                homology(lonely)
+            assert past_the_exit == [] and lonely._walks is None, k
             assert res == reference_homology(g), k
             assert res.betti[0] == 1
 
@@ -771,6 +861,120 @@ def test_forest_reduction_keeps_the_homology_of_the_definition():
     assert {(k, True) for k in (4, 5, 6)} <= seen
 
 
+def test_torsion_tuples_behind_eliminated_maps():
+    want = {
+        "5 colors, 6 whites": ["Z", "Z/2", "0", "0", "Z", "2"],
+        "6 colors, 5 whites": ["Z", "Z + Z/2", "0", "0", "0", "Z", "-1"],
+        "7 colors, 4 whites": ["Z", "Z/2", "0", "0", "0", "0", "Z", "2"],
+        "7 colors, 5 whites": ["Z", "Z/2", "Z", "0", "0", "0", "Z", "3"],
+    }
+    for name, perms in TORSION_TUPLES.items():
+        lines = homology(graph_from_permutations(perms)).lines()
+        assert [line.split(" = ")[1] for line in lines] == want[name], name
+
+
+def stingy_unit_pivots(columns):
+    """:func:`_unit_pivots` that lets only the columns in even positions
+    become pivots, so that every map keeps a leftover: the others are
+    reduced against all pivots, in the order they were found, and left
+    over."""
+    pivots, used, rest = {}, set(), {}
+
+    def reduce(col):
+        for i, piv in pivots.items():  # each vanishes on the rows before it
+            if f := col.get(i):
+                f *= piv[i]
+                for r, x in piv.items():
+                    if y := col.get(r, 0) - f * x:
+                        col[r] = y
+                    else:
+                        del col[r]
+
+    for t, (j, col) in enumerate(columns):
+        reduce(col)
+        units = [i for i, x in col.items() if x in (1, -1)]
+        if t % 2 == 0 and units:
+            pivots[units[0]] = col
+            used.add(j)
+        elif col:
+            rest[j] = col
+    for col in rest.values():
+        reduce(col)
+    return set(pivots), used, {j: col for j, col in rest.items() if col}
+
+
+def test_leftover_rows_dropped_across_eliminated_maps_keep_the_homology(monkeypatch):
+    # On these graphs the unit pivots leave no block above d_2, so the rows
+    # a leftover loses to the pivot columns of the map below it are never
+    # met; with pivots refused in half the columns every map keeps one.
+    dropped = []
+
+    def recording(columns, rows=()):
+        dropped.append(sum(1 for col in columns.values() for i in col if i in rows))
+        return _invariant_factors(columns, rows)
+
+    monkeypatch.setattr(homology_module, "_unit_pivots", stingy_unit_pivots)
+    monkeypatch.setattr(homology_module, "_invariant_factors", recording)
+    entries_dropped = 0
+    for name, g in reduction_cases():
+        if validate(g) or has_degree_0(g):
+            continue
+        dropped.clear()
+        assert homology(g) == reference_homology(g), name
+        entries_dropped += sum(dropped)
+    assert entries_dropped >= 100
+
+
+def seeded_unimodular(n: int, rng: random.Random) -> list[list[int]]:
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def test_invariant_factors_match_dense_snf_on_seeded_matrices():
+    # Entries up to +-9, shapes 0 x n to 8 x 8 with zero rows and columns,
+    # some rows dropped; then diagonal blocks whose torsion is not Z/2 (no
+    # graph generator here gives any), conjugated by unimodular matrices.
+    rng = random.Random(53)
+    beyond_z2 = set()
+    for t in range(1500):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        m = [[rng.choice((0, 0, 0, *range(-9, 10))) for _ in range(c)] for _ in range(r)]
+        for i in rng.sample(range(r), rng.randint(0, min(r, 2))):
+            m[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, min(c, 2))):
+            for row in m:
+                row[j] = 0
+        dropped = set(rng.sample(range(r), rng.randint(0, r // 3)))
+        columns = {j: {i: m[i][j] for i in range(r) if m[i][j]} for j in range(c)}
+        want = smith_normal_form([row for i, row in enumerate(m) if i not in dropped])
+        assert _invariant_factors(columns, dropped) == (want.rank, want.torsion), (m, dropped)
+        beyond_z2.update(d for d in want.torsion if d != 2)
+    assert len(beyond_z2) >= 20
+    assert _invariant_factors({0: {0: 2}, 1: {1: 3}}) == (2, (6,))
+    assert _invariant_factors({0: {0: 4}, 1: {1: 6}}) == (2, (2, 12))
+    for d in ((2, 3), (4, 6), (3, 3, 9), (2, 4, 8, 0), (6, 10, 15), (9, 12)):
+        n = len(d) + rng.randint(0, 2)
+        diag = [[d[i] if i == j and i < len(d) else 0 for j in range(n)] for i in range(n)]
+        m = mat_mul(mat_mul(seeded_unimodular(n, rng), diag), seeded_unimodular(n, rng))
+        want = smith_normal_form(m)
+        got = _invariant_factors({j: {i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)})
+        assert got == (want.rank, want.torsion) == (sum(1 for x in d if x), want.torsion), d
+        assert math.prod(got[1]) == math.prod(x for x in d if x > 1), d
+
+
+def reduced_map(g: ColoredGraph, p: int) -> list[tuple[int, dict[int, int]]]:
+    """d_p as homology first builds it from the two spanning forests alone:
+    without the forest rows of the graph when p = 2, and without the forest
+    columns of G* when p = top - 1."""
+    drop, skip = _forests(g)
+    top = len(g.colors) - 1
+    return _boundary_map(g, p, skip if p == top - 1 else (), drop if p == 2 else ())
+
+
 def test_reduced_d2_keeps_the_rows_outside_a_spanning_forest():
     # E - V + #components rows stay, isolated vertices counted as components.
     # From 5 colors on every column of d_2 is built and every edge lies in a
@@ -778,7 +982,7 @@ def test_reduced_d2_keeps_the_rows_outside_a_spanning_forest():
     # edges must be a spanning forest of the graph.
     for name, g in reduction_cases():
         cx = chain_complex(g)
-        d2 = _boundary_columns(g, reduced=True)[0]
+        d2 = [tuple(col.items()) for _, col in reduced_map(g, 2)]
         rows = {r for col in d2 for r, _ in col}
         size = cx.dim(1) - cx.dim(0) + len(connected_components(g))
         if len(g.colors) == 4:  # rows only in forest columns of d_top-1 are unseen
@@ -799,10 +1003,14 @@ def test_reduced_d_top_minus_1_leaves_out_a_spanning_forest_of_the_top_cells():
         cx = chain_complex(g)
         top = cx.top_degree
         with_edge = sum(1 for comp in connected_components(g) if comp.edges)
-        reduced = _boundary_columns(g, reduced=True)[-1]
-        assert len(reduced) == cx.dim(top - 1) - (cx.dim(top) - with_edge), name
+        found = reduced_map(g, top - 1)
+        assert len(found) == cx.dim(top - 1) - (cx.dim(top) - with_edge), name
+        assert [j for j, _ in found] == [
+            j for j in range(cx.dim(top - 1)) if j not in _forests(g)[1]
+        ], name
         if len(g.colors) == 4:
             continue
+        reduced = [tuple(col.items()) for _, col in found]
         full, kept, dropped = cx._columns[top - 2], iter(reduced), []
         want = next(kept, None)
         for cell, col in zip(cx.basis[top - 1], full):
@@ -995,7 +1203,7 @@ def columns_of(m: list[list[int]], n_cols: int) -> list[list[tuple[int, int]]]:
 
 def assert_matches_dense(m: list[list[int]], n_cols: int) -> tuple[int, tuple[int, ...]]:
     dense = smith_normal_form(m)
-    got = _rank_and_torsion(columns_of(m, n_cols))
+    got = rank_and_torsion(columns_of(m, n_cols))
     assert got == (dense.rank, dense.torsion)
     return got
 
@@ -1014,7 +1222,8 @@ def shaped_matrices(entries, size: int):
 
 
 def test_rank_and_torsion_empty_and_zero_shapes():
-    assert _rank_and_torsion([]) == (0, ())
+    assert rank_and_torsion([]) == (0, ())
+    assert _invariant_factors({}) == (0, ())
     for rows, cols in ((0, 3), (3, 0), (1, 1), (2, 5), (5, 2)):
         m = [[0] * cols for _ in range(rows)]
         assert assert_matches_dense(m, cols) == (0, ())
@@ -1080,7 +1289,7 @@ def test_rank_and_torsion_matches_dense_snf_on_whole_boundary_maps():
         cc = chain_complex(g)
         for p in range(1, cc.top_degree + 1):
             dense = smith_normal_form(cc.matrix(p))
-            got = _rank_and_torsion(cc._columns[p - 1])
+            got = rank_and_torsion(cc._columns[p - 1])
             assert got == (dense.rank, dense.torsion), (name, p)
             maps += 1
     assert maps >= 150
