@@ -25,9 +25,10 @@ The header's ``D`` is at most :data:`MAX_D`.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Container, Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 WHITE = "w"
 BLACK = "b"
@@ -184,11 +185,13 @@ class ColoredGraph:
     intermediate values such as color-deleted subgraphs may live on an
     arbitrary subset.
 
-    The constructor rejects malformed input with a :class:`GraphError`
-    naming the first offender, and keeps the slot index it fills while it
-    checks.  Operations in this package whose result is valid whenever
-    their input graphs are build it unchecked, through :meth:`_trusted`, and
-    so does :func:`parse` once its parts pass a check over whole columns.
+    The constructor is the one acceptance check for graphs from outside
+    the package, :func:`parse` included: it checks whole columns of its
+    parts and, when they fail, walks them item by item to raise a
+    :class:`GraphError` naming the first offender.  Operations in this
+    package whose result is valid whenever their input graphs are build it
+    unchecked, through :meth:`_trusted`.  Either way the slot index waits
+    for its first read.
     """
 
     __slots__ = ("_colors", "_parity", "_edges", "_legs", "_slots", "_walks")
@@ -201,73 +204,20 @@ class ColoredGraph:
         legs: Iterable[Leg | tuple] = (),
     ) -> None:
         colors = _checked_colors(colors)
-        parity = _checked_parity(vertices)
-
-        edge_map: dict[str, Edge] = {}
-        slots: dict[tuple[str, int], Edge] = {}
-        take = slots.setdefault
-        e = None
-        # One handler for the whole loop, so a valid item pays nothing for it:
-        # a TypeError raised while the record e is checked comes from hashing
-        # its label or an end (the color has a tuple test).
+        if type(vertices) is not list and not isinstance(vertices, Mapping):
+            vertices = list(vertices)
+        if type(edges) is not list:
+            edges = list(edges)
+        if type(legs) is not list:
+            legs = list(legs)
         try:
-            for item in edges:
-                if isinstance(item, Edge):
-                    e = item
-                else:
-                    try:
-                        e = Edge._make(item)
-                    except TypeError:
-                        raise GraphError(
-                            f"edge {item!r}: expected (label, color, white, black)"
-                        ) from None
-                label, c, w, b = e
-                if label in edge_map:
-                    raise GraphError(f"duplicate edge label {label!r}")
-                if c not in colors:  # a tuple test: an unhashable color gets this message
-                    raise GraphError(f"edge {label!r}: color {c} outside color set {colors}")
-                ends_fit = parity.get(w) == WHITE and parity.get(b) == BLACK
-                if not ends_fit or take((w, c), e) is not e or take((b, c), e) is not e:
-                    raise _edge_fault(e, parity, slots)
-                edge_map[label] = e
-        except TypeError:
-            fault = e and _unhashable("edge", e.label, (e.white, e.black))
-            if not fault:
-                raise
-            raise fault from None
-
-        leg_map: dict[str, Leg] = {}
-        l = None
-        try:  # as for the edges
-            for item in legs:
-                if isinstance(item, Leg):
-                    l = item
-                else:
-                    try:
-                        l = Leg._make(item)
-                    except TypeError:
-                        raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
-                label, v = l
-                if label in leg_map:
-                    raise GraphError(f"duplicate leg label {label!r}")
-                if 0 not in colors:
-                    raise GraphError(f"leg {label!r}: color 0 not in color set")
-                if v not in parity:
-                    raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
-                if (v, 0) in slots:
-                    raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
-                if (v, None) in slots:
-                    raise GraphError(f"two legs at vertex {v!r}")
-                slots[v, None] = l
-                leg_map[label] = l
-        except TypeError:
-            fault = l and _unhashable("leg", l.label, (l.vertex,))
-            if not fault:
-                raise
-            raise fault from None
-
-        self._colors, self._parity, self._edges, self._legs = colors, parity, edge_map, leg_map
-        self._slots, self._walks = slots, None
+            parts = _column_checked(colors, vertices, edges, legs)
+        except (TypeError, ValueError):  # an unhashable or wrong-length item
+            parts = None
+        if parts is None:
+            _raise_first_fault(colors, vertices, edges, legs)
+        self._colors, (self._parity, self._edges, self._legs) = colors, parts
+        self._slots = self._walks = None
 
     @classmethod
     def _trusted(
@@ -283,8 +233,8 @@ class ColoredGraph:
         their input graphs are: `colors` is a sorted tuple of distinct
         non-negative colors, every edge and leg is keyed by its label and
         fits `parity` and `colors`, and no slot is taken twice.  The dicts
-        must be fresh; the graph keeps them and stores nothing else, so its
-        slot index and walks are built when first read.
+        must be fresh; the graph keeps them, as the checking constructor
+        keeps the dicts it builds.
         """
         g = cls.__new__(cls)
         g._colors, g._parity, g._edges = colors, parity, edges
@@ -354,71 +304,37 @@ class ColoredGraph:
 
 
 def _checked_colors(colors: Iterable[int]) -> tuple[int, ...]:
-    """The color set as a sorted tuple; duplicates and negatives raise."""
-    colors = tuple(sorted(colors))
+    """The color set as a sorted tuple of ints; a color that is no integer,
+    a negative one or a duplicate raises."""
+    try:
+        colors = tuple(sorted(map(operator.index, colors)))
+    except TypeError:
+        raise GraphError("colors must be non-negative integers") from None
     if len(set(colors)) != len(colors):
         raise GraphError("duplicate colors in color set")
-    if any(c < 0 for c in colors):
+    if colors and colors[0] < 0:
         raise GraphError("colors must be non-negative integers")
     return colors
 
 
-def _checked_parity(
-    vertices: Mapping[str, str] | Iterable[tuple[str, str]],
-) -> dict[str, str]:
-    """A fresh vertex -> parity dict; a duplicate label or bad parity raises.
-
-    A dict or mapping proxy cannot repeat a label, so it is copied whole and
-    its parities counted; only a failed count walks it vertex by vertex.
-    """
-    if isinstance(vertices, (dict, MappingProxyType)):
-        parity = dict(vertices)
-        values = list(parity.values())
-        if values.count(WHITE) + values.count(BLACK) == len(values):
-            return parity
-    if isinstance(vertices, Mapping):
-        vertices = vertices.items()
-    parity = {}
-    label = None
-    try:
-        for label, p in vertices:
-            if label in parity:
-                raise GraphError(f"duplicate vertex label {label!r}")
-            if p not in (WHITE, BLACK):
-                raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
-            parity[label] = p
-    except TypeError:
-        fault = _unhashable("vertex", label, ())
-        if not fault:
-            raise
-        raise fault from None
-    return parity
-
-
-def _bulk_checked(
-    colors: tuple[int, ...],
-    vertices: list[tuple[str, str]],
-    edges: list[Edge],
-    legs: list[Leg],
-) -> ColoredGraph | None:
-    """``ColoredGraph(colors, vertices, edges, legs)`` assembled through
-    :meth:`ColoredGraph._trusted`, or None when the constructor would reject
-    the parts.
-
-    For :func:`parse`, whose labels are strings and whose colors are a
-    sorted range: every check is a set, ``zip`` or ``map`` pass over whole
-    columns, so it cannot say which item is at fault.  The constructor,
-    called on a rejection, names the first offender.
-    """
+def _column_checked(
+    colors: tuple[int, ...], vertices: Mapping | list, edges: list, legs: list
+) -> tuple[dict[str, str], dict[str, Edge], dict[str, Leg]] | None:
+    """The parity, edge and leg dicts of a graph on these parts, or None when
+    an item is at fault; an unhashable or wrong-length item raises TypeError
+    or ValueError.  Every check is a set, ``zip`` or ``map`` pass over whole
+    columns, so none can say which item is at fault."""
     parity = dict(vertices)
-    values = list(parity.values())
-    if len(parity) != len(vertices) or values.count(WHITE) + values.count(BLACK) != len(values):
+    if len(parity) != len(vertices) or not {WHITE, BLACK}.issuperset(parity.values()):
         return None
-    labels, cs, ws, bs = zip(*edges) if edges else ((), (), (), ())
+    if not all(map(isinstance, edges, itertools.repeat(Edge))):
+        edges = list(map(tuple.__new__, itertools.repeat(Edge), edges))
+    labels, cs, ws, bs = zip(*edges, strict=True) if edges else ((), (), (), ())
+    edge_map = dict(zip(labels, edges))
     n = len(edges)
     white_slots, black_slots = set(zip(ws, cs)), set(zip(bs, cs))
     if (
-        len(set(labels)) != n
+        len(edge_map) != n
         or not set(cs) <= set(colors)
         or list(map(parity.get, ws)).count(WHITE) != n
         or list(map(parity.get, bs)).count(BLACK) != n
@@ -428,46 +344,93 @@ def _bulk_checked(
         return None
     leg_map = {}
     if legs:
-        leg_labels, at = zip(*legs)
+        if not all(map(isinstance, legs, itertools.repeat(Leg))):
+            legs = list(map(tuple.__new__, itertools.repeat(Leg), legs))
+        leg_labels, at = zip(*legs, strict=True)
+        leg_map = dict(zip(leg_labels, legs))
         zero_slots = set(zip(at, itertools.repeat(0)))
         if (
             0 not in colors
-            or len(set(leg_labels)) != len(legs)
-            or len(set(at)) != len(legs)
+            or len(leg_map) != len(legs)
+            or len(zero_slots) != len(legs)
             or not parity.keys() >= set(at)
             or not zero_slots.isdisjoint(white_slots)
             or not zero_slots.isdisjoint(black_slots)
         ):
             return None
-        leg_map = dict(zip(leg_labels, legs))
-    return ColoredGraph._trusted(colors, parity, dict(zip(labels, edges)), leg_map)
+    return parity, edge_map, leg_map
 
 
-def _unhashable(kind: str, label, vertices: tuple) -> GraphError | None:
-    """The error for an unhashable label, else for the first unhashable
-    vertex, else None."""
-    for value in (label, *vertices):
-        try:
-            hash(value)
-        except TypeError:
-            what = "label" if value is label else f"vertex {value!r}"
-            return GraphError(f"{kind} {label!r}: {what} is not hashable")
-    return None
-
-
-def _edge_fault(e: Edge, parity: Mapping[str, str], slots: Mapping) -> GraphError:
-    """The error for the first end of `e` that is unknown, of the wrong parity
-    or, when both fit, holding another edge of its color."""
-    for end, want in ((e.white, WHITE), (e.black, BLACK)):
-        if end not in parity:
-            return GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
-        if parity[end] != want:
-            return GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
-    end = e.white if slots[e.white, e.color] is not e else e.black
-    return GraphError(
-        f"duplicate color at vertex: color {e.color} at {end!r} "
-        f"(edges {slots[end, e.color].label!r} and {e.label!r})"
-    )
+def _raise_first_fault(
+    colors: tuple[int, ...], vertices: Mapping | list, edges: list, legs: list
+) -> NoReturn:
+    """Raise the :class:`GraphError` naming the first offender in parts that
+    :func:`_column_checked` rejected, walking the vertices, then the edges,
+    then the legs, item by item.  A vertex that is no pair raises what
+    unpacking it raises."""
+    parity, edge_map, leg_map, slots = {}, {}, {}, {}
+    at = None, None, ()  # kind, label and vertices of the item being checked
+    try:
+        for label, p in vertices.items() if isinstance(vertices, Mapping) else vertices:
+            at = "vertex", label, ()
+            if label in parity:
+                raise GraphError(f"duplicate vertex label {label!r}")
+            if p not in (WHITE, BLACK):
+                raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
+            parity[label] = p
+        for item in edges:
+            try:
+                e = item if isinstance(item, Edge) else Edge._make(item)
+            except TypeError:
+                raise GraphError(f"edge {item!r}: expected (label, color, white, black)") from None
+            label, c, w, b = e
+            at = "edge", label, (w, b)
+            if label in edge_map:
+                raise GraphError(f"duplicate edge label {label!r}")
+            if c not in colors:  # a tuple test: an unhashable color gets this message
+                raise GraphError(f"edge {label!r}: color {c!r} outside color set {colors}")
+            for end, want in ((w, WHITE), (b, BLACK)):
+                if end not in parity:
+                    raise GraphError(f"edge {label!r}: unknown vertex {end!r}")
+                if parity[end] != want:
+                    raise GraphError(f"edge {label!r}: vertex {end!r} is not {want!r}")
+            for end in (w, b):
+                if (end, c) in slots:
+                    raise GraphError(
+                        f"duplicate color at vertex: color {c} at {end!r} "
+                        f"(edges {slots[end, c].label!r} and {label!r})"
+                    )
+                slots[end, c] = e
+            edge_map[label] = e
+        for item in legs:
+            try:
+                l = item if isinstance(item, Leg) else Leg._make(item)
+            except TypeError:
+                raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
+            label, v = l
+            at = "leg", label, (v,)
+            if label in leg_map:
+                raise GraphError(f"duplicate leg label {label!r}")
+            if 0 not in colors:
+                raise GraphError(f"leg {label!r}: color 0 not in color set")
+            if v not in parity:
+                raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
+            if (v, 0) in slots:
+                raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
+            if (v, None) in slots:
+                raise GraphError(f"two legs at vertex {v!r}")
+            slots[v, None] = l
+            leg_map[label] = l
+    except TypeError:  # from hashing the label or a vertex of the item at hand
+        kind, label, ends = at
+        for value in (label, *ends):
+            try:
+                hash(value)
+            except TypeError:
+                what = "label" if value is label else f"vertex {value!r}"
+                raise GraphError(f"{kind} {label!r}: {what} is not hashable") from None
+        raise
+    raise AssertionError("the column check rejected parts the item walk accepts")
 
 
 # -- file format -----------------------------------------------------------
@@ -537,9 +500,7 @@ def parse(text: str, *, require_regular: bool = True) -> ColoredGraph:
 
     if colors is None:
         raise GraphError("missing 'colors' header")
-    g = _bulk_checked(colors, vertices, edges, legs)
-    if g is None:
-        g = ColoredGraph(colors, vertices, edges, legs)  # raises, naming the offender
+    g = ColoredGraph(colors, vertices, edges, legs)
     if require_regular:
         problems = validate(g)
         if problems:
@@ -569,12 +530,48 @@ def serialize(g: ColoredGraph) -> str:
         header = f"colors {len(cs) - 1} open"
     else:
         raise GraphError(f"color set {cs} is not contiguous; cannot serialize")
+    _check_labels(g)
     parity, edges, legs = g._parity, g._edges, g._legs
     lines = [header]
     lines += [f"v {v} {parity[v]}" for v in sorted(parity)]
     lines += ["e %s %s %s %s" % edges[e] for e in sorted(edges)]
     lines += ["leg %s %s" % legs[l] for l in sorted(legs)]
     return "\n".join(lines) + "\n"
+
+
+def _check_labels(g: ColoredGraph) -> None:
+    """Raise a :class:`GraphError` naming the first vertex, edge or leg label
+    that does not sort with the others of its kind, or that :func:`parse`
+    could not read back because it is not one token free of ``#``.
+
+    String labels are cleared by one scan of their concatenation; only a
+    graph that fails it, or has other labels, is looked at label by label.
+    """
+    parity, edges, legs = g._parity, g._edges, g._legs
+    try:
+        joined = "".join([*parity, *edges, *legs])
+    except TypeError:  # a label that is no string
+        pass
+    else:
+        empty = "" in parity or "" in edges or "" in legs
+        if not empty and joined.split() == [joined] and "#" not in joined:
+            return
+    for kind, labels in (("vertex", parity), ("edge", edges), ("leg", legs)):
+        try:
+            sorted(labels)
+        except TypeError:
+            first = next(iter(labels))
+            bad = next((x for x in labels if type(x) is not type(first)), first)
+            raise GraphError(
+                f"{kind} label {bad!r} does not sort with the other {kind} labels; "
+                "cannot serialize"
+            ) from None
+        for label in labels:
+            text = str(label)
+            if text.split() != [text] or "#" in text:
+                raise GraphError(
+                    f"{kind} label {label!r} is not one token free of '#'; cannot serialize"
+                )
 
 
 def validate(g: ColoredGraph) -> list[str]:

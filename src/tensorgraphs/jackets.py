@@ -14,9 +14,9 @@ it means planar, which is weaker from 4 white vertices on: the 3-colored
 cube has degree 0 and is no melon.  :func:`is_melonic` answers "degree 0"
 on any number of colors.
 
-Jacket genera and face totals come from counts of the bubble walks the
-graph keeps (:func:`~tensorgraphs.graphs.bubbles` of each color pair and
-of all colors), so no ``Bubble`` is built until a jacket's faces are read.
+Jacket genera and face totals come from the label arrays the graph keeps
+in its walk slot (``graphs._subset_labels`` of each color pair and of all
+colors), so no ``Bubble`` is built until a jacket's faces are read.
 The canonical cycles and their adjacent color pairs depend on the color
 set only; they are generated once per color set, already canonical and
 sorted, and cached (``_jacket_table``).  :func:`canonical_cycle` is the

@@ -98,6 +98,67 @@ def test_serialize_parse_identity(name):
     assert serialize(parse(serialize(g))) == text
 
 
+_ODD_LABELS = ["a b", "a\tb", "", " ", "a#b", "#", "a\nb", "a\x1cb", "a\u2028b", "\u3000"]
+
+
+def _with_label(kind, label):
+    """A two-edge open graph whose first `kind` label is `label`."""
+    v = label if kind == "vertex" else "u"
+    e = label if kind == "edge" else "e"
+    l = label if kind == "leg" else "l"
+    return ColoredGraph(
+        (0, 1), {v: "w", "c": "b", "x": "w", "y": "b"},
+        [(e, 1, v, "c"), ("f", 1, "x", "y")], [(l, v), ("k", "c")],
+    )
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "leg"])
+@pytest.mark.parametrize("label", _ODD_LABELS)
+def test_serialize_refuses_a_label_parse_cannot_read(kind, label):
+    g = _with_label(kind, label)
+    with pytest.raises(GraphError) as info:
+        serialize(g)
+    assert str(info.value) == (
+        f"{kind} label {label!r} is not one token free of '#'; cannot serialize"
+    )
+
+
+def test_serialize_refuses_labels_a_blank_one_would_hide():
+    # one label with a blank, one empty: the file has as many tokens as fields
+    g = ColoredGraph((1,), {"a b": "w", "": "b"}, [("e", 1, "a b", "")])
+    with pytest.raises(GraphError, match="vertex label 'a b' is not one token"):
+        serialize(g)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "leg"])
+def test_serialize_refuses_labels_that_do_not_sort(kind):
+    g = _with_label(kind, 5)
+    with pytest.raises(GraphError) as info:
+        serialize(g)
+    bad = {"vertex": "c", "edge": "f", "leg": "k"}[kind]  # the first label is 5
+    assert str(info.value) == (
+        f"{kind} label {bad!r} does not sort with the other {kind} labels; cannot serialize"
+    )
+
+
+def test_serialize_writes_labels_that_are_no_strings_but_one_token():
+    g = ColoredGraph((0, 1), {1: "w", 2: "b"}, [(3, 1, 1, 2)], [(4, 2)])
+    assert serialize(g) == "colors 1 open\nv 1 w\nv 2 b\ne 3 1 1 2\nleg 4 2\n"
+    # a zero-width space is no whitespace to the parser
+    g = ColoredGraph((1,), {"a\u200b": "w", "b": "b"}, [("e", 1, "a\u200b", "b")])
+    assert parse(serialize(g)).edges == g.edges
+
+
+@pytest.mark.parametrize("name", ALL_GRAPH_FIXTURES)
+def test_serialize_round_trips_every_fixture_under_odd_but_legal_labels(name):
+    g = load_fixture(name)
+    odd = {v: f'q"{i}\\' for i, v in enumerate(sorted(g.vertices))}
+    h = relabel(g, odd)
+    back = parse(serialize(h))
+    assert (back.vertices, back.edges, back.legs) == (h.vertices, h.edges, h.legs)
+    assert serialize(back) == serialize(h)
+
+
 def test_parse_closed_header_maps_colors():
     g = parse("colors 3 closed\nv a w\nv b b\ne e1 1 a b\ne e2 2 a b\ne e3 3 a b\n")
     assert g.colors == (1, 2, 3)
@@ -284,15 +345,16 @@ def test_validate_matches_the_vertex_walk_on_seeded_graphs():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-# ------------------------------------ bulk-checked parse vs. reference
+# ------------------------------------------------- parse vs. reference
 #
-# parse checks its collected parts in bulk and assembles a valid graph
-# directly; only a rejected file reaches the checking constructor, which
-# names the offender.  The reference is parse as it was written before:
-# the same line loop, then the checking constructor on every file.  On every
-# file both must build the same graph, insertion order and slot index
-# included, or raise the same message; a parsed graph builds its slot index
-# on first read.
+# parse collects the parts of its lines and hands them to the public
+# constructor, the one acceptance check for every graph, which names the
+# first offender of a rejected file.  The reference is an independent line
+# loop, the one parse had before its loop was tightened, then the same
+# constructor.  On every file both must build the same graph, insertion
+# order and slot index included, or raise the same message; a parsed graph
+# builds its slot index on first read.  The constructor itself is held to
+# the item walk it replaced further below.
 
 
 def _reference_number(token):
@@ -575,35 +637,6 @@ _PARSE_MESSAGE_KINDS = (
     "is not", "duplicate color at", "color 0 not", "already has", "two legs", "duplicate leg",
     "line ", "missing color",
 )
-
-
-def test_parse_calls_the_checking_constructor_only_to_name_a_fault(monkeypatch):
-    calls = []
-    checking = ColoredGraph.__init__
-
-    def recording(self, *args):
-        try:
-            checking(self, *args)
-        except GraphError as exc:
-            calls.append(exc)
-            raise
-        calls.append(None)
-
-    monkeypatch.setattr(ColoredGraph, "__init__", recording)
-    for name in ALL_GRAPH_FIXTURES:
-        parse(fixture_text(name))
-    assert calls == []
-    for name, text in _PARSE_BATTERY.items():
-        calls.clear()
-        raised = None
-        try:
-            parse(text, require_regular=False)
-        except GraphError as exc:
-            raised = exc
-        if name in _CONSTRUCTOR_REJECTS:
-            assert raised is not None and calls == [raised], name
-        else:
-            assert calls == [], name
 
 
 # ---------------------------------------------------------------- bubbles
@@ -1681,11 +1714,11 @@ def test_constructor_rejects_bad_parity_tag():
 
 # ------------------------------------------- constructor vs. reference
 #
-# The constructor checks each edge, then each leg, once in input order and
-# builds its indexes as it goes.  The reference below is an independent
-# one-item-at-a-time constructor: on every input, valid or not, both must
-# raise the same first message or build the same five dicts, insertion
-# order included.
+# The constructor checks whole columns and, on a rejection, walks the edges,
+# then the legs, once in input order to name the first offender.  The
+# reference below is an independent one-item-at-a-time constructor: on every
+# input, valid or not, both must raise the same first message or build the
+# same five dicts, insertion order included.
 
 
 def _reference_construct(colors, vertices, edges, legs):
@@ -1996,6 +2029,287 @@ def test_unhashable_label_is_a_graph_error(colors, vertices, edges, message):
         ColoredGraph(colors, vertices, edges)
     assert str(info.value) == message
     assert _outcome(_reference_construct, colors, vertices, edges, []) == ("error", message)
+
+
+# ------------------------------------ one acceptance check vs. item walk
+#
+# The constructor checks whole columns and walks the parts item by item only
+# when that check rejects them, to name the first offender.  The reference
+# is the constructor as it was before: a walk of every input, item by item,
+# that filled the slot index as it checked.  On every argument set both must
+# build the same graph, insertion order and slot index included, with the
+# index built on first read, or raise the same first error.  The walk runs
+# exactly when the constructor refuses the parts, so it finds a fault every
+# time the column check rejects them.
+
+
+class _ItemWalkGraph(ColoredGraph):
+    """The constructor that checked every input item by item."""
+
+    __slots__ = ()
+
+    def __init__(self, colors, vertices, edges=(), legs=()):
+        colors = tuple(sorted(colors))
+        if len(set(colors)) != len(colors):
+            raise GraphError("duplicate colors in color set")
+        if any(c < 0 for c in colors):
+            raise GraphError("colors must be non-negative integers")
+        parity = {}
+        if isinstance(vertices, Mapping):
+            vertices = vertices.items()
+        label = None
+        try:
+            for label, p in vertices:
+                if label in parity:
+                    raise GraphError(f"duplicate vertex label {label!r}")
+                if p not in (WHITE, "b"):
+                    raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
+                parity[label] = p
+        except TypeError:
+            fault = _walk_unhashable("vertex", label, ())
+            if not fault:
+                raise
+            raise fault from None
+
+        edge_map, slots = {}, {}
+        take = slots.setdefault
+        e = None
+        try:
+            for item in edges:
+                if isinstance(item, Edge):
+                    e = item
+                else:
+                    try:
+                        e = Edge._make(item)
+                    except TypeError:
+                        raise GraphError(
+                            f"edge {item!r}: expected (label, color, white, black)"
+                        ) from None
+                label, c, w, b = e
+                if label in edge_map:
+                    raise GraphError(f"duplicate edge label {label!r}")
+                if c not in colors:
+                    raise GraphError(f"edge {label!r}: color {c} outside color set {colors}")
+                ends_fit = parity.get(w) == WHITE and parity.get(b) == "b"
+                if not ends_fit or take((w, c), e) is not e or take((b, c), e) is not e:
+                    raise _walk_edge_fault(e, parity, slots)
+                edge_map[label] = e
+        except TypeError:
+            fault = e and _walk_unhashable("edge", e.label, (e.white, e.black))
+            if not fault:
+                raise
+            raise fault from None
+
+        leg_map = {}
+        l = None
+        try:
+            for item in legs:
+                if isinstance(item, Leg):
+                    l = item
+                else:
+                    try:
+                        l = Leg._make(item)
+                    except TypeError:
+                        raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
+                label, v = l
+                if label in leg_map:
+                    raise GraphError(f"duplicate leg label {label!r}")
+                if 0 not in colors:
+                    raise GraphError(f"leg {label!r}: color 0 not in color set")
+                if v not in parity:
+                    raise GraphError(f"leg {label!r}: unknown vertex {v!r}")
+                if (v, 0) in slots:
+                    raise GraphError(f"leg {label!r}: vertex {v!r} already has a color-0 edge")
+                if (v, None) in slots:
+                    raise GraphError(f"two legs at vertex {v!r}")
+                slots[v, None] = l
+                leg_map[label] = l
+        except TypeError:
+            fault = l and _walk_unhashable("leg", l.label, (l.vertex,))
+            if not fault:
+                raise
+            raise fault from None
+
+        self._colors, self._parity, self._edges, self._legs = colors, parity, edge_map, leg_map
+        self._slots, self._walks = slots, None
+
+
+def _walk_unhashable(kind, label, vertices):
+    for value in (label, *vertices):
+        try:
+            hash(value)
+        except TypeError:
+            what = "label" if value is label else f"vertex {value!r}"
+            return GraphError(f"{kind} {label!r}: {what} is not hashable")
+    return None
+
+
+def _walk_edge_fault(e, parity, slots):
+    for end, want in ((e.white, WHITE), (e.black, "b")):
+        if end not in parity:
+            return GraphError(f"edge {e.label!r}: unknown vertex {end!r}")
+        if parity[end] != want:
+            return GraphError(f"edge {e.label!r}: vertex {end!r} is not {want!r}")
+    end = e.white if slots[e.white, e.color] is not e else e.black
+    return GraphError(
+        f"duplicate color at vertex: color {e.color} at {end!r} "
+        f"(edges {slots[end, e.color].label!r} and {e.label!r})"
+    )
+
+
+def _generated(items):
+    return (x for x in items)
+
+
+# Forms of the vertex argument, and of the edge and leg arguments; each
+# builds a fresh argument, so a generator is read by one constructor only.
+_PAIR_FORMS = (list, _generated, dict, lambda pairs: MappingProxyType(dict(pairs)))
+_ITEM_FORMS = (list, tuple, _generated, iter)
+
+
+def _reshaped(rng, item, cls):
+    """`item` as a record, a plain tuple or a list, when it is a record."""
+    if not _is_record(cls, item):
+        return item
+    return rng.choice((cls._make, tuple, list))(item)
+
+
+def _break_items(rng, colors, vertices, edges, legs):
+    """One defect :func:`_mutate` does not make, or makes behind others: an
+    unhashable label or end, a vertex item of the wrong length, a doubled
+    slot, a leg fault at fresh vertices or legs on a color set without 0."""
+    records = [i for i, e in enumerate(edges) if _is_record(Edge, e)]
+    leg_records = [i for i, l in enumerate(legs) if _is_record(Leg, l)]
+    kind = rng.choice((0, 1, 2, 3, 4, 5, 5, 5, 6))
+    if kind == 0 and vertices:
+        i = rng.randrange(len(vertices))
+        vertices[i] = ([vertices[i][0]], vertices[i][1])
+    elif kind == 1 and records:
+        i = rng.choice(records)
+        fields = list(edges[i])
+        j = rng.choice((0, 2, 3))
+        fields[j] = [fields[j]]
+        edges[i] = tuple(fields)
+    elif kind == 2 and leg_records:
+        i = rng.choice(leg_records)
+        label, v = legs[i]
+        legs[i] = ([label], v) if rng.random() < 0.5 else (label, [v])
+    elif kind == 3:
+        _insert(rng, vertices, rng.choice([("x",), ("x", "w", "b"), "xwb"]))
+    elif kind == 4 and records:
+        label, c, w, b = edges[rng.choice(records)]
+        if rng.random() < 0.5:
+            _insert(rng, vertices, ("dbl.w", WHITE))
+            _insert(rng, edges, ("dbl", c, "dbl.w", b))
+        else:
+            _insert(rng, vertices, ("dbl.b", "b"))
+            _insert(rng, edges, ("dbl", c, w, "dbl.b"))
+    elif kind == 5:
+        colors += [0] if 0 not in colors else []
+        vertices += [("z.w", WHITE), ("z.b", "b"), ("q.w", WHITE), ("q.b", "b")]
+        edges.append(("z", 0, "z.w", "z.b"))
+        legs += rng.choice([
+            [("z.l", "z.w")], [("z.l", "z.b")], [("z.l", "q.w"), ("z.k", "q.w")],
+            [("z.l", "q.w"), ("z.l", "q.b")], [("z.l", "nowhere")],
+        ])
+    elif kind == 6:
+        colors[:] = [c for c in colors if c != 0]
+        edges[:] = [e for e in edges if not (_is_record(Edge, e) and tuple(e)[1] == 0)]
+        vertices.append(("z.w", WHITE))
+        legs.append(("z.l", "z.w"))
+
+
+def _raised_or_built(build, *args):
+    try:
+        return "ok", build(*args)
+    except (TypeError, ValueError) as exc:  # GraphError included
+        return type(exc), str(exc)
+
+
+def test_constructor_matches_the_item_walk_on_seeded_argument_sets(monkeypatch):
+    walks = []
+    walk = graphs_module._raise_first_fault
+
+    def recorded(*args):
+        walks.append(args)
+        walk(*args)
+
+    monkeypatch.setattr(graphs_module, "_raise_first_fault", recorded)
+    rng = random.Random(1606)
+    met = collections.Counter()
+    for _ in range(400):
+        colors, vertices, edges, legs = _parts(_random_graph(rng), rng)
+        if rng.random() < 0.4:
+            _break_items(rng, colors, vertices, edges, legs)
+        else:
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+                _mutate(rng, colors, vertices, edges, legs)
+        edges = [_reshaped(rng, e, Edge) for e in edges]
+        legs = [_reshaped(rng, l, Leg) for l in legs]
+        readable = all(
+            isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str) for x in vertices
+        )
+        pair_form = rng.choice(_PAIR_FORMS if readable else _PAIR_FORMS[:2])
+        edge_form, leg_form = rng.choice(_ITEM_FORMS), rng.choice(_ITEM_FORMS)
+
+        def args():
+            return colors, pair_form(vertices), edge_form(edges), leg_form(legs)
+
+        walks.clear()
+        kind, new = _raised_or_built(ColoredGraph, *args())
+        ref_kind, ref = _raised_or_built(_ItemWalkGraph, *args())
+        assert kind == ref_kind
+        if kind == "ok":
+            assert walks == []
+            assert_index_built_on_first_read(new)
+            assert graph_state(new) == graph_state(ref)
+            met["ok"] += 1
+        else:
+            assert new == ref
+            by_colors = ref.startswith(("duplicate colors", "colors must"))
+            assert len(walks) == (not by_colors)
+            met[kind.__name__] += 1
+            met.update(k for k in _WALK_MESSAGE_KINDS if k in ref)
+    assert met["ok"] >= 100 and met["ValueError"] >= 5
+    assert set(met) >= set(_WALK_MESSAGE_KINDS)
+
+
+# Every fault the item walk names: those parse meets past its line loop,
+# short and unreadable items, unhashable labels and ends, bad colors and a
+# slot doubled at a fresh vertex.
+_WALK_MESSAGE_KINDS = (
+    *(k for k in _PARSE_MESSAGE_KINDS if k not in ("line ", "missing color")),
+    "expected (", "label is not hashable", ": vertex [", "duplicate colors", "colors must be",
+    "(edges 'dbl' and",
+)
+
+
+@pytest.mark.parametrize(
+    "colors, vertices, edges, message",
+    [
+        (("a",), {}, [], "colors must be non-negative integers"),
+        ((1.5,), {}, [], "colors must be non-negative integers"),
+        ((1, "2"), {}, [], "colors must be non-negative integers"),
+        ((None,), {}, [], "colors must be non-negative integers"),
+        ((1,), {"a": "w", "b": "b"}, [("e", "1", "a", "b")],
+         "edge 'e': color '1' outside color set (1,)"),
+        ((1,), {"a": "w", "b": "b"}, [("e", 2, "a", "b")],
+         "edge 'e': color 2 outside color set (1,)"),
+    ],
+    ids=["string-color", "fractional-color", "mixed-colors", "none-color",
+         "string-edge-color", "integer-edge-color"],
+)
+def test_colors_are_integers(colors, vertices, edges, message):
+    with pytest.raises(GraphError) as info:
+        ColoredGraph(colors, vertices, edges)
+    assert str(info.value) == message
+
+
+def test_integer_like_colors_are_stored_as_ints():
+    g = ColoredGraph((True, 2), {})
+    assert g.colors == (1, 2) and all(type(c) is int for c in g.colors)
+    with pytest.raises(GraphError, match="^colors must be non-negative integers$"):
+        recolor(build_dipole(2), {1: "one"})
 
 
 # ----------------------------------- trusted assembly vs. validating rebuild
