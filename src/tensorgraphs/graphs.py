@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
@@ -210,12 +210,14 @@ class ColoredGraph:
             edges = list(edges)
         if type(legs) is not list:
             legs = list(legs)
+        edge_records = _records(Edge, edges)
+        leg_records = _records(Leg, legs) if legs else legs
         try:
-            parts = _column_checked(colors, vertices, edges, legs)
-        except (TypeError, ValueError):  # an unhashable or wrong-length item
+            parts = _column_checked(colors, vertices, edge_records, leg_records)
+        except (TypeError, ValueError):  # an unhashable, wrong-length or unread item
             parts = None
         if parts is None:
-            _raise_first_fault(colors, vertices, edges, legs)
+            _raise_first_fault(colors, vertices, (edges, edge_records), (legs, leg_records))
         self._colors, (self._parity, self._edges, self._legs) = colors, parts
         self._slots = self._walks = None
 
@@ -317,8 +319,24 @@ def _checked_colors(colors: Iterable[int]) -> tuple[int, ...]:
     return colors
 
 
+def _records(cls: type, items: list) -> list:
+    """`items` as records of `cls`, each item read once, so an item given as
+    a one-shot iterator is still whole when the fault walk reads it.  The
+    lengths are not checked.  An item that is not iterable ends the list
+    with None, after the records made before it (``list.extend`` keeps
+    them), and no column check gets past that None."""
+    if all(map(isinstance, items, itertools.repeat(cls))):
+        return items
+    records: list = []
+    try:
+        records.extend(map(tuple.__new__, itertools.repeat(cls), items))
+    except TypeError:
+        records.append(None)
+    return records
+
+
 def _column_checked(
-    colors: tuple[int, ...], vertices: Mapping | list, edges: list, legs: list
+    colors: tuple[int, ...], vertices: Mapping | list, edges: list[Edge], legs: list[Leg]
 ) -> tuple[dict[str, str], dict[str, Edge], dict[str, Leg]] | None:
     """The parity, edge and leg dicts of a graph on these parts, or None when
     an item is at fault; an unhashable or wrong-length item raises TypeError
@@ -327,8 +345,6 @@ def _column_checked(
     parity = dict(vertices)
     if len(parity) != len(vertices) or not {WHITE, BLACK}.issuperset(parity.values()):
         return None
-    if not all(map(isinstance, edges, itertools.repeat(Edge))):
-        edges = list(map(tuple.__new__, itertools.repeat(Edge), edges))
     labels, cs, ws, bs = zip(*edges, strict=True) if edges else ((), (), (), ())
     edge_map = dict(zip(labels, edges))
     n = len(edges)
@@ -344,8 +360,6 @@ def _column_checked(
         return None
     leg_map = {}
     if legs:
-        if not all(map(isinstance, legs, itertools.repeat(Leg))):
-            legs = list(map(tuple.__new__, itertools.repeat(Leg), legs))
         leg_labels, at = zip(*legs, strict=True)
         leg_map = dict(zip(leg_labels, legs))
         zero_slots = set(zip(at, itertools.repeat(0)))
@@ -362,12 +376,17 @@ def _column_checked(
 
 
 def _raise_first_fault(
-    colors: tuple[int, ...], vertices: Mapping | list, edges: list, legs: list
+    colors: tuple[int, ...],
+    vertices: Mapping | list,
+    edges: tuple[list, list],
+    legs: tuple[list, list],
 ) -> NoReturn:
     """Raise the :class:`GraphError` naming the first offender in parts that
     :func:`_column_checked` rejected, walking the vertices, then the edges,
-    then the legs, item by item.  A vertex that is no pair raises what
-    unpacking it raises."""
+    then the legs, item by item.  Edges and legs come as the items and
+    their :func:`_records`: the walk reads the records and names the items
+    (a record that is None or of the wrong length is a malformed item).
+    A vertex that is no pair raises what unpacking it raises."""
     parity, edge_map, leg_map, slots = {}, {}, {}, {}
     at = None, None, ()  # kind, label and vertices of the item being checked
     try:
@@ -378,11 +397,9 @@ def _raise_first_fault(
             if p not in (WHITE, BLACK):
                 raise GraphError(f"vertex {label!r}: parity must be 'w' or 'b'")
             parity[label] = p
-        for item in edges:
-            try:
-                e = item if isinstance(item, Edge) else Edge._make(item)
-            except TypeError:
-                raise GraphError(f"edge {item!r}: expected (label, color, white, black)") from None
+        for item, e in itertools.zip_longest(*edges):
+            if e is None or len(e) != 4:
+                raise GraphError(f"edge {item!r}: expected (label, color, white, black)")
             label, c, w, b = e
             at = "edge", label, (w, b)
             if label in edge_map:
@@ -402,11 +419,9 @@ def _raise_first_fault(
                     )
                 slots[end, c] = e
             edge_map[label] = e
-        for item in legs:
-            try:
-                l = item if isinstance(item, Leg) else Leg._make(item)
-            except TypeError:
-                raise GraphError(f"leg {item!r}: expected (label, vertex)") from None
+        for item, l in itertools.zip_longest(*legs):
+            if l is None or len(l) != 2:
+                raise GraphError(f"leg {item!r}: expected (label, vertex)")
             label, v = l
             at = "leg", label, (v,)
             if label in leg_map:
@@ -916,13 +931,18 @@ def relabel(
     edge_map: Mapping[str, str] | None = None,
     leg_map: Mapping[str, str] | None = None,
 ) -> ColoredGraph:
-    """Rename vertices/edges/legs; missing keys keep their labels."""
+    """Rename vertices/edges/legs; missing keys keep their labels.
+
+    The renamed parts go to the checking constructor, vertices as a list of
+    pairs, so a map that sends two vertices, edges or legs to one label
+    raises a :class:`GraphError` naming the duplicate.
+    """
     vm = vertex_map or {}
     em = edge_map or {}
     lm = leg_map or {}
     return ColoredGraph(
         g.colors,
-        {vm.get(v, v): p for v, p in g.vertices.items()},
+        [(vm.get(v, v), p) for v, p in g._parity.items()],
         [
             Edge(em.get(e.label, e.label), e.color, vm.get(e.white, e.white), vm.get(e.black, e.black))
             for e in g.edges.values()
@@ -1061,35 +1081,66 @@ def disjoint_union(a: ColoredGraph, b: ColoredGraph) -> ColoredGraph:
 # best encoding are the images of the best root under the automorphisms of
 # the component, one root per automorphism, so their number is |Aut|.
 #
+# An isomorphism test minimizes only one side.  The other side is matched
+# against those codes: a root is abandoned at its first row that differs
+# from the target code, and a component stops at the first root that
+# completes it.  That root is the earliest one reaching the smallest code,
+# the one minimizing would pick, so orders and witnesses are the same.  A
+# component whose size several distinct target codes share is minimized
+# instead and looked up, which keeps a union of many small components
+# linear.
+#
 # The read order is the graph's color set unless given: reading `a` in the
 # order [cmap^-1(c) for c in b.colors] yields the encodings of
 # recolor(a, cmap) without building that graph, which is how the
-# up-to-color-permutation test tries each color bijection against `b`.
+# up-to-color-permutation test tries each color bijection against `b`.  A
+# bijection must first send the number of bubbles over each pair of colors
+# (the edges of one color for a pair of equal ones) to that number over the
+# image pair; only the bijections that do are scanned.
 
 
-def _component_certs(
+def _iso_arrays(
     g: ColoredGraph, colors: Iterable[int] | None = None
-) -> tuple[list[str], list[tuple[tuple[tuple[int, ...], ...], list[int], list[int]]]]:
-    """The sorted vertex labels and, per component, (canonical code, BFS
-    order, tied roots).
-
-    The BFS order lists the component's vertices as indices into the labels,
-    the vertex of canonical index k at position k.  The tied roots, in
-    increasing order from ``order[0]``, are the images of that best root
-    under the component's automorphisms.  Slots are read in
-    `colors` order (default ``g.colors``, else a subset of them); components
-    come in the order of their smallest vertex label.  The arrays are built
-    for this call: the walk slot is neither read nor filled, so the result
-    does not depend on what was walked before.
-    """
+) -> tuple[list[str], list[int], list[list[int]], list[list[int]]]:
+    """The sorted vertex labels, their parities (0 for white), the
+    :func:`_slot_arrays` neighbour arrays read in `colors` order (default
+    ``g.colors``, else a subset of them) and the components, as the
+    :func:`_orbits` of those arrays.  Built for this call: the walk slot is
+    neither read nor filled."""
     labels, nbrs = _slot_arrays(g, g._colors if colors is None else tuple(colors))
     parity = [0 if g._parity[v] == WHITE else 1 for v in labels]
-    pos = [-1] * len(labels)  # BFS index of each vertex queued from the current root
+    return labels, parity, nbrs, _orbits(len(labels), nbrs)
 
+
+def _bfs_codes(
+    parity: Sequence[int],
+    nbrs: Sequence[Sequence[int]],
+    comps: Sequence[list[int]],
+    pool: Mapping[int, dict[tuple, None]] | None = None,
+) -> list[tuple[tuple[tuple[int, ...], ...], list[int], list[int]]] | None:
+    """Per component, (code, BFS order, tied roots): the one BFS kernel.
+
+    The BFS order lists the component's vertices, the vertex of code index
+    k at position k.  Without `pool` the code is the canonical one and the
+    tied roots, in increasing order from ``order[0]``, are the images of
+    that best root under the component's automorphisms.  With `pool`, which
+    maps a component size to the distinct target codes of that size, a
+    component whose size has one target is matched against it: the code is
+    that target object, and the one tied root is ``order[0]``.  With
+    several, it is minimized and looked up.  None when some component's
+    code is no target.
+    """
+    pos = [-1] * len(parity)  # BFS index of each vertex queued from the current root
     out = []
-    for comp in _orbits(len(labels), nbrs):
+    for comp in comps:
         roots = [v for v in comp if not parity[v]] or comp
-        best: tuple | None = None
+        best = target = None
+        if pool is not None:
+            same = pool.get(len(comp))
+            if not same:
+                return None
+            if len(same) == 1:
+                best = target = next(iter(same))
         best_queue: list[int] = []
         ties: list[int] = []
         for root in roots:
@@ -1113,17 +1164,50 @@ def _component_certs(
                     rival = best[len(rows)]
                     if row > rival:
                         break
-                    smaller = row < rival
+                    if row != rival:
+                        if target is not None:
+                            break
+                        smaller = True
                 rows.append(row)
             else:
                 if smaller:
                     best, best_queue, ties = tuple(rows), queue, [root]
-                else:
+                elif ties:
                     ties.append(root)
+                else:  # the first root to reach the target
+                    best_queue, ties = queue, [root]
             for v in queue:
                 pos[v] = -1
+            if target is not None and ties:
+                break
+        if target is not None:
+            if not ties:
+                return None
+        elif pool is not None and best not in same:
+            return None
         out.append((best, best_queue, ties))
-    return labels, out
+    return out
+
+
+def _component_certs(
+    g: ColoredGraph, colors: Iterable[int] | None = None
+) -> tuple[list[str], list[tuple[tuple[tuple[int, ...], ...], list[int], list[int]]]]:
+    """The sorted vertex labels and the canonical :func:`_bfs_codes` of g's
+    components, read in `colors` order (default ``g.colors``, else a subset
+    of them), in the order of their smallest vertex label.  The BFS orders
+    and tied roots index into the labels.  The arrays are built for this
+    call, so the result does not depend on what was walked before."""
+    labels, parity, nbrs, comps = _iso_arrays(g, colors)
+    return labels, _bfs_codes(parity, nbrs, comps)
+
+
+def _code_pool(codes: Iterable[tuple]) -> dict[int, dict[tuple, None]]:
+    """The distinct codes by component size (rows), the `pool` of
+    :func:`_bfs_codes`."""
+    pool: dict[int, dict[tuple, None]] = {}
+    for code in codes:
+        pool.setdefault(len(code), {})[code] = None
+    return pool
 
 
 def canonical_certificate(g: ColoredGraph) -> tuple:
@@ -1135,8 +1219,61 @@ def canonical_certificate(g: ColoredGraph) -> tuple:
     return (g.colors, tuple(sorted(code for code, _, _ in certs)))
 
 
-# Most colors the up-to-color-permutation test accepts: it may try all k!
-# color bijections, 40 320 at 8 colors (the jackets' limit too).
+def _has_certificate(g: ColoredGraph, cert: tuple) -> bool:
+    """Whether ``canonical_certificate(g) == cert``, with g's components
+    matched against the codes of `cert` rather than minimized."""
+    colors, codes = cert
+    if g._colors != colors:
+        return False
+    _, parity, nbrs, comps = _iso_arrays(g)
+    found = _bfs_codes(parity, nbrs, comps, _code_pool(codes))
+    return found is not None and tuple(sorted(code for code, _, _ in found)) == codes
+
+
+def _bubble_counts(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``counts[i][j]``: the number of bubbles over the colors of arrays i
+    and j, by :func:`_face_labels`; the edges of color i when i == j."""
+    n = len(nbrs[0]) if nbrs else 0
+    counts = [[0] * len(nbrs) for _ in nbrs]
+    for i, mi in enumerate(nbrs):
+        for j in range(i, len(nbrs)):
+            counts[i][j] = counts[j][i] = len(_face_labels(n, mi, nbrs[j])[1])
+    return counts
+
+
+def _color_bijections(
+    counts_a: Sequence[Sequence[int]], counts_b: Sequence[Sequence[int]], pin_first: bool
+) -> Iterator[tuple[int, ...]]:
+    """The permutations p of ``range(k)``, in ``itertools.permutations``
+    order, with ``counts_a[i][j] == counts_b[p[i]][p[j]]`` for all i and j
+    and, when `pin_first`, with ``p[0] == 0``: backtracking position by
+    position, each candidate tested against the positions before it."""
+    k = len(counts_a)
+    perm: list[int] = []
+    free = [True] * k
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(perm)
+            return
+        row = counts_a[i]
+        for j in range(k):
+            if not free[j] or (pin_first and (i == 0) != (j == 0)):
+                continue
+            perm.append(j)
+            image = counts_b[j]
+            if all(row[h] == image[x] for h, x in enumerate(perm)):
+                free[j] = False
+                yield from extend(i + 1)
+                free[j] = True
+            perm.pop()
+
+    return extend(0)
+
+
+# Most colors the up-to-color-permutation test accepts: with the bubble
+# counts pruning nothing, it tries all k! color bijections, 40 320 at 8
+# colors (the jackets' limit too).
 _MAX_PERMUTED_COLORS = 8
 
 
@@ -1166,12 +1303,11 @@ def is_isomorphic(
     color sets (fixing color 0 whenever legs are present).  Color
     bijections are tried in ``itertools.permutations`` order of
     ``b.colors``; the first that works is reported.  That mode accepts at
-    most 8 colors.
+    most 8 colors.  b is minimized once and a matched against its codes.
     """
     if mode == "exact-colors":
         if a.colors != b.colors:
             return IsoResult(False)
-        cmaps: Iterable[dict[int, int] | None] = (None,)
     elif mode == "up-to-color-permutation":
         if len(a.colors) != len(b.colors):
             return IsoResult(False)
@@ -1182,31 +1318,42 @@ def is_isomorphic(
         must_fix_zero = bool(a.legs) or bool(b.legs)
         if must_fix_zero and (0 not in a.colors or 0 not in b.colors):
             return IsoResult(False)
-        cmaps = (dict(zip(a.colors, p)) for p in itertools.permutations(b.colors))
-        if must_fix_zero:
-            cmaps = (cmap for cmap in cmaps if cmap[0] == 0)
     else:
         raise GraphError(f"unknown isomorphism mode {mode!r}")
     if len(a) != len(b) or len(a.edges) != len(b.edges) or len(a.legs) != len(b.legs):
         return IsoResult(False)
-    labels_b, certs_b = _component_certs(b)
-    codes_b = sorted(code for code, _, _ in certs_b)
-    for cmap in cmaps:
-        read = None
-        if cmap is not None:
-            inverse = {c: s for s, c in cmap.items()}
-            read = [inverse[c] for c in b.colors]
-        labels_a, certs_a = _component_certs(a, read)
-        if sorted(code for code, _, _ in certs_a) != codes_b:
+    labels_a, parity_a, nbrs_a, comps_a = _iso_arrays(a)
+    labels_b, parity_b, nbrs_b, comps_b = _iso_arrays(b)
+    if mode == "exact-colors":
+        perms: Iterable[tuple[int, ...] | None] = (None,)
+    else:
+        perms = _color_bijections(_bubble_counts(nbrs_a), _bubble_counts(nbrs_b), must_fix_zero)
+    certs_b = pool = None
+    for perm in perms:
+        read, cmap = nbrs_a, None
+        if perm is not None:
+            read = list(nbrs_a)
+            for i, j in enumerate(perm):
+                read[j] = nbrs_a[i]
+            cmap = {c: b.colors[j] for c, j in zip(a.colors, perm)}
+        if certs_b is None:  # b is minimized at the first bijection tried, if any
+            certs_b = _bfs_codes(parity_b, nbrs_b, comps_b)
+            pool = _code_pool(code for code, _, _ in certs_b)
+        certs_a = _bfs_codes(parity_a, read, comps_a, pool)
+        if certs_a is None:
             continue
         by_code: dict[tuple, list[list[int]]] = {}
         for code, order, _ in certs_b:
             by_code.setdefault(code, []).append(order)
         witness: dict[str, str] = {}
         for code, order_a, _ in certs_a:
-            for u, v in zip(order_a, by_code[code].pop()):
+            orders = by_code[code]
+            if not orders:  # more components of this code in a than in b
+                break
+            for u, v in zip(order_a, orders.pop()):
                 witness[labels_a[u]] = labels_b[v]
-        return IsoResult(True, witness, cmap)
+        else:
+            return IsoResult(True, witness, cmap)
     return IsoResult(False)
 
 

@@ -806,7 +806,7 @@ def test_jacket_commands_walk_each_color_pair_once(monkeypatch):
             ("_orbits", "_subset_labels"): 1,
         })
         if command == "report":
-            walks |= {("_slot_arrays", "_component_certs"): 1, ("_orbits", "_component_certs"): 1}
+            walks |= {("_slot_arrays", "_iso_arrays"): 1, ("_orbits", "_iso_arrays"): 1}
         assert calls == walks, command
         (g,) = loaded
         assert sorted(g._walks[2]) == sorted(walked + [colors]), command

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import time
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -812,7 +813,8 @@ def test_color_permutation_mode_caps_the_colors(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a certificate was computed past the cap")
 
-    monkeypatch.setattr(graphs_module, "_component_certs", forbidden)
+    for name in ("_component_certs", "_iso_arrays", "_bfs_codes"):
+        monkeypatch.setattr(graphs_module, name, forbidden)
     with pytest.raises(GraphError, match=r"^9 colors exceed the permutation cap \(8\)$"):
         is_isomorphic(a, b, "up-to-color-permutation")
 
@@ -1135,6 +1137,223 @@ def test_tied_roots_are_the_automorphisms():
             }
             modeled += 1
     assert symmetric > 40 and modeled > 100
+
+
+# ------------------------------ matching and pruning vs. full certificates
+#
+# `is_isomorphic` minimizes b only, matches a's components against b's
+# codes, and scans only the color bijections that keep the bubble count of
+# every color pair.  The reference below certifies both sides in full under
+# every color bijection, unpruned, as `is_isomorphic` did before; verdicts,
+# witnesses and color maps must be the same on seeded graphs with 3-8
+# colors.  `_component_certs` itself is held to the plain definition above.
+
+
+def _reference_full_certificates(a, b, mode):
+    if mode == "exact-colors":
+        if a.colors != b.colors:
+            return IsoResult(False)
+        cmaps = [None]
+    else:
+        if len(a.colors) != len(b.colors):
+            return IsoResult(False)
+        fix_zero = bool(a.legs) or bool(b.legs)
+        if fix_zero and (0 not in a.colors or 0 not in b.colors):
+            return IsoResult(False)
+        cmaps = [dict(zip(a.colors, p)) for p in itertools.permutations(b.colors)]
+        cmaps = [cmap for cmap in cmaps if not fix_zero or cmap[0] == 0]
+    if (len(a), len(a.edges), len(a.legs)) != (len(b), len(b.edges), len(b.legs)):
+        return IsoResult(False)
+    labels_b, certs_b = _component_certs(b)
+    codes_b = sorted(code for code, _, _ in certs_b)
+    for cmap in cmaps:
+        read = None if cmap is None else [{y: x for x, y in cmap.items()}[c] for c in b.colors]
+        labels_a, certs_a = _component_certs(a, read)
+        if sorted(code for code, _, _ in certs_a) != codes_b:
+            continue
+        by_code = {}
+        for code, order, _ in certs_b:
+            by_code.setdefault(code, []).append(order)
+        witness = {}
+        for code, order_a, _ in certs_a:
+            for u, v in zip(order_a, by_code[code].pop()):
+                witness[labels_a[u]] = labels_b[v]
+        return IsoResult(True, witness, cmap)
+    return IsoResult(False)
+
+
+def _tuple_graph(rng, colors, whites, connected=True):
+    """A random graph on n whites and n blacks with every color at every
+    vertex, except that color 0, if present, misses at least one pair and
+    each vertex it misses carries a leg; resampled until connected if asked."""
+    while True:
+        blacks = list(range(whites, 2 * whites))
+        matchings = []
+        for c in colors:
+            rng.shuffle(blacks)
+            pairs = list(zip(range(whites), blacks))
+            matchings.append([p for p in pairs[1:] if rng.random() < 0.6] if c == 0 else pairs)
+        g = _partial_graph(colors, ["w"] * whites + ["b"] * whites, matchings, range(2 * whites))
+        if not connected or len(connected_components(g)) == 1:
+            return g
+
+
+def _crossed(g, rng):
+    """g with the black ends of two edges of one color swapped, or None."""
+    by_color = {}
+    for e in g.edges.values():
+        by_color.setdefault(e.color, []).append(e)
+    choices = [es for es in by_color.values() if len(es) > 1]
+    if not choices:
+        return None
+    e, f = rng.sample(rng.choice(choices), 2)
+    edges = [x for x in g.edges.values() if x not in (e, f)]
+    edges += [Edge(e.label, e.color, e.white, f.black), Edge(f.label, f.color, f.white, e.black)]
+    return ColoredGraph(g.colors, dict(g.vertices), edges, g.legs.values())
+
+
+def _union(pieces):
+    """The disjoint union of the pieces, piece i prefixed ``c<i>.``."""
+    return graphs_module._splice([(g, f"c{i}.") for i, g in enumerate(pieces)])
+
+
+def _seeded_iso_pairs(rng, d):
+    """Pairs on d colors (0..d-1 when open): connected, union and open
+    graphs, each against a relabelled and recolored copy, a recolored one,
+    a perturbed copy and an unrelated graph; and an irregular pair.  From 7
+    colors on, where the reference scans 5040 or 40 320 bijections per
+    pair, only the open graphs and a connected graph's copy."""
+    closed = tuple(range(1, d + 1))
+    small = 3 if d < 7 else 2
+    a = _tuple_graph(rng, closed, rng.randint(1, small + 1))
+    opened = _tuple_graph(rng, tuple(range(d)), rng.randint(1, small + 1))
+    if d >= 7:
+        yield a, _shuffled_copy(a, rng)
+        families = [opened]
+    else:
+        x, y = (_tuple_graph(rng, closed, rng.randint(1, small)) for _ in range(2))
+        union = _union([x, y, x] if rng.random() < 0.5 else [x, y])
+        yield a, _tuple_graph(rng, closed, len(a) // 2)
+        yield union, _union([x, _tuple_graph(rng, closed, len(y) // 2), y])
+        irregular = _random_graph(rng, closed)
+        yield irregular, _shuffled_copy(irregular, rng)
+        families = [a, union, opened]
+    for g in families:
+        yield g, _shuffled_copy(g, rng)
+        movable = [c for c in g.colors if not (g.legs and c == 0)]
+        image = movable[:]
+        rng.shuffle(image)
+        yield g, recolor(g, dict(zip(movable, image)))
+        crossed = _crossed(_shuffled_copy(g, rng), rng)
+        if crossed is not None:
+            yield g, crossed
+
+
+def test_matching_and_pruning_match_full_certificates_on_seeded_graphs(monkeypatch):
+    real = graphs_module._bfs_codes
+    refuted = collections.Counter()
+
+    def counting(parity, nbrs, comps, pool=None):
+        found = real(parity, nbrs, comps, pool)
+        refuted[pool is not None and found is None] += 1
+        return found
+
+    monkeypatch.setattr(graphs_module, "_bfs_codes", counting)
+    rng = random.Random(3708)
+    verdicts = collections.Counter()
+    for d, rounds in ((3, 10), (4, 10), (5, 8), (6, 3), (7, 2), (8, 1)):
+        for _ in range(rounds):
+            for a, b in _seeded_iso_pairs(rng, d):
+                for mode in ("exact-colors", "up-to-color-permutation"):
+                    for x, y in ((a, b), (b, a)):
+                        want = _reference_full_certificates(x, y, mode)
+                        assert _iso_key(is_isomorphic(x, y, mode)) == _iso_key(want)
+                        verdicts[mode, want.isomorphic] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+    # scans that matching refuted after the counts let a bijection through
+    assert refuted[True] >= 100, refuted
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_color_bijections_are_the_permutations_keeping_the_counts(k):
+    rng = random.Random(k)
+    for _ in range(30):
+        values = rng.choice((1, 2, 3))
+        sym = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                sym[i][j] = sym[j][i] = rng.randrange(values)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        # an image of sym under a permutation, or a random matrix
+        other = [[sym[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+        if rng.random() < 0.3 and k:
+            i, j = rng.randrange(k), rng.randrange(k)
+            other[i][j] = other[j][i] = values
+        for pin in (False, True):
+            want = [
+                p for p in itertools.permutations(range(k))
+                if all(other[i][j] == sym[p[i]][p[j]] for i in range(k) for j in range(k))
+                and not (pin and p and p[0] != 0)
+            ]
+            assert list(graphs_module._color_bijections(other, sym, pin)) == want
+
+
+def test_components_of_a_size_with_several_codes_pair_by_multiplicity():
+    # X, X against X, Y with |X| = |Y|: each component of the first graph has
+    # a code of the second, but one X too many.  The two codes share a size,
+    # so components are minimized and looked up, not matched.
+    ident, swap = [(0, 2), (1, 3)], [(0, 3), (1, 2)]
+    x = _partial_graph((1, 2, 3), "wwbb", [ident, ident, swap], ())
+    y = _partial_graph((1, 2, 3), "wwbb", [ident, swap, ident], ())
+    cases = [
+        (_union([x, x]), _union([x, y]), False),
+        (_union([x, y]), _union([y, x]), True),
+        (_union([x, y, x]), _union([y, x, x]), True),
+    ]
+    for a, b, iso in cases:
+        for mode in ("exact-colors", "up-to-color-permutation"):
+            for u, v in ((a, b), (b, a)):
+                res = is_isomorphic(u, v, mode)
+                assert res.isomorphic == iso
+                assert _iso_key(res) == _iso_key(_reference_full_certificates(u, v, mode))
+
+
+def test_union_of_200_distinct_small_components_stays_linear():
+    # every component size is shared by many distinct codes, so each
+    # component is minimized once and looked up, not tried against each
+    # code in turn: the test costs about what certifying both graphs costs
+    rng = random.Random(200)
+    pieces, seen = [], set()
+    while len(pieces) < 200:
+        g = _tuple_graph(rng, (1, 2, 3, 4), rng.randint(2, 4))
+        cert = canonical_certificate(g)
+        if cert not in seen:
+            seen.add(cert)
+            pieces.append(g)
+    u = _union(pieces)
+    fresh = [f"u{i}" for i in range(len(u))]
+    rng.shuffle(fresh)
+    relabelled = relabel(u, dict(zip(u.vertices, fresh)))
+    recolored = recolor(relabelled, {1: 3, 2: 4, 3: 1, 4: 2})
+
+    def best_of_3(f):
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            f()
+            times.append(time.process_time() - start)
+        return min(times)
+
+    certify = best_of_3(lambda: [canonical_certificate(g) for g in (u, relabelled)])
+    for v, mode in ((relabelled, "exact-colors"), (recolored, "up-to-color-permutation")):
+        res = is_isomorphic(u, v, mode)
+        assert res and all(
+            v.edge_at(res.witness[e.white], (res.color_map or {}).get(e.color, e.color)).black
+            == res.witness[e.black]
+            for e in u.edges.values()
+        )
+        assert best_of_3(lambda: is_isomorphic(u, v, mode)) < 3 * certify
 
 
 # ---------------------------------------------------- Burnside class counts
@@ -1949,6 +2168,29 @@ def test_constructor_matches_reference_on_seeded_inputs():
     assert met == set(_MESSAGE_KINDS)
 
 
+def test_constructor_reads_each_edge_and_leg_item_once():
+    # an item given as a one-shot iterator is read once, so the fault walk
+    # names the fault the same item names as a tuple
+    with pytest.raises(GraphError, match=r"^duplicate color at vertex: color 1 at 'a' \(edges 'e' and 'f'\)$"):
+        ColoredGraph((1,), {"a": "w", "b": "b"}, [iter(("e", 1, "a", "b")), ("f", 1, "a", "b")])
+    with pytest.raises(GraphError, match="^two legs at vertex 'a'$"):
+        ColoredGraph((0, 1), {"a": "w"}, [], [iter(("l", "a")), ("k", "a")])
+    rng = random.Random(2017)
+    faults = valid = 0
+    for _ in range(300):
+        colors, vertices, edges, legs = parts = _parts(_random_graph(rng), rng)
+        for _ in range(rng.choice((0, 1, 2))):
+            _mutate(rng, *parts)
+        kind, result = _outcome(ColoredGraph, colors, vertices, edges, legs)
+        if kind == "error" and "expected (" in result:
+            continue  # names the item by its repr, which an iterator changes
+        once = [[iter(x) if type(x) is tuple else x for x in items] for items in (edges, legs)]
+        assert _outcome(ColoredGraph, colors, vertices, *once) == (kind, result)
+        faults += kind == "error"
+        valid += kind == "ok"
+    assert faults >= 50 and valid >= 50
+
+
 @given(small_graphs(), st.randoms(use_true_random=False), st.integers(0, 3))
 def test_constructor_matches_reference_on_drawn_inputs(g, rng, defects):
     parts = _parts(g, rng)
@@ -2706,8 +2948,12 @@ def test_leg_at_and_validate_on_trusted_irregular_graphs_match_the_rebuild():
 
 def test_relabel_with_a_colliding_map_still_raises():
     g = build_r1()
-    # p and q merge into one vertex, which then holds two color-1 edges
-    with pytest.raises(GraphError, match="color 1 at 'q' \\(edges 'e1' and 'f1'\\)"):
+    # p and q would merge into one vertex: the constructor gets both
+    with pytest.raises(GraphError, match="^duplicate vertex label 'q'$"):
         relabel(g, {"p": "q"})
+    # also when the merged vertices' edges would fit: c has no edge of a's
+    h = ColoredGraph((1,), {"a": "w", "c": "w", "d": "b"}, [("z", 1, "c", "d")])
+    with pytest.raises(GraphError, match="^duplicate vertex label 'a'$"):
+        relabel(h, {"c": "a"})
     with pytest.raises(GraphError, match="duplicate edge label 'e2'"):
         relabel(g, edge_map={"e1": "e2"})
